@@ -32,6 +32,7 @@ from .errors import (
     OddDegreeError,
     TuraevError,
 )
+from . import perm
 from .ribbon import RibbonGraph
 
 
@@ -42,7 +43,8 @@ class AdGraph:
 
     ``edges`` keeps one entry per parallel copy.  ``rotations`` gives, for
     each vertex, the cyclic counterclockwise order of incident edge
-    indices; every edge index appears exactly twice overall.
+    indices; each edge must sit once at each of its two endpoints, which
+    ``half_edges`` checks.
     """
 
     n: int
@@ -62,15 +64,6 @@ class AdGraph:
                 "edges",
                 tuple((min(u, v), max(u, v)) for u, v in self.edges),
             )
-        if self.rotations is not None:
-            seen: dict[int, int] = {}
-            for rot in self.rotations:
-                for e in rot:
-                    seen[e] = seen.get(e, 0) + 1
-            if len(self.rotations) != self.n or any(
-                seen.get(i, 0) != 2 for i in range(len(self.edges))
-            ):
-                raise ValueError("rotation system inconsistent with edge list")
 
     # -- structure ---------------------------------------------------------
 
@@ -86,22 +79,7 @@ class AdGraph:
         return deg
 
     def components(self) -> list[list[int]]:
-        parent = list(range(self.n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        comps: dict[int, list[int]] = {}
-        for i in range(self.n):
-            comps.setdefault(find(i), []).append(i)
-        return sorted(comps.values())
+        return perm.groups(*perm.components(self.n, self.edges))
 
     def component_count(self) -> int:
         return len(self.components())
@@ -208,18 +186,21 @@ def _component_planar(graph: AdGraph, comp: list[int]) -> bool:
 def validate_adg(graph: AdGraph) -> AdGraph:
     """Check even degrees, bipartiteness, and per-component planarity.
 
-    Returns the graph annotated with a bipartition.  Loops are already
-    rejected at construction.
+    A graph carrying a rotation system is proved planar by its own
+    embedding (``check_sphere_embedding``); otherwise each component goes
+    through the networkx planarity test.  Returns the graph annotated
+    with a bipartition.  Loops are already rejected at construction.
     """
     for v, d in enumerate(graph.degrees()):
         if d % 2:
             raise OddDegreeError(v, d)
     color = _bipartition_or_odd_cycle(graph)
-    for comp in graph.components():
-        if not _component_planar(graph, comp):
-            raise NotPlanarError(comp)
     if graph.rotations is not None:
         check_sphere_embedding(graph)
+    else:
+        for comp in graph.components():
+            if not _component_planar(graph, comp):
+                raise NotPlanarError(comp)
     return replace(graph, bipartition=color)
 
 
@@ -229,62 +210,63 @@ def is_validated(graph: AdGraph) -> bool:
 
 # -- embeddings -----------------------------------------------------------------
 
-def _half_edges(graph: AdGraph) -> tuple[dict, dict]:
-    """Half-edge maps for an embedded graph.
+def half_edges(graph: AdGraph) -> tuple[list[int], list[int], list[int]]:
+    """Flat half-edge arrays of an embedded graph.
 
-    A half-edge is a (vertex, position) slot of the rotation tables;
-    ``partner`` pairs the two slots of each edge, ``succ`` steps to the
-    next slot counterclockwise at the same vertex.
+    Half-edge h is slot h of the concatenated rotation tables.  Returns
+    ``(partner, face_step, vertex)``: ``partner`` pairs the two slots of
+    each edge, ``face_step[h]`` is the slot counterclockwise after
+    ``partner[h]`` (faces are its orbits), and ``vertex[h]`` holds slot
+    h.  Raises ``NotEmbeddedError`` unless each edge sits exactly once
+    at each of its two endpoints.
     """
     if graph.rotations is None:
         raise NotEmbeddedError("graph carries no rotation system")
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
+    if len(graph.rotations) != graph.n:
+        raise NotEmbeddedError(
+            f"{len(graph.rotations)} rotation tables for {graph.n} vertices"
+        )
+    vertex: list[int] = []
+    succ: list[int] = []
+    slots: dict[int, list[int]] = {}
     for v, rot in enumerate(graph.rotations):
+        base = len(vertex)
         for i, e in enumerate(rot):
-            occurrences.setdefault(e, []).append((v, i))
-            succ[(v, i)] = (v, (i + 1) % len(rot))
-    partner = {}
-    for e, occ in occurrences.items():
+            slots.setdefault(e, []).append(base + i)
+            vertex.append(v)
+            succ.append(base + (i + 1) % len(rot))
+    partner = [0] * len(vertex)
+    for e, ends in enumerate(graph.edges):
+        occ = slots.pop(e, [])
+        if sorted(vertex[h] for h in occ) != list(ends):
+            raise NotEmbeddedError(
+                f"edge {e} {ends} sits at vertices "
+                f"{sorted(vertex[h] for h in occ)} in the rotation system"
+            )
         a, b = occ
         partner[a], partner[b] = b, a
-    return partner, succ
-
-
-def embedded_face_count(graph: AdGraph) -> dict[int, int]:
-    """Faces per component root vertex, from the rotation system."""
-    partner, succ = _half_edges(graph)
-    comp_root = {}
-    for comp in graph.components():
-        for v in comp:
-            comp_root[v] = comp[0]
-    counts = {comp[0]: 0 for comp in graph.components()}
-    seen = set()
-    for h0 in partner:
-        if h0 in seen:
-            continue
-        counts[comp_root[h0[0]]] += 1
-        h = h0
-        while h not in seen:
-            seen.add(h)
-            h = succ[partner[h]]
-    # an isolated vertex has a single disk face
-    for comp in graph.components():
-        if all(not graph.rotations[v] for v in comp):
-            counts[comp[0]] = 1
-    return counts
+    if slots:
+        raise NotEmbeddedError(
+            f"rotation system lists unknown edges {sorted(slots)}"
+        )
+    return partner, [succ[p] for p in partner], vertex
 
 
 def check_sphere_embedding(graph: AdGraph) -> None:
     """Euler check V - E + F = 2 on every component."""
-    faces = embedded_face_count(graph)
-    mult_by_comp: dict[int, int] = {}
-    for comp in graph.components():
-        members = set(comp)
-        e = sum(1 for u, v in graph.edges if u in members)
-        chi = len(comp) - e + faces[comp[0]]
-        if chi != 2:
-            raise NotPlanarError(comp)
+    _, face_step, vertex = half_edges(graph)
+    comp, k = perm.components(graph.n, graph.edges)
+    chi = [0] * k
+    for v, rot in enumerate(graph.rotations):
+        # an isolated vertex has a single disk face
+        chi[comp[v]] += 1 if rot else 2
+    for u, _ in graph.edges:
+        chi[comp[u]] -= 1
+    for h in perm.least_points(perm.orbits(face_step)[0]):
+        chi[comp[vertex[h]]] += 1
+    for c, value in enumerate(chi):
+        if value != 2:
+            raise NotPlanarError(perm.groups(comp, k)[c])
 
 
 def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:
@@ -319,20 +301,14 @@ def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def to_ribbon(graph: AdGraph, twisted: bool = False) -> RibbonGraph:
-    """Ribbon graph of an embedded AdGraph; half-edge ids are 2e and
-    2e+1 for the first and second rotation occurrence of edge e."""
-    if graph.rotations is None:
-        raise NotEmbeddedError("graph carries no rotation system")
-    seen: dict[int, int] = {}
-    vertices = []
+    """Ribbon graph of an embedded AdGraph; half-edge ids are the slots
+    of ``half_edges``."""
+    partner, _, _ = half_edges(graph)
+    vertices, base = [], 0
     for rot in graph.rotations:
-        row = []
-        for e in rot:
-            side = seen.get(e, 0)
-            seen[e] = side + 1
-            row.append(2 * e + side)
-        vertices.append(tuple(row))
-    edges = tuple((2 * e, 2 * e + 1, twisted) for e in range(len(graph.edges)))
+        vertices.append(tuple(range(base, base + len(rot))))
+        base += len(rot)
+    edges = tuple((h, p, twisted) for h, p in enumerate(partner) if h < p)
     return RibbonGraph(tuple(vertices), edges)
 
 
@@ -354,29 +330,6 @@ class RandomChoice:
         return options[self.rng.randrange(len(options))]
 
 
-def _connected_after(edges: list[tuple[int, int]], skip: tuple[int, int],
-                     source: int, target: int) -> bool:
-    adj: dict[int, list[int]] = {}
-    for i, (u, v) in enumerate(edges):
-        if i in skip:
-            continue
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if source == target:
-        return True
-    seen = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for w in adj.get(u, ()):
-            if w == target:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def turaev_genus_graph(graph: AdGraph, chooser=None) -> int:
     """Turaev genus of a validated alternating decomposition graph.
 
@@ -390,6 +343,7 @@ def turaev_genus_graph(graph: AdGraph, chooser=None) -> int:
 
 def _genus_recursion(edge_list: Iterable[tuple[int, int]], chooser) -> int:
     edges = list(edge_list)
+    n = 1 + max((max(e) for e in edges), default=0)
     genus = 0
     while edges:
         deg: dict[int, int] = {}
@@ -429,9 +383,11 @@ def _genus_recursion(edge_list: Iterable[tuple[int, int]], chooser) -> int:
                 )
             u, v = chooser.pick(pairs)
             i1, i2 = mult[(u, v)][:2]
-            if _connected_after(edges, (i1, i2), u, v):
+            rest = [e for i, e in enumerate(edges) if i != i1 and i != i2]
+            comp, _ = perm.components(n, rest)
+            if comp[u] == comp[v]:
                 genus += 1
-            edges = [e for i, e in enumerate(edges) if i not in (i1, i2)]
+            edges = rest
     return genus
 
 
@@ -464,15 +420,20 @@ def parse_graph_file(text: str) -> AdGraph:
                 raise MalformedLineError(lineno, line, "vertex out of range")
             edges.append((min(i, j) - 1, max(i, j) - 1))
         elif parts[0] == "rot" and len(parts) >= 3 and parts[2] == ":":
+            if n is None or not 1 <= int(parts[1]) <= n:
+                raise MalformedLineError(lineno, line, "rotation of an unknown vertex")
             rot_lines[int(parts[1]) - 1] = tuple(int(p) - 1 for p in parts[3:])
         else:
             raise MalformedLineError(lineno, line, "unknown directive")
     if n is None:
         raise MalformedLineError(0, text[:30], "missing 'v' line")
-    rotations = None
-    if rot_lines:
-        rotations = tuple(rot_lines.get(v, ()) for v in range(n))
-    return AdGraph(n, tuple(edges), rotations=rotations)
+    if not rot_lines:
+        return AdGraph(n, tuple(edges))
+    graph = AdGraph(
+        n, tuple(edges), rotations=tuple(rot_lines.get(v, ()) for v in range(n))
+    )
+    half_edges(graph)  # each edge once at each endpoint
+    return graph
 
 
 def write_graph_file(graph: AdGraph) -> str:

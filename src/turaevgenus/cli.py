@@ -190,7 +190,7 @@ def cmd_census(args) -> int:
 def cmd_bracket(args) -> int:
     diagram = parse_pd(_read(args.file))
     poly = jones_polynomial(diagram)
-    span = bracket_span(diagram)
+    span = bracket_span(diagram, poly=poly)
     print(f"span_t = {span}")
     print(f"V(A) = {poly}")
     return 0

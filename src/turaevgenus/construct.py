@@ -19,9 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .adgraph import AdGraph, check_sphere_embedding, planar_rotations
+from .adgraph import AdGraph, check_sphere_embedding, half_edges, planar_rotations
 from .diagram import PlanarDiagram
-from .errors import NotEmbeddedError, NotValidatedError, SignMismatchError
+from .errors import (
+    NotEmbeddedError,
+    NotPlanarError,
+    NotValidatedError,
+    SignMismatchError,
+)
+from .perm import orbits
 
 #: the isolated-vertex realization; any reduced alternating diagram works,
 #: the trefoil is the smallest with is_adequate applicable
@@ -65,9 +71,6 @@ def tangle_boundary_faces_ok(template: TangleTemplate) -> bool:
     at most one arc: close the boundary with a hub vertex and demand the
     augmented map be a sphere whose hub-incident faces each pass the hub
     exactly once (so there are ``arity`` of them)."""
-    from .adgraph import _half_edges
-    from .errors import NotPlanarError
-
     for flip in (True, False):
         arcs: dict[object, list[int]] = {}
         rotations = []
@@ -91,24 +94,10 @@ def tangle_boundary_faces_ok(template: TangleTemplate) -> bool:
             check_sphere_embedding(graph)
         except NotPlanarError:
             continue
-        partner, succ = _half_edges(graph)
-        seen = set()
-        hub_faces = 0
-        ok = True
-        for h0 in partner:
-            if h0 in seen:
-                continue
-            h = h0
-            hits = 0
-            while h not in seen:
-                seen.add(h)
-                if h[0] == hub:
-                    hits += 1
-                h = succ[partner[h]]
-            if hits > 1:
-                ok = False
-            hub_faces += hits
-        return ok and hub_faces == template.arity
+        _, face_step, vertex = half_edges(graph)
+        face, _ = orbits(face_step)
+        hub_faces = {face[h] for h in range(len(face)) if vertex[h] == hub}
+        return len(hub_faces) == template.arity
     return False
 
 

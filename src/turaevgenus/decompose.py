@@ -22,6 +22,7 @@ from . import adgraph
 from .adgraph import AdGraph
 from .diagram import PlanarDiagram, classify_arcs, turaev_genus_diagram
 from .errors import TuraevError
+from .perm import components, cycles
 from .ribbon import ribbon_genus
 
 
@@ -85,8 +86,10 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
         emissions.append(row)
 
     # joins: from the closing emission of one traversal to the opening
-    # emission of the next non-alternating traversal around the face
-    succ: dict[MarkedPoint, MarkedPoint] = {}
+    # emission of the next non-alternating traversal around the face;
+    # marked point (arc, end) has index 2 * (rank of arc) + end
+    point_index = {arc: 2 * i for i, arc in enumerate(na_arcs)}
+    succ = [-1] * (2 * len(na_arcs))
     face_arcs: list[FaceArc] = []
     for fi, row in enumerate(emissions):
         m = len(row)
@@ -95,42 +98,24 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
             mp2, pos2, slot2 = row[(i + 1) % m]
             if pos == pos2 and slot == 0 and slot2 == 1:
                 continue  # the gap runs along the arc's own middle
-            succ[mp] = mp2
+            succ[point_index[mp.arc] + mp.end] = point_index[mp2.arc] + mp2.end
             face_arcs.append(FaceArc(mp, mp2, fi))
+    if -1 in succ:
+        raise TuraevError("curve tracing did not close up")
 
     # curves: cycles of the join successor, in first-encounter order
-    curves: list[tuple[MarkedPoint, ...]] = []
-    curve_of: dict[MarkedPoint, int] = {}
-    for arc in na_arcs:
-        for end in (0, 1):
-            start = MarkedPoint(arc, end)
-            if start in curve_of:
-                continue
-            cycle = []
-            mp = start
-            while mp not in curve_of:
-                curve_of[mp] = len(curves)
-                cycle.append(mp)
-                mp = succ[mp]
-            if mp != start:
-                raise TuraevError("curve tracing did not close up")
-            curves.append(tuple(cycle))
+    curves = [
+        tuple(MarkedPoint(na_arcs[i >> 1], i & 1) for i in cycle)
+        for cycle in cycles(succ)
+    ]
+    curve_of = {mp: ci for ci, curve in enumerate(curves) for mp in curve}
 
     # graph: one vertex per curve, plus one isolated vertex per
     # alternating split component (including free loops)
-    arcs_of_comp: dict[int, set[int]] = {}
-    comp_of_crossing = {}
-    for idx, comp in enumerate(diagram._components):
-        for ci in comp:
-            comp_of_crossing[ci] = idx
-    for arc, (h1, h2) in diagram.arc_ends.items():
-        arcs_of_comp.setdefault(comp_of_crossing[h1 >> 2], set()).add(arc)
-    alternating_components = [
-        idx
-        for idx in range(len(diagram._components))
-        if not (arcs_of_comp.get(idx, set()) & na_set)
-    ]
-    n_vertices = len(curves) + len(alternating_components) + diagram.free_loops
+    na_components = {
+        diagram.component_of[diagram.arc_ends[arc][0] >> 2] for arc in na_arcs
+    }
+    n_vertices = len(curves) + diagram.split_components - len(na_components)
     vertex_curves: list[int | None] = list(range(len(curves)))
     vertex_curves += [None] * (n_vertices - len(curves))
 
@@ -181,80 +166,59 @@ def _alternating_regions(diagram, faces, emissions, curve_of, na_set):
     pieces: dict[tuple, int] = {}
 
     def piece_id(key) -> int:
-        if key not in pieces:
-            pieces[key] = len(pieces)
-        return pieces[key]
+        return pieces.setdefault(key, len(pieces))
 
-    parent: list[int] = []
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    corner_piece: dict[int, int] = {}  # arrival half-edge -> piece
+    corner_piece = [0] * len(diagram.partner)  # arrival half-edge -> piece
     curve_touch: list[tuple[int, int]] = []  # (piece, curve)
+    face_of_start = [0] * len(diagram.partner)
 
     for fi, face in enumerate(faces):
+        for h in face:
+            face_of_start[h] = fi
         row = emissions[fi]
         na_positions = sorted({pos for (_, pos, _) in row})
         if not na_positions:
             pid = piece_id(("whole", fi))
-            while len(parent) < len(pieces):
-                parent.append(len(parent))
             for h in face:
-                corner_piece[diagram.partner(h)] = pid
+                corner_piece[diagram.partner[h]] = pid
             continue
         piece_id(("central", fi))
-        while len(parent) < len(pieces):
-            parent.append(len(parent))
         # the outer piece after non-alternating traversal p holds the
         # corners up to (and excluding) the next non-alternating traversal
         r = len(face)
         for k, p in enumerate(na_positions):
             q = na_positions[(k + 1) % len(na_positions)]
             pid = piece_id(("outer", fi, p))
-            while len(parent) < len(pieces):
-                parent.append(len(parent))
             pos = p
             while True:
-                corner_piece[diagram.partner(face[pos])] = pid
+                corner_piece[diagram.partner[face[pos]]] = pid
                 pos = (pos + 1) % r
                 if pos == q:
                     break
             mp_here = next(mp for (mp, pp, slot) in row if pp == p and slot == 1)
             curve_touch.append((pid, curve_of[mp_here]))
 
-    # glue the four corners around each crossing
-    for ci in range(diagram.crossing_count):
-        base = corner_piece[4 * ci]
-        for s in (1, 2, 3):
-            union(base, corner_piece[4 * ci + s])
-    # glue central pieces across the middles of non-alternating arcs
-    face_of_start: dict[int, int] = {}
-    for fi, face in enumerate(faces):
-        for h in face:
-            face_of_start[h] = fi
+    # glue the four corners around each crossing, and central pieces
+    # across the middles of non-alternating arcs
+    glue = [
+        (corner_piece[4 * ci], corner_piece[4 * ci + s])
+        for ci in range(diagram.crossing_count)
+        for s in (1, 2, 3)
+    ]
     for arc in na_set:
         h1, h2 = diagram.arc_ends[arc]
-        union(
+        glue.append((
             piece_id(("central", face_of_start[h1])),
             piece_id(("central", face_of_start[h2])),
-        )
+        ))
+    region, _ = components(len(pieces), glue)
 
     crossing_regions: dict[int, set[int]] = {}
-    for pid in corner_piece.values():
-        crossing_regions.setdefault(find(pid), set())
+    for pid in corner_piece:
+        crossing_regions.setdefault(region[pid], set())
     for pid, curve in curve_touch:
-        root = find(pid)
-        if root in crossing_regions:
-            crossing_regions[root].add(curve)
+        if region[pid] in crossing_regions:
+            crossing_regions[region[pid]].add(curve)
     region_curves = tuple(
         sorted(tuple(sorted(cs)) for cs in crossing_regions.values())
     )

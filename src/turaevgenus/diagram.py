@@ -26,6 +26,7 @@ from .errors import (
     NonPlanarMapError,
     TooLargeError,
 )
+from .perm import components, cycles, groups, least_points, orbits
 
 Crossing = tuple[int, int, int, int]
 
@@ -59,7 +60,10 @@ class PlanarDiagram:
     by-products and split summands.
     """
 
-    __slots__ = ("crossings", "free_loops", "arc_ends", "_components")
+    __slots__ = (
+        "crossings", "free_loops", "arc_ends", "partner", "component_of",
+        "_component_count",
+    )
 
     def __init__(self, crossings: Sequence[Crossing], free_loops: int = 0):
         if free_loops < 0:
@@ -82,7 +86,15 @@ class PlanarDiagram:
         self.arc_ends: dict[int, tuple[int, int]] = {
             a: (occ[0], occ[1]) for a, occ in sorted(ends.items())
         }
-        self._components = self._split_components()
+        #: ``partner[h]`` is the other half-edge on the arc at ``h``
+        self.partner: list[int] = [0] * (4 * len(self.crossings))
+        for h1, h2 in self.arc_ends.values():
+            self.partner[h1], self.partner[h2] = h2, h1
+        #: split component label per crossing, and the number of them
+        self.component_of, self._component_count = components(
+            len(self.crossings),
+            ((h1 >> 2, h2 >> 2) for h1, h2 in self.arc_ends.values()),
+        )
         self._check_genus_zero()
 
     # -- basic structure -----------------------------------------------------
@@ -95,37 +107,17 @@ class PlanarDiagram:
     def arcs(self) -> tuple[int, ...]:
         return tuple(self.arc_ends)
 
-    def partner(self, h: int) -> int:
-        """The other half-edge on the same arc."""
-        a, b = self.arc_ends[self.arc_at(h)]
-        return b if h == a else a
-
     def arc_at(self, h: int) -> int:
         return self.crossings[h >> 2][h & 3]
-
-    def _split_components(self) -> list[list[int]]:
-        n = len(self.crossings)
-        parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, (h1, h2) in self.arc_ends.items():
-            r1, r2 = find(h1 >> 2), find(h2 >> 2)
-            if r1 != r2:
-                parent[r1] = r2
-        comps: dict[int, list[int]] = {}
-        for i in range(n):
-            comps.setdefault(find(i), []).append(i)
-        return sorted(comps.values())
 
     @property
     def split_components(self) -> int:
         """k(D): split components of the 4-valent graph plus free loops."""
-        return len(self._components) + self.free_loops
+        return self._component_count + self.free_loops
+
+    def _face_step(self) -> list[int]:
+        """h -> rotate(partner(h)): the next half-edge along a face."""
+        return [(p & ~3) | ((p + 1) & 3) for p in self.partner]
 
     def faces(self) -> list[list[int]]:
         """Face walks of the rotation system.
@@ -134,38 +126,22 @@ class PlanarDiagram:
         traversal leaves a crossing; successive traversals follow
         ``h -> rotate(partner(h))``.
         """
-        seen = set()
-        out = []
-        for h0 in range(4 * len(self.crossings)):
-            if h0 in seen:
-                continue
-            face = []
-            h = h0
-            while h not in seen:
-                seen.add(h)
-                face.append(h)
-                p = self.partner(h)
-                h = (p & ~3) | ((p + 1) & 3)
-            out.append(face)
-        return out
+        return cycles(self._face_step())
 
     def _check_genus_zero(self) -> None:
-        # Euler's formula per split component: each lives on its own sphere.
-        face_comp: dict[int, int] = {}
-        comp_of = {}
-        for idx, comp in enumerate(self._components):
-            for ci in comp:
-                comp_of[ci] = idx
-        fcount = [0] * len(self._components)
-        for face in self.faces():
-            fcount[comp_of[face[0] >> 2]] += 1
-        for idx, comp in enumerate(self._components):
-            v = len(comp)
-            e = 2 * v
-            if v - e + fcount[idx] != 2:
+        # Euler's formula per split component, each on its own sphere;
+        # with E = 2V it reads F - V = 2
+        chi = [0] * self._component_count
+        for comp in self.component_of:
+            chi[comp] -= 1
+        for h in least_points(orbits(self._face_step())[0]):
+            chi[self.component_of[h >> 2]] += 1
+        for comp, value in enumerate(chi):
+            if value != 2:
+                members = groups(self.component_of, len(chi))[comp]
                 raise NonPlanarMapError(
-                    f"component {comp} fails Euler check: "
-                    f"V-E+F = {v - e + fcount[idx]} != 2"
+                    f"component {members} fails Euler check: "
+                    f"V-E+F = {value} != 2"
                 )
 
     # -- derived invariants ----------------------------------------------------
@@ -251,32 +227,17 @@ def resolve_state(
     if len(labels) != n:
         raise ValueError("choice must label every crossing")
     pairings = _SMOOTHINGS[convention]
-    nh = 4 * n
-    nxt = [0] * nh
-    for ci in range(n):
-        pair = pairings[labels[ci]]
-        for s in range(4):
-            nxt[4 * ci + s] = 4 * ci + pair[s]
-    return _count_cycles(diagram, nxt) + diagram.free_loops
+    return _circles(diagram, [pairings[x] for x in labels])[1] + diagram.free_loops
 
 
-def _count_cycles(diagram: PlanarDiagram, smooth: list[int]) -> int:
-    """Circles of a full smoothing: orbits of arc-hop alternated with
-    the within-crossing pairing."""
-    nh = 4 * diagram.crossing_count
-    seen = bytearray(nh)
-    circles = 0
-    for h0 in range(nh):
-        if seen[h0]:
-            continue
-        circles += 1
-        h = h0
-        while not seen[h]:
-            seen[h] = 1
-            h2 = smooth[h]
-            seen[h2] = 1
-            h = diagram.partner(h2)
-    return circles
+def _circles(
+    diagram: PlanarDiagram, pairs: Sequence[Sequence[int]]
+) -> tuple[list[int], int]:
+    """Circle label per half-edge, and the circle count without free
+    loops, of the state smoothing crossing ci by the slot pairing
+    ``pairs[ci]``."""
+    smooth = [4 * ci + s for ci, pair in enumerate(pairs) for s in pair]
+    return orbits(diagram.partner, smooth)
 
 
 def state_circle_counts(
@@ -451,27 +412,20 @@ class LaurentPoly:
         return " + ".join(terms)
 
 
-def _components_of_link(diagram: PlanarDiagram) -> list[list[int]]:
-    """Link components as orbits of strand continuation (slot s -> s+2)."""
-    seen = set()
-    comps = []
-    for h0 in range(4 * diagram.crossing_count):
-        if h0 in seen:
-            continue
-        comp = []
-        h = h0
-        while h not in seen:
-            seen.add(h)
-            comp.append(h)
-            out = (h & ~3) | ((h + 2) & 3)
-            seen.add(out)
-            h = diagram.partner(out)
-        comps.append(comp)
-    return comps
+def _strand_orbits(diagram: PlanarDiagram) -> tuple[list[int], int]:
+    """Orbits of strand continuation h -> partner(h + 2 mod 4).
+
+    Each link component gives two orbits: its incoming half-edges under
+    either orientation.  The orbit holding the component's least
+    half-edge has the smaller label; that orientation is the component's
+    deterministic first-trace orientation.
+    """
+    p = diagram.partner
+    return orbits([p[h ^ 2] for h in range(len(p))])
 
 
 def link_component_count(diagram: PlanarDiagram) -> int:
-    return len(_components_of_link(diagram)) + diagram.free_loops
+    return _strand_orbits(diagram)[1] // 2 + diagram.free_loops
 
 
 def writhe(diagram: PlanarDiagram) -> int:
@@ -481,13 +435,11 @@ def writhe(diagram: PlanarDiagram) -> int:
     calibrated so that the normalized bracket of standard table diagrams
     reproduces their Jones polynomial.
     """
-    incoming = set()
-    for comp in _components_of_link(diagram):
-        incoming.update(comp)
+    label, _ = _strand_orbits(diagram)
     w = 0
     for ci in range(diagram.crossing_count):
-        under_in = 4 * ci if 4 * ci in incoming else 4 * ci + 2
-        over_in = 4 * ci + 1 if 4 * ci + 1 in incoming else 4 * ci + 3
+        under_in = 4 * ci + (0 if label[4 * ci] < label[4 * ci + 2] else 2)
+        over_in = 4 * ci + (1 if label[4 * ci + 1] < label[4 * ci + 3] else 3)
         # positive when the over-strand enters one slot clockwise of the
         # incoming under-strand
         w += 1 if (over_in - under_in) & 3 == 3 else -1
@@ -505,30 +457,29 @@ def kauffman_bracket(diagram: PlanarDiagram, convention: str = "standard") -> La
     for _ in range(n + diagram.free_loops + 2):
         delta_pows.append(delta_pows[-1] * delta)
     pairings = _SMOOTHINGS[convention]
-    pair_a = [pairings["A"][s] for s in range(4)]
-    pair_b = [pairings["B"][s] for s in range(4)]
+    rows = [
+        [[4 * ci + s for s in pairings[state]] for ci in range(n)]
+        for state in ("A", "B")
+    ]
+    # walk the states in Gray-code order, flipping one crossing at a time,
+    # and tally them by (A-smoothings, circles)
+    smooth = [h for row in rows[0] for h in row]
+    is_b = bytearray(n)
+    a_count = n
+    tally: dict[tuple[int, int], int] = {}
+    for step in range(1 << n):
+        if step:
+            ci = (step & -step).bit_length() - 1
+            is_b[ci] ^= 1
+            a_count += -1 if is_b[ci] else 1
+            smooth[4 * ci:4 * ci + 4] = rows[is_b[ci]][ci]
+        key = (a_count, orbits(diagram.partner, smooth)[1])
+        tally[key] = tally.get(key, 0) + 1
     total: dict[int, int] = {}
-    smooth = [0] * (4 * n)
-    for mask in range(1 << n):
-        a_count = 0
-        for ci in range(n):
-            if mask >> ci & 1:
-                pair = pair_b
-            else:
-                pair = pair_a
-                a_count += 1
-        # rebuild the smoothing map for this state
-        for ci in range(n):
-            pair = pair_a if not (mask >> ci & 1) else pair_b
-            base = 4 * ci
-            smooth[base] = base + pair[0]
-            smooth[base + 1] = base + pair[1]
-            smooth[base + 2] = base + pair[2]
-            smooth[base + 3] = base + pair[3]
-        circles = _count_cycles(diagram, smooth) + diagram.free_loops
-        exp = 2 * a_count - n
-        for e, c in delta_pows[circles - 1].coeffs.items():
-            total[e + exp] = total.get(e + exp, 0) + c
+    for (a, circles), count in tally.items():
+        exp = 2 * a - n
+        for e, c in delta_pows[circles + diagram.free_loops - 1].coeffs.items():
+            total[e + exp] = total.get(e + exp, 0) + c * count
     return LaurentPoly(total)
 
 
@@ -543,17 +494,23 @@ def jones_polynomial(diagram: PlanarDiagram, convention: str = "standard") -> La
     return kauffman_bracket(diagram, convention) * norm
 
 
-def bracket_span(diagram: PlanarDiagram, convention: str = "standard") -> int:
+def bracket_span(
+    diagram: PlanarDiagram,
+    convention: str = "standard",
+    poly: LaurentPoly | None = None,
+) -> int:
     """Span of the Jones polynomial in the variable t.
 
     Requires a connected diagram; the span in A is always a multiple
-    of 4.
+    of 4.  ``poly`` is the diagram's ``jones_polynomial`` when the caller
+    already has it.
     """
     if diagram.crossing_count == 0 and diagram.free_loops <= 1:
         return 0
     if diagram.split_components > 1:
         raise DisconnectedError("bracket span needs a connected diagram")
-    poly = jones_polynomial(diagram, convention)
+    if poly is None:
+        poly = jones_polynomial(diagram, convention)
     span_a = poly.span
     if span_a % 4:
         raise InternalParityError(f"bracket span {span_a} not divisible by 4")
@@ -564,16 +521,20 @@ def bracket_span(diagram: PlanarDiagram, convention: str = "standard") -> int:
 
 def is_adequate(diagram: PlanarDiagram, convention: str = "standard") -> bool:
     """True when every single flip away from the all-A and the all-B
-    state strictly decreases the circle count."""
+    state strictly decreases the circle count.
+
+    On the sphere a flip merges two circles when the crossing's two
+    smoothing arcs lie on different circles and splits one otherwise, so
+    each extreme state is labelled once and every crossing compared.
+    """
     n = diagram.crossing_count
     if n == 0:
         raise NoCrossingsError("adequacy needs at least one crossing")
-    for base, flip in (("A", "B"), ("B", "A")):
-        labels = [base] * n
-        base_count = resolve_state(diagram, labels, convention)
-        for ci in range(n):
-            labels[ci] = flip
-            if resolve_state(diagram, labels, convention) >= base_count:
-                return False
-            labels[ci] = base
+    for state in ("A", "B"):
+        pair = _SMOOTHINGS[convention][state]
+        label, _ = _circles(diagram, [pair] * n)
+        # slot 0 lies on one smoothing arc, slot ``other`` on the second
+        other = min(s for s in (1, 2, 3) if s != pair[0])
+        if any(label[4 * ci] == label[4 * ci + other] for ci in range(n)):
+            return False
     return True

@@ -26,6 +26,7 @@ from .errors import (
     ClassificationFailureError,
     InvalidSiteError,
 )
+from .perm import components
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -431,27 +432,12 @@ def _k_edge_connected(vertices: set[int], edges: list[tuple[int, int]], k: int) 
     """Brute-force: survives deletion of any fewer-than-k edges."""
     import itertools
 
-    def connected(skip: set[int]) -> bool:
-        adj: dict[int, list[int]] = {v: [] for v in vertices}
-        for i, (u, w) in enumerate(edges):
-            if i in skip:
-                continue
-            adj[u].append(w)
-            adj[w].append(u)
-        start = next(iter(vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vertices)
-
+    index = {v: i for i, v in enumerate(vertices)}
+    pairs = [(index[u], index[w]) for u, w in edges]
     for size in range(1, k):
-        for combo in itertools.combinations(range(len(edges)), size):
-            if not connected(set(combo)):
+        for combo in itertools.combinations(range(len(pairs)), size):
+            kept = (p for i, p in enumerate(pairs) if i not in combo)
+            if components(len(index), kept)[1] != 1:
                 return False
     return True
 
@@ -615,8 +601,6 @@ def recognize_doubled_tree(graph: AdGraph) -> tuple[int, ...] | None:
                 parent[w] = u
                 order.append(w)
                 stack.append(w)
-    if len(parent) != graph.n:
-        return None
     rank = {v: i for i, v in enumerate(order)}
     return tuple(rank[parent[v]] for v in order[1:])
 

@@ -1,0 +1,110 @@
+"""The two counting primitives on flat integer arrays.
+
+Every count the genus routes take is an orbit count on half-edges:
+faces are orbits of rotate∘partner, state circles are orbits of the
+group generated by two involutions (partner and the smoothing), link
+components are orbits of partner∘opposite (once per orientation), and
+ribbon boundaries are orbits on the direction double cover.  Connectivity
+questions (split components, graph components, merged regions) are
+answered by one batch union-find.
+
+Both routines number their classes ``0 .. count-1`` in the order of each
+class's least point, so the labels are deterministic.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from .errors import TuraevError
+
+
+def orbits(
+    step: Sequence[int], via: Sequence[int] | None = None
+) -> tuple[list[int], int]:
+    """Label the orbits of the permutation ``step`` of ``range(len(step))``.
+
+    With ``via``, ``step`` and ``via`` must be fixed-point-free
+    involutions, and the orbits are those of the group they generate: the
+    closed alternating walks ``h -> via[h] -> step[via[h]]``.
+
+    Returns ``(labels, count)``.  A walk that does not close up at its
+    start (``step`` is not a permutation) raises ``TuraevError``.
+    """
+    label = [-1] * len(step)
+    count = 0
+    for h0 in range(len(step)):
+        if label[h0] >= 0:
+            continue
+        h = h0
+        if via is None:
+            while label[h] < 0:
+                label[h] = count
+                h = step[h]
+        else:
+            while label[h] < 0:
+                label[h] = count
+                h = via[h]
+                label[h] = count
+                h = step[h]
+        if h != h0:
+            raise TuraevError(f"orbit from {h0} did not close up at {h}")
+        count += 1
+    return label, count
+
+
+def least_points(labels: Sequence[int]) -> list[int]:
+    """The least point of each class, in label order."""
+    out: list[int] = []
+    for i, lab in enumerate(labels):
+        if lab == len(out):
+            out.append(i)
+    return out
+
+
+def cycles(step: Sequence[int]) -> list[list[int]]:
+    """Each orbit of ``step`` as its points in walk order from its least
+    point, orbits in label order."""
+    out: list[list[int]] = []
+    for h0 in least_points(orbits(step)[0]):
+        cycle = [h0]
+        h = step[h0]
+        while h != h0:
+            cycle.append(h)
+            h = step[h]
+        out.append(cycle)
+    return out
+
+
+def components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Union-find over ``range(n)`` joining each pair.
+
+    Returns ``(labels, count)`` with the same numbering as ``orbits``.
+    """
+    parent = list(range(n))
+    for u, v in pairs:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+    label = [-1] * n
+    count = 0
+    for i in range(n):
+        r = i
+        while parent[r] != r:
+            r = parent[r]
+        if label[r] < 0:
+            label[r] = count
+            count += 1
+        label[i] = label[r]
+    return label, count
+
+
+def groups(labels: Sequence[int], count: int) -> list[list[int]]:
+    """Members of each class, classes in label order."""
+    out: list[list[int]] = [[] for _ in range(count)]
+    for i, lab in enumerate(labels):
+        out[lab].append(i)
+    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonOrientableError, ParityError
+from .perm import components, orbits
 
 
 @dataclass(frozen=True)
@@ -38,23 +39,10 @@ class RibbonGraph:
         return len(self.edges)
 
     def component_count(self) -> int:
-        owner = {}
-        for vi, rot in enumerate(self.vertices):
-            for h in rot:
-                owner[h] = vi
-        parent = list(range(len(self.vertices)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, b, _ in self.edges:
-            ra, rb = find(owner[a]), find(owner[b])
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(i) for i in range(len(self.vertices))})
+        owner = {h: vi for vi, rot in enumerate(self.vertices) for h in rot}
+        return components(
+            len(self.vertices), ((owner[a], owner[b]) for a, b, _ in self.edges)
+        )[1]
 
 
 def twist_all(graph: RibbonGraph) -> RibbonGraph:
@@ -67,48 +55,34 @@ def twist_all(graph: RibbonGraph) -> RibbonGraph:
 def boundary_count(graph: RibbonGraph) -> int:
     """Number of boundary circles of the ribbon surface.
 
-    Tokens are (half-edge, direction); crossing a flat band flips the
-    local direction, a twisted band preserves it, and at a vertex the
-    walk steps to the rotation successor in the current direction.
-    Every boundary circle is traced once per direction, so the orbit
-    count halves.  Isolated vertices are disks and add one circle each.
+    Tokens are (half-edge, direction) on a dense double cover: token
+    ``2i + d`` is the i-th half-edge in rotation order, walking
+    counterclockwise (d = 0) or clockwise (d = 1).  Crossing a flat band
+    keeps the direction of the walk, a twisted band reverses it, and at
+    a vertex the walk steps to the rotation neighbour in the current
+    direction.  Every boundary circle is traced once per direction, so
+    the orbit count halves.  Isolated vertices are disks and add one
+    circle each.
     """
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
+    index: dict[int, int] = {}
+    neighbour: list[tuple[int, int]] = []  # (next, previous) in rotation
     isolated = 0
     for rot in graph.vertices:
         if not rot:
             isolated += 1
-            continue
+        base = len(neighbour)
         for i, h in enumerate(rot):
-            succ[h] = rot[(i + 1) % len(rot)]
-            pred[rot[(i + 1) % len(rot)]] = h
-    partner: dict[int, int] = {}
-    twisted: dict[int, bool] = {}
-    for a, b, t in graph.edges:
-        partner[a], partner[b] = b, a
-        twisted[a] = twisted[b] = t
-
-    def step(token: tuple[int, int]) -> tuple[int, int]:
-        h, direction = token
-        p = partner[h]
-        d2 = -direction if twisted[h] else direction
-        nh = succ[p] if d2 > 0 else pred[p]
-        return (nh, d2)
-
-    seen: set[tuple[int, int]] = set()
-    orbits = 0
-    for h in succ:
-        for d in (1, -1):
-            if (h, d) in seen:
-                continue
-            orbits += 1
-            tok = (h, d)
-            while tok not in seen:
-                seen.add(tok)
-                tok = step(tok)
-    assert orbits % 2 == 0
-    return orbits // 2 + isolated
+            index[h] = base + i
+            neighbour.append((base + (i + 1) % len(rot), base + (i - 1) % len(rot)))
+    step = [0] * (2 * len(neighbour))
+    for a, b, twisted in graph.edges:
+        for h, p in ((index[a], index[b]), (index[b], index[a])):
+            for d in (0, 1):
+                d2 = 1 - d if twisted else d
+                step[2 * h + d] = 2 * neighbour[p][d2] + d2
+    _, orbit_count = orbits(step)
+    assert orbit_count % 2 == 0
+    return orbit_count // 2 + isolated
 
 
 def is_orientable(graph: RibbonGraph) -> bool:

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from turaevgenus.adgraph import (
@@ -16,6 +17,7 @@ from turaevgenus.errors import (
     HasLoopError,
     MalformedLineError,
     NotBipartiteError,
+    NotEmbeddedError,
     NotPlanarError,
     NotValidatedError,
     OddDegreeError,
@@ -69,6 +71,73 @@ def test_validate_nonplanar():
             edges += [(u, v), (u, v)]
     with pytest.raises(NotPlanarError):
         validate_adg(AdGraph(6, tuple(edges)))
+
+
+def doubled_k33(with_rotations: bool) -> AdGraph:
+    edges = []
+    for u in range(3):
+        for v in range(3, 6):
+            edges += [(u, v), (u, v)]
+    rotations = None
+    if with_rotations:
+        # any rotation system of a non-planar graph fails the Euler check
+        rotations = tuple(
+            tuple(i for i, e in enumerate(edges) if v in e) for v in range(6)
+        )
+    return AdGraph(6, tuple(edges), rotations=rotations)
+
+
+def test_validate_nonplanar_rotation_system():
+    with pytest.raises(NotPlanarError):
+        validate_adg(doubled_k33(with_rotations=True))
+
+
+def test_rotation_system_proves_planarity(monkeypatch):
+    embedded = doubled_cycle(4)
+    nonplanar = doubled_k33(with_rotations=True)
+    assert embedded.rotations is not None
+    calls = []
+    real = nx.check_planarity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counted)
+    validate_adg(embedded)
+    with pytest.raises(NotPlanarError):
+        validate_adg(nonplanar)
+    assert calls == []
+    validate_adg(AdGraph(embedded.n, embedded.edges))
+    assert len(calls) == 1
+
+
+#: edge 2 listed twice at vertex 1 and never at vertex 2
+EDGE_TWICE_AT_ONE_END = "v 2\ne 1 2\ne 1 2\nrot 1 : 1 2 2\nrot 2 : 1\n"
+#: edge 2 listed once overall
+EDGE_MISSING = "v 2\ne 1 2\ne 1 2\nrot 1 : 1 2\nrot 2 : 1\n"
+
+
+@pytest.mark.parametrize("text", [EDGE_TWICE_AT_ONE_END, EDGE_MISSING])
+def test_rotation_entries_checked_against_endpoints(text):
+    with pytest.raises(NotEmbeddedError):
+        parse_graph_file(text)
+    graph = AdGraph(2, ((0, 1), (0, 1)), rotations=((0, 1, 1), (0,)))
+    with pytest.raises(NotEmbeddedError):
+        validate_adg(graph)
+    with pytest.raises(NotEmbeddedError):
+        to_ribbon(graph)
+
+
+def test_rotation_of_unknown_vertex_rejected():
+    with pytest.raises(MalformedLineError):
+        parse_graph_file("v 2\ne 1 2\ne 1 2\nrot 1 : 1 2\nrot 2 : 2 1\nrot 5 : 1\n")
+
+
+def test_rotation_with_unknown_edge_rejected():
+    graph = AdGraph(2, ((0, 1), (0, 1)), rotations=((0, 1, 2), (0, 1)))
+    with pytest.raises(NotEmbeddedError):
+        validate_adg(graph)
 
 
 def test_genus_isolated_vertices():

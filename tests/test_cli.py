@@ -110,6 +110,24 @@ def test_input_error_exit_1(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("rot_lines", [
+    "rot 1 : 1 2 2\nrot 2 : 1\n",  # edge 2 twice at vertex 1
+    "rot 1 : 1 2\nrot 2 : 1\n",  # edge 2 only once
+])
+@pytest.mark.parametrize("command", ["genus-g", "classify", "realize"])
+def test_bad_rotation_system_exit_1(capsys, tmp_path, rot_lines, command):
+    path = tmp_path / "bad.graph"
+    path.write_text("v 2\ne 1 2\ne 1 2\n" + rot_lines)
+    argv = [command, str(path)]
+    if command == "realize":
+        argv += ["-o", str(tmp_path / "out.pd")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: edge 1 ")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "genus-d", "/nonexistent/path.pd")
     assert code == 1

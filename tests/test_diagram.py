@@ -287,6 +287,65 @@ def test_adequate_needs_crossings():
         is_adequate(EMPTY_DIAGRAM)
 
 
+def adequate_by_flips(d, convention="standard"):
+    """The definition: every single flip away from the all-A and the
+    all-B state strictly decreases the circle count."""
+    n = d.crossing_count
+    for base, flip in (("A", "B"), ("B", "A")):
+        labels = [base] * n
+        base_count = resolve_state(d, labels, convention)
+        for ci in range(n):
+            labels[ci] = flip
+            if resolve_state(d, labels, convention) >= base_count:
+                return False
+            labels[ci] = base
+    return True
+
+
+def adequacy_cases():
+    rng = random.Random(7)
+    cases = list(corpus.named_diagrams().values())
+    cases += [corpus.torus_2k(k) for k in range(1, 8)]
+    cases += [corpus.random_diagram(rng, max_edges=10) for _ in range(25)]
+    cases += [d for _, d in corpus.alternating_knot_corpus(9)]
+    # a kink on any arc makes one extreme state inadequate
+    cases += [insert_twist(d, rng.choice(list(d.arc_ends))) for d in list(cases)]
+    return cases
+
+
+def test_is_adequate_matches_flip_definition():
+    outcomes = []
+    for d in adequacy_cases():
+        for convention in ("standard", "swapped"):
+            expected = adequate_by_flips(d, convention)
+            assert is_adequate(d, convention) == expected, d
+            outcomes.append(expected)
+    assert True in outcomes and False in outcomes
+
+
+def test_bracket_matches_state_by_state_sum():
+    """The Gray-code tally equals the plain sum over all 2^c states."""
+    rng = random.Random(11)
+    cases = list(corpus.named_diagrams().values())
+    cases += [corpus.torus_2k(k) for k in range(1, 6)]
+    cases += [corpus.random_diagram(rng, max_edges=6) for _ in range(6)]
+    cases += [PlanarDiagram(parse_pd(TREFOIL).crossings, free_loops=2)]
+    delta = LaurentPoly({2: -1, -2: -1})
+    for d in cases:
+        n = d.crossing_count
+        if n > 12:
+            continue
+        total = LaurentPoly()
+        for mask in range(1 << n):
+            labels = ["B" if mask >> ci & 1 else "A" for ci in range(n)]
+            circles = resolve_state(d, labels)
+            term = LaurentPoly.monomial(2 * labels.count("A") - n)
+            for _ in range(circles - 1):
+                term = term * delta
+            total = total + term
+        assert kauffman_bracket(d) == total, d
+
+
 # --- misc ---------------------------------------------------------------------
 
 def test_link_component_count(named):

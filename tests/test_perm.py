@@ -1,0 +1,107 @@
+"""The orbit tracer and the union-find against naive set-based
+decompositions."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from turaevgenus.errors import TuraevError
+from turaevgenus.perm import components, cycles, groups, orbits
+
+permutations = st.integers(min_value=0, max_value=40).flatmap(
+    lambda n: st.permutations(list(range(n)))
+)
+
+
+def involution(points):
+    """A fixed-point-free involution pairing consecutive entries."""
+    out = [0] * len(points)
+    for a, b in zip(points[::2], points[1::2]):
+        out[a], out[b] = b, a
+    return out
+
+
+involution_pairs = st.integers(min_value=0, max_value=20).flatmap(
+    lambda m: st.tuples(
+        st.permutations(list(range(2 * m))), st.permutations(list(range(2 * m)))
+    )
+).map(lambda pq: (involution(pq[0]), involution(pq[1])))
+
+pair_lists = st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=40),
+    )
+)
+
+
+def naive_classes(n, linked):
+    """Merge sets until no class is linked to another; classes come out
+    sorted by least member, as frozensets."""
+    classes = [{i} for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for a in classes:
+            for b in classes:
+                if a is not b and any(linked(x, y) for x in a for y in b):
+                    a |= b
+                    classes.remove(b)
+                    changed = True
+                    break
+            if changed:
+                break
+    return sorted((frozenset(c) for c in classes), key=min)
+
+
+def as_classes(labels, count):
+    return [frozenset(g) for g in groups(labels, count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutations)
+def test_orbits_are_the_cycles(step):
+    labels, count = orbits(step)
+    expected = naive_classes(len(step), lambda x, y: step[x] == y or step[y] == x)
+    assert as_classes(labels, count) == expected
+    # the cycle lists walk the same classes in step order
+    walks = cycles(step)
+    assert [frozenset(c) for c in walks] == expected
+    for c in walks:
+        assert c[0] == min(c)
+        assert all(step[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(involution_pairs)
+def test_orbits_via_are_the_group_orbits(pair):
+    step, via = pair
+    labels, count = orbits(step, via)
+    expected = naive_classes(
+        len(step), lambda x, y: y in (step[x], via[x])
+    )
+    assert as_classes(labels, count) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_lists)
+def test_components_match_naive_merge(case):
+    n, pairs = case
+    labels, count = components(n, pairs)
+    linked = set(pairs) | {(b, a) for a, b in pairs}
+    assert as_classes(labels, count) == naive_classes(
+        n, lambda x, y: (x, y) in linked
+    )
+
+
+def test_non_permutation_does_not_close_up():
+    with pytest.raises(TuraevError):
+        orbits([1, 2, 1])
+    with pytest.raises(TuraevError):
+        cycles([0, 0])
+
+
+def test_empty():
+    assert orbits([]) == ([], 0)
+    assert components(0, []) == ([], 0)
+    assert cycles([]) == []
