@@ -28,6 +28,7 @@ from .errors import (
     NotBipartiteError,
     NotEmbeddedError,
     NotPlanarError,
+    NotSphericalError,
     NotValidatedError,
     OddDegreeError,
     TuraevError,
@@ -253,7 +254,8 @@ def half_edges(graph: AdGraph) -> tuple[list[int], list[int], list[int]]:
 
 
 def check_sphere_embedding(graph: AdGraph) -> None:
-    """Euler check V - E + F = 2 on every component."""
+    """Euler check V - E + F = 2 on every component; a failing component
+    raises ``NotSphericalError``, whatever its own planarity."""
     _, face_step, vertex = half_edges(graph)
     comp, k = perm.components(graph.n, graph.edges)
     chi = [0] * k
@@ -266,7 +268,7 @@ def check_sphere_embedding(graph: AdGraph) -> None:
         chi[comp[vertex[h]]] += 1
     for c, value in enumerate(chi):
         if value != 2:
-            raise NotPlanarError(perm.groups(comp, k)[c])
+            raise NotSphericalError(perm.groups(comp, k)[c])
 
 
 def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:

@@ -1,13 +1,15 @@
 """Exhaustive census of small alternating decomposition graphs.
 
-Connected candidates are generated in two stages: first all connected
-simple bipartite planar graphs up to isomorphism (vertex-by-vertex
-augmentation with Weisfeiler-Lehman bucketing and exact isomorphism
-rejection), then all edge-multiplicity assignments that make every
-degree even, deduplicated up to automorphisms of the simple graph.
+Connected candidates are generated in two stages.  Stage 1 builds all
+connected simple bipartite planar graphs up to isomorphism, vertex by
+vertex: the new vertex joins neighbours on one side of its parent's
+bipartition, and a candidate is kept when its canonical form is new and
+the graph is planar.  Stage 2 assigns edge multiplicities that make
+every degree even and keeps the first assignment per canonical form.
 Disconnected graphs are multisets of connected atoms plus isolated
-vertices.  Determinism and completeness within the bounds are
-contractual; speed is desk-scale.
+vertices.  The census groups the reduced graphs by the canonical form of
+their doubled-path contraction.  Determinism and completeness within
+the bounds are contractual; speed is desk-scale.
 """
 
 from __future__ import annotations
@@ -17,14 +19,18 @@ from dataclasses import dataclass, field, replace
 
 import networkx as nx
 
-from .adgraph import AdGraph, turaev_genus_graph, validate_adg
+from .adgraph import (
+    AdGraph,
+    _bipartition_or_odd_cycle,
+    turaev_genus_graph,
+    validate_adg,
+)
 from .errors import BoundsTooLargeError
 from .families import (
-    automorphisms,
     canonical_contract,
+    canonical_form,
     classify_genus,
     is_reduced,
-    isomorphic,
     wl_hash,
 )
 
@@ -58,36 +64,19 @@ class CensusFilter:
 # stage 1: connected simple bipartite planar graphs up to isomorphism
 
 
-def _is_bipartite_planar(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+def _is_planar_bipartite(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+    """Planarity of a simple bipartite graph.  Fewer than 9 edges cannot
+    hold a subdivided K5 or K3,3; a planar bipartite graph on v >= 3
+    vertices has at most 2v - 4 edges.  Otherwise networkx decides."""
+    if len(edges) < 9:
+        return True
+    if n >= 3 and len(edges) > 2 * n - 4:
+        return False
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(edges)
-    if not nx.is_bipartite(g):
-        return False
     ok, _ = nx.check_planarity(g)
     return ok
-
-
-class _IsoSet:
-    """Set of multigraphs up to isomorphism, WL-bucketed."""
-
-    def __init__(self):
-        self.buckets: dict[tuple, list[AdGraph]] = {}
-
-    def add(self, graph: AdGraph) -> bool:
-        key = wl_hash(graph)
-        bucket = self.buckets.setdefault(key, [])
-        for other in bucket:
-            if isomorphic(graph, other)[0]:
-                return False
-        bucket.append(graph)
-        return True
-
-    def items(self) -> list[AdGraph]:
-        out = []
-        for key in sorted(self.buckets):
-            out.extend(self.buckets[key])
-        return out
 
 
 _SIMPLE_CACHE: dict[tuple[int, int], list[AdGraph]] = {}
@@ -103,18 +92,29 @@ def simple_connected_graphs(max_v: int, max_e: int) -> list[AdGraph]:
     levels: list[list[AdGraph]] = [[AdGraph(1, ())]]
     out = [AdGraph(1, ())]
     for v in range(2, max_v + 1):
-        nxt = _IsoSet()
+        # one graph per canonical form, the first generated; non-planar
+        # forms are remembered so each class is tested once
+        nxt: dict[tuple, AdGraph] = {}
+        nonplanar: set[tuple] = set()
         for parent in levels[-1]:
             budget = max_e - parent.edge_count
             if budget < 1:
                 continue
+            side = _bipartition_or_odd_cycle(parent)
             for size in range(1, min(v - 1, budget) + 1):
                 for nbrs in itertools.combinations(range(v - 1), size):
-                    edges = parent.edges + tuple((u, v - 1) for u in nbrs)
-                    if not _is_bipartite_planar(v, edges):
+                    if any(side[u] != side[nbrs[0]] for u in nbrs):
                         continue
-                    nxt.add(AdGraph(v, edges))
-        level = nxt.items()
+                    graph = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
+                    key = canonical_form(graph)
+                    if key in nxt or key in nonplanar:
+                        continue
+                    if _is_planar_bipartite(v, graph.edges):
+                        nxt[key] = graph
+                    else:
+                        nonplanar.add(key)
+        # by WL hash, then by first generation
+        level = sorted(nxt.values(), key=wl_hash)
         if not level:
             break
         levels.append(level)
@@ -131,7 +131,8 @@ def _even_multiplicity_assignments(
     simple: AdGraph, max_e: int, min_degree: int
 ) -> list[tuple[int, ...]]:
     """All per-edge multiplicities >= 1 with total <= max_e making every
-    vertex degree even and at least ``min_degree``, up to Aut."""
+    vertex degree even and at least ``min_degree``, one per isomorphism
+    class of the resulting multigraph."""
     edges = list(simple.edges)
     m = len(edges)
     if m == 0:
@@ -140,18 +141,6 @@ def _even_multiplicity_assignments(
     for i, (u, v) in enumerate(edges):
         last_at[u] = i
         last_at[v] = i
-    auts = automorphisms(simple)
-    edge_pos = {e: i for i, e in enumerate(edges)}
-
-    def orbit_minimal(assign: tuple[int, ...]) -> bool:
-        for perm in auts:
-            image = [0] * m
-            for i, (u, v) in enumerate(edges):
-                a, b = perm[u], perm[v]
-                image[edge_pos[(min(a, b), max(a, b))]] = assign[i]
-            if tuple(image) < assign:
-                return False
-        return True
 
     results: list[tuple[int, ...]] = []
     degree = [0] * simple.n
@@ -182,7 +171,13 @@ def _even_multiplicity_assignments(
 
     current: list[int] = []
     rec(0, 0)
-    return [a for a in results if orbit_minimal(a)]
+    # rec emits in lexicographic order, so the first assignment per form
+    # is the least of its orbit under the automorphisms of the simple graph
+    firsts: dict[tuple, tuple[int, ...]] = {}
+    for assign in results:
+        multi = [e for e, mult in zip(edges, assign) for _ in range(mult)]
+        firsts.setdefault(canonical_form(AdGraph(simple.n, tuple(multi))), assign)
+    return list(firsts.values())
 
 
 def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph]:
@@ -280,24 +275,22 @@ def census(genus: int, filt: CensusFilter) -> list[CensusClass]:
     """Group the reduced census graphs of the given genus into doubled
     path equivalence classes via canonical contraction."""
     filt = replace(filt, require_reduced=True, genus_equals=genus)
-    classes: list[CensusClass] = []
+    classes: dict[tuple, CensusClass] = {}
     for graph in enumerate_adgs(filt):
         contracted = canonical_contract(graph)
-        for cls in classes:
-            if isomorphic(contracted, cls.contracted)[0]:
-                cls.count += 1
-                cls.members.append(graph)
-                break
-        else:
-            info = classify_genus(graph)
-            classes.append(
-                CensusClass(
-                    representative=graph,
-                    contracted=contracted,
-                    family=info.family,
-                    parameters=info.parameters,
-                    count=1,
-                    members=[graph],
-                )
-            )
-    return classes
+        key = canonical_form(contracted)
+        cls = classes.get(key)
+        if cls is not None:
+            cls.count += 1
+            cls.members.append(graph)
+            continue
+        info = classify_genus(graph)
+        classes[key] = CensusClass(
+            representative=graph,
+            contracted=contracted,
+            family=info.family,
+            parameters=info.parameters,
+            count=1,
+            members=[graph],
+        )
+    return list(classes.values())

@@ -89,6 +89,10 @@ def cmd_genus_g(args) -> int:
 
 def cmd_classify(args) -> int:
     graph = adgraph.parse_graph_file(_read(args.file))
+    if graph.rotations is not None:
+        # classify_genus works on the bare graph; the file's embedding is
+        # checked as genus-g checks it
+        adgraph.validate_adg(graph)
     info = families.classify_genus(graph)
     payload = {
         "genus": info.genus,
@@ -207,6 +211,8 @@ def cmd_verify(args) -> int:
     if bad:
         print("--- counterexamples ---", file=sys.stderr)
         for res in results:
+            if not res.cases:
+                print(f"[{res.name}]\nno checks ran", file=sys.stderr)
             for dump in res.minimized_failures()[:3]:
                 print(f"[{res.name}]\n{dump}", file=sys.stderr)
         return 3

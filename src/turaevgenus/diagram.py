@@ -20,6 +20,7 @@ from .errors import (
     ArcMultiplicityError,
     ArcNotFoundError,
     DisconnectedError,
+    EmptyDiagramError,
     InternalParityError,
     MalformedLineError,
     NoCrossingsError,
@@ -449,6 +450,8 @@ def writhe(diagram: PlanarDiagram) -> int:
 def kauffman_bracket(diagram: PlanarDiagram, convention: str = "standard") -> LaurentPoly:
     """Bracket state sum over all 2^c resolutions, delta = -A^2 - A^-2."""
     n = diagram.crossing_count
+    if n == 0 and diagram.free_loops == 0:
+        raise EmptyDiagramError("the empty diagram has no Kauffman bracket")
     limit = _state_limit()
     if n > limit:
         raise TooLargeError(f"{n} crossings exceeds state-sum limit {limit}")

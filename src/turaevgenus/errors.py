@@ -52,6 +52,10 @@ class NoCrossingsError(TuraevError):
     """The operation requires at least one crossing."""
 
 
+class EmptyDiagramError(TuraevError):
+    """The diagram has neither crossings nor loops, so it has no bracket."""
+
+
 # --- ribbon graph errors ----------------------------------------------------
 
 class NonOrientableError(TuraevError):
@@ -95,7 +99,19 @@ class NotBipartiteError(TuraevError):
 class NotPlanarError(TuraevError):
     def __init__(self, component):
         self.component = sorted(component)
-        super().__init__(f"component {self.component} is not planar")
+        super().__init__(self.describe())
+
+    def describe(self) -> str:
+        return f"component {self.component} is not planar"
+
+
+class NotSphericalError(NotPlanarError):
+    """The rotation system does not embed a component in the sphere; the
+    component itself may still be planar."""
+
+    def describe(self) -> str:
+        return (f"the rotation system does not embed component "
+                f"{self.component} in the sphere")
 
 
 class NotValidatedError(TuraevError):
@@ -107,7 +123,8 @@ class NotEmbeddedError(TuraevError):
 
 
 class BadParametersError(TuraevError):
-    """Family constructor parameters out of range."""
+    """Parameters out of range: a family constructor's, or the size of a
+    property sweep."""
 
 
 class InvalidSiteError(TuraevError):

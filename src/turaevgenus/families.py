@@ -422,24 +422,53 @@ def is_reduced(graph: AdGraph) -> bool:
         if len(comp) == 1:
             return False
         members = set(comp)
-        idx = [i for i, e in enumerate(graph.edges) if e[0] in members]
-        if not _k_edge_connected(members, [graph.edges[i] for i in idx], 3):
+        edges = [e for e in graph.edges if e[0] in members]
+        if not _three_edge_connected(comp, edges):
             return False
     return True
 
 
-def _k_edge_connected(vertices: set[int], edges: list[tuple[int, int]], k: int) -> bool:
-    """Brute-force: survives deletion of any fewer-than-k edges."""
-    import itertools
-
+def _three_edge_connected(vertices: list[int], edges: list[tuple[int, int]]) -> bool:
+    """Deleting any one edge leaves the graph connected and bridgeless."""
     index = {v: i for i, v in enumerate(vertices)}
     pairs = [(index[u], index[w]) for u, w in edges]
-    for size in range(1, k):
-        for combo in itertools.combinations(range(len(pairs)), size):
-            kept = (p for i, p in enumerate(pairs) if i not in combo)
-            if components(len(index), kept)[1] != 1:
-                return False
-    return True
+    return all(
+        _connected_bridgeless(len(index), pairs[:i] + pairs[i + 1:])
+        for i in range(len(pairs))
+    )
+
+
+def _connected_bridgeless(n: int, pairs: list[tuple[int, int]]) -> bool:
+    """Iterative lowlink search from vertex 0.  The tree edge is skipped by
+    its id, not its far end, so a parallel copy is never a bridge."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, w) in enumerate(pairs):
+        incident[u].append((w, i))
+        incident[w].append((u, i))
+    disc = [-1] * n
+    low = [0] * n
+    disc[0] = 0
+    seen = 1
+    stack = [(0, -1, iter(incident[0]))]
+    while stack:
+        v, via, it = stack[-1]
+        for w, i in it:
+            if i == via:
+                continue
+            if disc[w] < 0:
+                disc[w] = low[w] = seen
+                seen += 1
+                stack.append((w, i, iter(incident[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] > disc[parent]:
+                    return False
+                low[parent] = min(low[parent], low[v])
+    return seen == n
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +508,20 @@ def wl_hash(graph: AdGraph) -> tuple:
     return (graph.n, graph.edge_count, tuple(sorted(colors)))
 
 
-def _find_isomorphisms(g1: AdGraph, g2: AdGraph, all_maps: bool) -> list[list[int]]:
+def _profile(adj: list[dict[int, int]]) -> list[list[int]]:
+    """Sorted per-vertex multiplicity lists: a cheap invariant."""
+    return sorted(sorted(a.values()) for a in adj)
+
+
+def _find_isomorphism(g1: AdGraph, g2: AdGraph) -> list[int] | None:
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return []
+        return None
     adj1, adj2 = _mult_adj(g1), _mult_adj(g2)
+    if _profile(adj1) != _profile(adj2):
+        return None
     col1, col2 = _wl_colors(g1), _wl_colors(g2)
     if sorted(col1) != sorted(col2):
-        return []
+        return None
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(col2):
         by_color.setdefault(c, []).append(v)
@@ -502,12 +538,10 @@ def _find_isomorphisms(g1: AdGraph, g2: AdGraph, all_maps: bool) -> list[list[in
         pending.discard(pick)
     mapping = [-1] * g1.n
     used = [False] * g2.n
-    found: list[list[int]] = []
 
     def extend(i: int) -> bool:
         if i == len(ordered):
-            found.append(mapping.copy())
-            return not all_maps
+            return True
         v = ordered[i]
         for w in by_color[col1[v]]:
             if used[w]:
@@ -526,19 +560,153 @@ def _find_isomorphisms(g1: AdGraph, g2: AdGraph, all_maps: bool) -> list[list[in
                 used[w] = False
         return False
 
-    extend(0)
-    return found
+    return mapping if extend(0) else None
 
 
 def isomorphic(g1: AdGraph, g2: AdGraph) -> tuple[bool, list[int] | None]:
     """Multigraph isomorphism respecting multiplicities; returns a vertex
     bijection witness when one exists."""
-    maps = _find_isomorphisms(g1, g2, all_maps=False)
-    return (True, maps[0]) if maps else (False, None)
+    mapping = _find_isomorphism(g1, g2)
+    return (mapping is not None, mapping)
 
 
-def automorphisms(graph: AdGraph) -> list[list[int]]:
-    return _find_isomorphisms(graph, graph, all_maps=True)
+def canonical_form(graph: AdGraph) -> tuple:
+    """Complete isomorphism invariant of a multigraph: ``(n, edges)``, the
+    least sorted edge tuple over the relabellings the search reaches.
+
+    Individualisation-refinement in the manner of McKay and Piperno,
+    *Practical graph isomorphism II* (2014).  Colour refinement counts
+    edge multiplicities; a vertex's colour is the first position of its
+    cell in the ordered partition, so a discrete partition is a
+    relabelling.  Each node branches on its first non-singleton cell.
+    Twins (equal multiplicity neighbourhoods) and the automorphisms found
+    at equal leaves prune branches that an automorphism fixing the
+    individualised path maps onto an explored one; such branches hold
+    the same leaves, so the least one is unchanged.  A leaf equal to the
+    first or the best leaf also abandons its whole subtree below the
+    node where its path leaves that leaf's path.
+    """
+    n = graph.n
+    edges = graph.edges
+    nbrs = [tuple(a.items()) for a in _mult_adj(graph)]
+    base = 1 + max((m for nb in nbrs for _, m in nb), default=0)
+    twins: list[tuple[int, int]] | None = None
+    gens: list[list[int]] = []
+    first: list = []  # [cert, colours, path] of the first leaf
+    best: list = []   # the same for the least leaf so far
+
+    def refine(col: list[int]) -> list[int]:
+        while True:
+            cells: dict[int, list[int]] = {}
+            for v, c in enumerate(col):
+                cells.setdefault(c, []).append(v)
+            new = None
+            for start, members in cells.items():
+                if len(members) == 1:
+                    continue
+                sigs = [tuple(sorted([base * col[w] + m for w, m in nbrs[v]]))
+                        for v in members]
+                counts: dict[tuple, int] = {}
+                for sig in sigs:
+                    counts[sig] = counts.get(sig, 0) + 1
+                if len(counts) == 1:
+                    continue
+                if new is None:
+                    new = col[:]
+                pos = start
+                for sig in sorted(counts):
+                    pos, counts[sig] = pos + counts[sig], pos
+                for v, sig in zip(members, sigs):
+                    new[v] = counts[sig]
+            if new is None:
+                return col
+            col = new
+
+    def leaf(col: list[int], path: list[int]) -> int:
+        cert = tuple(sorted(
+            (col[u], col[v]) if col[u] < col[v] else (col[v], col[u])
+            for u, v in edges
+        ))
+        if not first:
+            first.extend((cert, col, path))
+            best.extend((cert, col, path))
+            return len(path) - 1
+        for ref_cert, ref_col, ref_path in (first, best):
+            if cert == ref_cert:
+                at = [0] * n
+                for v in range(n):
+                    at[col[v]] = v
+                gens.append([at[ref_col[u]] for u in range(n)])
+                k = 0
+                while path[k] == ref_path[k]:
+                    k += 1
+                return k
+        if cert < best[0]:
+            best[:] = (cert, col, path)
+        return len(path) - 1
+
+    def search(col: list[int], path: list[int]) -> int:
+        nonlocal twins
+        depth = len(path)
+        size = [0] * n
+        for c in col:
+            size[c] += 1
+        start = next((c for c in range(n) if size[c] > 1), None)
+        if start is None:
+            return leaf(col, path)
+        cell = [v for v in range(n) if col[v] == start]
+        explored: list[int] = []
+        orbit: list[int] = []
+        seen_gens = -1
+        for v in cell:
+            if explored:
+                if twins is None:
+                    twins = _twins(nbrs)
+                if seen_gens != len(gens):
+                    seen_gens = len(gens)
+                    in_cell = [(u, w) for u, w in twins if col[u] == start == col[w]]
+                    orbit = _orbits_fixing(n, path, gens, in_cell)
+                if any(orbit[v] == orbit[u] for u in explored):
+                    continue
+            explored.append(v)
+            child = [start + 1 if c == start else c for c in col]
+            child[v] = start
+            back = search(refine(child), path + [v])
+            if back < depth:
+                return back
+        return depth - 1
+
+    search(refine([0] * n), [])
+    return (n, best[0])
+
+
+def _twins(nbrs: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, int]]:
+    """Vertex pairs whose transposition is an automorphism: equal
+    multiplicity neighbourhoods, apart from each other when adjacent."""
+    by_key: dict[tuple, list[int]] = {}
+    for v, nb in enumerate(nbrs):
+        by_key.setdefault(tuple(sorted(nb)), []).append(v)
+    pairs = [(u, v) for group in by_key.values()
+             for i, u in enumerate(group) for v in group[i + 1:]]
+    for u, nb in enumerate(nbrs):
+        for v, _ in nb:
+            if u < v and len(nb) == len(nbrs[v]) and (
+                sorted(x for x in nb if x[0] != v)
+                == sorted(x for x in nbrs[v] if x[0] != u)
+            ):
+                pairs.append((u, v))
+    return pairs
+
+
+def _orbits_fixing(n: int, path: list[int], gens: list[list[int]],
+                   pairs: list[tuple[int, int]]) -> list[int]:
+    """Orbit labels of the group generated by the transpositions ``pairs``
+    and the automorphisms in ``gens`` that fix ``path`` pointwise.
+    Extends ``pairs``."""
+    for g in gens:
+        if all(g[p] == p for p in path):
+            pairs += enumerate(g)
+    return components(n, pairs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from . import adgraph, construct, corpus, diagram, families, ribbon
 from .adgraph import AdGraph, RandomChoice
 from .decompose import decompose, twisted_genus
 from .diagram import PlanarDiagram, write_pd
+from .errors import BadParametersError
 
 
 @dataclass
@@ -30,7 +31,8 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No failure, and not vacuously: at least one check ran."""
+        return self.cases > 0 and not self.failures
 
     def minimized_failures(self) -> list[str]:
         """Failing cases smallest-first, so the lead counterexample is
@@ -352,6 +354,8 @@ ALL_SUITES = (
 
 
 def run_all(iters: int = 50, seed: int = 0) -> list[SuiteResult]:
+    if iters < 1:
+        raise BadParametersError(f"iters must be at least 1, got {iters}")
     results = []
     for fn in ALL_SUITES:
         # string seeding is hash-randomization independent

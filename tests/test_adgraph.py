@@ -19,6 +19,7 @@ from turaevgenus.errors import (
     NotBipartiteError,
     NotEmbeddedError,
     NotPlanarError,
+    NotSphericalError,
     NotValidatedError,
     OddDegreeError,
 )
@@ -110,6 +111,18 @@ def test_rotation_system_proves_planarity(monkeypatch):
     assert calls == []
     validate_adg(AdGraph(embedded.n, embedded.edges))
     assert len(calls) == 1
+
+
+def test_planar_graph_with_torus_rotations():
+    # four parallel edges are planar; this rotation system puts them on
+    # the torus, and the error says so rather than calling them non-planar
+    graph = AdGraph(2, ((0, 1),) * 4, rotations=((0, 1, 2, 3), (0, 2, 1, 3)))
+    with pytest.raises(NotSphericalError) as exc:
+        validate_adg(graph)
+    assert isinstance(exc.value, NotPlanarError)
+    assert str(exc.value) == (
+        "the rotation system does not embed component [0, 1] in the sphere")
+    validate_adg(AdGraph(graph.n, graph.edges))
 
 
 #: edge 2 listed twice at vertex 1 and never at vertex 2

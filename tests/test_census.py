@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from turaevgenus.census import (
     simple_connected_graphs,
 )
 from turaevgenus.errors import BoundsTooLargeError, TuraevError
-from turaevgenus.families import isomorphic
+from turaevgenus.families import canonical_form, isomorphic
 
 
 def naive_validated_adgs(max_v: int, max_e: int) -> list[AdGraph]:
@@ -124,3 +125,24 @@ def test_genus1_reduced_filter_gives_doubled_even_cycles():
     for g in graphs:
         length = recognize_doubled_cycle(AdGraph(g.n, g.edges))
         assert length is not None and length % 2 == 0
+
+
+def test_canonical_form_matches_isomorphic_on_atoms():
+    """Equal certificates exactly when ``isomorphic`` says so, on every
+    pair of connected atoms with the same vertex and edge counts, and on
+    each atom against a shuffled copy of itself."""
+    rng = random.Random(8)
+    by_size: dict[tuple[int, int], list] = {}
+    for atom in connected_atoms(8, 14):
+        cert = canonical_form(atom)
+        perm = list(range(atom.n))
+        rng.shuffle(perm)
+        shuffled = atom.relabeled(perm)
+        assert canonical_form(shuffled) == cert and isomorphic(atom, shuffled)[0]
+        by_size.setdefault((atom.n, atom.edge_count), []).append((atom, cert))
+    pairs = 0
+    for same_size in by_size.values():
+        for (g, cert_g), (h, cert_h) in itertools.combinations(same_size, 2):
+            assert (cert_g == cert_h) == isomorphic(g, h)[0], (g, h)
+            pairs += 1
+    assert pairs > 500_000

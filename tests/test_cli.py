@@ -128,6 +128,35 @@ def test_bad_rotation_system_exit_1(capsys, tmp_path, rot_lines, command):
     assert "Traceback" not in err
 
 
+TORUS_ROTATIONS = "v 2\ne 1 2\ne 1 2\ne 1 2\ne 1 2\nrot 1 : 1 2 3 4\nrot 2 : 1 3 2 4\n"
+
+
+@pytest.mark.parametrize("command", ["genus-g", "classify", "realize"])
+def test_non_spherical_rotation_system_exit_1(capsys, tmp_path, command):
+    # a planar graph whose rotation system embeds it in the torus
+    path = tmp_path / "torus.graph"
+    path.write_text(TORUS_ROTATIONS)
+    argv = [command, str(path)]
+    if command == "realize":
+        argv += ["-o", str(tmp_path / "out.pd")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: the rotation system does not embed component "
+                   "[0, 1] in the sphere\n")
+    # without the rotation lines the same graph is fine
+    path.write_text(TORUS_ROTATIONS.split("rot")[0])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+
+
+def test_bracket_empty_diagram_exit_1(capsys, tmp_path):
+    path = tmp_path / "empty.pd"
+    path.write_text("# only a comment\n")
+    code, out, err = run(capsys, "bracket", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: the empty diagram has no Kauffman bracket\n"
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "genus-d", "/nonexistent/path.pd")
     assert code == 1
@@ -143,6 +172,29 @@ def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--iters", "2", "--seed", "1")
     assert code == 0
     assert out.count("ok") == len(verify.ALL_SUITES)
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_verify_rejects_nonpositive_iters(capsys, iters):
+    code, out, err = run(capsys, "verify", "--iters", iters)
+    assert (code, out) == (1, "")
+    assert err == f"error: iters must be at least 1, got {iters}\n"
+
+
+def test_verify_fails_suite_without_checks(capsys, monkeypatch):
+    def empty_suite(rng, iters):
+        return verify.SuiteResult("empty")
+
+    def one_check(rng, iters):
+        res = verify.SuiteResult("one")
+        res.check(True, "")
+        return res
+
+    monkeypatch.setattr(verify, "ALL_SUITES", (empty_suite, one_check))
+    code, out, err = run(capsys, "verify", "--iters", "1")
+    assert code == 3
+    assert out == "empty: 0 checks FAIL\none: 1 checks ok\n"
+    assert "[empty]\nno checks ran" in err
 
 
 def test_verify_byte_identical(capsys):

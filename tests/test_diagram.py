@@ -27,6 +27,7 @@ from turaevgenus.errors import (
     ArcMultiplicityError,
     ArcNotFoundError,
     DisconnectedError,
+    EmptyDiagramError,
     MalformedLineError,
     NoCrossingsError,
     NonPlanarMapError,
@@ -251,6 +252,15 @@ def test_bracket_raw_trefoil():
     poly = kauffman_bracket(parse_pd(TREFOIL))
     assert poly.span == 12
     assert len(poly.coeffs) == 3
+
+
+def test_bracket_of_empty_diagram_rejected():
+    # zero circles has no delta power; one free loop is the unknot
+    with pytest.raises(EmptyDiagramError):
+        kauffman_bracket(EMPTY_DIAGRAM)
+    with pytest.raises(EmptyDiagramError):
+        jones_polynomial(parse_pd("# just a comment\n"))
+    assert kauffman_bracket(PlanarDiagram([], free_loops=1)).coeffs == {0: 1}
 
 
 def test_bracket_limits(monkeypatch):

@@ -1,13 +1,19 @@
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
+from turaevgenus.census import CensusFilter, enumerate_adgs
 from turaevgenus.errors import BadParametersError, InvalidSiteError
 from turaevgenus.families import (
     Classification,
     FamilySpec,
+    _three_edge_connected,
     canonical_contract,
+    canonical_form,
     classify_genus,
     doubled_cycle,
     doubled_path,
@@ -29,6 +35,7 @@ from turaevgenus.families import (
     two_path_extend,
     wl_hash,
 )
+from turaevgenus.perm import components
 
 C22 = doubled_cycle(2)
 
@@ -200,7 +207,150 @@ def test_is_reduced():
     assert is_reduced(both)
 
 
+def k_edge_connected_brute(vertices, edges, k):
+    """Survives the deletion of any fewer than k edges: the slow oracle."""
+    index = {v: i for i, v in enumerate(vertices)}
+    pairs = [(index[u], index[w]) for u, w in edges]
+    for size in range(1, k):
+        for combo in itertools.combinations(range(len(pairs)), size):
+            kept = (p for i, p in enumerate(pairs) if i not in combo)
+            if components(len(index), kept)[1] != 1:
+                return False
+    return True
+
+
+def component_edge_lists(graph):
+    for comp in graph.components():
+        members = set(comp)
+        yield comp, [e for e in graph.edges if e[0] in members]
+
+
+def test_three_edge_connected_matches_brute_force_on_census():
+    seen = set()
+    outcomes = set()
+    for graph in enumerate_adgs(CensusFilter(max_vertices=8, max_edges=12)):
+        for comp, edges in component_edge_lists(graph):
+            key = (len(comp), tuple(edges))
+            if len(comp) < 2 or key in seen:
+                continue
+            seen.add(key)
+            fast = _three_edge_connected(comp, edges)
+            assert fast == k_edge_connected_brute(comp, edges, 3), edges
+            outcomes.add(fast)
+    assert outcomes == {True, False} and len(seen) > 300
+
+
+multigraphs = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, max(1, n - 1))),
+            max_size=16 if n > 1 else 0,
+        ).map(lambda ends: [(u, (u + d) % n) for u, d in ends]),
+        st.permutations(list(range(n))),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs)
+def test_three_edge_connected_matches_brute_force(data):
+    n, edges, _ = data
+    for comp, comp_edges in component_edge_lists(AdGraph(n, tuple(edges))):
+        assert (_three_edge_connected(comp, comp_edges)
+                == k_edge_connected_brute(comp, comp_edges, 3))
+
+
 # --- isomorphism ----------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs)
+def test_canonical_form_relabelling_invariant(data):
+    n, edges, perm = data
+    graph = AdGraph(n, tuple(edges))
+    form = canonical_form(graph)
+    assert form == canonical_form(graph.relabeled(perm))
+    # the form is itself a relabelling of the graph
+    assert isomorphic(graph, AdGraph(*form))[0]
+
+
+def matching(order):
+    return [(order[i], order[i + 1]) for i in range(0, len(order), 2)]
+
+
+#: unions of perfect matchings, optionally cut in two blocks: regular
+#: pieces, which colour refinement cannot split, so the search and its
+#: pruning do all the work
+regular_multigraphs = st.integers(min_value=2, max_value=8).flatmap(
+    lambda half: st.tuples(
+        st.just(2 * half),
+        st.lists(st.permutations(list(range(2 * half))), min_size=1, max_size=3),
+        st.integers(0, half).map(lambda k: 2 * k),
+        st.permutations(list(range(2 * half))),
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(regular_multigraphs)
+def test_canonical_form_relabelling_invariant_on_regular_graphs(data):
+    n, orders, cut, perm = data
+    edges = [(u, v) for order in orders for u, v in matching(order)
+             if (u < cut) == (v < cut)]
+    graph = AdGraph(n, tuple(edges))
+    assert canonical_form(graph) == canonical_form(graph.relabeled(perm))
+
+
+def cycle_lengths(total, smallest=3):
+    """Multisets of cycle lengths >= smallest summing to at most total."""
+    yield ()
+    for first in range(smallest, total + 1):
+        for rest in cycle_lengths(total - first, first):
+            yield (first,) + rest
+
+
+def test_canonical_form_on_cycle_unions():
+    # 2-regular graphs: every vertex looks alike to colour refinement
+    rng = random.Random(16)
+    unions = 0
+    for lengths in cycle_lengths(16):
+        edges, n = [], 0
+        for k in lengths:
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+            n += k
+        graph = AdGraph(n, tuple(edges))
+        form = canonical_form(graph)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(graph.relabeled(perm)) == form, lengths
+        unions += 1
+    assert unions == 96
+
+
+def test_canonical_form_separates_same_profile():
+    k411 = k4_doubled_paths(1, 1)
+    c42 = doubled_cycle(4)
+    assert canonical_form(AdGraph(k411.n, k411.edges)) != canonical_form(
+        AdGraph(c42.n, c42.edges))
+    # multiplicities count: a doubled and a quadrupled edge differ
+    assert canonical_form(AdGraph(2, ((0, 1),) * 2)) != canonical_form(
+        AdGraph(2, ((0, 1),) * 4))
+    assert canonical_form(AdGraph(3, ())) != canonical_form(AdGraph(2, ()))
+
+
+def test_canonical_form_prunes_automorphisms():
+    # a star with seven legs of length two has 7! leg permutations; only
+    # the automorphisms found at equal leaves keep the search small
+    edges = []
+    for leg in range(7):
+        edges += [(0, 2 * leg + 1), (2 * leg + 1, 2 * leg + 2)]
+    star = AdGraph(15, tuple(edges))
+    start = time.perf_counter()
+    canonical_form(star)
+    assert time.perf_counter() - start < 0.2
+
+
 
 def test_isomorphic_basic():
     c4 = doubled_cycle(4)

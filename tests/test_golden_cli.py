@@ -95,6 +95,9 @@ def capture() -> dict[str, dict]:
             os.chdir(old)
     results["census"] = _run(["census", "--genus", "2", "--max-edges", "12",
                               "--reduced", "--json"])
+    # without --reduced: the labels and order from enumerate_adgs
+    results["census enumerate"] = _run(["census", "--genus", "1",
+                                        "--max-edges", "8", "--json"])
     results["verify"] = _run(["verify", "--iters", "5"])
     return results
 
