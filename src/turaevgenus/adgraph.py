@@ -318,7 +318,11 @@ def to_ribbon(graph: AdGraph, twisted: bool = False) -> RibbonGraph:
 
 
 class _FirstChoice:
-    """Deterministic tie-breaking: lowest vertex, then lowest edge index."""
+    """Deterministic choice: the head of the worklist.
+
+    The worklists lose members by swap-pop, so the head is not the lowest
+    vertex or pair; it is fixed by the input's edge order alone.
+    """
 
     def pick(self, options):
         return options[0]
@@ -335,65 +339,133 @@ class RandomChoice:
 def turaev_genus_graph(graph: AdGraph, chooser=None) -> int:
     """Turaev genus of a validated alternating decomposition graph.
 
-    ``chooser`` may randomize which degree-two vertex or parallel pair is
-    processed; the result is choice-independent.
+    ``chooser.pick(options)`` is handed a worklist, either the degree-two
+    vertices or the parallel pairs as ``(u, w)`` with ``u < w``, and
+    returns one member; the result is choice-independent.  The recursion
+    runs in O(E log E): each step costs the degree of the vertices it
+    touches, a contraction moves the smaller adjacency map into the
+    larger, and connectivity is settled once for the whole run (see
+    ``_genus_recursion``).
     """
     if not is_validated(graph):
         raise NotValidatedError("call validate_adg first")
     return _genus_recursion(graph.edges, chooser or _FirstChoice())
 
 
+class _Worklist:
+    """A set kept as a flat list, so that ``items`` is handed to the
+    chooser as is; removal swaps the last item into the hole."""
+
+    __slots__ = ("items", "_at")
+
+    def __init__(self):
+        self.items: list = []
+        self._at: dict = {}
+
+    def mark(self, item, member: bool) -> None:
+        at, items = self._at, self.items
+        if member:
+            if item not in at:
+                at[item] = len(items)
+                items.append(item)
+        elif item in at:
+            i = at.pop(item)
+            last = items.pop()
+            if i < len(items):
+                items[i] = last
+                at[last] = i
+
+
+def _pair(x: int, y: int) -> tuple[int, int]:
+    return (x, y) if x < y else (y, x)
+
+
 def _genus_recursion(edge_list: Iterable[tuple[int, int]], chooser) -> int:
+    """Contract a degree-two vertex while there is one, else delete a
+    parallel pair, and count the deletions whose ends stay connected.
+
+    That count needs no connectivity test per step.  A contraction keeps
+    the number of components, and a deletion raises it by one exactly
+    when it disconnects the pair's ends.  The loop ends with every
+    remaining vertex isolated, so the disconnecting deletions number the
+    vertices left at the end minus the components of the input, and one
+    union-find over the input edges answers for the whole run.
+    """
     edges = list(edge_list)
     n = 1 + max((max(e) for e in edges), default=0)
-    genus = 0
-    while edges:
-        deg: dict[int, int] = {}
-        for u, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        deg2 = sorted(v for v, d in deg.items() if d == 2)
-        if deg2:
-            v = chooser.pick(deg2)
-            inc = [i for i, e in enumerate(edges) if v in e]
-            i1, i2 = inc
-            a = edges[i1][0] if edges[i1][1] == v else edges[i1][1]
-            b = edges[i2][0] if edges[i2][1] == v else edges[i2][1]
-            target = a if a == b else min(a, b)
-            merged = {v: target, a: target, b: target}
-            nxt = []
-            for i, (x, y) in enumerate(edges):
-                if i in (i1, i2):
-                    continue
-                x, y = merged.get(x, x), merged.get(y, y)
-                if x == y:
-                    raise TuraevError(
-                        "degree-two contraction created a loop; "
-                        "input was not bipartite"
-                    )
-                nxt.append((min(x, y), max(x, y)))
-            edges = nxt
+    adj: list[dict[int, int]] = [{} for _ in range(n)]  # neighbour -> multiplicity
+    deg = [0] * n
+    for u, w in edges:
+        adj[u][w] = adj[u].get(w, 0) + 1
+        adj[w][u] = adj[w].get(u, 0) + 1
+        deg[u] += 1
+        deg[w] += 1
+    deg2, pairs = _Worklist(), _Worklist()
+    for u in range(n):
+        deg2.mark(u, deg[u] == 2)
+        for w, m in adj[u].items():
+            if u < w and m >= 2:
+                pairs.mark((u, w), True)
+    live, deletions = n, 0
+    remaining = len(edges)
+    while remaining:
+        if deg2.items:
+            v = chooser.pick(deg2.items)
+            ends = list(adj[v])  # one doubled neighbour, or two single ones
+            a, b = ends[0], ends[-1]
+            live -= len(ends)  # v goes, and one of a, b when they differ
+            for x in ends:
+                deg[x] -= adj[x].pop(v)
+            pairs.mark(_pair(v, a), False)
+            adj[v], deg[v] = {}, 0
+            deg2.mark(v, False)
+            if a != b:
+                if len(adj[a]) < len(adj[b]):
+                    a, b = b, a
+                for y, m in adj[b].items():  # merge b into a
+                    if y == a:
+                        raise TuraevError(
+                            "degree-two contraction created a loop; "
+                            "input was not bipartite"
+                        )
+                    del adj[y][b]
+                    pairs.mark(_pair(b, y), False)
+                    m += adj[a].get(y, 0)
+                    adj[a][y] = adj[y][a] = m
+                    pairs.mark(_pair(a, y), m >= 2)
+                deg[a] += deg[b]
+                adj[b], deg[b] = {}, 0
+                deg2.mark(b, False)
+            deg2.mark(a, deg[a] == 2)
+        elif pairs.items:
+            u, w = chooser.pick(pairs.items)
+            m = adj[u][w] - 2
+            if m:
+                adj[u][w] = adj[w][u] = m
+            else:
+                del adj[u][w], adj[w][u]
+            pairs.mark((u, w), m >= 2)
+            for x in (u, w):
+                deg[x] -= 2
+                deg2.mark(x, deg[x] == 2)
+            deletions += 1
         else:
-            mult: dict[tuple[int, int], list[int]] = {}
-            for i, (u, v) in enumerate(edges):
-                mult.setdefault((min(u, v), max(u, v)), []).append(i)
-            pairs = sorted(k for k, idx in mult.items() if len(idx) >= 2)
-            if not pairs:
-                raise TuraevError(
-                    "no degree-two vertex and no parallel pair; "
-                    "input was not a valid alternating decomposition graph"
-                )
-            u, v = chooser.pick(pairs)
-            i1, i2 = mult[(u, v)][:2]
-            rest = [e for i, e in enumerate(edges) if i != i1 and i != i2]
-            comp, _ = perm.components(n, rest)
-            if comp[u] == comp[v]:
-                genus += 1
-            edges = rest
-    return genus
+            raise TuraevError(
+                "no degree-two vertex and no parallel pair; "
+                "input was not a valid alternating decomposition graph"
+            )
+        remaining -= 2
+    return deletions - (live - perm.components(n, edges)[1])
 
 
 # -- graph file format -----------------------------------------------------------------
+
+def _ints(tokens: list[str], lineno: int, line: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise MalformedLineError(lineno, line, "expected integers") from None
+
 
 def parse_graph_file(text: str) -> AdGraph:
     """Parse the graph file format.
@@ -411,20 +483,23 @@ def parse_graph_file(text: str) -> AdGraph:
             continue
         parts = line.replace(":", " : ").split()
         if parts[0] == "v" and len(parts) == 2:
-            n = int(parts[1])
+            (n,) = _ints(parts[1:], lineno, line)
+            if n < 0:
+                raise MalformedLineError(lineno, line, "negative vertex count")
         elif parts[0] == "e" and len(parts) == 3:
             if n is None:
                 raise MalformedLineError(lineno, line, "edge before 'v' line")
-            i, j = int(parts[1]), int(parts[2])
+            i, j = _ints(parts[1:], lineno, line)
             if i == j:
                 raise HasLoopError(f"line {lineno}: loop at vertex {i}")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise MalformedLineError(lineno, line, "vertex out of range")
             edges.append((min(i, j) - 1, max(i, j) - 1))
         elif parts[0] == "rot" and len(parts) >= 3 and parts[2] == ":":
-            if n is None or not 1 <= int(parts[1]) <= n:
+            v, *rot = _ints(parts[1:2] + parts[3:], lineno, line)
+            if n is None or not 1 <= v <= n:
                 raise MalformedLineError(lineno, line, "rotation of an unknown vertex")
-            rot_lines[int(parts[1]) - 1] = tuple(int(p) - 1 for p in parts[3:])
+            rot_lines[v - 1] = tuple(e - 1 for e in rot)
         else:
             raise MalformedLineError(lineno, line, "unknown directive")
     if n is None:

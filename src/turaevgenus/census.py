@@ -23,7 +23,6 @@ from .adgraph import (
     AdGraph,
     _bipartition_or_odd_cycle,
     turaev_genus_graph,
-    validate_adg,
 )
 from .errors import BoundsTooLargeError
 from .families import (
@@ -250,7 +249,9 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
             continue
         if filt.require_reduced and not is_reduced(graph):
             continue
-        validated = validate_adg(graph)
+        # stage 1 proved each atom's simple graph planar and bipartite,
+        # and stage 2 made every degree even: only the bipartition is new
+        validated = replace(graph, bipartition=_bipartition_or_odd_cycle(graph))
         if filt.genus_equals is not None:
             if turaev_genus_graph(validated) != filt.genus_equals:
                 continue

@@ -22,14 +22,18 @@ from .diagram import (
     turaev_genus_diagram,
     write_pd,
 )
-from .errors import TuraevError
+from .errors import NotUtf8Error, TuraevError
 
 SCHEMA_VERSION = 1
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8Error(path, exc.start) from None
 
 
 def _emit_json(payload: dict) -> None:
@@ -273,10 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TuraevError as exc:
+    except (OSError, TuraevError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

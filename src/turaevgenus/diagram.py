@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     ArcMultiplicityError,
     ArcNotFoundError,
+    BadParametersError,
     DisconnectedError,
     EmptyDiagramError,
     InternalParityError,
@@ -44,13 +45,19 @@ DEFAULT_STATE_LIMIT = 18
 
 
 def _state_limit() -> int:
+    """The crossing cap of the state sum: ``ADG_MAX_STATES``, a positive
+    integer, or ``DEFAULT_STATE_LIMIT`` when it is unset."""
     raw = os.environ.get("ADG_MAX_STATES")
     if raw is None:
         return DEFAULT_STATE_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        return DEFAULT_STATE_LIMIT
+        limit = 0  # rejected below with the same message
+    if limit < 1:
+        raise BadParametersError(
+            f"ADG_MAX_STATES must be a positive integer, got {raw!r}")
+    return limit
 
 
 class PlanarDiagram:

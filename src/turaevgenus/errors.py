@@ -8,15 +8,24 @@ class TuraevError(Exception):
 # --- diagram errors ---------------------------------------------------------
 
 class MalformedLineError(TuraevError):
-    """A PD file line does not match the 'X a b c d' format."""
+    """A PD or graph file line does not match its format."""
 
     def __init__(self, lineno: int, text: str, reason: str = ""):
         self.lineno = lineno
         self.text = text
-        msg = f"line {lineno}: malformed crossing line {text!r}"
+        msg = f"line {lineno}: malformed line {text!r}"
         if reason:
             msg += f" ({reason})"
         super().__init__(msg)
+
+
+class NotUtf8Error(TuraevError):
+    """An input file is not UTF-8 text."""
+
+    def __init__(self, path: str, offset: int):
+        self.path = path
+        self.offset = offset
+        super().__init__(f"{path}: not UTF-8 text (bad byte at offset {offset})")
 
 
 class ArcMultiplicityError(TuraevError):
@@ -123,8 +132,8 @@ class NotEmbeddedError(TuraevError):
 
 
 class BadParametersError(TuraevError):
-    """Parameters out of range: a family constructor's, or the size of a
-    property sweep."""
+    """Parameters out of range: a family constructor's, the size of a
+    property sweep, or an environment setting."""
 
 
 class InvalidSiteError(TuraevError):

@@ -94,7 +94,7 @@ def components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int
     for i in range(n):
         r = i
         while parent[r] != r:
-            r = parent[r]
+            parent[r] = r = parent[parent[r]]
         if label[r] < 0:
             label[r] = count
             count += 1

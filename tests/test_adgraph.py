@@ -1,9 +1,16 @@
+import random
+import time
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from turaevgenus import corpus, perm
 from turaevgenus.adgraph import (
     AdGraph,
     RandomChoice,
+    _FirstChoice,
+    _genus_recursion,
     nullity,
     parse_graph_file,
     planar_rotations,
@@ -13,6 +20,7 @@ from turaevgenus.adgraph import (
     validate_adg,
     write_graph_file,
 )
+from turaevgenus.census import CensusFilter, enumerate_adgs
 from turaevgenus.errors import (
     HasLoopError,
     MalformedLineError,
@@ -22,6 +30,7 @@ from turaevgenus.errors import (
     NotSphericalError,
     NotValidatedError,
     OddDegreeError,
+    TuraevError,
 )
 from turaevgenus.families import doubled_cycle, k4_doubled_paths, k4_two_sum
 from turaevgenus.ribbon import ribbon_genus, twist_all
@@ -240,3 +249,96 @@ def test_twisted_oracle_matches_recursion():
         validated = validate_adg(AdGraph(g.n, g.edges))
         assert ribbon_genus(twist_all(to_ribbon(embedded))) == \
             turaev_genus_graph(validated)
+
+
+# -- the worklist recursion against the rescanning one -------------------------
+
+def quadratic_genus_recursion(edge_list, chooser) -> int:
+    """The recursion as first written: every step recounts degrees and
+    multiplicities over all edges, relabels every edge on a contraction
+    and runs a fresh union-find after each deletion.  O(E^2)."""
+    edges = list(edge_list)
+    n = 1 + max((max(e) for e in edges), default=0)
+    genus = 0
+    while edges:
+        deg: dict[int, int] = {}
+        for u, v in edges:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        deg2 = sorted(v for v, d in deg.items() if d == 2)
+        if deg2:
+            v = chooser.pick(deg2)
+            i1, i2 = [i for i, e in enumerate(edges) if v in e]
+            a = edges[i1][0] if edges[i1][1] == v else edges[i1][1]
+            b = edges[i2][0] if edges[i2][1] == v else edges[i2][1]
+            target = a if a == b else min(a, b)
+            merged = {v: target, a: target, b: target}
+            nxt = []
+            for i, (x, y) in enumerate(edges):
+                if i in (i1, i2):
+                    continue
+                x, y = merged.get(x, x), merged.get(y, y)
+                assert x != y, "contraction created a loop"
+                nxt.append((min(x, y), max(x, y)))
+            edges = nxt
+        else:
+            mult: dict[tuple[int, int], list[int]] = {}
+            for i, (u, v) in enumerate(edges):
+                mult.setdefault((min(u, v), max(u, v)), []).append(i)
+            pairs = sorted(k for k, idx in mult.items() if len(idx) >= 2)
+            assert pairs, "no degree-two vertex and no parallel pair"
+            u, v = chooser.pick(pairs)
+            i1, i2 = mult[(u, v)][:2]
+            rest = [e for i, e in enumerate(edges) if i != i1 and i != i2]
+            comp, _ = perm.components(n, rest)
+            if comp[u] == comp[v]:
+                genus += 1
+            edges = rest
+    return genus
+
+
+def choosers():
+    return [_FirstChoice(), RandomChoice(1), RandomChoice(2)]
+
+
+def assert_matches_oracle(graph: AdGraph) -> None:
+    expected = quadratic_genus_recursion(graph.edges, _FirstChoice())
+    for chooser in choosers():
+        assert _genus_recursion(graph.edges, chooser) == expected, graph
+    assert quadratic_genus_recursion(graph.edges, RandomChoice(3)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_recursion_matches_oracle_on_random_adgs(seed):
+    assert_matches_oracle(corpus.random_adgraph(random.Random(seed), max_edges=16))
+
+
+def test_recursion_matches_oracle_on_census():
+    graphs = enumerate_adgs(CensusFilter(max_vertices=8, max_edges=12))
+    assert len(graphs) > 1000
+    genera = set()
+    for graph in graphs:
+        assert_matches_oracle(graph)
+        genera.add(turaev_genus_graph(graph))
+    assert genera >= {0, 1, 2, 3}
+
+
+def test_recursion_scales():
+    graph = validate_adg(doubled_cycle(4000))
+    start = time.perf_counter()
+    assert turaev_genus_graph(graph) == 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_contraction_creating_a_loop_rejected():
+    # the path 0-1-2 plus the edge 0-2: every contraction closes a loop
+    with pytest.raises(TuraevError, match="created a loop"):
+        _genus_recursion([(0, 1), (1, 2), (0, 2)], _FirstChoice())
+
+
+def test_stuck_recursion_rejected():
+    # the simple K_{4,4}: every degree is four and no edge is doubled
+    k44 = [(u, v) for u in range(4) for v in range(4, 8)]
+    with pytest.raises(TuraevError, match="no degree-two vertex"):
+        _genus_recursion(k44, _FirstChoice())

@@ -53,6 +53,23 @@ def test_census_matches_naive_generator():
             )
 
 
+@pytest.mark.parametrize("filt", [
+    CensusFilter(max_vertices=8, max_edges=12),
+    # the query behind `adg census --genus 2 --max-edges 16 --reduced`
+    CensusFilter(max_vertices=8, max_edges=16, require_reduced=True,
+                 genus_equals=2, allow_isolated=False),
+], ids=["all-8-12", "reduced-genus2-16"])
+def test_enumerated_graphs_pass_validation(filt):
+    """``enumerate_adgs`` attaches the bipartition without re-testing
+    planarity; every graph it returns must still pass ``validate_adg``,
+    with the same bipartition."""
+    graphs = enumerate_adgs(filt)
+    assert len(graphs) > 10
+    for graph in graphs:
+        bare = AdGraph(graph.n, graph.edges)
+        assert validate_adg(bare).bipartition == graph.bipartition
+
+
 def test_census_two_vertices():
     got = enumerate_adgs(CensusFilter(max_vertices=2, max_edges=4))
     shapes = sorted((g.n, g.edge_count) for g in got)

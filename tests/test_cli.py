@@ -157,6 +157,50 @@ def test_bracket_empty_diagram_exit_1(capsys, tmp_path):
     assert err == "error: the empty diagram has no Kauffman bracket\n"
 
 
+@pytest.mark.parametrize("text", [
+    "v x\n",
+    "v 2\ne 1 x\n",
+    "v 2\ne 1 2\ne 1 2\nrot x : 1 2\n",
+    "v 2\ne 1 2\ne 1 2\nrot 1 : 1 y\n",
+    "v -1\n",
+])
+@pytest.mark.parametrize("command", ["genus-g", "classify", "realize"])
+def test_malformed_graph_file_exit_1(capsys, tmp_path, text, command):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if command == "realize":
+        argv += ["-o", str(tmp_path / "out.pd")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: line ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["genus-d", "bracket", "genus-g"])
+def test_non_utf8_file_exit_1(capsys, tmp_path, command):
+    path = tmp_path / "latin1.pd"
+    data = corpus.TREFOIL.encode() + b"\n# caf\xe9\n"
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    offset = data.index(b"\xe9")
+    assert err == f"error: {path}: not UTF-8 text (bad byte at offset {offset})\n"
+
+
+def test_bad_state_limit_exit_1(capsys, monkeypatch, trefoil_file):
+    monkeypatch.setenv("ADG_MAX_STATES", "abc")
+    code, out, err = run(capsys, "bracket", trefoil_file)
+    assert (code, out) == (1, "")
+    assert err == "error: ADG_MAX_STATES must be a positive integer, got 'abc'\n"
+
+
+def test_directory_as_input_exit_1(capsys, tmp_path):
+    code, out, err = run(capsys, "genus-d", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "genus-d", "/nonexistent/path.pd")
     assert code == 1

@@ -26,6 +26,7 @@ from turaevgenus.diagram import (
 from turaevgenus.errors import (
     ArcMultiplicityError,
     ArcNotFoundError,
+    BadParametersError,
     DisconnectedError,
     EmptyDiagramError,
     MalformedLineError,
@@ -270,6 +271,15 @@ def test_bracket_limits(monkeypatch):
     monkeypatch.delenv("ADG_MAX_STATES")
     with pytest.raises(DisconnectedError):
         bracket_span(parse_pd(TREFOIL).disjoint_union(parse_pd(TREFOIL)))
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", ""])
+def test_bad_state_limit_rejected(monkeypatch, value):
+    monkeypatch.setenv("ADG_MAX_STATES", value)
+    with pytest.raises(BadParametersError) as exc:
+        kauffman_bracket(parse_pd(TREFOIL))
+    assert str(exc.value) == (
+        f"ADG_MAX_STATES must be a positive integer, got {value!r}")
 
 
 def test_laurent_poly():

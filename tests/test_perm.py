@@ -1,6 +1,8 @@
 """The orbit tracer and the union-find against naive set-based
 decompositions."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +94,16 @@ def test_components_match_naive_merge(case):
     assert as_classes(labels, count) == naive_classes(
         n, lambda x, y: (x, y) in linked
     )
+
+
+def test_components_of_a_long_path_is_fast():
+    # joining i to i + 1 in order links the roots into one chain; the
+    # labelling pass must not walk that chain from every point
+    n = 20_000
+    start = time.perf_counter()
+    labels, count = components(n, [(i, i + 1) for i in range(n - 1)])
+    assert (count, set(labels)) == (1, {0})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_non_permutation_does_not_close_up():
