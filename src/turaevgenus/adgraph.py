@@ -188,9 +188,11 @@ def validate_adg(graph: AdGraph) -> AdGraph:
     """Check even degrees, bipartiteness, and per-component planarity.
 
     A graph carrying a rotation system is proved planar by its own
-    embedding (``check_sphere_embedding``); otherwise each component goes
-    through the networkx planarity test.  Returns the graph annotated
-    with a bipartition.  Loops are already rejected at construction.
+    embedding (``check_sphere_embedding``); otherwise each component with
+    five or more vertices goes through the networkx planarity test (a
+    smaller one simplifies to a subgraph of K4).  Returns the graph
+    annotated with a bipartition.  Loops are already rejected at
+    construction.
     """
     for v, d in enumerate(graph.degrees()):
         if d % 2:
@@ -200,7 +202,7 @@ def validate_adg(graph: AdGraph) -> AdGraph:
         check_sphere_embedding(graph)
     else:
         for comp in graph.components():
-            if not _component_planar(graph, comp):
+            if len(comp) > 4 and not _component_planar(graph, comp):
                 raise NotPlanarError(comp)
     return replace(graph, bipartition=color)
 

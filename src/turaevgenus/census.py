@@ -24,7 +24,7 @@ from .adgraph import (
     _bipartition_or_odd_cycle,
     turaev_genus_graph,
 )
-from .errors import BoundsTooLargeError
+from .errors import BadParametersError, BoundsTooLargeError
 from .families import (
     canonical_contract,
     canonical_form,
@@ -56,6 +56,10 @@ class CensusFilter:
             raise BoundsTooLargeError(
                 f"bounds beyond feasibility limits "
                 f"({MAX_FEASIBLE_VERTICES} vertices / {MAX_FEASIBLE_EDGES} edges)"
+            )
+        if self.genus_equals is not None and self.genus_equals < 0:
+            raise BadParametersError(
+                f"genus must be nonnegative, got {self.genus_equals}"
             )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Iterable, Sequence
 
 from .adgraph import (
@@ -483,12 +484,18 @@ def _mult_adj(graph: AdGraph) -> list[dict[int, int]]:
     return adj
 
 
-def _wl_colors(graph: AdGraph, rounds: int | None = None) -> list[int]:
-    """Weisfeiler-Lehman refinement with edge multiplicities."""
+def wl_hash(graph: AdGraph) -> tuple:
+    """Census output-order key: ``(n, E, sorted colours)`` after
+    Weisfeiler-Lehman refinement with edge multiplicities.
+
+    Not an isomorphism filter.  Colours are ranks within one graph, so
+    the key keeps only the sizes of the colour classes: on
+    ``connected_atoms(8, 14)`` 122,757 pairs with equal (n, E) share it.
+    Its values fix the order of census output and must not change.
+    """
     adj = _mult_adj(graph)
     colors = [sum(adj[v].values()) for v in range(graph.n)]
-    rounds = graph.n if rounds is None else rounds
-    for _ in range(rounds):
+    for _ in range(graph.n):
         sigs = [
             (colors[v], tuple(sorted((m, colors[w]) for w, m in adj[v].items())))
             for v in range(graph.n)
@@ -498,81 +505,33 @@ def _wl_colors(graph: AdGraph, rounds: int | None = None) -> list[int]:
         if nxt == colors:
             break
         colors = nxt
-    return colors
-
-
-def wl_hash(graph: AdGraph) -> tuple:
-    """Isomorphism-invariant bucket key (collisions possible, exact
-    matching required within a bucket)."""
-    colors = _wl_colors(graph)
     return (graph.n, graph.edge_count, tuple(sorted(colors)))
 
 
-def _profile(adj: list[dict[int, int]]) -> list[list[int]]:
-    """Sorted per-vertex multiplicity lists: a cheap invariant."""
-    return sorted(sorted(a.values()) for a in adj)
-
-
-def _find_isomorphism(g1: AdGraph, g2: AdGraph) -> list[int] | None:
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return None
-    adj1, adj2 = _mult_adj(g1), _mult_adj(g2)
-    if _profile(adj1) != _profile(adj2):
-        return None
-    col1, col2 = _wl_colors(g1), _wl_colors(g2)
-    if sorted(col1) != sorted(col2):
-        return None
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(col2):
-        by_color.setdefault(c, []).append(v)
-    # map rare colors first, preferring vertices attached to mapped ones
-    order = sorted(range(g1.n), key=lambda v: (len(by_color[col1[v]]), v))
-    ordered: list[int] = []
-    pending = set(order)
-    while pending:
-        anchored = [v for v in order if v in pending and any(
-            w not in pending for w in adj1[v]
-        )]
-        pick = anchored[0] if anchored else next(v for v in order if v in pending)
-        ordered.append(pick)
-        pending.discard(pick)
-    mapping = [-1] * g1.n
-    used = [False] * g2.n
-
-    def extend(i: int) -> bool:
-        if i == len(ordered):
-            return True
-        v = ordered[i]
-        for w in by_color[col1[v]]:
-            if used[w]:
-                continue
-            ok = True
-            for x, m in adj1[v].items():
-                if mapping[x] >= 0 and adj2[w].get(mapping[x], 0) != m:
-                    ok = False
-                    break
-            if ok and sum(adj2[w].values()) == sum(adj1[v].values()):
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return mapping if extend(0) else None
-
-
 def isomorphic(g1: AdGraph, g2: AdGraph) -> tuple[bool, list[int] | None]:
-    """Multigraph isomorphism respecting multiplicities; returns a vertex
-    bijection witness when one exists."""
-    mapping = _find_isomorphism(g1, g2)
-    return (mapping is not None, mapping)
+    """Multigraph isomorphism respecting multiplicities, decided by equal
+    canonical forms.  The witness sends vertex v of ``g1`` to the vertex
+    of ``g2`` with v's canonical label, so ``g1.relabeled(witness)`` has
+    the edge multiset of ``g2``."""
+    form1, label1 = _canonical_labelling(g1)
+    form2, label2 = _canonical_labelling(g2)
+    if form1 != form2:
+        return False, None
+    at = [0] * g2.n
+    for w, c in enumerate(label2):
+        at[c] = w
+    return True, [at[c] for c in label1]
 
 
 def canonical_form(graph: AdGraph) -> tuple:
     """Complete isomorphism invariant of a multigraph: ``(n, edges)``, the
-    least sorted edge tuple over the relabellings the search reaches.
+    least sorted edge tuple over the relabellings the search reaches."""
+    return _canonical_labelling(graph)[0]
+
+
+def _canonical_labelling(graph: AdGraph) -> tuple[tuple, list[int]]:
+    """The canonical form and the labelling that produces it: vertex v
+    becomes ``labelling[v]`` in the form's edge tuple.
 
     Individualisation-refinement in the manner of McKay and Piperno,
     *Practical graph isomorphism II* (2014).  Colour refinement counts
@@ -677,7 +636,7 @@ def canonical_form(graph: AdGraph) -> tuple:
         return depth - 1
 
     search(refine([0] * n), [])
-    return (n, best[0])
+    return (n, best[0]), best[1]
 
 
 def _twins(nbrs: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, int]]:
@@ -847,18 +806,19 @@ def genus2_minimal_forms() -> list[tuple[str, AdGraph]]:
     return [(tag, build()) for tag, build in _GENUS2_FORMS]
 
 
+@cache
+def _genus2_tags() -> dict[tuple, str]:
+    """Family tag of each minimal form, keyed by its canonical form."""
+    return {canonical_form(form): tag for tag, form in genus2_minimal_forms()}
+
+
 def _classify_genus2(graph: AdGraph) -> tuple[str, tuple]:
-    contracted = canonical_contract(graph)
-    matches = [
-        tag for tag, form in genus2_minimal_forms()
-        if isomorphic(contracted, AdGraph(form.n, form.edges))[0]
-    ]
-    if len(matches) != 1:
+    tag = _genus2_tags().get(canonical_form(canonical_contract(graph)))
+    if tag is None:
         raise ClassificationFailureError(
-            f"reduced genus-2 graph matched {matches or 'no'} minimal forms; "
-            f"this contradicts the classification"
+            "reduced genus-2 graph matched no minimal forms; "
+            "this contradicts the classification"
         )
-    tag = matches[0]
     segments, _ = _maximal_doubled_paths(graph)
     lengths = tuple(sorted(len(s) - 1 for s in segments))
     if tag == "doubled-cycles-disjoint":

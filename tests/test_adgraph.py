@@ -32,7 +32,12 @@ from turaevgenus.errors import (
     OddDegreeError,
     TuraevError,
 )
-from turaevgenus.families import doubled_cycle, k4_doubled_paths, k4_two_sum
+from turaevgenus.families import (
+    classify_genus,
+    doubled_cycle,
+    k4_doubled_paths,
+    k4_two_sum,
+)
 from turaevgenus.ribbon import ribbon_genus, twist_all
 
 
@@ -103,7 +108,7 @@ def test_validate_nonplanar_rotation_system():
 
 
 def test_rotation_system_proves_planarity(monkeypatch):
-    embedded = doubled_cycle(4)
+    embedded = doubled_cycle(6)
     nonplanar = doubled_k33(with_rotations=True)
     assert embedded.rotations is not None
     calls = []
@@ -119,6 +124,28 @@ def test_rotation_system_proves_planarity(monkeypatch):
         validate_adg(nonplanar)
     assert calls == []
     validate_adg(AdGraph(embedded.n, embedded.edges))
+    assert len(calls) == 1
+
+
+def test_small_components_skip_networkx(monkeypatch):
+    # 20,000 isolated vertices, and components of at most four vertices
+    # in general, are planar without a test
+    c44 = doubled_cycle(4)
+    calls = []
+    real = nx.check_planarity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counted)
+    isolated = parse_graph_file("v 20000\n")
+    assert turaev_genus_graph(validate_adg(isolated)) == 0
+    assert classify_genus(isolated).genus == 0
+    validate_adg(AdGraph(c44.n, c44.edges))
+    assert calls == []
+    with pytest.raises(NotPlanarError):
+        validate_adg(doubled_k33(with_rotations=False))
     assert len(calls) == 1
 
 

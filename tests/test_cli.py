@@ -201,6 +201,14 @@ def test_directory_as_input_exit_1(capsys, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("reduced", [[], ["--reduced"]], ids=["plain", "reduced"])
+def test_census_negative_genus_exit_1(capsys, reduced):
+    code, out, err = run(capsys, "census", "--genus", "-1", "--max-edges", "8",
+                         *reduced)
+    assert (code, out) == (1, "")
+    assert err == "error: genus must be nonnegative, got -1\n"
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "genus-d", "/nonexistent/path.pd")
     assert code == 1

@@ -37,6 +37,8 @@ from turaevgenus.families import (
 )
 from turaevgenus.perm import components
 
+from iso_oracle import find_isomorphism
+
 C22 = doubled_cycle(2)
 
 
@@ -271,7 +273,7 @@ def test_canonical_form_relabelling_invariant(data):
     form = canonical_form(graph)
     assert form == canonical_form(graph.relabeled(perm))
     # the form is itself a relabelling of the graph
-    assert isomorphic(graph, AdGraph(*form))[0]
+    assert find_isomorphism(graph, AdGraph(*form)) is not None
 
 
 def matching(order):
@@ -291,13 +293,17 @@ regular_multigraphs = st.integers(min_value=2, max_value=8).flatmap(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(regular_multigraphs)
-def test_canonical_form_relabelling_invariant_on_regular_graphs(data):
+def regular_graph(data):
     n, orders, cut, perm = data
     edges = [(u, v) for order in orders for u, v in matching(order)
              if (u < cut) == (v < cut)]
-    graph = AdGraph(n, tuple(edges))
+    return AdGraph(n, tuple(edges)), perm
+
+
+@settings(max_examples=400, deadline=None)
+@given(regular_multigraphs)
+def test_canonical_form_relabelling_invariant_on_regular_graphs(data):
+    graph, perm = regular_graph(data)
     assert canonical_form(graph) == canonical_form(graph.relabeled(perm))
 
 
@@ -370,6 +376,69 @@ def test_isomorphic_witness_is_a_real_map(rng):
     assert ok
     mapped = AdGraph(g.n, g.edges).relabeled(witness)
     assert sorted(mapped.edges) == sorted(relabeled.edges)
+
+
+def swapped(edges, swaps):
+    """Degree-preserving double edge swaps (a, b), (c, d) -> (a, d), (c, b),
+    skipped where a loop would appear."""
+    edges = list(edges)
+    for i, j in swaps:
+        i, j = i % len(edges), j % len(edges)
+        (a, b), (c, d) = edges[i], edges[j]
+        if i != j and a != d and c != b:
+            edges[i], edges[j] = (a, d), (c, b)
+    return edges
+
+
+def check_isomorphic(g1, g2):
+    """``isomorphic`` agrees with the oracle, and its witness relabels
+    ``g1`` exactly onto ``g2``.  Returns the verdict."""
+    ok, witness = isomorphic(g1, g2)
+    assert ok == (find_isomorphism(g1, g2) is not None)
+    if ok:
+        assert sorted(g1.relabeled(witness).edges) == sorted(g2.edges)
+    else:
+        assert witness is None
+    return ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs, st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                             min_size=1, max_size=3))
+def test_isomorphic_matches_oracle(data, swaps):
+    n, edges, perm = data
+    graph = AdGraph(n, tuple(edges))
+    assert check_isomorphic(graph, graph.relabeled(perm))
+    if edges:
+        twin = AdGraph(n, tuple(swapped(edges, swaps)))
+        assert sorted(twin.degrees()) == sorted(graph.degrees())
+        check_isomorphic(graph, twin.relabeled(perm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_multigraphs)
+def test_isomorphic_witness_on_regular_graphs(data):
+    # refinement leaves one cell here, so the search visits many leaves
+    # and the first is often not the least
+    graph, perm = regular_graph(data)
+    assert check_isomorphic(graph, graph.relabeled(perm))
+
+
+def test_isomorphic_matches_oracle_on_degree_twins():
+    # seeded pairs with equal (n, E) and degree sequences: both verdicts
+    # must occur, with many non-isomorphic pairs among them
+    rng = random.Random(6)
+    verdicts = []
+    for _ in range(400):
+        n = rng.randint(4, 9)
+        edges = [(u, (u + rng.randint(1, n - 1)) % n)
+                 for u in rng.choices(range(n), k=rng.randint(4, 14))]
+        swaps = [(rng.randrange(99), rng.randrange(99)) for _ in range(2)]
+        perm = rng.sample(range(n), n)
+        graph = AdGraph(n, tuple(edges))
+        twin = AdGraph(n, tuple(swapped(edges, swaps))).relabeled(perm)
+        verdicts.append(check_isomorphic(graph, twin))
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
 def test_non_isomorphic_same_profile():
