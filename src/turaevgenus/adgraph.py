@@ -137,40 +137,13 @@ def nullity(graph: AdGraph | SimpleGraph) -> int:
 
 # -- validation ------------------------------------------------------------------
 
-def _bipartition_or_odd_cycle(graph: AdGraph) -> tuple[int, ...]:
-    color = [-1] * graph.n
-    adj: list[list[int]] = [[] for _ in range(graph.n)]
-    for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * graph.n
-    for start in range(graph.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if color[w] < 0:
-                    color[w] = color[u] ^ 1
-                    parent[w] = u
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    # walk both vertices to the root to exhibit the odd cycle
-                    pu, pw = [u], [w]
-                    while parent[pu[-1]] >= 0:
-                        pu.append(parent[pu[-1]])
-                    while parent[pw[-1]] >= 0:
-                        pw.append(parent[pw[-1]])
-                    common = (set(pu) & set(pw))
-                    cut = next(i for i, x in enumerate(pu) if x in common)
-                    meet = pu[cut]
-                    cyc = pu[: cut + 1] + list(
-                        reversed(pw[: pw.index(meet)])
-                    )
-                    raise NotBipartiteError(cyc)
-    return tuple(color)
+def find_bipartition(graph: AdGraph) -> tuple[int, ...]:
+    """Side of each vertex, the least vertex of each component on side 0;
+    raises ``NotBipartiteError`` with an odd cycle."""
+    side, cycle = perm.two_colouring(graph.n, ((u, v, 1) for u, v in graph.edges))
+    if cycle is not None:
+        raise NotBipartiteError(cycle)
+    return tuple(side)
 
 
 def _component_planar(graph: AdGraph, comp: list[int]) -> bool:
@@ -197,7 +170,7 @@ def validate_adg(graph: AdGraph) -> AdGraph:
     for v, d in enumerate(graph.degrees()):
         if d % 2:
             raise OddDegreeError(v, d)
-    color = _bipartition_or_odd_cycle(graph)
+    color = find_bipartition(graph)
     if graph.rotations is not None:
         check_sphere_embedding(graph)
     else:
@@ -472,9 +445,9 @@ def _ints(tokens: list[str], lineno: int, line: str) -> list[int]:
 def parse_graph_file(text: str) -> AdGraph:
     """Parse the graph file format.
 
-    ``v N`` once, then ``e i j`` lines with 1-based endpoints, then
-    optional ``rot i : k1 k2 ...`` lines giving the cyclic edge order at
-    vertex i (edge indices 1-based in file order).
+    ``v N`` exactly once, then ``e i j`` lines with 1-based endpoints, then
+    optional ``rot i : k1 k2 ...`` lines, at most one per vertex, giving
+    the cyclic edge order at vertex i (edge indices 1-based in file order).
     """
     n = None
     edges: list[tuple[int, int]] = []
@@ -485,6 +458,8 @@ def parse_graph_file(text: str) -> AdGraph:
             continue
         parts = line.replace(":", " : ").split()
         if parts[0] == "v" and len(parts) == 2:
+            if n is not None:
+                raise MalformedLineError(lineno, line, "second 'v' line")
             (n,) = _ints(parts[1:], lineno, line)
             if n < 0:
                 raise MalformedLineError(lineno, line, "negative vertex count")
@@ -501,6 +476,8 @@ def parse_graph_file(text: str) -> AdGraph:
             v, *rot = _ints(parts[1:2] + parts[3:], lineno, line)
             if n is None or not 1 <= v <= n:
                 raise MalformedLineError(lineno, line, "rotation of an unknown vertex")
+            if v - 1 in rot_lines:
+                raise MalformedLineError(lineno, line, f"second rotation of vertex {v}")
             rot_lines[v - 1] = tuple(e - 1 for e in rot)
         else:
             raise MalformedLineError(lineno, line, "unknown directive")

@@ -21,7 +21,7 @@ import networkx as nx
 
 from .adgraph import (
     AdGraph,
-    _bipartition_or_odd_cycle,
+    find_bipartition,
     turaev_genus_graph,
 )
 from .errors import BadParametersError, BoundsTooLargeError
@@ -103,7 +103,7 @@ def simple_connected_graphs(max_v: int, max_e: int) -> list[AdGraph]:
             budget = max_e - parent.edge_count
             if budget < 1:
                 continue
-            side = _bipartition_or_odd_cycle(parent)
+            side = find_bipartition(parent)
             for size in range(1, min(v - 1, budget) + 1):
                 for nbrs in itertools.combinations(range(v - 1), size):
                     if any(side[u] != side[nbrs[0]] for u in nbrs):
@@ -255,7 +255,7 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
             continue
         # stage 1 proved each atom's simple graph planar and bipartite,
         # and stage 2 made every degree even: only the bipartition is new
-        validated = replace(graph, bipartition=_bipartition_or_odd_cycle(graph))
+        validated = replace(graph, bipartition=find_bipartition(graph))
         if filt.genus_equals is not None:
             if turaev_genus_graph(validated) != filt.genus_equals:
                 continue

@@ -27,7 +27,7 @@ from .errors import (
     NotValidatedError,
     SignMismatchError,
 )
-from .perm import orbits
+from .perm import orbits, two_colouring
 
 #: the isolated-vertex realization; any reduced alternating diagram works,
 #: the trefoil is the smallest with is_adequate applicable
@@ -122,32 +122,12 @@ def edge_signs(graph: AdGraph) -> list[str]:
     """
     if graph.rotations is None:
         raise NotEmbeddedError("edge signs need the embedding")
-    m = len(graph.edges)
-    differs: list[list[int]] = [[] for _ in range(m)]
-    for rot in graph.rotations:
-        d = len(rot)
-        for i in range(d):
-            e, f = rot[i], rot[(i + 1) % d]
-            differs[e].append(f)
-            differs[f].append(e)
-    sign: list[str | None] = [None] * m
-    for seed in range(m):
-        if sign[seed] is not None:
-            continue
-        sign[seed] = "+"
-        stack = [seed]
-        while stack:
-            e = stack.pop()
-            flipped = "+" if sign[e] == "-" else "-"
-            for f in differs[e]:
-                if sign[f] is None:
-                    sign[f] = flipped
-                    stack.append(f)
-                elif sign[f] == sign[e]:
-                    raise SignMismatchError(
-                        f"edges {e} and {f} forced to equal signs"
-                    )
-    return [s for s in sign]
+    sign, cycle = two_colouring(len(graph.edges), (
+        (e, f, 1) for rot in graph.rotations for e, f in zip(rot, rot[1:] + rot[:1])
+    ))
+    if cycle is not None:
+        raise SignMismatchError(f"edges {cycle} cannot alternate in sign")
+    return ["-" if s else "+" for s in sign]
 
 
 def realize_diagram(graph: AdGraph) -> PlanarDiagram:

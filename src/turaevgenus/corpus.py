@@ -16,9 +16,10 @@ import random
 from . import families
 from .adgraph import AdGraph, validate_adg
 from .construct import embed_planar, realize_diagram
-from .diagram import PlanarDiagram, classify_arcs, link_component_count, parse_pd
+from .diagram import PlanarDiagram, link_component_count, parse_pd
 from .errors import TuraevError
 from .families import FamilySpec, make_family
+from .perm import two_colouring
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 
@@ -87,37 +88,18 @@ def make_alternating(diagram: PlanarDiagram) -> PlanarDiagram:
     The arc constraints form a 2-colorable system on every planar
     diagram (checkerboard colorability of 4-valent plane graphs).
     """
-    n = diagram.crossing_count
-    swap = [None] * n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for arc, (h1, h2) in diagram.arc_ends.items():
-        c1, s1 = h1 >> 2, h1 & 3
-        c2, s2 = h2 >> 2, h2 & 3
-        want = (s1 + s2 + 1) % 2  # swap_1 + swap_2 must equal this mod 2
-        adj[c1].append((c2, want))
-        adj[c2].append((c1, want))
-    for seed in range(n):
-        if swap[seed] is not None:
-            continue
-        swap[seed] = 0
-        stack = [seed]
-        while stack:
-            c = stack.pop()
-            for d, want in adj[c]:
-                need = (want - swap[c]) % 2
-                if swap[d] is None:
-                    swap[d] = need
-                    stack.append(d)
-                elif swap[d] != need:
-                    raise TuraevError("diagram is not checkerboard colorable")
+    # across an arc from slot s1 of one crossing to slot s2 of another,
+    # the two swap bits must sum to s1 + s2 + 1 (mod 2)
+    swap, cycle = two_colouring(diagram.crossing_count, (
+        (h1 >> 2, h2 >> 2, ((h1 & 3) + (h2 & 3) + 1) % 2)
+        for h1, h2 in diagram.arc_ends.values()
+    ))
+    if cycle is not None:
+        raise TuraevError("diagram is not checkerboard colorable")
     crossings = []
     for ci, (a, b, c, d) in enumerate(diagram.crossings):
         crossings.append((b, c, d, a) if swap[ci] else (a, b, c, d))
     return PlanarDiagram(crossings, diagram.free_loops)
-
-
-def is_alternating(diagram: PlanarDiagram) -> bool:
-    return all(k.alternating for k in classify_arcs(diagram).values())
 
 
 #: families whose instances are always bipartite (hence valid

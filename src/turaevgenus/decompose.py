@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import adgraph
 from .adgraph import AdGraph
-from .diagram import PlanarDiagram, classify_arcs, turaev_genus_diagram
+from .diagram import PlanarDiagram, classify_arcs
 from .errors import TuraevError
 from .perm import components, cycles
 from .ribbon import ribbon_genus
@@ -230,15 +230,3 @@ def twisted_genus(diagram: PlanarDiagram) -> int:
     embedding; equals the Turaev genus of the diagram."""
     dec = decompose(diagram)
     return ribbon_genus(adgraph.to_ribbon(dec.graph, twisted=True))
-
-
-def cross_check_genus(diagram: PlanarDiagram) -> int:
-    """Turaev genus via the state formula, asserting agreement with the
-    twisted-embedding route."""
-    direct = turaev_genus_diagram(diagram)
-    via_graph = twisted_genus(diagram)
-    if direct != via_graph:
-        raise TuraevError(
-            f"genus mismatch: state formula {direct}, twisted embedding {via_graph}"
-        )
-    return direct

@@ -300,11 +300,6 @@ def classify_arcs(diagram: PlanarDiagram) -> dict[int, ArcKind]:
     return out
 
 
-def nonalternating_arcs(diagram: PlanarDiagram) -> list[int]:
-    kinds = classify_arcs(diagram)
-    return [a for a, k in kinds.items() if not k.alternating]
-
-
 # -- surgery operations ---------------------------------------------------------------
 
 def _relabel(crossings: Iterable[Crossing], shift: int) -> list[Crossing]:

@@ -732,19 +732,19 @@ def recognize_doubled_tree(graph: AdGraph) -> tuple[int, ...] | None:
     return tuple(rank[parent[v]] for v in order[1:])
 
 
-def _maximal_doubled_paths(graph: AdGraph):
-    """Split the doubled part into maximal doubled paths.
-
-    Returns (segments, singles) where each segment is the vertex chain
-    of one maximal doubled path.
-    """
+def _maximal_doubled_paths(graph: AdGraph) -> list[list[int]]:
+    """Split the doubled part into maximal doubled paths, each given as
+    its vertex chain; a bundle of 2m parallel edges counts as m paths of
+    length one."""
     mult = graph.multiplicity()
     doubled_adj: dict[int, list[int]] = {}
     for (u, v), m in mult.items():
         if m == 2:
             doubled_adj.setdefault(u, []).append(v)
             doubled_adj.setdefault(v, []).append(u)
-    interior = set(contractible_sites(graph))
+    # the contractible sites: degree 4, two doubled neighbours
+    deg = graph.degrees()
+    interior = {v for v, nbrs in doubled_adj.items() if deg[v] == 4 and len(nbrs) == 2}
     segments = []
     seen_pairs = set()
     for start in sorted(doubled_adj):
@@ -774,8 +774,8 @@ def _maximal_doubled_paths(graph: AdGraph):
             continue
         listed.add(key)
         unique.append(seg)
-    singles = [(u, v) for (u, v), m in mult.items() if m == 1]
-    return unique, singles
+    unique += [[u, v] for (u, v), m in mult.items() if m > 2 for _ in range(m // 2)]
+    return unique
 
 
 @dataclass(frozen=True)
@@ -819,8 +819,6 @@ def _classify_genus2(graph: AdGraph) -> tuple[str, tuple]:
             "reduced genus-2 graph matched no minimal forms; "
             "this contradicts the classification"
         )
-    segments, _ = _maximal_doubled_paths(graph)
-    lengths = tuple(sorted(len(s) - 1 for s in segments))
     if tag == "doubled-cycles-disjoint":
         comps = graph.components()
         params = tuple(sorted(
@@ -830,10 +828,8 @@ def _classify_genus2(graph: AdGraph) -> tuple[str, tuple]:
         deg = graph.degrees()
         hub = deg.index(8)
         params = _one_sum_cycle_lengths(graph, hub)
-    elif tag == "doubled-theta":
-        params = _theta_params(graph)
     else:
-        params = lengths
+        params = tuple(sorted(len(s) - 1 for s in _maximal_doubled_paths(graph)))
     rebuilt = {
         "doubled-cycles-disjoint": lambda: make_family(
             FamilySpec("DisjointUnion", tuple(
@@ -875,42 +871,6 @@ def _one_sum_cycle_lengths(graph: AdGraph, hub: int) -> tuple:
     return tuple(s + 1 for s in sizes)
 
 
-def _theta_params(graph: AdGraph) -> tuple:
-    """Path lengths (i, j, k) of a doubled theta: walk the doubled-path
-    chains between the two degree-six junctions; a multiplicity of 2m
-    directly between them accounts for m paths of length one."""
-    deg = graph.degrees()
-    junctions = [v for v in range(graph.n) if deg[v] == 6]
-    if len(junctions) != 2:
-        raise ClassificationFailureError("doubled theta needs two junctions")
-    j1, j2 = junctions
-    mult = graph.multiplicity()
-    direct = mult.get((min(j1, j2), max(j1, j2)), 0)
-    lengths = [1] * (direct // 2)
-    seen = set()
-    for (u, v), m in sorted(mult.items()):
-        if m != 2 or j1 not in (u, v):
-            continue
-        start = u if v == j1 else v
-        if start in seen or start == j2:
-            continue
-        length = 1
-        prev, cur = j1, start
-        while cur != j2:
-            seen.add(cur)
-            nxt = next(
-                w
-                for (a, b), mm in mult.items()
-                if mm == 2 and cur in (a, b)
-                for w in (a, b)
-                if w != cur and w != prev
-            )
-            prev, cur = cur, nxt
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
-
-
 def _classify_genus0_shape(graph: AdGraph) -> tuple[str, tuple] | None:
     """Match against the genus-zero shapes with at most four degree-two
     vertices: two doubled paths, a doubled tree, a four-cycle with legs,
@@ -945,25 +905,10 @@ def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
         deg_single[u] = deg_single.get(u, 0) + 1
         deg_single[v] = deg_single.get(v, 0) + 1
 
-    def leg_length(corner: int) -> int | None:
-        """Length of the pendant doubled path hanging at a core vertex."""
-        doubled_nbrs = lambda x: [
-            w
-            for (u, v), m in mult.items()
-            if m == 2 and x in (u, v)
-            for w in (u, v)
-            if w != x
-        ]
-        length = 0
-        prev, cur = None, corner
-        while True:
-            nxt = [w for w in doubled_nbrs(cur) if w != prev]
-            if not nxt:
-                return length
-            if len(nxt) > 1:
-                return None
-            prev, cur = cur, nxt[0]
-            length += 1
+    # the length of a doubled path ending at each vertex: at a core vertex
+    # its pendant leg, if the rebuild below confirms the shape
+    leg = {v: len(seg) - 1
+           for seg in _maximal_doubled_paths(graph) for v in (seg[0], seg[-1])}
 
     if len(singles) == 4 and len(core_vertices) == 4 and all(
         deg_single.get(v) == 2 for v in core_vertices
@@ -979,10 +924,7 @@ def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
             cyc.append(nxt[0])
         if sorted(cyc) != core_vertices:
             return None
-        legs = [leg_length(c) for c in cyc]
-        if None in legs:
-            return None
-        params = tuple(legs)
+        params = tuple(leg.get(c, 0) for c in cyc)
         rebuilt = c4_legs(*params)
         if isomorphic(graph, AdGraph(rebuilt.n, rebuilt.edges))[0]:
             return "four-cycle-legs", params
@@ -993,10 +935,7 @@ def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
         junctions = [v for v in core_vertices if deg_single.get(v) == 2]
         if len(hubs) != 2 or len(junctions) != 4:
             return None
-        legs = [leg_length(j) for j in junctions]
-        if None in legs:
-            return None
-        params = tuple(sorted(legs))
+        params = tuple(sorted(leg.get(j, 0) for j in junctions))
         rebuilt = k4_tilde_two_sum(*params)
         if isomorphic(graph, AdGraph(rebuilt.n, rebuilt.edges))[0]:
             return "k4tilde-two-sum", params

@@ -1,4 +1,4 @@
-"""The two counting primitives on flat integer arrays.
+"""The three primitives on flat integer arrays.
 
 Every count the genus routes take is an orbit count on half-edges:
 faces are orbits of rotate∘partner, state circles are orbits of the
@@ -6,9 +6,11 @@ group generated by two involutions (partner and the smoothing), link
 components are orbits of partner∘opposite (once per orientation), and
 ribbon boundaries are orbits on the direction double cover.  Connectivity
 questions (split components, graph components, merged regions) are
-answered by one batch union-find.
+answered by one batch union-find.  Parity questions (bipartitions,
+alternating edge signs, checkerboard crossings, ribbon orientability)
+are answered by one two-colouring solver over GF(2).
 
-Both routines number their classes ``0 .. count-1`` in the order of each
+The first two number their classes ``0 .. count-1`` in the order of each
 class's least point, so the labels are deterministic.
 """
 
@@ -108,3 +110,48 @@ def groups(labels: Sequence[int], count: int) -> list[list[int]]:
     for i, lab in enumerate(labels):
         out[lab].append(i)
     return out
+
+
+def two_colouring(
+    n: int, constraints: Iterable[tuple[int, int, int]]
+) -> tuple[list[int], None] | tuple[None, list[int]]:
+    """Solve ``x[u] ^ x[v] == b`` over ``range(n)`` for each constraint
+    ``(u, v, b)``.
+
+    Each uncoloured point, in index order, gets colour 0, and the colour
+    spreads depth-first along the constraints in the order given.  Returns
+    ``(colours, None)``, or ``(None, cycle)`` for an inconsistent system:
+    ``cycle`` is a closed walk of points along the constraints whose bits
+    sum to one, a violated constraint closing a search-tree path.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, b in constraints:
+        adj[u].append((v, b))
+        adj[v].append((u, b))
+    colour = [-1] * n
+    parent = [-1] * n
+    for seed in range(n):
+        if colour[seed] >= 0:
+            continue
+        colour[seed] = 0
+        stack = [seed]
+        while stack:
+            u = stack.pop()
+            for w, b in adj[u]:
+                want = colour[u] ^ b
+                if colour[w] < 0:
+                    colour[w] = want
+                    parent[w] = u
+                    stack.append(w)
+                elif colour[w] != want:
+                    # a point that has spread its colour checked all its
+                    # constraints then, so unless this one is a loop, w
+                    # still waits on the stack, pushed by u or an ancestor
+                    # of u: the witness climbs from u to w's parent
+                    cycle = [u]
+                    if w != u:
+                        while cycle[-1] != parent[w]:
+                            cycle.append(parent[cycle[-1]])
+                        cycle.append(w)
+                    return None, cycle
+    return colour, None

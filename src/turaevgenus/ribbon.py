@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonOrientableError, ParityError
-from .perm import components, orbits
+from .perm import components, orbits, two_colouring
 
 
 @dataclass(frozen=True)
@@ -88,33 +88,10 @@ def boundary_count(graph: RibbonGraph) -> int:
 def is_orientable(graph: RibbonGraph) -> bool:
     """A ribbon graph is orientable iff some set of vertex flips makes
     every band flat; a twisted loop can never be flattened."""
-    owner = {}
-    for vi, rot in enumerate(graph.vertices):
-        for h in rot:
-            owner[h] = vi
-    n = len(graph.vertices)
-    parent = list(range(n))
-    parity = [0] * n  # parity relative to the class representative
-
-    def find(i: int) -> tuple[int, int]:
-        p = 0
-        while parent[i] != i:
-            p ^= parity[i]
-            i = parent[i]
-        return i, p
-
-    for a, b, t in graph.edges:
-        u, v = owner[a], owner[b]
-        want = 1 if t else 0
-        ru, pu = find(u)
-        rv, pv = find(v)
-        if ru == rv:
-            if pu ^ pv != want:
-                return False
-        else:
-            parent[ru] = rv
-            parity[ru] = pu ^ pv ^ want
-    return True
+    owner = {h: vi for vi, rot in enumerate(graph.vertices) for h in rot}
+    return two_colouring(
+        len(graph.vertices), ((owner[a], owner[b], int(t)) for a, b, t in graph.edges)
+    )[1] is None
 
 
 def euler_genus(graph: RibbonGraph) -> int:

@@ -177,6 +177,28 @@ def test_malformed_graph_file_exit_1(capsys, tmp_path, text, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("v 2\ne 1 2\ne 1 2\nv 1\n",
+     "line 4: malformed line 'v 1' (second 'v' line)"),
+    ("v 3\ne 1 2\ne 1 2\nv 2\n",
+     "line 4: malformed line 'v 2' (second 'v' line)"),
+    ("v 2\ne 1 2\ne 1 2\nrot 1 : 1 2\nrot 2 : 1 2\nrot 1 : 2 1\n",
+     "line 6: malformed line 'rot 1 : 2 1' (second rotation of vertex 1)"),
+], ids=["v-shrinks", "v-grows", "rot-twice"])
+@pytest.mark.parametrize("command", ["genus-g", "classify", "realize"])
+def test_repeated_graph_directive_exit_1(capsys, tmp_path, text, message, command):
+    # a second 'v' line or a second rotation of one vertex is rejected,
+    # never silently overriding the first
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if command == "realize":
+        argv += ["-o", str(tmp_path / "out.pd")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["genus-d", "bracket", "genus-g"])
 def test_non_utf8_file_exit_1(capsys, tmp_path, command):
     path = tmp_path / "latin1.pd"

@@ -1,13 +1,16 @@
 """The orbit tracer and the union-find against naive set-based
-decompositions."""
+decompositions, and the two-colouring solver against brute force."""
 
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from turaevgenus.errors import TuraevError
-from turaevgenus.perm import components, cycles, groups, orbits
+from turaevgenus.perm import (
+    components, cycles, groups, least_points, orbits, two_colouring,
+)
 
 permutations = st.integers(min_value=0, max_value=40).flatmap(
     lambda n: st.permutations(list(range(n)))
@@ -113,7 +116,60 @@ def test_non_permutation_does_not_close_up():
         cycles([0, 0])
 
 
+constraint_cases = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 min_size=1, max_size=12),
+        st.lists(st.integers(0, 1), min_size=12, max_size=12),
+    )
+)
+
+
+def check_two_colouring(n, constraints):
+    """Compare ``two_colouring`` with all 2^n assignments; returns
+    whether a colouring came back."""
+    solvable = any(
+        all(x[u] ^ x[v] == b for u, v, b in constraints)
+        for x in itertools.product((0, 1), repeat=n)
+    )
+    colours, cycle = two_colouring(n, constraints)
+    assert (colours is not None, cycle is None) == (solvable, solvable)
+    if solvable:
+        assert all(colours[u] ^ colours[v] == b for u, v, b in constraints)
+        labels, _ = components(n, [(u, v) for u, v, _ in constraints])
+        assert all(colours[p] == 0 for p in least_points(labels))
+        return True
+    # a closed walk along the constraints: the bits of some choice of
+    # constraints between consecutive points sum to one
+    sums = {0}
+    for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+        bits = {b for u, v, b in constraints if {u, v} == {p, q}}
+        assert bits, f"no constraint joins {p} and {q}"
+        sums = {s ^ b for s in sums for b in bits}
+    assert 1 in sums
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_cases)
+def test_two_colouring_matches_brute_force(case):
+    # each case yields a consistent system (bits read off an assignment),
+    # the same system plus one constraint contradicting its last, which
+    # has no solution, and a system with arbitrary bits
+    n, x, pairs, bits = case
+    consistent = [(u, v, x[u] ^ x[v]) for u, v in pairs]
+    u, v, b = consistent[-1]
+    broken = consistent + [(v, u, b ^ 1)]
+    arbitrary = [(u, v, b) for (u, v), b in zip(pairs, bits)]
+    assert check_two_colouring(n, consistent)
+    assert not check_two_colouring(n, broken)
+    check_two_colouring(n, arbitrary)
+
+
 def test_empty():
     assert orbits([]) == ([], 0)
     assert components(0, []) == ([], 0)
     assert cycles([]) == []
+    assert two_colouring(0, []) == ([], None)

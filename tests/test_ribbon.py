@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from turaevgenus.adgraph import AdGraph, to_ribbon
@@ -85,3 +88,24 @@ def test_mirror_invariance():
 def test_inconsistent_half_edges_rejected():
     with pytest.raises(ValueError):
         RibbonGraph(((0, 1),), ((0, 2, False),))
+
+
+def test_orientability_matches_vertex_flips():
+    # orientable iff some set of vertex flips makes every band flat;
+    # a flip at a band's end toggles its twist, twice for a loop
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n, m = rng.randint(1, 5), rng.randint(0, 7)
+        owner = [rng.randrange(n) for _ in range(2 * m)]
+        vertices = tuple(
+            tuple(h for h in range(2 * m) if owner[h] == v) for v in range(n)
+        )
+        edges = tuple((2 * i, 2 * i + 1, rng.random() < 0.5) for i in range(m))
+        flat = any(
+            all(t ^ flip[owner[a]] ^ flip[owner[b]] == 0 for a, b, t in edges)
+            for flip in itertools.product((0, 1), repeat=n)
+        )
+        assert is_orientable(RibbonGraph(vertices, edges)) == flat
+        seen[flat] += 1
+    assert min(seen.values()) > 50, seen
