@@ -126,7 +126,9 @@ def edge_signs(graph: AdGraph) -> list[str]:
         (e, f, 1) for rot in graph.rotations for e, f in zip(rot, rot[1:] + rot[:1])
     ))
     if cycle is not None:
-        raise SignMismatchError(f"edges {cycle} cannot alternate in sign")
+        raise SignMismatchError(
+            f"edges {cycle[0]} and {cycle[-1]} forced to equal signs"
+        )
     return ["-" if s else "+" for s in sign]
 
 

@@ -393,7 +393,15 @@ def apply_move(graph: AdGraph, move: Move) -> AdGraph:
 
 
 def contractible_sites(graph: AdGraph) -> list[int]:
-    return [v for v in range(graph.n) if _pendant_ineligible(graph, v) is None]
+    """Interior doubled-path vertices in increasing order: degree 4 and
+    two doubled neighbours, read off the multiplicity map."""
+    doubled = [0] * graph.n
+    for (u, v), m in graph.multiplicity().items():
+        if m == 2:
+            doubled[u] += 1
+            doubled[v] += 1
+    deg = graph.degrees()
+    return [v for v in range(graph.n) if deg[v] == 4 and doubled[v] == 2]
 
 
 def canonical_contract(graph: AdGraph, chooser=None) -> AdGraph:
@@ -742,9 +750,7 @@ def _maximal_doubled_paths(graph: AdGraph) -> list[list[int]]:
         if m == 2:
             doubled_adj.setdefault(u, []).append(v)
             doubled_adj.setdefault(v, []).append(u)
-    # the contractible sites: degree 4, two doubled neighbours
-    deg = graph.degrees()
-    interior = {v for v, nbrs in doubled_adj.items() if deg[v] == 4 and len(nbrs) == 2}
+    interior = set(contractible_sites(graph))
     segments = []
     seen_pairs = set()
     for start in sorted(doubled_adj):
@@ -894,6 +900,13 @@ def _classify_genus0_shape(graph: AdGraph) -> tuple[str, tuple] | None:
     return None
 
 
+def _leg_lengths(graph: AdGraph) -> dict[int, int]:
+    """The length of a doubled path ending at each vertex: at a core
+    vertex its pendant leg, if the rebuild confirms the shape."""
+    return {v: len(seg) - 1
+            for seg in _maximal_doubled_paths(graph) for v in (seg[0], seg[-1])}
+
+
 def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
     mult = graph.multiplicity()
     singles = [(u, v) for (u, v), m in mult.items() if m == 1]
@@ -904,11 +917,6 @@ def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
     for u, v in singles:
         deg_single[u] = deg_single.get(u, 0) + 1
         deg_single[v] = deg_single.get(v, 0) + 1
-
-    # the length of a doubled path ending at each vertex: at a core vertex
-    # its pendant leg, if the rebuild below confirms the shape
-    leg = {v: len(seg) - 1
-           for seg in _maximal_doubled_paths(graph) for v in (seg[0], seg[-1])}
 
     if len(singles) == 4 and len(core_vertices) == 4 and all(
         deg_single.get(v) == 2 for v in core_vertices
@@ -924,6 +932,7 @@ def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
             cyc.append(nxt[0])
         if sorted(cyc) != core_vertices:
             return None
+        leg = _leg_lengths(graph)
         params = tuple(leg.get(c, 0) for c in cyc)
         rebuilt = c4_legs(*params)
         if isomorphic(graph, AdGraph(rebuilt.n, rebuilt.edges))[0]:
@@ -935,6 +944,7 @@ def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
         junctions = [v for v in core_vertices if deg_single.get(v) == 2]
         if len(hubs) != 2 or len(junctions) != 4:
             return None
+        leg = _leg_lengths(graph)
         params = tuple(sorted(leg.get(j, 0) for j in junctions))
         rebuilt = k4_tilde_two_sum(*params)
         if isomorphic(graph, AdGraph(rebuilt.n, rebuilt.edges))[0]:

@@ -157,12 +157,25 @@ def test_bracket_empty_diagram_exit_1(capsys, tmp_path):
     assert err == "error: the empty diagram has no Kauffman bracket\n"
 
 
+# a second 'v' line or a second rotation of one vertex is rejected, never
+# silently overriding the first
+_REPEATED_DIRECTIVE = {
+    "v 2\ne 1 2\ne 1 2\nv 1\n":
+        "line 4: malformed line 'v 1' (second 'v' line)",
+    "v 3\ne 1 2\ne 1 2\nv 2\n":
+        "line 4: malformed line 'v 2' (second 'v' line)",
+    "v 2\ne 1 2\ne 1 2\nrot 1 : 1 2\nrot 2 : 1 2\nrot 1 : 2 1\n":
+        "line 6: malformed line 'rot 1 : 2 1' (second rotation of vertex 1)",
+}
+
+
 @pytest.mark.parametrize("text", [
     "v x\n",
     "v 2\ne 1 x\n",
     "v 2\ne 1 2\ne 1 2\nrot x : 1 2\n",
     "v 2\ne 1 2\ne 1 2\nrot 1 : 1 y\n",
     "v -1\n",
+    *_REPEATED_DIRECTIVE,
 ])
 @pytest.mark.parametrize("command", ["genus-g", "classify", "realize"])
 def test_malformed_graph_file_exit_1(capsys, tmp_path, text, command):
@@ -175,28 +188,8 @@ def test_malformed_graph_file_exit_1(capsys, tmp_path, text, command):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("error: line ")
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("text, message", [
-    ("v 2\ne 1 2\ne 1 2\nv 1\n",
-     "line 4: malformed line 'v 1' (second 'v' line)"),
-    ("v 3\ne 1 2\ne 1 2\nv 2\n",
-     "line 4: malformed line 'v 2' (second 'v' line)"),
-    ("v 2\ne 1 2\ne 1 2\nrot 1 : 1 2\nrot 2 : 1 2\nrot 1 : 2 1\n",
-     "line 6: malformed line 'rot 1 : 2 1' (second rotation of vertex 1)"),
-], ids=["v-shrinks", "v-grows", "rot-twice"])
-@pytest.mark.parametrize("command", ["genus-g", "classify", "realize"])
-def test_repeated_graph_directive_exit_1(capsys, tmp_path, text, message, command):
-    # a second 'v' line or a second rotation of one vertex is rejected,
-    # never silently overriding the first
-    path = tmp_path / "bad.graph"
-    path.write_text(text)
-    argv = [command, str(path)]
-    if command == "realize":
-        argv += ["-o", str(tmp_path / "out.pd")]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == f"error: {message}\n"
+    if text in _REPEATED_DIRECTIVE:
+        assert err == f"error: {_REPEATED_DIRECTIVE[text]}\n"
 
 
 @pytest.mark.parametrize("command", ["genus-d", "bracket", "genus-g"])

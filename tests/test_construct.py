@@ -18,7 +18,11 @@ from turaevgenus.construct import (
 )
 from turaevgenus.decompose import decompose
 from turaevgenus.diagram import classify_arcs, is_adequate, turaev_genus_diagram
-from turaevgenus.errors import NotEmbeddedError, NotValidatedError
+from turaevgenus.errors import (
+    NotEmbeddedError,
+    NotValidatedError,
+    SignMismatchError,
+)
 from turaevgenus.families import (
     FamilySpec,
     doubled_cycle,
@@ -62,6 +66,14 @@ def test_edge_signs_alternate():
     for rot in g.rotations:
         for i in range(len(rot)):
             assert signs[rot[i]] != signs[rot[(i + 1) % len(rot)]]
+
+
+def test_edge_signs_name_the_clashing_pair():
+    # a triangle of single edges has odd faces, so signs cannot alternate
+    g = AdGraph(3, ((0, 1), (1, 2), (0, 2)), rotations=((0, 2), (0, 1), (1, 2)))
+    with pytest.raises(SignMismatchError,
+                       match=r"^edges 1 and 2 forced to equal signs$"):
+        edge_signs(g)
 
 
 def test_realize_isolated_vertex_gives_alternating():
