@@ -146,38 +146,27 @@ def find_bipartition(graph: AdGraph) -> tuple[int, ...]:
     return tuple(side)
 
 
-def _component_planar(graph: AdGraph, comp: list[int]) -> bool:
-    g = nx.Graph()
-    g.add_nodes_from(comp)
-    members = set(comp)
-    for u, v in graph.edges:
-        if u in members:
-            g.add_edge(u, v)
-    ok, _ = nx.check_planarity(g)
-    return ok
-
-
 def validate_adg(graph: AdGraph) -> AdGraph:
     """Check even degrees, bipartiteness, and per-component planarity.
 
     A graph carrying a rotation system is proved planar by its own
-    embedding (``check_sphere_embedding``); otherwise each component with
-    five or more vertices goes through the networkx planarity test (a
-    smaller one simplifies to a subgraph of K4).  Returns the graph
+    embedding (``check_sphere_embedding``).  Otherwise, when some
+    component has five or more vertices, ``planar_rotations`` runs the
+    planarity search and the graph comes back carrying the embedding it
+    found; a graph of smaller components (each simplifies to a subgraph
+    of K4) is not searched and carries none.  Returns the graph
     annotated with a bipartition.  Loops are already rejected at
     construction.
     """
     for v, d in enumerate(graph.degrees()):
         if d % 2:
             raise OddDegreeError(v, d)
-    color = find_bipartition(graph)
+    graph = replace(graph, bipartition=find_bipartition(graph))
     if graph.rotations is not None:
         check_sphere_embedding(graph)
-    else:
-        for comp in graph.components():
-            if len(comp) > 4 and not _component_planar(graph, comp):
-                raise NotPlanarError(comp)
-    return replace(graph, bipartition=color)
+    elif any(len(comp) > 4 for comp in graph.components()):
+        graph = replace(graph, rotations=planar_rotations(graph))
+    return graph
 
 
 def is_validated(graph: AdGraph) -> bool:
@@ -246,34 +235,50 @@ def check_sphere_embedding(graph: AdGraph) -> None:
             raise NotSphericalError(perm.groups(comp, k)[c])
 
 
+def planar_embedding(
+    nodes: Iterable[int], pairs: Iterable[tuple[int, int]]
+) -> nx.PlanarEmbedding | None:
+    """The planarity search: networkx's left-right test on the simple
+    graph with vertices ``nodes`` and edges ``pairs``.  Returns
+    networkx's embedding, or ``None`` when the graph is not planar.
+    Every planarity question in ``turaevgenus`` comes here."""
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(pairs)
+    ok, emb = nx.check_planarity(g)
+    return emb if ok else None
+
+
 def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:
     """Compute a sphere rotation system from a planarity certificate.
 
-    networkx embeds the simplification; parallel copies are then bundled
-    next to each other, ascending at the lower endpoint and descending at
-    the other, which closes each extra copy into a bigon face.
+    ``planar_embedding`` embeds the simplification of each component with
+    two or more vertices, and raises ``NotPlanarError`` for the first
+    that is not planar; parallel copies are then bundled next to each
+    other, ascending at the lower endpoint and descending at the other,
+    which closes each extra copy into a bigon face.
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.n))
     by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, (u, v) in enumerate(graph.edges):
-        key = (min(u, v), max(u, v))
-        by_pair.setdefault(key, []).append(i)
-    g.add_edges_from(by_pair)
-    ok, emb = nx.check_planarity(g)
-    if not ok:
-        raise NotPlanarError(list(range(graph.n)))
-    data = emb.get_data()
-    rotations = []
-    for v in range(graph.n):
-        rot: list[int] = []
-        for w in data.get(v, []):
-            key = (min(v, w), max(v, w))
-            bundle = sorted(by_pair[key])
-            rot.extend(bundle if v == key[0] else reversed(bundle))
-        rotations.append(tuple(rot))
-    embedded = replace(graph, rotations=tuple(rotations))
-    check_sphere_embedding(embedded)
+    for i, e in enumerate(graph.edges):
+        by_pair.setdefault(e, []).append(i)
+    comp, k = perm.components(graph.n, by_pair)
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for key in by_pair:
+        pairs[comp[key[0]]].append(key)
+    rotations: list[tuple[int, ...]] = [()] * graph.n
+    for members, own in zip(perm.groups(comp, k), pairs):
+        if not own:
+            continue
+        emb = planar_embedding(members, own)
+        if emb is None:
+            raise NotPlanarError(members)
+        for v in members:
+            rot: list[int] = []
+            for w in emb.neighbors_cw_order(v):
+                bundle = by_pair[_pair(v, w)]
+                rot.extend(bundle if v < w else reversed(bundle))
+            rotations[v] = tuple(rot)
+    check_sphere_embedding(replace(graph, rotations=tuple(rotations)))
     return tuple(rotations)
 
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
-
 from .adgraph import (
     AdGraph,
     find_bipartition,
+    planar_embedding,
     turaev_genus_graph,
 )
 from .errors import BadParametersError, BoundsTooLargeError
@@ -70,16 +69,13 @@ class CensusFilter:
 def _is_planar_bipartite(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     """Planarity of a simple bipartite graph.  Fewer than 9 edges cannot
     hold a subdivided K5 or K3,3; a planar bipartite graph on v >= 3
-    vertices has at most 2v - 4 edges.  Otherwise networkx decides."""
+    vertices has at most 2v - 4 edges.  Otherwise
+    ``adgraph.planar_embedding`` runs the search."""
     if len(edges) < 9:
         return True
     if n >= 3 and len(edges) > 2 * n - 4:
         return False
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    ok, _ = nx.check_planarity(g)
-    return ok
+    return planar_embedding(range(n), edges) is not None
 
 
 _SIMPLE_CACHE: dict[tuple[int, int], list[AdGraph]] = {}

@@ -93,10 +93,6 @@ def cmd_genus_g(args) -> int:
 
 def cmd_classify(args) -> int:
     graph = adgraph.parse_graph_file(_read(args.file))
-    if graph.rotations is not None:
-        # classify_genus works on the bare graph; the file's embedding is
-        # checked as genus-g checks it
-        adgraph.validate_adg(graph)
     info = families.classify_genus(graph)
     payload = {
         "genus": info.genus,

@@ -141,23 +141,17 @@ def random_adgraph(rng: random.Random, max_edges: int = 12) -> AdGraph:
         if rng.random() < 0.3:
             other = make_family(atom())
             if graph.edge_count + other.edge_count <= max_edges:
+                merged = graph.disjoint_union(other)
                 if rng.random() < 0.5:
-                    graph = AdGraph(
-                        graph.n + other.n,
-                        graph.edges
-                        + tuple((u + graph.n, v + graph.n) for u, v in other.edges),
-                    )
+                    graph = merged
                 else:
-                    merged = AdGraph(graph.n, graph.edges).disjoint_union(
-                        AdGraph(other.n, other.edges)
-                    )
                     graph = families.one_sum_components(
                         merged,
                         rng.randrange(graph.n),
                         graph.n + rng.randrange(other.n),
                     )
         if graph.edge_count <= max_edges:
-            return embed_planar(validate_adg(AdGraph(graph.n, graph.edges)))
+            return embed_planar(validate_adg(graph))
 
 
 def random_diagram(rng: random.Random, max_edges: int = 12) -> PlanarDiagram:

@@ -520,7 +520,8 @@ def isomorphic(g1: AdGraph, g2: AdGraph) -> tuple[bool, list[int] | None]:
     """Multigraph isomorphism respecting multiplicities, decided by equal
     canonical forms.  The witness sends vertex v of ``g1`` to the vertex
     of ``g2`` with v's canonical label, so ``g1.relabeled(witness)`` has
-    the edge multiset of ``g2``."""
+    the edge multiset of ``g2``.  Only ``n`` and ``edges`` are read:
+    rotations and bipartitions are ignored."""
     form1, label1 = _canonical_labelling(g1)
     form2, label2 = _canonical_labelling(g2)
     if form1 != form2:
@@ -848,7 +849,7 @@ def _classify_genus2(graph: AdGraph) -> tuple[str, tuple]:
         "k4-doubled-paths": lambda: k4_doubled_paths(*params),
         "k4-two-sum": lambda: k4_two_sum(*params),
     }[tag]()
-    ok, _ = isomorphic(graph, AdGraph(rebuilt.n, rebuilt.edges))
+    ok, _ = isomorphic(graph, rebuilt)
     if not ok:
         raise ClassificationFailureError(
             f"parameter recovery for {tag} with {params} failed verification"
@@ -891,7 +892,7 @@ def _classify_genus0_shape(graph: AdGraph) -> tuple[str, tuple] | None:
     parents = recognize_doubled_tree(graph)
     if parents is not None:
         rebuilt = doubled_tree(parents)
-        if isomorphic(graph, AdGraph(rebuilt.n, rebuilt.edges))[0]:
+        if isomorphic(graph, rebuilt)[0]:
             leaves = sum(1 for d in graph.degrees() if d == 2)
             return "doubled-tree", (leaves,) + tuple(parents)
     shape = _recognize_core_with_legs(graph)
@@ -935,7 +936,7 @@ def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
         leg = _leg_lengths(graph)
         params = tuple(leg.get(c, 0) for c in cyc)
         rebuilt = c4_legs(*params)
-        if isomorphic(graph, AdGraph(rebuilt.n, rebuilt.edges))[0]:
+        if isomorphic(graph, rebuilt)[0]:
             return "four-cycle-legs", params
         return None
 
@@ -947,7 +948,7 @@ def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
         leg = _leg_lengths(graph)
         params = tuple(sorted(leg.get(j, 0) for j in junctions))
         rebuilt = k4_tilde_two_sum(*params)
-        if isomorphic(graph, AdGraph(rebuilt.n, rebuilt.edges))[0]:
+        if isomorphic(graph, rebuilt)[0]:
             return "k4tilde-two-sum", params
     return None
 
@@ -960,7 +961,7 @@ def classify_genus(graph: AdGraph) -> Classification:
     Anything else in those cases would refute the classification theorems
     and raises ClassificationFailureError.
     """
-    validated = validate_adg(AdGraph(graph.n, graph.edges))
+    validated = validate_adg(graph)
     genus = turaev_genus_graph(validated)
     reduced = is_reduced(graph)
     if genus == 0:

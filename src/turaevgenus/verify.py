@@ -109,9 +109,7 @@ def suite_insert_twist(rng: random.Random, iters: int) -> SuiteResult:
         g1 = decompose(d).graph
         g2 = decompose(twisted).graph
         res.check(
-            families.isomorphic(
-                AdGraph(g1.n, g1.edges), AdGraph(g2.n, g2.edges)
-            )[0],
+            families.isomorphic(g1, g2)[0],
             dump,
         )
         again = diagram.insert_twist(twisted, rng.choice(list(twisted.arc_ends)))
@@ -242,7 +240,7 @@ def suite_doubled_path_moves(rng: random.Random, iters: int) -> SuiteResult:
             ribbon.twist_all(adgraph.to_ribbon(graph, twisted=False))
         )
         u, v = pairs[rng.randrange(len(pairs))]
-        extended = families.doubled_path_extend(AdGraph(graph.n, graph.edges), u, v)
+        extended = families.doubled_path_extend(graph, u, v)
         embedded = AdGraph(
             extended.n, extended.edges,
             rotations=adgraph.planar_rotations(extended),
@@ -252,9 +250,7 @@ def suite_doubled_path_moves(rng: random.Random, iters: int) -> SuiteResult:
             dump,
         )
         back = families.doubled_path_contract(extended, extended.n - 1, u)
-        res.check(
-            families.isomorphic(back, AdGraph(graph.n, graph.edges))[0], dump
-        )
+        res.check(families.isomorphic(back, graph)[0], dump)
     return res
 
 
@@ -300,10 +296,7 @@ def suite_construct(rng: random.Random, iters: int) -> SuiteResult:
         d = construct.realize_diagram(graph)
         dec = decompose(d)
         res.check(
-            families.isomorphic(
-                AdGraph(dec.graph.n, dec.graph.edges),
-                AdGraph(graph.n, graph.edges),
-            )[0],
+            families.isomorphic(dec.graph, graph)[0],
             dump,
         )
         res.check(diagram.is_adequate(d), dump)

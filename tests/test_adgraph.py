@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import networkx as nx
@@ -11,6 +12,7 @@ from turaevgenus.adgraph import (
     RandomChoice,
     _FirstChoice,
     _genus_recursion,
+    check_sphere_embedding,
     nullity,
     parse_graph_file,
     planar_rotations,
@@ -21,6 +23,7 @@ from turaevgenus.adgraph import (
     write_graph_file,
 )
 from turaevgenus.census import CensusFilter, enumerate_adgs
+from turaevgenus.construct import embed_planar
 from turaevgenus.errors import (
     HasLoopError,
     MalformedLineError,
@@ -39,6 +42,8 @@ from turaevgenus.families import (
     k4_two_sum,
 )
 from turaevgenus.ribbon import ribbon_genus, twist_all
+
+from planarity_oracle import whole_graph_rotations
 
 
 def hub_and_chains_graph() -> AdGraph:
@@ -159,6 +164,83 @@ def test_planar_graph_with_torus_rotations():
     assert str(exc.value) == (
         "the rotation system does not embed component [0, 1] in the sphere")
     validate_adg(AdGraph(graph.n, graph.edges))
+
+
+@pytest.fixture
+def planarity_calls(monkeypatch):
+    """The list that gets one entry per ``nx.check_planarity`` call."""
+    calls = []
+    real = nx.check_planarity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counted)
+    return calls
+
+
+#: built, and embedded, before any call is counted
+C6 = doubled_cycle(6)
+
+
+def test_realize_path_searches_once(planarity_calls):
+    embedded = embed_planar(validate_adg(AdGraph(C6.n, C6.edges)))
+    assert embedded.rotations is not None
+    assert len(planarity_calls) == 1
+
+
+def test_classify_genus_reads_the_embedding(planarity_calls):
+    assert classify_genus(C6).family == "doubled-even-cycle"
+    assert planarity_calls == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_validate_attaches_planar_rotations(seed):
+    graph = corpus.random_adgraph(random.Random(seed), max_edges=16)
+    bare = AdGraph(graph.n, graph.edges)
+    validated = validate_adg(bare)
+    if all(len(comp) <= 4 for comp in bare.components()):
+        assert validated.rotations is None
+        return
+    check_sphere_embedding(validated)
+    assert validated.rotations == planar_rotations(bare)
+
+
+def test_first_nonplanar_component_named():
+    # a doubled 4-cycle, a doubled K3,3 on vertices 4-9, an isolated vertex
+    graph = doubled_cycle(4).disjoint_union(
+        doubled_k33(with_rotations=False)
+    ).disjoint_union(AdGraph(1, ()))
+    message = "component [4, 5, 6, 7, 8, 9] is not planar"
+    with pytest.raises(NotPlanarError, match=re.escape(message) + "$"):
+        validate_adg(graph)
+    with pytest.raises(NotPlanarError, match=re.escape(message) + "$"):
+        planar_rotations(graph)
+
+
+def _shuffled_union(rng: random.Random, pieces: list[AdGraph]) -> AdGraph:
+    """Disjoint union of 1-4 of ``pieces``, vertices relabelled across
+    the union and edges shuffled."""
+    union = AdGraph(0, ())
+    for _ in range(rng.randint(1, 4)):
+        union = union.disjoint_union(rng.choice(pieces))
+    relabel = list(range(union.n))
+    rng.shuffle(relabel)
+    edges = list(union.relabeled(relabel).edges)
+    rng.shuffle(edges)
+    return AdGraph(union.n, tuple(edges))
+
+
+def test_per_component_search_matches_whole_graph_search():
+    rng = random.Random(8)
+    pieces = [corpus.random_adgraph(rng, max_edges=12) for _ in range(200)]
+    multi = 0
+    for _ in range(1000):
+        graph = _shuffled_union(rng, pieces)
+        multi += graph.component_count() > 1
+        assert planar_rotations(graph) == whole_graph_rotations(graph)
+    assert multi > 500
 
 
 #: edge 2 listed twice at vertex 1 and never at vertex 2
