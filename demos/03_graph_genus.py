@@ -40,7 +40,6 @@ print("same value under randomized choices:",
 print("nullity of its simplification:", nullity(simplify(big)),
       "<= 3 * genus =", 3 * turaev_genus_graph(big))
 
-k4 = k4_doubled_paths(2, 2)
-k4 = validate_adg(AdGraph(k4.n, k4.edges))
+k4 = validate_adg(k4_doubled_paths(2, 2))
 print(f"\nK4 with two subdivided doubled paths: genus "
       f"{turaev_genus_graph(k4)}")

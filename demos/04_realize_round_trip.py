@@ -8,7 +8,7 @@ realized diagram recovers the graph, and the diagram's Turaev genus
 equals the graph's.
 """
 
-from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
+from turaevgenus.adgraph import turaev_genus_graph, validate_adg
 from turaevgenus.construct import embed_planar, realize_diagram
 from turaevgenus.decompose import decompose
 from turaevgenus.diagram import is_adequate, turaev_genus_diagram, write_pd
@@ -26,11 +26,10 @@ specs = [
 
 for spec in specs:
     graph = make_family(spec)
-    validated = embed_planar(validate_adg(AdGraph(graph.n, graph.edges)))
+    validated = embed_planar(validate_adg(graph))
     diagram = realize_diagram(validated)
     back = decompose(diagram).graph
-    round_trip = isomorphic(AdGraph(back.n, back.edges),
-                            AdGraph(graph.n, graph.edges))[0]
+    round_trip = isomorphic(back, graph)[0]
     print(f"{spec.tag}{spec.params}: v = {graph.n}, e = {graph.edge_count}"
           f" -> diagram with {diagram.crossing_count} crossings")
     print(f"  genus (graph) = {turaev_genus_graph(validated)},"
@@ -41,5 +40,4 @@ for spec in specs:
 print()
 print("PD code of the realized doubled two-cycle:")
 c22 = make_family(FamilySpec("DoubledCycle", (2,)))
-print(write_pd(realize_diagram(embed_planar(
-    validate_adg(AdGraph(c22.n, c22.edges))))))
+print(write_pd(realize_diagram(embed_planar(validate_adg(c22)))))

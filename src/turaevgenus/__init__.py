@@ -2,7 +2,6 @@
 
 from .adgraph import (
     AdGraph,
-    SimpleGraph,
     nullity,
     parse_graph_file,
     simplify,
@@ -44,7 +43,6 @@ __all__ = [
     "FamilySpec",
     "PlanarDiagram",
     "RibbonGraph",
-    "SimpleGraph",
     "boundary_count",
     "bracket_span",
     "canonical_contract",

@@ -42,7 +42,8 @@ class AdGraph:
     """Loopless multigraph, optionally annotated with a bipartition and a
     per-component sphere embedding.
 
-    ``edges`` keeps one entry per parallel copy.  ``rotations`` gives, for
+    ``edges`` keeps one entry per parallel copy, each stored as
+    ``(min, max)`` whatever order it is given in.  ``rotations`` gives, for
     each vertex, the cyclic counterclockwise order of incident edge
     indices; each edge must sit once at each of its two endpoints, which
     ``half_edges`` checks.
@@ -87,16 +88,13 @@ class AdGraph:
 
     def multiplicity(self) -> dict[tuple[int, int], int]:
         mult: dict[tuple[int, int], int] = {}
-        for u, v in self.edges:
-            key = (min(u, v), max(u, v))
-            mult[key] = mult.get(key, 0) + 1
+        for e in self.edges:
+            mult[e] = mult.get(e, 0) + 1
         return mult
 
     def relabeled(self, perm: Sequence[int]) -> "AdGraph":
         """Apply vertex permutation ``perm`` (old index -> new index)."""
-        return AdGraph(self.n, tuple(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in self.edges
-        ))
+        return AdGraph(self.n, tuple((perm[u], perm[v]) for u, v in self.edges))
 
     def disjoint_union(self, other: "AdGraph") -> "AdGraph":
         shifted = tuple((u + self.n, v + self.n) for u, v in other.edges)
@@ -106,31 +104,13 @@ class AdGraph:
         return f"<AdGraph n={self.n} e={self.edge_count}>"
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Loopless graph without parallel edges."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def component_count(self) -> int:
-        return AdGraph(self.n, tuple(self.edges)).component_count()
+def simplify(graph: AdGraph) -> AdGraph:
+    """Collapse every parallel class to a single edge, in order of first
+    appearance."""
+    return AdGraph(graph.n, tuple(dict.fromkeys(graph.edges)))
 
 
-def simplify(graph: AdGraph | SimpleGraph) -> SimpleGraph:
-    """Collapse every parallel class to a single edge."""
-    if isinstance(graph, SimpleGraph):
-        return graph
-    return SimpleGraph(graph.n, frozenset(
-        (min(u, v), max(u, v)) for u, v in graph.edges
-    ))
-
-
-def nullity(graph: AdGraph | SimpleGraph) -> int:
+def nullity(graph: AdGraph) -> int:
     """e - v + k, the rank of the cycle space."""
     return graph.edge_count - graph.n + graph.component_count()
 

@@ -102,11 +102,11 @@ def make_alternating(diagram: PlanarDiagram) -> PlanarDiagram:
     return PlanarDiagram(crossings, diagram.free_loops)
 
 
-#: families whose instances are always bipartite (hence valid
-#: decomposition graphs) for the listed parameter choices
 def random_adgraph(rng: random.Random, max_edges: int = 12) -> AdGraph:
     """A seeded random validated, embedded alternating decomposition
-    graph, mixing family instances, disjoint unions, and one-sums."""
+    graph, mixing family instances, disjoint unions, and one-sums.  The
+    families and parameter choices drawn are those whose instances are
+    always bipartite, hence valid decomposition graphs."""
     def atom() -> FamilySpec:
         roll = rng.randrange(8)
         if roll == 0:

@@ -4,20 +4,21 @@ The constructors build the named families of alternating decomposition
 graphs: doubled paths and cycles, doubled theta graphs, the two
 K4-based genus-two families, and the genus-zero shapes (doubled trees,
 four-cycles with legs, and the two-sum of K4-minus-an-edge pieces).
-Family graphs are not necessarily bipartite; bipartiteness depends on
-the parameters and is checked by the caller when needed.
+Family graphs are plain values, with no rotations and no bipartition,
+and are not necessarily bipartite: bipartiteness depends on the
+parameters.  A caller that needs the embedding asks for
+``embed_planar(validate_adg(g))``, which also checks bipartiteness.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
 from .adgraph import (
     AdGraph,
-    planar_rotations,
     simplify,
     turaev_genus_graph,
     validate_adg,
@@ -33,33 +34,37 @@ from .perm import components
 # constructors
 
 
-def _with_embedding(graph: AdGraph) -> AdGraph:
-    return replace(graph, rotations=planar_rotations(graph))
-
-
-def _doubled(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    for u, v in edges:
-        out += [(u, v), (u, v)]
-    return out
+def _with_doubled_paths(n: int, edges: Sequence[tuple[int, int]],
+                        paths: Iterable[tuple[int, int | None, int]]) -> AdGraph:
+    """The graph on vertices 0..n-1 with ``edges``, plus one doubled path
+    per ``(u, v, length)`` laid through fresh vertices, numbered in
+    order: from u to v, or a pendant leg at u when v is None."""
+    out = list(edges)
+    for u, v, length in paths:
+        prev = u
+        for step in range(length):
+            if v is not None and step == length - 1:
+                nxt = v
+            else:
+                nxt, n = n, n + 1
+            out += [(prev, nxt)] * 2
+            prev = nxt
+    return AdGraph(n, tuple(out))
 
 
 def doubled_path(k: int) -> AdGraph:
     """k+1 vertices in a chain, every edge doubled; k = 0 is a vertex."""
     if k < 0:
         raise BadParametersError("doubled path length must be >= 0")
-    return _with_embedding(
-        AdGraph(k + 1, tuple(_doubled((i, i + 1) for i in range(k))))
-    )
+    return _with_doubled_paths(1, (), [(0, None, k)])
 
 
 def doubled_cycle(i: int) -> AdGraph:
-    """Doubled cycle of length i >= 2 (i = 1 would need loops)."""
+    """Doubled cycle of length i >= 2 (i = 1 would need loops): a doubled
+    path from vertex 0 back to itself."""
     if i < 2:
         raise BadParametersError("doubled cycle length must be >= 2")
-    return _with_embedding(
-        AdGraph(i, tuple(_doubled((j, (j + 1) % i) for j in range(i))))
-    )
+    return _with_doubled_paths(1, (), [(0, 0, i)])
 
 
 def doubled_theta(i: int, j: int, k: int) -> AdGraph:
@@ -68,61 +73,35 @@ def doubled_theta(i: int, j: int, k: int) -> AdGraph:
     cycles of lengths i+k and j+k)."""
     if min(i, j, k) < 1:
         raise BadParametersError("theta path lengths must be >= 1")
-    edges: list[tuple[int, int]] = []
-    n = 2
-    for length in (i, j, k):
-        prev = 0
-        for step in range(length):
-            nxt = 1 if step == length - 1 else n
-            if nxt == n:
-                n += 1
-            edges.append((prev, nxt))
-            prev = nxt
-    return _with_embedding(AdGraph(n, tuple(_doubled(edges))))
+    return _with_doubled_paths(2, (), [(0, 1, i), (0, 1, j), (0, 1, k)])
 
 
-def _k4_with_paths(replaced: Sequence[tuple[int, int, int]],
-                   removed: Sequence[tuple[int, int]] = ()) -> AdGraph:
-    """K4 on vertices 0..3 with the listed edges replaced by doubled
-    paths (u, v, length) and the listed edges removed."""
+def _k4_with_paths(paths: Sequence[tuple[int, int, int]]) -> AdGraph:
+    """K4 on vertices 0..3 with each listed edge (u, v), u < v, replaced
+    by a doubled path (u, v, length)."""
+    replaced = {(u, v) for u, v, _ in paths}
     k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    skip = {tuple(sorted(e[:2])) for e in replaced} | {
-        tuple(sorted(e)) for e in removed
-    }
-    edges = [e for e in k4 if e not in skip]
-    n = 4
-    doubled: list[tuple[int, int]] = []
-    for u, v, length in replaced:
-        prev = u
-        for step in range(length):
-            nxt = v if step == length - 1 else n
-            if nxt == n:
-                n += 1
-            doubled.append((prev, nxt))
-            prev = nxt
-    return AdGraph(n, tuple(edges + _doubled(doubled)))
+    return _with_doubled_paths(4, [e for e in k4 if e not in replaced], paths)
 
 
 def k4_doubled_paths(p: int, q: int) -> AdGraph:
     """K4 with two non-adjacent edges replaced by doubled paths."""
     if p < 1 or q < 1:
         raise BadParametersError("path lengths must be >= 1")
-    return _with_embedding(_k4_with_paths([(0, 1, p), (2, 3, q)]))
+    return _k4_with_paths([(0, 1, p), (2, 3, q)])
 
 
 def k4_one_path(p: int) -> AdGraph:
     """K4 with a single edge replaced by a doubled path of length p."""
     if p < 1:
         raise BadParametersError("path length must be >= 1")
-    return _with_embedding(_k4_with_paths([(0, 1, p)]))
+    return _k4_with_paths([(0, 1, p)])
 
 
 def k4_two_sum(p: int, q: int) -> AdGraph:
     """Two-sum of K4(p) and K4(q) along the edge opposite the paths."""
     g1, g2 = k4_one_path(p), k4_one_path(q)
-    e1 = g1.edges.index((2, 3))
-    e2 = g2.edges.index((2, 3))
-    return _with_embedding(two_sum(g1, e1, g2, e2))
+    return two_sum(g1, g1.edges.index((2, 3)), g2, g2.edges.index((2, 3)))
 
 
 def c4_legs(p: int, q: int, r: int, s: int) -> AdGraph:
@@ -130,16 +109,10 @@ def c4_legs(p: int, q: int, r: int, s: int) -> AdGraph:
     attached at its vertices in cyclic order."""
     if min(p, q, r, s) < 0:
         raise BadParametersError("leg lengths must be >= 0")
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    n = 4
-    doubled: list[tuple[int, int]] = []
-    for corner, length in enumerate((p, q, r, s)):
-        prev = corner
-        for _ in range(length):
-            doubled.append((prev, n))
-            prev = n
-            n += 1
-    return _with_embedding(AdGraph(n, tuple(edges + _doubled(doubled))))
+    return _with_doubled_paths(
+        4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+        [(corner, None, length) for corner, length in enumerate((p, q, r, s))],
+    )
 
 
 def k4_tilde(p: int, q: int) -> AdGraph:
@@ -147,43 +120,32 @@ def k4_tilde(p: int, q: int) -> AdGraph:
     at the two vertices that lost the edge (vertices 2 and 3)."""
     if p < 0 or q < 0:
         raise BadParametersError("leg lengths must be >= 0")
-    base = _k4_with_paths([], removed=[(2, 3)])
-    edges = list(base.edges)
-    n = base.n
-    doubled: list[tuple[int, int]] = []
-    for corner, length in ((2, p), (3, q)):
-        prev = corner
-        for _ in range(length):
-            doubled.append((prev, n))
-            prev = n
-            n += 1
-    return _with_embedding(AdGraph(n, tuple(edges + _doubled(doubled))))
+    return _with_doubled_paths(
+        4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], [(2, None, p), (3, None, q)]
+    )
 
 
 def k4_tilde_two_sum(p: int, q: int, r: int, s: int) -> AdGraph:
     """Two-sum of K4~(p, q) and K4~(r, s) along their hub edges (0, 1)."""
     g1, g2 = k4_tilde(p, q), k4_tilde(r, s)
-    e1 = g1.edges.index((0, 1))
-    e2 = g2.edges.index((0, 1))
-    return _with_embedding(two_sum(g1, e1, g2, e2))
+    return two_sum(g1, g1.edges.index((0, 1)), g2, g2.edges.index((0, 1)))
 
 
 def doubled_tree(parents: Sequence[int]) -> AdGraph:
     """Doubled tree from a parent list: vertex i+1 hangs under
     parents[i] (so a tree on len(parents)+1 vertices)."""
-    n = len(parents) + 1
-    edges = []
+    edges: list[tuple[int, int]] = []
     for i, p in enumerate(parents, start=1):
         if not 0 <= p < i:
             raise BadParametersError("parents[i] must be an earlier vertex")
-        edges.append((p, i))
-    return _with_embedding(AdGraph(n, tuple(_doubled(edges))))
+        edges += [(p, i)] * 2
+    return AdGraph(len(parents) + 1, tuple(edges))
 
 
 def isolated_vertices(n: int) -> AdGraph:
     if n < 0:
         raise BadParametersError("need n >= 0 vertices")
-    return AdGraph(n, (), rotations=tuple(() for _ in range(n)))
+    return AdGraph(n, ())
 
 
 @dataclass(frozen=True)
@@ -217,7 +179,7 @@ def make_family(spec: FamilySpec) -> AdGraph:
         out = parts[0]
         for part in parts[1:]:
             out = out.disjoint_union(part)
-        return _with_embedding(AdGraph(out.n, out.edges))
+        return out
     if spec.tag == "OneSum":
         specs, picks = spec.params
         parts = [make_family(s) for s in specs]
@@ -225,7 +187,7 @@ def make_family(spec: FamilySpec) -> AdGraph:
         for part, (v_here, v_there) in zip(parts[1:], picks):
             merged = out.disjoint_union(part)
             out = one_sum_components(merged, v_here, out.n + v_there)
-        return _with_embedding(AdGraph(out.n, out.edges))
+        return out
     builder = _FAMILY_BUILDERS.get(spec.tag)
     if builder is None:
         raise BadParametersError(f"unknown family tag {spec.tag!r}")
@@ -244,13 +206,7 @@ class Move:
 
 def _remove_vertex(n: int, edges: list[tuple[int, int]], gone: int) -> AdGraph:
     relabel = [v - (v > gone) for v in range(n)]
-    return AdGraph(
-        n - 1,
-        tuple(
-            (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
-            for u, v in edges
-        ),
-    )
+    return AdGraph(n - 1, tuple((relabel[u], relabel[v]) for u, v in edges))
 
 
 def doubled_pendant(graph: AdGraph, v: int) -> AdGraph:
@@ -278,25 +234,20 @@ def two_path_extend(graph: AdGraph, v: int, edge_set_a: Iterable[int]) -> AdGrap
         if i in a or i not in inc:
             edges.append((x, y))
         else:
-            x2, y2 = (v2, y) if x == v else (x, v2)
-            edges.append((min(x2, y2), max(x2, y2)))
+            edges.append((v2, y) if x == v else (x, v2))
     edges += [(v, v3), (v2, v3)]
     return AdGraph(graph.n + 2, tuple(edges))
 
 
 def one_sum_components(graph: AdGraph, v1: int, v2: int) -> AdGraph:
     """Identify two vertices that lie in different components."""
-    comp_of = {}
-    for idx, comp in enumerate(graph.components()):
-        for v in comp:
-            comp_of[v] = idx
+    comp_of = components(graph.n, graph.edges)[0]
     if v1 == v2 or comp_of[v1] == comp_of[v2]:
         raise InvalidSiteError("one-sum vertices must lie in different components")
     lo, hi = min(v1, v2), max(v1, v2)
     edges = [
         (lo if x == hi else x, lo if y == hi else y) for x, y in graph.edges
     ]
-    edges = [(min(x, y), max(x, y)) for x, y in edges]
     return _remove_vertex(graph.n, edges, hi)
 
 
@@ -319,8 +270,7 @@ def two_sum(g1: AdGraph, e1: int, g2: AdGraph, e2: int) -> AdGraph:
     for i, (x, y) in enumerate(g2.edges):
         if i == e2:
             continue
-        a, b = mapping[x], mapping[y]
-        edges.append((min(a, b), max(a, b)))
+        edges.append((mapping[x], mapping[y]))
     return AdGraph(nxt, tuple(edges))
 
 
@@ -354,7 +304,6 @@ def doubled_path_contract(graph: AdGraph, v: int, neighbor: int) -> AdGraph:
     edges = [
         (neighbor if x == v else x, neighbor if y == v else y) for x, y in edges
     ]
-    edges = [(min(x, y), max(x, y)) for x, y in edges]
     return _remove_vertex(graph.n, edges, v)
 
 
@@ -691,7 +640,7 @@ def recognize_doubled_path(graph: AdGraph) -> int | None:
     si = simplify(graph)
     if si.component_count() != 1:
         return None
-    deg = AdGraph(graph.n, tuple(si.edges)).degrees()
+    deg = si.degrees()
     if sorted(deg) != [1, 1] + [2] * (graph.n - 2):
         return None
     return graph.n - 1
@@ -709,7 +658,7 @@ def recognize_doubled_cycle(graph: AdGraph) -> int | None:
         return None
     if graph.component_count() != 1:
         return None
-    deg = AdGraph(graph.n, tuple(simplify(graph).edges)).degrees()
+    deg = simplify(graph).degrees()
     if any(d != 2 for d in deg):
         return None
     return graph.n

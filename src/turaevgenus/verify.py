@@ -203,16 +203,8 @@ def suite_graph_recursion(rng: random.Random, iters: int) -> SuiteResult:
             deleted = AdGraph(graph.n, rest)
             if deleted.component_count() == graph.component_count():
                 continue
-            relabel = [w - (w > max(u, v)) for w in range(graph.n)]
-            tgt = min(u, v)
-            contracted_edges = tuple(
-                (min(relabel[tgt if x == max(u, v) else x],
-                     relabel[tgt if y == max(u, v) else y]),
-                 max(relabel[tgt if x == max(u, v) else x],
-                     relabel[tgt if y == max(u, v) else y]))
-                for x, y in rest
-            )
-            contracted = AdGraph(graph.n - 1, contracted_edges)
+            # the pair separated u from v, so contracting it is a one-sum
+            contracted = families.one_sum_components(deleted, u, v)
             gd = adgraph.turaev_genus_graph(adgraph.validate_adg(deleted))
             gc = adgraph.turaev_genus_graph(adgraph.validate_adg(contracted))
             res.check(gd == g and gc == g, dump)

@@ -36,8 +36,11 @@ from turaevgenus.errors import (
     TuraevError,
 )
 from turaevgenus.families import (
+    c4_legs,
     classify_genus,
     doubled_cycle,
+    doubled_theta,
+    doubled_tree,
     k4_doubled_paths,
     k4_two_sum,
 )
@@ -113,7 +116,7 @@ def test_validate_nonplanar_rotation_system():
 
 
 def test_rotation_system_proves_planarity(monkeypatch):
-    embedded = doubled_cycle(6)
+    embedded = embed_planar(validate_adg(doubled_cycle(6)))
     nonplanar = doubled_k33(with_rotations=True)
     assert embedded.rotations is not None
     calls = []
@@ -181,7 +184,7 @@ def planarity_calls(monkeypatch):
 
 
 #: built, and embedded, before any call is counted
-C6 = doubled_cycle(6)
+C6 = embed_planar(validate_adg(doubled_cycle(6)))
 
 
 def test_realize_path_searches_once(planarity_calls):
@@ -193,6 +196,18 @@ def test_realize_path_searches_once(planarity_calls):
 def test_classify_genus_reads_the_embedding(planarity_calls):
     assert classify_genus(C6).family == "doubled-even-cycle"
     assert planarity_calls == []
+
+
+@pytest.mark.parametrize("build, family", [
+    (lambda: c4_legs(2, 0, 2, 0), "four-cycle-legs"),
+    (lambda: doubled_tree((0, 0, 1, 1)), "doubled-tree"),
+    (lambda: doubled_theta(2, 2, 2), "doubled-theta"),
+])
+def test_classify_plain_family_searches_once(planarity_calls, build, family):
+    # validation's search is the only one: the rebuilt family graph that
+    # confirms the shape, and the genus-2 form table, embed nothing
+    assert classify_genus(build()).family == family
+    assert len(planarity_calls) == 1
 
 
 @pytest.mark.parametrize("seed", range(20))

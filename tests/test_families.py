@@ -11,6 +11,7 @@ from turaevgenus.errors import BadParametersError, InvalidSiteError
 from turaevgenus.families import (
     Classification,
     FamilySpec,
+    _FAMILY_BUILDERS,
     _three_edge_connected,
     canonical_contract,
     canonical_form,
@@ -25,7 +26,9 @@ from turaevgenus.families import (
     is_reduced,
     isolated_vertices,
     isomorphic,
+    c4_legs,
     k4_doubled_paths,
+    k4_tilde,
     k4_tilde_two_sum,
     k4_two_sum,
     make_family,
@@ -51,7 +54,7 @@ def test_doubled_path_zero_is_vertex():
 
 def test_doubled_cycle_two():
     assert (C22.n, C22.edge_count) == (2, 4)
-    assert turaev_genus_graph(validate_adg(AdGraph(C22.n, C22.edges))) == 1
+    assert turaev_genus_graph(validate_adg(C22)) == 1
 
 
 def test_k4_two_sum_shape():
@@ -65,12 +68,12 @@ def test_k4_two_sum_shape():
         hand += [(0, c1), (0, c2), (1, c1), (1, c2)]
         hand += [(c1, mid)] * 2 + [(c2, mid)] * 2
     expected = AdGraph(8, tuple(hand))
-    assert isomorphic(AdGraph(g.n, g.edges), expected)[0]
+    assert isomorphic(g, expected)[0]
 
 
 def test_family_spec_dispatch():
     g = make_family(FamilySpec("DoubledCycle", (2,)))
-    assert isomorphic(AdGraph(g.n, g.edges), AdGraph(C22.n, C22.edges))[0]
+    assert isomorphic(g, C22)[0]
     union = make_family(FamilySpec("DisjointUnion", (
         FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledPath", (1,)))))
     assert union.n == 4 and union.edge_count == 6
@@ -89,10 +92,58 @@ def test_bad_parameters():
         k4_doubled_paths(0, 1)
 
 
-def test_constructors_carry_embeddings():
-    for g in (C22, doubled_theta(1, 1, 1), k4_two_sum(2, 2),
-              k4_tilde_two_sum(1, 0, 2, 1)):
-        assert g.rotations is not None
+_PLAIN_CASES = {
+    "DoubledPath": (2,),
+    "DoubledCycle": (4,),
+    "Theta": (1, 2, 3),
+    "K4pq": (2, 3),
+    "K4p": (2,),
+    "K4TwoSum": (1, 2),
+    "C4Legs": (1, 2, 0, 3),
+    "K4tilde": (2, 1),
+    "K4tildeTwoSum": (0, 1, 2, 1),
+    "DoubledTree": (0, 0, 1),
+    "IsolatedVertices": (3,),
+}
+
+
+def test_constructors_build_plain_graphs():
+    assert set(_PLAIN_CASES) == set(_FAMILY_BUILDERS)
+    specs = [FamilySpec(tag, params) for tag, params in _PLAIN_CASES.items()]
+    specs += [
+        FamilySpec("DisjointUnion", (
+            FamilySpec("DoubledCycle", (2,)), FamilySpec("Theta", (1, 1, 1)))),
+        FamilySpec("OneSum", (
+            (FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledPath", (2,))),
+            ((0, 1),))),
+    ]
+    for spec in specs:
+        g = make_family(spec)
+        assert g.rotations is None and g.bipartition is None, spec
+    # vertex numbering and edge order stay fixed: the rotations that
+    # planar_rotations finds, and so the realized diagrams, depend on both
+    pinned = [
+        (doubled_theta(1, 2, 3), 5, (
+            (0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2), (0, 3), (0, 3),
+            (3, 4), (3, 4), (1, 4), (1, 4))),
+        (k4_doubled_paths(2, 3), 7, (
+            (0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (0, 4), (1, 4), (1, 4),
+            (2, 5), (2, 5), (5, 6), (5, 6), (3, 6), (3, 6))),
+        (k4_two_sum(1, 2), 7, (
+            (0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (0, 1), (2, 4), (3, 4),
+            (2, 5), (3, 5), (4, 6), (4, 6), (5, 6), (5, 6))),
+        (c4_legs(1, 2, 0, 3), 10, (
+            (0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 4), (1, 5), (1, 5),
+            (5, 6), (5, 6), (3, 7), (3, 7), (7, 8), (7, 8), (8, 9), (8, 9))),
+        (k4_tilde(2, 1), 7, (
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (2, 4), (4, 5),
+            (4, 5), (3, 6), (3, 6))),
+        (k4_tilde_two_sum(0, 1, 2, 1), 10, (
+            (0, 2), (0, 3), (1, 2), (1, 3), (3, 4), (3, 4), (0, 5), (0, 6),
+            (1, 5), (1, 6), (5, 7), (5, 7), (7, 8), (7, 8), (6, 9), (6, 9))),
+    ]
+    for g, n, edges in pinned:
+        assert (g.n, g.edges) == (n, edges)
 
 
 # --- moves --------------------------------------------------------------------
@@ -105,16 +156,16 @@ def test_doubled_pendant_on_isolated_vertex():
 
 def test_doubled_path_extend_preserves_genus_bipartite():
     # lengthening one pair of C2^2 by two steps lands on C4^2
-    g = doubled_path_extend(AdGraph(C22.n, C22.edges), 0, 1)
+    g = doubled_path_extend(C22, 0, 1)
     g = doubled_path_extend(g, 0, 2)
     c44 = doubled_cycle(4)
-    assert isomorphic(g, AdGraph(c44.n, c44.edges))[0]
+    assert isomorphic(g, c44)[0]
     assert turaev_genus_graph(validate_adg(g)) == 1
 
 
 def test_two_path_extend_on_doubled_path_end():
     path = doubled_path(2)
-    g = two_path_extend(AdGraph(path.n, path.edges), 0, (0,))
+    g = two_path_extend(path, 0, (0,))
     info = classify_genus(g)
     assert info.genus == 0
     assert info.family == "four-cycle-legs"
@@ -122,15 +173,15 @@ def test_two_path_extend_on_doubled_path_end():
 
 def test_two_path_extend_requires_odd_sets():
     with pytest.raises(InvalidSiteError):
-        two_path_extend(AdGraph(C22.n, C22.edges), 0, (0, 1))
+        two_path_extend(C22, 0, (0, 1))
 
 
 def test_one_sum_requires_distinct_components():
-    union = AdGraph(C22.n, C22.edges).disjoint_union(AdGraph(C22.n, C22.edges))
+    union = C22.disjoint_union(C22)
     merged = one_sum_components(union, 0, 2)
     assert merged.n == 3
     with pytest.raises(InvalidSiteError):
-        one_sum_components(AdGraph(C22.n, C22.edges), 0, 1)
+        one_sum_components(C22, 0, 1)
     with pytest.raises(InvalidSiteError):
         one_sum_components(merged, 0, 1)
 
@@ -144,36 +195,36 @@ def test_apply_move_dispatch():
     assert (g.n, g.edge_count) == (3, 4)
     k4 = k4_one_path(1)
     summed = apply_move(
-        AdGraph(k4.n, k4.edges),
-        Move("TwoSum", (k4.edges.index((2, 3)), AdGraph(k4.n, k4.edges),
+        k4,
+        Move("TwoSum", (k4.edges.index((2, 3)), k4,
                         k4.edges.index((2, 3)))),
     )
     want = k4_two_sum(1, 1)
-    assert isomorphic(summed, AdGraph(want.n, want.edges))[0]
+    assert isomorphic(summed, want)[0]
     with pytest.raises(InvalidSiteError):
         apply_move(g, Move("Nonsense", ()))
 
 
 def test_doubled_path_contract_requires_interior():
     with pytest.raises(InvalidSiteError):
-        doubled_path_contract(AdGraph(C22.n, C22.edges), 0, 1)
+        doubled_path_contract(C22, 0, 1)
     path = doubled_path(2)
-    back = doubled_path_contract(AdGraph(path.n, path.edges), 1, 0)
+    back = doubled_path_contract(path, 1, 0)
     p1 = doubled_path(1)
-    assert isomorphic(back, AdGraph(p1.n, p1.edges))[0]
+    assert isomorphic(back, p1)[0]
 
 
 # --- canonical contraction ------------------------------------------------------
 
 def test_canonical_contract_c6():
     got = canonical_contract(doubled_cycle(6))
-    assert isomorphic(got, AdGraph(C22.n, C22.edges))[0]
+    assert isomorphic(got, C22)[0]
 
 
 def test_canonical_contract_k4():
     got = canonical_contract(k4_doubled_paths(2, 2))
     want = k4_doubled_paths(1, 1)
-    assert isomorphic(got, AdGraph(want.n, want.edges))[0]
+    assert isomorphic(got, want)[0]
 
 
 def test_canonical_contract_fixed_point():
@@ -181,7 +232,7 @@ def test_canonical_contract_fixed_point():
         (FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledCycle", (2,))),
         ((0, 0),))))
     got = canonical_contract(one_sum)
-    assert isomorphic(got, AdGraph(one_sum.n, one_sum.edges))[0]
+    assert isomorphic(got, one_sum)[0]
 
 
 def test_canonical_contract_idempotent_and_order_free(rng):
@@ -200,12 +251,12 @@ def test_canonical_contract_idempotent_and_order_free(rng):
 
 def test_is_reduced():
     assert is_reduced(isolated_vertices(1))
-    assert is_reduced(AdGraph(C22.n, C22.edges))
+    assert is_reduced(C22)
     assert not is_reduced(doubled_path(2))
     assert not is_reduced(isolated_vertices(2))
-    union = AdGraph(C22.n, C22.edges).disjoint_union(isolated_vertices(1))
+    union = C22.disjoint_union(isolated_vertices(1))
     assert not is_reduced(union)
-    both = AdGraph(C22.n, C22.edges).disjoint_union(AdGraph(C22.n, C22.edges))
+    both = C22.disjoint_union(C22)
     assert is_reduced(both)
 
 
@@ -337,8 +388,7 @@ def test_canonical_form_on_cycle_unions():
 def test_canonical_form_separates_same_profile():
     k411 = k4_doubled_paths(1, 1)
     c42 = doubled_cycle(4)
-    assert canonical_form(AdGraph(k411.n, k411.edges)) != canonical_form(
-        AdGraph(c42.n, c42.edges))
+    assert canonical_form(k411) != canonical_form(c42)
     # multiplicities count: a doubled and a quadrupled edge differ
     assert canonical_form(AdGraph(2, ((0, 1),) * 2)) != canonical_form(
         AdGraph(2, ((0, 1),) * 4))
@@ -360,10 +410,10 @@ def test_canonical_form_prunes_automorphisms():
 
 def test_isomorphic_basic():
     c4 = doubled_cycle(4)
-    two = AdGraph(C22.n, C22.edges).disjoint_union(AdGraph(C22.n, C22.edges))
-    ok, _ = isomorphic(AdGraph(c4.n, c4.edges), two)
+    two = C22.disjoint_union(C22)
+    ok, _ = isomorphic(c4, two)
     assert not ok  # same counts, different component structure
-    ok, witness = isomorphic(AdGraph(c4.n, c4.edges), AdGraph(c4.n, c4.edges))
+    ok, witness = isomorphic(c4, c4)
     assert ok and sorted(witness) == list(range(4))
 
 
@@ -371,10 +421,10 @@ def test_isomorphic_witness_is_a_real_map(rng):
     g = k4_doubled_paths(2, 3)
     perm = list(range(g.n))
     rng.shuffle(perm)
-    relabeled = AdGraph(g.n, g.edges).relabeled(perm)
-    ok, witness = isomorphic(AdGraph(g.n, g.edges), relabeled)
+    relabeled = g.relabeled(perm)
+    ok, witness = isomorphic(g, relabeled)
     assert ok
-    mapped = AdGraph(g.n, g.edges).relabeled(witness)
+    mapped = g.relabeled(witness)
     assert sorted(mapped.edges) == sorted(relabeled.edges)
 
 
@@ -445,12 +495,11 @@ def test_non_isomorphic_same_profile():
     k411 = k4_doubled_paths(1, 1)
     # another 4-vertex 8-edge multigraph: a doubled 4-cycle
     c42 = doubled_cycle(4)
-    assert not isomorphic(AdGraph(k411.n, k411.edges),
-                          AdGraph(c42.n, c42.edges))[0]
+    assert not isomorphic(k411, c42)[0]
 
 
 def test_wl_hash_bucket_keys():
-    assert wl_hash(AdGraph(C22.n, C22.edges)) == wl_hash(
+    assert wl_hash(C22) == wl_hash(
         AdGraph(2, ((0, 1),) * 4)
     )
 
@@ -471,7 +520,7 @@ def test_classify_theta():
 
 def test_classify_two_doubled_paths():
     g = doubled_path(2).disjoint_union(doubled_path(1))
-    info = classify_genus(AdGraph(g.n, g.edges))
+    info = classify_genus(g)
     assert info.genus == 0
     assert info.family == "two-doubled-paths"
     assert info.parameters == (1, 2)
@@ -487,7 +536,7 @@ def test_classify_five_representatives():
     }
     got = set()
     for graph in (
-        AdGraph(C22.n, C22.edges).disjoint_union(AdGraph(C22.n, C22.edges)),
+        C22.disjoint_union(C22),
         make_family(FamilySpec("OneSum", (
             (FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledCycle", (2,))),
             ((0, 0),)))),
@@ -495,7 +544,7 @@ def test_classify_five_representatives():
         k4_doubled_paths(2, 2),
         k4_two_sum(2, 2),
     ):
-        info = classify_genus(AdGraph(graph.n, graph.edges))
+        info = classify_genus(graph)
         assert info.genus == 2 and info.is_reduced
         got.add(info.family)
     assert got == expected
@@ -509,7 +558,7 @@ def test_classify_parameter_recovery():
     big = make_family(FamilySpec("OneSum", (
         (FamilySpec("DoubledCycle", (4,)), FamilySpec("DoubledCycle", (2,))),
         ((0, 0),))))
-    info = classify_genus(AdGraph(big.n, big.edges))
+    info = classify_genus(big)
     assert info.family == "doubled-cycles-one-sum"
     assert info.parameters == (2, 4)
 
@@ -518,10 +567,7 @@ def test_minimal_forms_mutually_nonisomorphic():
     forms = genus2_minimal_forms()
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
-            assert not isomorphic(
-                AdGraph(forms[i][1].n, forms[i][1].edges),
-                AdGraph(forms[j][1].n, forms[j][1].edges),
-            )[0]
+            assert not isomorphic(forms[i][1], forms[j][1])[0]
 
 
 def test_classify_disguised_theta():
@@ -535,7 +581,7 @@ def test_classify_disguised_theta():
     assert info.family == "doubled-theta"
     assert info.parameters == (1, 1, 3)
     direct = doubled_theta(1, 1, 3)
-    assert isomorphic(g, AdGraph(direct.n, direct.edges))[0]
+    assert isomorphic(g, direct)[0]
 
 
 # --- genus-zero generator ----------------------------------------------------------

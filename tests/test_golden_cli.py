@@ -19,25 +19,26 @@ import tempfile
 from pathlib import Path
 
 from turaevgenus import cli, corpus, families
-from turaevgenus.adgraph import AdGraph, write_graph_file
+from turaevgenus.adgraph import AdGraph, validate_adg, write_graph_file
+from turaevgenus.construct import embed_planar
 from turaevgenus.diagram import write_pd
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def _graph_files() -> dict[str, str]:
-    stripped = families.doubled_cycle(4)
+    def embedded(graph: AdGraph) -> str:
+        return write_graph_file(embed_planar(validate_adg(graph)))
+
     return {
-        "doubled-cycle-2": write_graph_file(families.doubled_cycle(2)),
-        "doubled-path-3": write_graph_file(families.doubled_path(3)),
-        "theta-1-1-3": write_graph_file(families.doubled_theta(1, 1, 3)),
-        "c4-legs-2-0-2-0": write_graph_file(families.c4_legs(2, 0, 2, 0)),
-        "c4-legs-1-0-0-0": write_graph_file(families.c4_legs(1, 0, 0, 0)),
-        "doubled-tree-0-0": write_graph_file(families.doubled_tree((0, 0))),
+        "doubled-cycle-2": embedded(families.doubled_cycle(2)),
+        "doubled-path-3": embedded(families.doubled_path(3)),
+        "theta-1-1-3": embedded(families.doubled_theta(1, 1, 3)),
+        "c4-legs-2-0-2-0": embedded(families.c4_legs(2, 0, 2, 0)),
+        "c4-legs-1-0-0-0": embedded(families.c4_legs(1, 0, 0, 0)),
+        "doubled-tree-0-0": embedded(families.doubled_tree((0, 0))),
         # no rotation lines: the embedding comes from the planarity test
-        "doubled-cycle-4-bare": write_graph_file(
-            AdGraph(stripped.n, stripped.edges)
-        ),
+        "doubled-cycle-4-bare": write_graph_file(families.doubled_cycle(4)),
     }
 
 

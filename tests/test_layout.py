@@ -1,0 +1,81 @@
+"""Architecture guard: where networkx and the planarity search may be used.
+
+Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
+
+* only ``adgraph`` imports networkx;
+* ``check_planarity`` is called only in ``adgraph.planar_embedding``;
+* ``planar_rotations`` is called only in ``adgraph``, in
+  ``construct.embed_planar`` and in ``verify.suite_doubled_path_moves``,
+  which embeds non-bipartite extensions that ``validate_adg`` rejects.
+
+Everything else that needs an embedding asks for
+``embed_planar(validate_adg(g))``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "turaevgenus"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def _calls(tree: ast.Module, name: str) -> list[str]:
+    """The top-level definition around each call of ``name`` (a bare
+    name or an attribute), or ``<module>`` outside any."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if where == "<module>" and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                if called == name:
+                    found.append(inner)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _call_sites(name: str) -> set[str]:
+    return {f"{module}.{where}" for module, tree in _modules().items()
+            for where in _calls(tree, name)}
+
+
+def test_only_adgraph_imports_networkx():
+    importers = set()
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "networkx" for n in names):
+                importers.add(module)
+    assert importers == {"adgraph"}
+
+
+def test_check_planarity_only_in_planar_embedding():
+    assert _call_sites("check_planarity") == {"adgraph.planar_embedding"}
+
+
+def test_planar_rotations_call_sites():
+    sites = _call_sites("planar_rotations")
+    outside = {s for s in sites if not s.startswith("adgraph.")}
+    assert outside <= {"construct.embed_planar", "verify.suite_doubled_path_moves"}
+    # the scan sees calls in other modules, not only in adgraph
+    assert {"adgraph.validate_adg", "construct.embed_planar"} <= sites
