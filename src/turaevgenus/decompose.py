@@ -126,7 +126,7 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
         cv = curve_of[MarkedPoint(arc, 1)]
         if cu == cv:
             raise TuraevError(f"non-alternating arc {arc} met a single curve")
-        edges.append((min(cu, cv), max(cu, cv)))
+        edges.append((cu, cv))
         signs.append(kinds[arc].sign)
     edge_of_arc = {arc: i for i, arc in enumerate(na_arcs)}
 

@@ -342,7 +342,8 @@ def test_simplify_and_nullity():
 
 
 def test_graph_file_round_trip():
-    g = k4_doubled_paths(2, 2)
+    g = embed_planar(validate_adg(k4_doubled_paths(2, 2)))
+    assert g.rotations is not None
     text = write_graph_file(g)
     back = parse_graph_file(text)
     assert back.edges == g.edges

@@ -3,7 +3,12 @@ import json
 import pytest
 
 from turaevgenus import cli, corpus, verify
-from turaevgenus.adgraph import parse_graph_file, write_graph_file
+from turaevgenus.adgraph import (
+    parse_graph_file,
+    validate_adg,
+    write_graph_file,
+)
+from turaevgenus.construct import embed_planar
 from turaevgenus.diagram import parse_pd, turaev_genus_diagram
 from turaevgenus.families import doubled_cycle
 
@@ -18,7 +23,8 @@ def trefoil_file(tmp_path):
 @pytest.fixture
 def c22_file(tmp_path):
     path = tmp_path / "c2sq.graph"
-    path.write_text(write_graph_file(doubled_cycle(2)))
+    graph = embed_planar(validate_adg(doubled_cycle(2)))
+    path.write_text(write_graph_file(graph))
     return str(path)
 
 
