@@ -1,15 +1,30 @@
 """Exhaustive census of small alternating decomposition graphs.
 
-Connected candidates are generated in two stages.  Stage 1 builds all
+Connected candidates are generated in two stages.  Stage 1 builds
 connected simple bipartite planar graphs up to isomorphism, vertex by
 vertex: the new vertex joins neighbours on one side of its parent's
-bipartition, and a candidate is kept when its canonical form is new and
-the graph is planar.  Stage 2 assigns edge multiplicities that make
+bipartition, and a candidate is kept when the need bound below fits the
+edge budget, its canonical form is new and the graph is planar.  Stage 2 assigns edge multiplicities that make
 every degree even and keeps the first assignment per canonical form.
 Disconnected graphs are multisets of connected atoms plus isolated
 vertices.  The census groups the reduced graphs by the canonical form of
 their doubled-path contraction.  Determinism and completeness within
 the bounds are contractual; speed is desk-scale.
+
+The need bound.  Let a simple graph G have degrees d_v and let
+need(d) = max(d + (d mod 2), min_degree).  A multigraph on G's edges
+with every multiplicity at least 1, every degree even and every degree
+at least min_degree gives vertex v degree at least need(d_v), so by the
+handshake lemma it has at least B(G) = sum_v need(d_v) / 2 edges.
+need is nondecreasing, so deleting a vertex w never raises B: each
+neighbour of w loses one degree, and w's own term goes.  Every
+connected graph on v >= 2 vertices keeps its connectivity after the
+deletion of some vertex (a leaf of a spanning tree), so a graph with
+B <= max_e is grown in stage 1 from a parent with B <= max_e.  Stage 1
+therefore drops every child with B > max_e before canonicalising it and
+loses no class that stage 2 can use; the kept parents keep their
+relative order, so each kept class keeps its first-generated
+representative.
 """
 
 from __future__ import annotations
@@ -78,16 +93,32 @@ def _is_planar_bipartite(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     return planar_embedding(range(n), edges) is not None
 
 
-_SIMPLE_CACHE: dict[tuple[int, int], list[AdGraph]] = {}
+_SIMPLE_CACHE: dict[tuple[int, int, int], list[AdGraph]] = {}
 _ATOM_CACHE: dict[tuple[int, int, int], list[AdGraph]] = {}
 
 
-def simple_connected_graphs(max_v: int, max_e: int) -> list[AdGraph]:
-    """All connected simple bipartite planar graphs with at most the
-    given vertices and edges, one per isomorphism class."""
-    cached = _SIMPLE_CACHE.get((max_v, max_e))
+def simple_connected_graphs(
+    max_v: int, max_e: int, min_degree: int = 2
+) -> list[AdGraph]:
+    """The single vertex and the connected simple bipartite planar
+    graphs with at most the given vertices that can take even
+    multiplicities, each at least 1, with every degree at least
+    ``min_degree`` and at most ``max_e`` edges in all; one per
+    isomorphism class.
+
+    Such a multigraph has at least B = sum_v max(d_v + (d_v mod 2),
+    min_degree) / 2 edges, and deleting a vertex never raises B, so a
+    child with B > ``max_e`` is dropped before its canonical form is
+    taken: every graph with B <= ``max_e`` is still grown from a parent
+    that was kept.  The bound is necessary, not sufficient; stage 2
+    decides."""
+    cached = _SIMPLE_CACHE.get((max_v, max_e, min_degree))
     if cached is not None:
         return cached
+
+    def need(d: int) -> int:
+        return max(d + d % 2, min_degree)
+
     levels: list[list[AdGraph]] = [[AdGraph(1, ())]]
     out = [AdGraph(1, ())]
     for v in range(2, max_v + 1):
@@ -100,9 +131,16 @@ def simple_connected_graphs(max_v: int, max_e: int) -> list[AdGraph]:
             if budget < 1:
                 continue
             side = find_bipartition(parent)
+            deg = parent.degrees()
+            parent_need = sum(map(need, deg))
             for size in range(1, min(v - 1, budget) + 1):
                 for nbrs in itertools.combinations(range(v - 1), size):
                     if any(side[u] != side[nbrs[0]] for u in nbrs):
+                        continue
+                    child_need = parent_need + need(size) + sum(
+                        need(deg[u] + 1) - need(deg[u]) for u in nbrs
+                    )
+                    if child_need > 2 * max_e:
                         continue
                     graph = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
                     key = canonical_form(graph)
@@ -118,7 +156,7 @@ def simple_connected_graphs(max_v: int, max_e: int) -> list[AdGraph]:
             break
         levels.append(level)
         out.extend(level)
-    _SIMPLE_CACHE[(max_v, max_e)] = out
+    _SIMPLE_CACHE[(max_v, max_e, min_degree)] = out
     return out
 
 
@@ -186,7 +224,7 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
     if cached is not None:
         return cached
     atoms: list[AdGraph] = [AdGraph(1, ())]
-    for simple in simple_connected_graphs(max_v, max_e):
+    for simple in simple_connected_graphs(max_v, max_e, min_degree):
         if simple.edge_count == 0:
             continue
         for assign in _even_multiplicity_assignments(simple, max_e, min_degree):

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from turaevgenus import census as census_module
 from turaevgenus.adgraph import AdGraph, validate_adg
 from turaevgenus.census import (
     CensusFilter,
@@ -14,6 +16,7 @@ from turaevgenus.census import (
 from turaevgenus.errors import BoundsTooLargeError, TuraevError
 from turaevgenus.families import canonical_form
 
+from census_oracle import need_bound, unpruned_atoms, unpruned_simple_graphs
 from iso_oracle import find_isomorphism
 
 
@@ -115,6 +118,89 @@ def test_connected_atoms_min_degree():
     assert all(
         a.edge_count == 0 or min(d for d in a.degrees()) >= 4 for a in atoms
     )
+
+
+# --- the need prune of stage 1 ------------------------------------------------
+
+@pytest.mark.parametrize("bounds", [(10, 10, 2), (8, 12, 2), (8, 16, 4)])
+def test_connected_atoms_match_unpruned_oracle(bounds):
+    """The pruned stage 1 gives the same atoms, in the same order, as
+    stage 2 run on every connected simple bipartite planar graph."""
+    got = [(g.n, g.edges) for g in connected_atoms(*bounds)]
+    assert got == [(g.n, g.edges) for g in unpruned_atoms(*bounds)]
+
+
+@pytest.mark.parametrize("bounds,kept,total", [
+    ((10, 10, 2), 139, 821),
+    ((8, 16, 4), 194, 226),
+])
+def test_prune_drops_exactly_the_graphs_over_budget(bounds, kept, total):
+    """Stage 1 keeps the oracle's graphs with need bound at most the
+    edge budget, with the same representatives in the same order, and
+    drops the rest; the counts show that it does drop."""
+    max_v, max_e, min_degree = bounds
+    oracle = unpruned_simple_graphs(max_v, max_e)
+    within = [(g.n, g.edges) for g in oracle
+              if g.edge_count == 0 or need_bound(g, min_degree) <= max_e]
+    got = simple_connected_graphs(max_v, max_e, min_degree)
+    assert [(g.n, g.edges) for g in got] == within
+    assert (len(got), len(oracle)) == (kept, total)
+
+
+@st.composite
+def connected_bipartite_graphs(draw):
+    """A random spanning tree, grown vertex by vertex, plus random edges
+    across its bipartition."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    side = [0]
+    edges = set()
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        side.append(1 - side[u])
+        edges.add((u, v))
+    across = [(u, v) for u, v in itertools.combinations(range(n), 2)
+              if side[u] != side[v]]
+    edges |= set(draw(st.lists(st.sampled_from(across), max_size=12)))
+    return AdGraph(n, tuple(sorted(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_bipartite_graphs())
+def test_deleting_a_vertex_never_raises_the_need_bound(graph):
+    """The lemma behind the prune: every connected one-vertex-smaller
+    subgraph has need bound at most the graph's."""
+    for w in range(graph.n):
+        rest = [v for v in range(graph.n) if v != w]
+        relabel = {v: i for i, v in enumerate(rest)}
+        sub = AdGraph(graph.n - 1, tuple(
+            (relabel[u], relabel[v]) for u, v in graph.edges if w not in (u, v)))
+        if len(sub.components()) != 1:
+            continue
+        for min_degree in (2, 4):
+            assert need_bound(sub, min_degree) <= need_bound(graph, min_degree)
+
+
+def test_cleared_caches_give_a_cold_census():
+    """``_SIMPLE_CACHE`` and ``_ATOM_CACHE`` are the only module-level
+    state of ``census``, so clearing them makes a query cold, and a cold
+    query gives the same classes as a warm one."""
+    state = {name for name, value in vars(census_module).items()
+             if not name.startswith("__")
+             and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_clear"))}
+    assert state == {"_SIMPLE_CACHE", "_ATOM_CACHE"}
+
+    def run():
+        filt = CensusFilter(max_vertices=8, max_edges=16, allow_isolated=False)
+        return [(c.family, c.parameters, c.contracted.edges,
+                 [(g.n, g.edges) for g in c.members])
+                for c in census(3, filt)]
+
+    first = run()
+    assert census_module._SIMPLE_CACHE and census_module._ATOM_CACHE
+    assert run() == first
+    census_module._SIMPLE_CACHE.clear()
+    census_module._ATOM_CACHE.clear()
+    assert run() == first
 
 
 def test_genus1_census_classes():

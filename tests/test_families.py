@@ -293,6 +293,82 @@ def test_three_edge_connected_matches_brute_force_on_census():
     assert outcomes == {True, False} and len(seen) > 300
 
 
+def bridge_search_three_edge_connected(vertices, edges):
+    """The per-edge reference: deleting any one edge leaves the graph
+    connected and bridgeless, by one lowlink search per edge."""
+    index = {v: i for i, v in enumerate(vertices)}
+    pairs = [(index[u], index[w]) for u, w in edges]
+    return all(
+        connected_bridgeless(len(index), pairs[:i] + pairs[i + 1:])
+        for i in range(len(pairs))
+    )
+
+
+def connected_bridgeless(n, pairs):
+    """Iterative lowlink search from vertex 0.  The tree edge is skipped by
+    its id, not its far end, so a parallel copy is never a bridge."""
+    incident = [[] for _ in range(n)]
+    for i, (u, w) in enumerate(pairs):
+        incident[u].append((w, i))
+        incident[w].append((u, i))
+    disc = [-1] * n
+    low = [0] * n
+    disc[0] = 0
+    seen = 1
+    stack = [(0, -1, iter(incident[0]))]
+    while stack:
+        v, via, it = stack[-1]
+        for w, i in it:
+            if i == via:
+                continue
+            if disc[w] < 0:
+                disc[w] = low[w] = seen
+                seen += 1
+                stack.append((w, i, iter(incident[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] > disc[parent]:
+                    return False
+                low[parent] = min(low[parent], low[v])
+    return seen == n
+
+
+def is_reduced_by_bridge_search(graph):
+    if graph.n == 1 and not graph.edges:
+        return True
+    return all(len(comp) > 1 and bridge_search_three_edge_connected(comp, edges)
+               for comp, edges in component_edge_lists(graph))
+
+
+def test_three_edge_connected_needs_connectivity():
+    triple = [(0, 1)] * 3
+    assert _three_edge_connected([0, 1], triple)
+    assert not _three_edge_connected([0, 1, 2, 3], triple + [(2, 3)] * 3)
+
+
+def test_is_reduced_matches_bridge_search_on_census():
+    graphs = enumerate_adgs(CensusFilter(8, 16, require_no_deg2=True))
+    fast = [is_reduced(g) for g in graphs]
+    assert fast == [is_reduced_by_bridge_search(g) for g in graphs]
+    assert (len(graphs), sum(fast)) == (1568, 278)
+
+
+@pytest.mark.parametrize("graph", [
+    doubled_theta(166, 166, 166),
+    k4_doubled_paths(250, 250),
+    doubled_cycle(800),
+], ids=["theta(166,166,166)", "k4pq(250,250)", "cycle800"])
+def test_is_reduced_matches_bridge_search_on_large_graphs(graph):
+    """Every doubled path of these families meets any cut twice, so
+    each is reduced, and the reference runs its full E searches."""
+    assert is_reduced_by_bridge_search(graph)
+    assert is_reduced(graph)
+
+
 multigraphs = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.tuples(
         st.just(n),
