@@ -100,11 +100,11 @@ _ATOM_CACHE: dict[tuple[int, int, int], list[AdGraph]] = {}
 def simple_connected_graphs(
     max_v: int, max_e: int, min_degree: int = 2
 ) -> list[AdGraph]:
-    """The single vertex and the connected simple bipartite planar
-    graphs with at most the given vertices that can take even
+    """The single vertex and, one per isomorphism class, the connected
+    simple bipartite planar graphs with at most ``max_v`` vertices whose
+    need bound fits ``max_e``.  Every graph that can take even
     multiplicities, each at least 1, with every degree at least
-    ``min_degree`` and at most ``max_e`` edges in all; one per
-    isomorphism class.
+    ``min_degree`` and at most ``max_e`` edges in all is among them.
 
     Such a multigraph has at least B = sum_v max(d_v + (d_v mod 2),
     min_degree) / 2 edges, and deleting a vertex never raises B, so a
