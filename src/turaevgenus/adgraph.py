@@ -149,10 +149,6 @@ def validate_adg(graph: AdGraph) -> AdGraph:
     return graph
 
 
-def is_validated(graph: AdGraph) -> bool:
-    return graph.bipartition is not None
-
-
 # -- embeddings -----------------------------------------------------------------
 
 def half_edges(graph: AdGraph) -> tuple[list[int], list[int], list[int]]:
@@ -307,7 +303,7 @@ def turaev_genus_graph(graph: AdGraph, chooser=None) -> int:
     larger, and connectivity is settled once for the whole run (see
     ``_genus_recursion``).
     """
-    if not is_validated(graph):
+    if graph.bipartition is None:
         raise NotValidatedError("call validate_adg first")
     return _genus_recursion(graph.edges, chooser or _FirstChoice())
 
@@ -420,6 +416,10 @@ def _genus_recursion(edge_list: Iterable[tuple[int, int]], chooser) -> int:
 
 # -- graph file format -----------------------------------------------------------------
 
+#: per-vertex lists are sized by a graph file's vertex count, so it is capped
+MAX_GRAPH_VERTICES = 100_000
+
+
 def _ints(tokens: list[str], lineno: int, line: str) -> list[int]:
     try:
         return [int(t) for t in tokens]
@@ -446,8 +446,9 @@ def parse_graph_file(text: str) -> AdGraph:
             if n is not None:
                 raise MalformedLineError(lineno, line, "second 'v' line")
             (n,) = _ints(parts[1:], lineno, line)
-            if n < 0:
-                raise MalformedLineError(lineno, line, "negative vertex count")
+            if not 0 <= n <= MAX_GRAPH_VERTICES:
+                raise MalformedLineError(
+                    lineno, line, f"vertex count outside 0..{MAX_GRAPH_VERTICES}")
         elif parts[0] == "e" and len(parts) == 3:
             if n is None:
                 raise MalformedLineError(lineno, line, "edge before 'v' line")

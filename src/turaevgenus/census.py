@@ -4,12 +4,13 @@ Connected candidates are generated in two stages.  Stage 1 builds
 connected simple bipartite planar graphs up to isomorphism, vertex by
 vertex: the new vertex joins neighbours on one side of its parent's
 bipartition, and a candidate is kept when the need bound below fits the
-edge budget, its canonical form is new and the graph is planar.  Stage 2 assigns edge multiplicities that make
-every degree even and keeps the first assignment per canonical form.
-Disconnected graphs are multisets of connected atoms plus isolated
-vertices.  The census groups the reduced graphs by the canonical form of
-their doubled-path contraction.  Determinism and completeness within
-the bounds are contractual; speed is desk-scale.
+edge budget, its canonical form is new and the graph is planar.  Stage
+2 assigns edge multiplicities that make every degree even and keeps the
+first assignment per canonical form.  Disconnected graphs are multisets
+of connected atoms plus isolated vertices.  The census groups the
+reduced graphs by the canonical form of their doubled-path contraction.
+Determinism and completeness within the bounds are contractual; speed
+is desk-scale.
 
 The need bound.  Let a simple graph G have degrees d_v and let
 need(d) = max(d + (d mod 2), min_degree).  A multigraph on G's edges
@@ -25,6 +26,21 @@ therefore drops every child with B > max_e before canonicalising it and
 loses no class that stage 2 can use; the kept parents keep their
 relative order, so each kept class keeps its first-generated
 representative.
+
+Additivity.  The genus recursion's result does not depend on the order
+of its choices, and each step touches one component, so on a disjoint
+union it runs component by component: the deletion count and ``live -
+components`` both add up, and so does the genus.  A graph is reduced
+exactly when it is one vertex or every component is a reduced atom, so
+a reduced query adds an isolated vertex only to the empty combination.
+
+Order.  Atoms combine in pre-order with nondecreasing indices.  A
+dropped atom, or a subtree already over the genus (genera are
+nonnegative), holds only graphs that a whole-graph filter would reject,
+and dropping keeps the atoms' relative order; so the survivors come out
+in the unfiltered order, and the stable sort keeps the output order.
+Atoms are sorted by vertex count, so the vertex budget ends a loop; edge
+counts are not monotone across vertex counts, so the edge budget skips.
 """
 
 from __future__ import annotations
@@ -243,71 +259,61 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
 
 def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
     """All validated alternating decomposition graphs within the bounds,
-    one per isomorphism class, in a deterministic order."""
+    one per isomorphism class, in a deterministic order.  Atoms built with
+    ``min_degree`` 4 have no degree-2 vertex: ``require_no_deg2`` is free."""
     min_degree = 4 if (filt.require_reduced or filt.require_no_deg2) else 2
-    atoms = [
-        a for a in connected_atoms(filt.max_vertices, filt.max_edges, min_degree)
-        if a.edge_count > 0
-    ]
-    combos: list[tuple[AdGraph, ...]] = []
-
-    def rec(start: int, used_v: int, used_e: int, picked: list[AdGraph]):
-        combos.append(tuple(picked))
-        for i in range(start, len(atoms)):
-            a = atoms[i]
-            if used_v + a.n > filt.max_vertices or used_e + a.edge_count > filt.max_edges:
-                continue
-            picked.append(a)
-            rec(i, used_v + a.n, used_e + a.edge_count, picked)
-            picked.pop()
-
-    rec(0, 0, 0, [])
-    out: list[AdGraph] = []
-    for combo in combos:
-        used_v = sum(a.n for a in combo)
-        used_e = sum(a.edge_count for a in combo)
-        isolated_options: tuple[int, ...]
-        if filt.allow_isolated:
-            isolated_options = tuple(range(0, filt.max_vertices - used_v + 1))
-        else:
-            isolated_options = (0,)
-        for extra in isolated_options:
-            n = used_v + extra
-            if n == 0 or n > filt.max_vertices:
-                continue
-            graph = AdGraph(0, ())
-            for a in combo:
-                graph = graph.disjoint_union(a)
-            if extra:
-                graph = graph.disjoint_union(AdGraph(extra, ()))
-            out.append(graph)
-    filtered = []
-    for graph in out:
-        if filt.require_no_deg2 and any(d == 2 for d in graph.degrees()):
-            continue
-        if filt.require_reduced and not is_reduced(graph):
+    target = filt.genus_equals
+    atoms: list[tuple[AdGraph, int]] = []
+    for atom in connected_atoms(filt.max_vertices, filt.max_edges, min_degree):
+        if atom.edge_count == 0 or (filt.require_reduced and not is_reduced(atom)):
             continue
         # stage 1 proved each atom's simple graph planar and bipartite,
         # and stage 2 made every degree even: only the bipartition is new
-        validated = replace(graph, bipartition=find_bipartition(graph))
-        if filt.genus_equals is not None:
-            if turaev_genus_graph(validated) != filt.genus_equals:
+        genus = 0 if target is None else turaev_genus_graph(
+            replace(atom, bipartition=find_bipartition(atom)))
+        if target is None or genus <= target:
+            atoms.append((atom, genus))
+    out: list[AdGraph] = []
+
+    def rec(start: int, graph: AdGraph, genus: int):
+        if target is None or genus == target:
+            low = 0 if graph.n else 1
+            top = filt.max_vertices - graph.n if filt.allow_isolated else 0
+            if filt.require_reduced:
+                top = min(top, low)
+            for extra in range(low, top + 1):
+                whole = graph.disjoint_union(AdGraph(extra, ()))
+                out.append(replace(whole, bipartition=find_bipartition(whole)))
+        for i in range(start, len(atoms)):
+            atom, atom_genus = atoms[i]
+            if graph.n + atom.n > filt.max_vertices:
+                break
+            if (graph.edge_count + atom.edge_count > filt.max_edges
+                    or (target is not None and genus + atom_genus > target)):
                 continue
-        filtered.append(validated)
-    filtered.sort(key=lambda g: (g.n, g.edge_count, wl_hash(g)))
-    return filtered
+            rec(i, graph.disjoint_union(atom), genus + atom_genus)
+
+    rec(0, AdGraph(0, ()), 0)
+    out.sort(key=lambda g: (g.n, g.edge_count, wl_hash(g)))
+    return out
 
 
 @dataclass
 class CensusClass:
     """One doubled-path equivalence class found in the census."""
 
-    representative: AdGraph
     contracted: AdGraph
     family: str | None
     parameters: tuple
-    count: int = 1
     members: list[AdGraph] = field(default_factory=list)
+
+    @property
+    def representative(self) -> AdGraph:
+        return self.members[0]
+
+    @property
+    def count(self) -> int:
+        return len(self.members)
 
 
 def census(genus: int, filt: CensusFilter) -> list[CensusClass]:
@@ -319,17 +325,8 @@ def census(genus: int, filt: CensusFilter) -> list[CensusClass]:
         contracted = canonical_contract(graph)
         key = canonical_form(contracted)
         cls = classes.get(key)
-        if cls is not None:
-            cls.count += 1
-            cls.members.append(graph)
-            continue
-        info = classify_genus(graph)
-        classes[key] = CensusClass(
-            representative=graph,
-            contracted=contracted,
-            family=info.family,
-            parameters=info.parameters,
-            count=1,
-            members=[graph],
-        )
+        if cls is None:
+            info = classify_genus(graph)
+            cls = classes[key] = CensusClass(contracted, info.family, info.parameters)
+        cls.members.append(graph)
     return list(classes.values())

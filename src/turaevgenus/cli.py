@@ -128,7 +128,6 @@ def cmd_census(args) -> int:
         max_vertices=max_v,
         max_edges=args.max_edges,
         genus_equals=args.genus,
-        allow_isolated=not args.reduced,
     )
     if args.reduced:
         classes = census_mod.census(args.genus, filt)
@@ -209,6 +208,8 @@ def cmd_verify(args) -> int:
         if not res.ok:
             bad = True
     if bad:
+        print(f"replay: adg verify --seed {args.seed} --iters {args.iters}",
+              file=sys.stderr)
         print("--- counterexamples ---", file=sys.stderr)
         for res in results:
             if not res.cases:

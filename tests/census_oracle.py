@@ -1,17 +1,29 @@
-"""Unpruned census stage 1: the oracle that the need prune of
-``census.simple_connected_graphs`` is checked against.
+"""Oracles for the census.
 
-It grows every connected simple bipartite planar graph with at most the
-given vertices and edges, one per isomorphism class, with no bound on
-what stage 2 can use.  Stage 2 is the program's own
-``_even_multiplicity_assignments``, run on every graph.
+The unpruned stage 1 is what the need prune of
+``census.simple_connected_graphs`` is checked against.  It grows every
+connected simple bipartite planar graph with at most the given vertices
+and edges, one per isomorphism class, with no bound on what stage 2 can
+use.  Stage 2 is the program's own ``_even_multiplicity_assignments``,
+run on every graph.
+
+``enumerate_adgs`` is the assembly that ``census.enumerate_adgs``
+replaced, kept as it was: it builds every multiset of atoms with every
+count of isolated vertices, and only then filters each whole graph by
+degree, reducedness and genus.
 """
 
 import itertools
+from dataclasses import replace
 
-from turaevgenus.adgraph import AdGraph, find_bipartition
-from turaevgenus.census import _even_multiplicity_assignments, _is_planar_bipartite
-from turaevgenus.families import canonical_form, wl_hash
+from turaevgenus.adgraph import AdGraph, find_bipartition, turaev_genus_graph
+from turaevgenus.census import (
+    CensusFilter,
+    _even_multiplicity_assignments,
+    _is_planar_bipartite,
+    connected_atoms,
+)
+from turaevgenus.families import canonical_form, is_reduced, wl_hash
 
 
 def need_bound(graph: AdGraph, min_degree: int) -> int:
@@ -68,3 +80,60 @@ def unpruned_atoms(max_v: int, max_e: int, min_degree: int) -> list[AdGraph]:
             atoms.append(AdGraph(simple.n, tuple(sorted(edges))))
     atoms.sort(key=lambda g: (g.n, g.edge_count, wl_hash(g)))
     return atoms
+
+
+def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
+    """All validated alternating decomposition graphs within the bounds,
+    one per isomorphism class, in a deterministic order."""
+    min_degree = 4 if (filt.require_reduced or filt.require_no_deg2) else 2
+    atoms = [
+        a for a in connected_atoms(filt.max_vertices, filt.max_edges, min_degree)
+        if a.edge_count > 0
+    ]
+    combos: list[tuple[AdGraph, ...]] = []
+
+    def rec(start: int, used_v: int, used_e: int, picked: list[AdGraph]):
+        combos.append(tuple(picked))
+        for i in range(start, len(atoms)):
+            a = atoms[i]
+            if used_v + a.n > filt.max_vertices or used_e + a.edge_count > filt.max_edges:
+                continue
+            picked.append(a)
+            rec(i, used_v + a.n, used_e + a.edge_count, picked)
+            picked.pop()
+
+    rec(0, 0, 0, [])
+    out: list[AdGraph] = []
+    for combo in combos:
+        used_v = sum(a.n for a in combo)
+        used_e = sum(a.edge_count for a in combo)
+        isolated_options: tuple[int, ...]
+        if filt.allow_isolated:
+            isolated_options = tuple(range(0, filt.max_vertices - used_v + 1))
+        else:
+            isolated_options = (0,)
+        for extra in isolated_options:
+            n = used_v + extra
+            if n == 0 or n > filt.max_vertices:
+                continue
+            graph = AdGraph(0, ())
+            for a in combo:
+                graph = graph.disjoint_union(a)
+            if extra:
+                graph = graph.disjoint_union(AdGraph(extra, ()))
+            out.append(graph)
+    filtered = []
+    for graph in out:
+        if filt.require_no_deg2 and any(d == 2 for d in graph.degrees()):
+            continue
+        if filt.require_reduced and not is_reduced(graph):
+            continue
+        # stage 1 proved each atom's simple graph planar and bipartite,
+        # and stage 2 made every degree even: only the bipartition is new
+        validated = replace(graph, bipartition=find_bipartition(graph))
+        if filt.genus_equals is not None:
+            if turaev_genus_graph(validated) != filt.genus_equals:
+                continue
+        filtered.append(validated)
+    filtered.sort(key=lambda g: (g.n, g.edge_count, wl_hash(g)))
+    return filtered

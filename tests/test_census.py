@@ -1,11 +1,13 @@
+import functools
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turaevgenus import census as census_module
-from turaevgenus.adgraph import AdGraph, validate_adg
+from turaevgenus import census as census_module, corpus
+from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
 from turaevgenus.census import (
     CensusFilter,
     census,
@@ -14,9 +16,14 @@ from turaevgenus.census import (
     simple_connected_graphs,
 )
 from turaevgenus.errors import BoundsTooLargeError, TuraevError
-from turaevgenus.families import canonical_form
+from turaevgenus.families import canonical_form, is_reduced
 
-from census_oracle import need_bound, unpruned_atoms, unpruned_simple_graphs
+from census_oracle import (
+    enumerate_adgs as filtering_enumerate_adgs,
+    need_bound,
+    unpruned_atoms,
+    unpruned_simple_graphs,
+)
 from iso_oracle import find_isomorphism
 
 
@@ -254,3 +261,96 @@ def test_canonical_form_matches_isomorphic_on_atoms():
             assert (cert_g == cert_h) == found, (g, h)
             pairs += 1
     assert pairs > 500_000
+
+
+# --- assembly from classified atoms -------------------------------------------
+
+ORACLE_QUERIES = [
+    CensusFilter(8, 12),
+    CensusFilter(10, 10),
+    CensusFilter(8, 16, require_reduced=True),
+    CensusFilter(8, 16, require_no_deg2=True),
+] + [
+    replace(base, genus_equals=genus, allow_isolated=isolated)
+    for base in (CensusFilter(8, 16, require_reduced=True), CensusFilter(10, 12))
+    for genus in range(4)
+    for isolated in (True, False)
+]
+
+
+def _query_id(filt: CensusFilter) -> str:
+    tags = [f"{filt.max_vertices}-{filt.max_edges}"]
+    tags += [name for name in ("require_reduced", "require_no_deg2")
+             if getattr(filt, name)]
+    if filt.genus_equals is not None:
+        tags.append(f"genus{filt.genus_equals}")
+        tags.append("isolated" if filt.allow_isolated else "no-isolated")
+    return "-".join(tags)
+
+
+@pytest.mark.parametrize("filt", ORACLE_QUERIES, ids=_query_id)
+def test_enumerate_matches_the_filtering_oracle(filt):
+    """Assembling from classified atoms gives the graphs that building
+    every graph and then filtering it gave, in the same order and with
+    the same bipartitions."""
+    def rows(graphs):
+        return [(g.n, g.edges, g.bipartition) for g in graphs]
+
+    assert rows(enumerate_adgs(filt)) == rows(filtering_enumerate_adgs(filt))
+
+
+@pytest.mark.parametrize("filt,calls", [
+    (CensusFilter(10, 12, genus_equals=0), 667),
+    (CensusFilter(10, 10), 0),
+], ids=["genus0-10-12", "any-genus-10-10"])
+def test_genus_runs_once_per_atom(monkeypatch, filt, calls):
+    """The genus recursion runs on each atom that has edges, once, and
+    not at all when the query names no genus."""
+    seen = []
+    real = census_module.turaev_genus_graph
+
+    def counting(graph):
+        seen.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(census_module, "turaev_genus_graph", counting)
+    enumerate_adgs(filt)
+    assert len(seen) == calls
+    if calls:
+        atoms = connected_atoms(filt.max_vertices, filt.max_edges)
+        assert calls == sum(1 for a in atoms if a.edge_count)
+
+
+@st.composite
+def disjoint_parts(draw):
+    """One to three graphs, each a connected atom at (8, 12), the single
+    vertex among them, or a random decomposition graph of the corpus."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(connected_atoms(8, 12))))
+        else:
+            graph = corpus.random_adgraph(random.Random(draw(st.integers(0, 2**32))))
+            parts.append(AdGraph(graph.n, graph.edges))
+    return parts
+
+
+def _genus(graph: AdGraph) -> int:
+    return turaev_genus_graph(validate_adg(graph))
+
+
+@settings(max_examples=150, deadline=None)
+@given(disjoint_parts())
+def test_genus_of_a_disjoint_union_is_the_sum(parts):
+    union = functools.reduce(AdGraph.disjoint_union, parts)
+    assert _genus(union) == sum(map(_genus, parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(disjoint_parts())
+def test_a_disjoint_union_is_reduced_when_every_part_is(parts):
+    """The single vertex is reduced on its own and nowhere else."""
+    union = functools.reduce(AdGraph.disjoint_union, parts)
+    has_vertex = any(p.n == 1 and not p.edges for p in parts)
+    expected = all(map(is_reduced, parts)) and (len(parts) == 1 or not has_vertex)
+    assert is_reduced(union) == expected

@@ -4,6 +4,7 @@ import pytest
 
 from turaevgenus import cli, corpus, verify
 from turaevgenus.adgraph import (
+    MAX_GRAPH_VERTICES,
     parse_graph_file,
     validate_adg,
     write_graph_file,
@@ -95,6 +96,19 @@ def test_census_text_and_json(capsys):
     payload = json.loads(out)
     assert len(payload["classes"]) == 1
     assert payload["classes"][0]["family"] == "doubled-even-cycle"
+
+
+@pytest.mark.parametrize("max_edges", ["4", "12"])
+def test_census_reduced_genus0_is_the_single_vertex(capsys, max_edges):
+    """Reduced means one vertex, or every component 3-edge-connected;
+    the single vertex is the one reduced graph of genus 0."""
+    code, out, _ = run(capsys, "census", "--genus", "0", "--max-edges", max_edges,
+                       "--reduced")
+    assert code == 0
+    assert out.splitlines() == [
+        f"genus 0, maxEdges {max_edges}: 1 doubled-path class(es)",
+        "  single-vertex (): 1 member(s), representative v=1 e=0",
+    ]
 
 
 def test_byte_identical_reruns(capsys, c22_file):
@@ -198,6 +212,22 @@ def test_malformed_graph_file_exit_1(capsys, tmp_path, text, command):
         assert err == f"error: {_REPEATED_DIRECTIVE[text]}\n"
 
 
+def test_graph_file_at_the_vertex_cap(capsys, tmp_path):
+    path = tmp_path / "cap.graph"
+    path.write_text(f"v {MAX_GRAPH_VERTICES}\n")
+    assert run(capsys, "genus-g", str(path)) == (0, "g_T = 0\n", "")
+
+
+@pytest.mark.parametrize("count", [MAX_GRAPH_VERTICES + 1, 10**9])
+def test_graph_file_over_the_vertex_cap_exit_1(capsys, tmp_path, count):
+    path = tmp_path / "big.graph"
+    path.write_text(f"v {count}\n")
+    code, out, err = run(capsys, "genus-g", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: line 1: malformed line 'v {count}' "
+                   f"(vertex count outside 0..{MAX_GRAPH_VERTICES})\n")
+
+
 @pytest.mark.parametrize("command", ["genus-d", "bracket", "genus-g"])
 def test_non_utf8_file_exit_1(capsys, tmp_path, command):
     path = tmp_path / "latin1.pd"
@@ -287,3 +317,4 @@ def test_verify_violation_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--iters", "1")
     assert code == 3
     assert "synthetic counterexample" in err
+    assert err.splitlines()[0] == "replay: adg verify --seed 0 --iters 1"
