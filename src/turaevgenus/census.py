@@ -8,7 +8,8 @@ edge budget, its canonical form is new and the graph is planar.  Stage
 2 assigns edge multiplicities that make every degree even and keeps the
 first assignment per canonical form.  Disconnected graphs are multisets
 of connected atoms plus isolated vertices.  The census groups the
-reduced graphs by the canonical form of their doubled-path contraction.
+reduced graphs by the canonical form of their doubled-path contraction,
+and ``families.family_of`` names each class from that key.
 Determinism and completeness within the bounds are contractual; speed
 is desk-scale.
 
@@ -58,7 +59,7 @@ from .errors import BadParametersError, BoundsTooLargeError
 from .families import (
     canonical_contract,
     canonical_form,
-    classify_genus,
+    family_of,
     is_reduced,
     wl_hash,
 )
@@ -326,7 +327,6 @@ def census(genus: int, filt: CensusFilter) -> list[CensusClass]:
         key = canonical_form(contracted)
         cls = classes.get(key)
         if cls is None:
-            info = classify_genus(graph)
-            cls = classes[key] = CensusClass(contracted, info.family, info.parameters)
+            cls = classes[key] = CensusClass(contracted, *family_of(key, graph, genus))
         cls.members.append(graph)
     return list(classes.values())

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .adgraph import AdGraph, check_sphere_embedding, half_edges, planar_rotations
+from .adgraph import AdGraph, planar_rotations
 from .diagram import PlanarDiagram
 from .errors import (
     NotEmbeddedError,
-    NotPlanarError,
     NotValidatedError,
     SignMismatchError,
 )
-from .perm import orbits, two_colouring
+from .perm import two_colouring
 
 #: the isolated-vertex realization; any reduced alternating diagram works,
 #: the trefoil is the smallest with is_adequate applicable
@@ -66,48 +65,13 @@ def wheel_tangle(m: int) -> TangleTemplate:
     return TangleTemplate(n, tuple(crossings), signs)
 
 
-def tangle_boundary_faces_ok(template: TangleTemplate) -> bool:
-    """Check that every face of the tangle meets the boundary circle in
-    at most one arc: close the boundary with a hub vertex and demand the
-    augmented map be a sphere whose hub-incident faces each pass the hub
-    exactly once (so there are ``arity`` of them)."""
-    for flip in (True, False):
-        arcs: dict[object, list[int]] = {}
-        rotations = []
-        for ci, x in enumerate(template.crossings):
-            for entry in x:
-                arcs.setdefault(entry, []).append(ci)
-            rotations.append(list(x))
-        hub = len(template.crossings)
-        order = range(template.arity)
-        hub_rot = [("end", j) for j in (reversed(order) if flip else order)]
-        for entry in hub_rot:
-            arcs[entry].append(hub)
-        keys = sorted(arcs, key=str)
-        edge_index = {key: i for i, key in enumerate(keys)}
-        edges = [(min(arcs[k]), max(arcs[k])) for k in keys]
-        rot_tables = tuple(
-            tuple(edge_index[e] for e in rot) for rot in rotations
-        ) + (tuple(edge_index[e] for e in hub_rot),)
-        graph = AdGraph(hub + 1, tuple(edges), rotations=rot_tables)
-        try:
-            check_sphere_embedding(graph)
-        except NotPlanarError:
-            continue
-        _, face_step, vertex = half_edges(graph)
-        face, _ = orbits(face_step)
-        hub_faces = {face[h] for h in range(len(face)) if vertex[h] == hub}
-        return len(hub_faces) == template.arity
-    return False
-
-
 def embed_planar(graph: AdGraph) -> AdGraph:
-    """Attach a sphere rotation system; already-embedded graphs are
-    returned unchanged."""
+    """Attach a sphere rotation system.  A validated graph that already
+    carries rotations is returned unchanged: ``validate_adg`` has checked
+    them, or built them with ``planar_rotations``, which checks its own."""
     if graph.bipartition is None:
         raise NotValidatedError("embed_planar expects a validated graph")
     if graph.rotations is not None:
-        check_sphere_embedding(graph)
         return graph
     return replace(graph, rotations=planar_rotations(graph))
 

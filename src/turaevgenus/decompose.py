@@ -34,18 +34,9 @@ class MarkedPoint(NamedTuple):
     end: int
 
 
-class FaceArc(NamedTuple):
-    """Directed join between consecutive marked points inside a face."""
-
-    source: MarkedPoint
-    target: MarkedPoint
-    face: int
-
-
 @dataclass(frozen=True)
 class CurveSystem:
     curves: tuple[tuple[MarkedPoint, ...], ...]
-    face_arcs: tuple[FaceArc, ...]
 
 
 @dataclass(frozen=True)
@@ -90,8 +81,7 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     # marked point (arc, end) has index 2 * (rank of arc) + end
     point_index = {arc: 2 * i for i, arc in enumerate(na_arcs)}
     succ = [-1] * (2 * len(na_arcs))
-    face_arcs: list[FaceArc] = []
-    for fi, row in enumerate(emissions):
+    for row in emissions:
         m = len(row)
         for i in range(m):
             mp, pos, slot = row[i]
@@ -99,7 +89,6 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
             if pos == pos2 and slot == 0 and slot2 == 1:
                 continue  # the gap runs along the arc's own middle
             succ[point_index[mp.arc] + mp.end] = point_index[mp2.arc] + mp2.end
-            face_arcs.append(FaceArc(mp, mp2, fi))
     if -1 in succ:
         raise TuraevError("curve tracing did not close up")
 
@@ -144,7 +133,7 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
 
     return Decomposition(
         diagram=diagram,
-        curve_system=CurveSystem(tuple(curves), tuple(face_arcs)),
+        curve_system=CurveSystem(tuple(curves)),
         graph=graph,
         vertex_curves=tuple(vertex_curves),
         edge_arcs=tuple(na_arcs),

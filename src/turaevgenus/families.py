@@ -8,27 +8,45 @@ Family graphs are plain values, with no rotations and no bipartition,
 and are not necessarily bipartite: bipartiteness depends on the
 parameters.  A caller that needs the embedding asks for
 ``embed_planar(validate_adg(g))``, which also checks bipartiteness.
+
+The form table.  ``FAMILIES`` gives each family that ``classify_genus``
+names, doubled trees apart, its builder, the parameters of its minimal
+members and a parameter reader.  Each minimal member is a fixed point of
+``canonical_contract``, and a contraction step only shortens a doubled
+path, so a graph is in a family exactly when its contraction has the
+canonical form of one of the family's minimal members.  ``family_of``
+turns that key into the family and the parameters read off the graph;
+``classify_genus`` and ``census.census`` both call it.
+
+The genus-zero gate.  A contraction step deletes a vertex of degree four
+and leaves every other degree as it was, so it keeps the number of
+isolated vertices and of degree-two vertices.  A step needs three
+vertices and removes one, so only the single vertex contracts to the
+single vertex.  Every other genus-zero minimal member has no isolated
+vertex and exactly four vertices of degree two: the ends of two doubled
+edges, or, around a four-cycle or a two-sum, each bare corner or
+junction and the end of each leg of length one.  So a genus-zero graph
+with an isolated vertex, other than the single vertex, or with more than
+four degree-two vertices matches nothing, and ``classify_genus`` does
+not contract it.  Doubled trees are recognized directly; the docstring
+of ``recognize_doubled_tree`` shows why its parent list needs no check.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .adgraph import (
-    AdGraph,
-    simplify,
-    turaev_genus_graph,
-    validate_adg,
-)
+from .adgraph import AdGraph, turaev_genus_graph, validate_adg
 from .errors import (
     BadParametersError,
     ClassificationFailureError,
     InvalidSiteError,
 )
-from .perm import components
+from .perm import components, groups
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -198,12 +216,6 @@ def make_family(spec: FamilySpec) -> AdGraph:
 # moves
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str
-    site: tuple = ()
-
-
 def _remove_vertex(n: int, edges: list[tuple[int, int]], gone: int) -> AdGraph:
     relabel = [v - (v > gone) for v in range(n)]
     return AdGraph(n - 1, tuple((relabel[u], relabel[v]) for u, v in edges))
@@ -316,25 +328,6 @@ def doubled_path_extend(graph: AdGraph, u: int, v: int) -> AdGraph:
     keep = [e for i, e in enumerate(graph.edges) if i not in pair[:2]]
     w = graph.n
     return AdGraph(graph.n + 1, tuple(keep + [(u, w), (u, w), (v, w), (v, w)]))
-
-
-def apply_move(graph: AdGraph, move: Move) -> AdGraph:
-    kind = move.kind
-    if kind == "DoubledPendant":
-        return doubled_pendant(graph, *move.site)
-    if kind == "TwoPathExtend":
-        v, edge_set = move.site
-        return two_path_extend(graph, v, edge_set)
-    if kind == "OneSumComponents":
-        return one_sum_components(graph, *move.site)
-    if kind == "TwoSum":
-        e1, other, e2 = move.site
-        return two_sum(graph, e1, other, e2)
-    if kind == "DoubledPathContract":
-        return doubled_path_contract(graph, *move.site)
-    if kind == "DoubledPathExtend":
-        return doubled_path_extend(graph, *move.site)
-    raise InvalidSiteError(f"unknown move kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -627,46 +620,19 @@ def _orbits_fixing(n: int, path: list[int], gens: list[list[int]],
 
 
 # ---------------------------------------------------------------------------
-# recognizers and classification
-
-
-def recognize_doubled_path(graph: AdGraph) -> int | None:
-    """Length when the graph is a single doubled path (0 = one vertex)."""
-    if graph.n == 1 and not graph.edges:
-        return 0
-    mult = graph.multiplicity()
-    if any(m != 2 for m in mult.values()) or len(mult) != graph.n - 1:
-        return None
-    si = simplify(graph)
-    if si.component_count() != 1:
-        return None
-    deg = si.degrees()
-    if sorted(deg) != [1, 1] + [2] * (graph.n - 2):
-        return None
-    return graph.n - 1
-
-
-def recognize_doubled_cycle(graph: AdGraph) -> int | None:
-    """Cycle length when the graph is a single doubled cycle."""
-    if graph.n == 2:
-        mult = graph.multiplicity()
-        if list(mult.values()) == [4]:
-            return 2
-        return None
-    mult = graph.multiplicity()
-    if any(m != 2 for m in mult.values()) or len(mult) != graph.n:
-        return None
-    if graph.component_count() != 1:
-        return None
-    deg = simplify(graph).degrees()
-    if any(d != 2 for d in deg):
-        return None
-    return graph.n
+# the form table and classification
 
 
 def recognize_doubled_tree(graph: AdGraph) -> tuple[int, ...] | None:
     """Parent list when the graph is a doubled tree (connected, every
-    edge doubled, underlying graph acyclic)."""
+    edge doubled, underlying graph acyclic).
+
+    The list is read off the graph's own depth-first search: vertex v
+    gets its rank in the visiting order, and its parent, visited
+    earlier, a smaller rank.  So ``doubled_tree(parents)`` has the
+    doubled pair (rank[parent[v]], rank[v]) for each of the n - 1 tree
+    edges and nothing else: it is the graph relabelled by rank, and
+    needs no isomorphism check."""
     mult = graph.multiplicity()
     if any(m != 2 for m in mult.values()):
         return None
@@ -734,6 +700,127 @@ def _maximal_doubled_paths(graph: AdGraph) -> list[list[int]]:
     return unique
 
 
+def _path_lengths(graph: AdGraph) -> tuple[int, ...]:
+    return tuple(sorted(len(seg) - 1 for seg in _maximal_doubled_paths(graph)))
+
+
+def _legs(graph: AdGraph) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """The single edges, and the length of the doubled path ending at
+    each vertex: at a core vertex, its pendant leg."""
+    singles = [e for e, m in graph.multiplicity().items() if m == 1]
+    leg = {v: len(seg) - 1
+           for seg in _maximal_doubled_paths(graph) for v in (seg[0], seg[-1])}
+    return singles, leg
+
+
+def _four_cycle_legs(graph: AdGraph) -> tuple[int, ...]:
+    """Legs in cyclic order from the least core vertex, first towards
+    its neighbour on the earlier single edge."""
+    singles, leg = _legs(graph)
+    core = sorted({v for e in singles for v in e})
+    start = core[0]
+    first, last = [w if u == start else u for u, w in singles if start in (u, w)]
+    (opposite,) = set(core) - {start, first, last}
+    return tuple(leg.get(v, 0) for v in (start, first, opposite, last))
+
+
+def _junction_legs(graph: AdGraph) -> tuple[int, ...]:
+    """Sorted legs at the four core vertices with two single edges."""
+    singles, leg = _legs(graph)
+    ends = [v for e in singles for v in e]
+    return tuple(sorted(leg.get(v, 0) for v in set(ends) if ends.count(v) == 2))
+
+
+def _one_sum_cycle_lengths(graph: AdGraph) -> tuple[int, ...]:
+    """Cycle lengths of two doubled cycles glued at the degree-8 hub:
+    deleting the hub leaves one doubled path per cycle, one vertex
+    shorter."""
+    hub = graph.degrees().index(8)
+    comp, k = components(graph.n, [e for e in graph.edges if hub not in e])
+    return tuple(sorted(len(c) + 1 for c in groups(comp, k) if hub not in c))
+
+
+class Family(NamedTuple):
+    """One entry of the form table."""
+
+    build: Callable[..., AdGraph]
+    #: the parameters of the members that ``canonical_contract`` fixes
+    minimal: tuple[tuple[int, ...], ...]
+    #: the parameters of a member, in the order ``build`` takes them
+    read: Callable[[AdGraph], tuple[int, ...]]
+
+
+_LEGS01 = tuple(itertools.product((0, 1), repeat=4))
+
+#: Every family that ``classify_genus`` names, doubled trees apart.
+FAMILIES: dict[str, Family] = {
+    "single-vertex": Family(lambda: isolated_vertices(1), ((),), lambda g: ()),
+    "two-doubled-paths": Family(
+        lambda p, q: doubled_path(p).disjoint_union(doubled_path(q)), ((1, 1),),
+        lambda g: tuple(sorted(len(c) - 1 for c in g.components()))),
+    "four-cycle-legs": Family(c4_legs, _LEGS01, _four_cycle_legs),
+    "k4tilde-two-sum": Family(k4_tilde_two_sum, _LEGS01, _junction_legs),
+    "doubled-even-cycle": Family(doubled_cycle, ((2,),), lambda g: (g.n,)),
+    "doubled-cycles-disjoint": Family(
+        lambda i, j: doubled_cycle(i).disjoint_union(doubled_cycle(j)), ((2, 2),),
+        lambda g: tuple(sorted(len(c) for c in g.components()))),
+    "doubled-cycles-one-sum": Family(
+        lambda i, j: one_sum_components(
+            doubled_cycle(i).disjoint_union(doubled_cycle(j)), 0, i),
+        ((2, 2),), _one_sum_cycle_lengths),
+    "doubled-theta": Family(doubled_theta, ((1, 1, 1),), _path_lengths),
+    "k4-doubled-paths": Family(k4_doubled_paths, ((1, 1),), _path_lengths),
+    "k4-two-sum": Family(k4_two_sum, ((1, 1),), _path_lengths),
+}
+
+GENUS2_FAMILIES = ("doubled-cycles-disjoint", "doubled-cycles-one-sum",
+                   "doubled-theta", "k4-doubled-paths", "k4-two-sum")
+
+#: families whose parameters are confirmed by rebuilding the graph from
+#: them: these readers pick legs, paths or cycles out of the graph's shape
+_REBUILT = {"four-cycle-legs", "k4tilde-two-sum", *GENUS2_FAMILIES}
+
+
+@cache
+def _forms() -> dict[tuple, str]:
+    """Family tag of each minimal member, keyed by its canonical form."""
+    return {canonical_form(family.build(*params)): tag
+            for tag, family in FAMILIES.items() for params in family.minimal}
+
+
+def genus2_minimal_forms() -> list[tuple[str, AdGraph]]:
+    return [(tag, FAMILIES[tag].build(*FAMILIES[tag].minimal[0]))
+            for tag in GENUS2_FAMILIES]
+
+
+def family_of(key: tuple, graph: AdGraph, genus: int) -> tuple[str | None, tuple]:
+    """The family and parameters of ``graph``, whose contraction has the
+    canonical form ``key``, or ``(None, ())``.
+
+    A reduced graph of genus one must be a doubled even cycle, and one of
+    genus two must contract to one of the five minimal forms; for such a
+    ``graph`` anything else would refute the classification theorems and
+    raises ClassificationFailureError."""
+    tag = _forms().get(key)
+    if tag is None:
+        if genus in (1, 2):
+            raise ClassificationFailureError(
+                f"reduced genus-{genus} graph matched no minimal form; "
+                "this contradicts the classification"
+            )
+        return None, ()
+    family = FAMILIES[tag]
+    params = family.read(graph)
+    if tag == "doubled-even-cycle" and params[0] % 2:
+        raise ClassificationFailureError(
+            "reduced genus-1 graph is not a doubled even cycle")
+    if tag in _REBUILT and not isomorphic(graph, family.build(*params))[0]:
+        raise ClassificationFailureError(
+            f"parameter recovery for {tag} with {params} failed verification"
+        )
+    return tag, params
+
+
 @dataclass(frozen=True)
 class Classification:
     genus: int
@@ -742,197 +829,27 @@ class Classification:
     parameters: tuple = ()
 
 
-_GENUS2_FORMS = (
-    ("doubled-cycles-disjoint",
-     lambda: make_family(FamilySpec("DisjointUnion", (
-         FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledCycle", (2,))))),
-     ),
-    ("doubled-cycles-one-sum",
-     lambda: make_family(FamilySpec("OneSum", (
-         (FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledCycle", (2,))),
-         ((0, 0),)))),
-     ),
-    ("doubled-theta", lambda: doubled_theta(1, 1, 1)),
-    ("k4-doubled-paths", lambda: k4_doubled_paths(1, 1)),
-    ("k4-two-sum", lambda: k4_two_sum(1, 1)),
-)
-
-
-def genus2_minimal_forms() -> list[tuple[str, AdGraph]]:
-    return [(tag, build()) for tag, build in _GENUS2_FORMS]
-
-
-@cache
-def _genus2_tags() -> dict[tuple, str]:
-    """Family tag of each minimal form, keyed by its canonical form."""
-    return {canonical_form(form): tag for tag, form in genus2_minimal_forms()}
-
-
-def _classify_genus2(graph: AdGraph) -> tuple[str, tuple]:
-    tag = _genus2_tags().get(canonical_form(canonical_contract(graph)))
-    if tag is None:
-        raise ClassificationFailureError(
-            "reduced genus-2 graph matched no minimal forms; "
-            "this contradicts the classification"
-        )
-    if tag == "doubled-cycles-disjoint":
-        comps = graph.components()
-        params = tuple(sorted(
-            recognize_doubled_cycle(_induced(graph, comp)) for comp in comps
-        ))
-    elif tag == "doubled-cycles-one-sum":
-        deg = graph.degrees()
-        hub = deg.index(8)
-        params = _one_sum_cycle_lengths(graph, hub)
-    else:
-        params = tuple(sorted(len(s) - 1 for s in _maximal_doubled_paths(graph)))
-    rebuilt = {
-        "doubled-cycles-disjoint": lambda: make_family(
-            FamilySpec("DisjointUnion", tuple(
-                FamilySpec("DoubledCycle", (i,)) for i in params))),
-        "doubled-cycles-one-sum": lambda: make_family(
-            FamilySpec("OneSum", (
-                tuple(FamilySpec("DoubledCycle", (i,)) for i in params),
-                ((0, 0),)))),
-        "doubled-theta": lambda: doubled_theta(*params),
-        "k4-doubled-paths": lambda: k4_doubled_paths(*params),
-        "k4-two-sum": lambda: k4_two_sum(*params),
-    }[tag]()
-    ok, _ = isomorphic(graph, rebuilt)
-    if not ok:
-        raise ClassificationFailureError(
-            f"parameter recovery for {tag} with {params} failed verification"
-        )
-    return tag, params
-
-
-def _induced(graph: AdGraph, comp: list[int]) -> AdGraph:
-    members = {v: i for i, v in enumerate(sorted(comp))}
-    edges = tuple(
-        (members[u], members[v]) for u, v in graph.edges if u in members
-    )
-    return AdGraph(len(comp), edges)
-
-
-def _one_sum_cycle_lengths(graph: AdGraph, hub: int) -> tuple:
-    """Cycle lengths of two doubled cycles glued at ``hub``: deleting the
-    hub leaves one doubled path per cycle, one vertex shorter."""
-    keep = [v for v in range(graph.n) if v != hub]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = tuple(
-        (index[u], index[v]) for u, v in graph.edges if hub not in (u, v)
-    )
-    rest = AdGraph(len(keep), edges)
-    sizes = sorted(len(c) for c in rest.components())
-    return tuple(s + 1 for s in sizes)
-
-
-def _classify_genus0_shape(graph: AdGraph) -> tuple[str, tuple] | None:
-    """Match against the genus-zero shapes with at most four degree-two
-    vertices: two doubled paths, a doubled tree, a four-cycle with legs,
-    or the two-sum of two K4-minus-an-edge pieces."""
-    comps = graph.components()
-    if len(comps) == 2:
-        lens = [recognize_doubled_path(_induced(graph, c)) for c in comps]
-        if all(l is not None and l >= 1 for l in lens):
-            return "two-doubled-paths", tuple(sorted(lens))
-    if len(comps) != 1:
-        return None
-    parents = recognize_doubled_tree(graph)
-    if parents is not None:
-        rebuilt = doubled_tree(parents)
-        if isomorphic(graph, rebuilt)[0]:
-            leaves = sum(1 for d in graph.degrees() if d == 2)
-            return "doubled-tree", (leaves,) + tuple(parents)
-    shape = _recognize_core_with_legs(graph)
-    if shape is not None:
-        return shape
-    return None
-
-
-def _leg_lengths(graph: AdGraph) -> dict[int, int]:
-    """The length of a doubled path ending at each vertex: at a core
-    vertex its pendant leg, if the rebuild confirms the shape."""
-    return {v: len(seg) - 1
-            for seg in _maximal_doubled_paths(graph) for v in (seg[0], seg[-1])}
-
-
-def _recognize_core_with_legs(graph: AdGraph) -> tuple[str, tuple] | None:
-    mult = graph.multiplicity()
-    singles = [(u, v) for (u, v), m in mult.items() if m == 1]
-    if any(m not in (1, 2) for m in mult.values()):
-        return None
-    core_vertices = sorted({v for e in singles for v in e})
-    deg_single: dict[int, int] = {}
-    for u, v in singles:
-        deg_single[u] = deg_single.get(u, 0) + 1
-        deg_single[v] = deg_single.get(v, 0) + 1
-
-    if len(singles) == 4 and len(core_vertices) == 4 and all(
-        deg_single.get(v) == 2 for v in core_vertices
-    ):
-        # candidate C4(p, q, r, s): walk the 4-cycle in embedding order
-        adj = {v: [w for e in singles for w in e if v in e and w != v]
-               for v in core_vertices}
-        cyc = [core_vertices[0]]
-        while len(cyc) < 4:
-            nxt = [w for w in adj[cyc[-1]] if len(cyc) < 2 or w != cyc[-2]]
-            if not nxt:
-                return None
-            cyc.append(nxt[0])
-        if sorted(cyc) != core_vertices:
-            return None
-        leg = _leg_lengths(graph)
-        params = tuple(leg.get(c, 0) for c in cyc)
-        rebuilt = c4_legs(*params)
-        if isomorphic(graph, rebuilt)[0]:
-            return "four-cycle-legs", params
-        return None
-
-    if len(singles) == 8 and len(core_vertices) == 6:
-        hubs = [v for v in core_vertices if deg_single.get(v) == 4]
-        junctions = [v for v in core_vertices if deg_single.get(v) == 2]
-        if len(hubs) != 2 or len(junctions) != 4:
-            return None
-        leg = _leg_lengths(graph)
-        params = tuple(sorted(leg.get(j, 0) for j in junctions))
-        rebuilt = k4_tilde_two_sum(*params)
-        if isomorphic(graph, rebuilt)[0]:
-            return "k4tilde-two-sum", params
-    return None
-
-
 def classify_genus(graph: AdGraph) -> Classification:
-    """Genus, reducedness, and the recognized family for genus 0, 1, 2.
+    """Genus, reducedness, and the recognized family for genus 0, 1, 2:
+    ``family_of`` the contraction, or a doubled tree.
 
-    A reduced graph of genus one must be a doubled even cycle; a reduced
-    graph of genus two must contract to one of the five minimal forms.
-    Anything else in those cases would refute the classification theorems
-    and raises ClassificationFailureError.
-    """
-    validated = validate_adg(graph)
-    genus = turaev_genus_graph(validated)
+    Reduced graphs of genus one and two always have a family.  Graphs
+    of genus zero pass a gate first, and the contraction is skipped for
+    those the gate turns away."""
+    genus = turaev_genus_graph(validate_adg(graph))
     reduced = is_reduced(graph)
     if genus == 0:
-        if graph.n == 1 and not graph.edges:
-            return Classification(0, True, "single-vertex", ())
         degs = graph.degrees()
-        if all(d > 0 for d in degs) and sum(1 for d in degs if d == 2) <= 4:
-            shape = _classify_genus0_shape(graph)
-            if shape:
-                return Classification(0, reduced, shape[0], shape[1])
-        return Classification(0, reduced)
-    if genus == 1 and reduced:
-        length = recognize_doubled_cycle(graph)
-        if length is None or length % 2:
-            raise ClassificationFailureError(
-                "reduced genus-1 graph is not a doubled even cycle"
-            )
-        return Classification(1, True, "doubled-even-cycle", (length,))
-    if genus == 2 and reduced:
-        tag, params = _classify_genus2(graph)
-        return Classification(2, True, tag, params)
-    return Classification(genus, reduced)
+        if degs.count(2) > 4 or (0 in degs and graph.n != 1):
+            return Classification(0, reduced)
+        parents = recognize_doubled_tree(graph) if graph.edges else None
+        if parents is not None:
+            return Classification(0, reduced, "doubled-tree",
+                                  (degs.count(2),) + parents)
+    elif genus > 2 or not reduced:
+        return Classification(genus, reduced)
+    key = canonical_form(canonical_contract(graph))
+    return Classification(genus, reduced, *family_of(key, graph, genus))
 
 
 # ---------------------------------------------------------------------------

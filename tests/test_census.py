@@ -228,7 +228,7 @@ def test_genus0_reduced_census_single_vertex_only():
 
 
 def test_genus1_reduced_filter_gives_doubled_even_cycles():
-    from turaevgenus.families import recognize_doubled_cycle
+    from classify_oracle import recognize_doubled_cycle
 
     graphs = enumerate_adgs(CensusFilter(
         max_vertices=4, max_edges=8, require_reduced=True, genus_equals=1,

@@ -13,7 +13,6 @@ from turaevgenus.construct import (
     edge_signs,
     embed_planar,
     realize_diagram,
-    tangle_boundary_faces_ok,
     wheel_tangle,
 )
 from turaevgenus.decompose import decompose
@@ -30,6 +29,46 @@ from turaevgenus.families import (
     isomorphic,
     make_family,
 )
+from turaevgenus import adgraph, construct
+from turaevgenus.adgraph import half_edges
+from turaevgenus.construct import TangleTemplate
+from turaevgenus.errors import NotPlanarError
+from turaevgenus.perm import orbits
+
+
+def tangle_boundary_faces_ok(template: TangleTemplate) -> bool:
+    """Check that every face of the tangle meets the boundary circle in
+    at most one arc: close the boundary with a hub vertex and demand the
+    augmented map be a sphere whose hub-incident faces each pass the hub
+    exactly once (so there are ``arity`` of them)."""
+    for flip in (True, False):
+        arcs: dict[object, list[int]] = {}
+        rotations = []
+        for ci, x in enumerate(template.crossings):
+            for entry in x:
+                arcs.setdefault(entry, []).append(ci)
+            rotations.append(list(x))
+        hub = len(template.crossings)
+        order = range(template.arity)
+        hub_rot = [("end", j) for j in (reversed(order) if flip else order)]
+        for entry in hub_rot:
+            arcs[entry].append(hub)
+        keys = sorted(arcs, key=str)
+        edge_index = {key: i for i, key in enumerate(keys)}
+        edges = [(min(arcs[k]), max(arcs[k])) for k in keys]
+        rot_tables = tuple(
+            tuple(edge_index[e] for e in rot) for rot in rotations
+        ) + (tuple(edge_index[e] for e in hub_rot),)
+        graph = AdGraph(hub + 1, tuple(edges), rotations=rot_tables)
+        try:
+            check_sphere_embedding(graph)
+        except NotPlanarError:
+            continue
+        _, face_step, vertex = half_edges(graph)
+        face, _ = orbits(face_step)
+        hub_faces = {face[h] for h in range(len(face)) if vertex[h] == hub}
+        return len(hub_faces) == template.arity
+    return False
 
 
 def test_wheel_templates():
@@ -52,6 +91,22 @@ def test_embed_planar_idempotent():
     g = embed_planar(validate_adg(AdGraph(2, ((0, 1),) * 4)))
     assert embed_planar(g) is g
     check_sphere_embedding(g)
+
+
+def test_embed_planar_keeps_validated_rotations(monkeypatch):
+    # validation searched and checked the embedding; embedding adds no check
+    calls = []
+    real = adgraph.check_sphere_embedding
+
+    def counted(graph):
+        calls.append(1)
+        return real(graph)
+
+    monkeypatch.setattr(adgraph, "check_sphere_embedding", counted)
+    monkeypatch.setattr(construct, "check_sphere_embedding", counted, raising=False)
+    embedded = embed_planar(validate_adg(doubled_cycle(6)))
+    assert embedded.rotations is not None
+    assert len(calls) == 1
 
 
 def test_realize_requires_embedding():

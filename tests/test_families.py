@@ -186,25 +186,6 @@ def test_one_sum_requires_distinct_components():
         one_sum_components(merged, 0, 1)
 
 
-def test_apply_move_dispatch():
-    from turaevgenus.families import Move, apply_move, k4_one_path
-
-    g = apply_move(isolated_vertices(1), Move("DoubledPendant", (0,)))
-    assert (g.n, g.edge_count) == (2, 2)
-    g = apply_move(g, Move("DoubledPathExtend", (0, 1)))
-    assert (g.n, g.edge_count) == (3, 4)
-    k4 = k4_one_path(1)
-    summed = apply_move(
-        k4,
-        Move("TwoSum", (k4.edges.index((2, 3)), k4,
-                        k4.edges.index((2, 3)))),
-    )
-    want = k4_two_sum(1, 1)
-    assert isomorphic(summed, want)[0]
-    with pytest.raises(InvalidSiteError):
-        apply_move(g, Move("Nonsense", ()))
-
-
 def test_doubled_path_contract_requires_interior():
     with pytest.raises(InvalidSiteError):
         doubled_path_contract(C22, 0, 1)

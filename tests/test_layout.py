@@ -1,4 +1,5 @@
-"""Architecture guard: where networkx and the planarity search may be used.
+"""Architecture guard: where networkx, the planarity search and the
+classifier may be used.
 
 Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 
@@ -6,7 +7,10 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * ``check_planarity`` is called only in ``adgraph.planar_embedding``;
 * ``planar_rotations`` is called only in ``adgraph``, in
   ``construct.embed_planar`` and in ``verify.suite_doubled_path_moves``,
-  which embeds non-bipartite extensions that ``validate_adg`` rejects.
+  which embeds non-bipartite extensions that ``validate_adg`` rejects;
+* ``classify_genus`` is called only by ``cli.cmd_classify``: the census
+  names its classes by ``families.family_of`` on the key it has;
+* inside ``families``, ``isomorphic`` is called only by ``family_of``.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -79,3 +83,12 @@ def test_planar_rotations_call_sites():
     assert outside <= {"construct.embed_planar", "verify.suite_doubled_path_moves"}
     # the scan sees calls in other modules, not only in adgraph
     assert {"adgraph.validate_adg", "construct.embed_planar"} <= sites
+
+
+def test_classify_genus_only_in_cmd_classify():
+    assert _call_sites("classify_genus") == {"cli.cmd_classify"}
+
+
+def test_isomorphic_in_families_only_in_the_lookup():
+    sites = {s for s in _call_sites("isomorphic") if s.startswith("families.")}
+    assert sites == {"families.family_of"}
