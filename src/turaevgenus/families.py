@@ -840,12 +840,12 @@ def classify_genus(graph: AdGraph) -> Classification:
     reduced = is_reduced(graph)
     if genus == 0:
         degs = graph.degrees()
-        if degs.count(2) > 4 or (0 in degs and graph.n != 1):
+        twos = degs.count(2)
+        if twos > 4 or (0 in degs and graph.n != 1):
             return Classification(0, reduced)
         parents = recognize_doubled_tree(graph) if graph.edges else None
         if parents is not None:
-            return Classification(0, reduced, "doubled-tree",
-                                  (degs.count(2),) + parents)
+            return Classification(0, reduced, "doubled-tree", (twos,) + parents)
     elif genus > 2 or not reduced:
         return Classification(genus, reduced)
     key = canonical_form(canonical_contract(graph))

@@ -1,7 +1,7 @@
 """The classifier as it was before the form table: shape recognizers, a
 genus-2 table and rebuild checks.  Kept verbatim as the reference that
 ``families.classify_genus`` is compared against in
-``tests/test_families.py``."""
+``tests/test_classify.py``."""
 
 from __future__ import annotations
 
