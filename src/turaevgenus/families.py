@@ -12,19 +12,20 @@ parameters.  A caller that needs the embedding asks for
 The form table.  ``FAMILIES`` gives each family that ``classify_genus``
 names, doubled trees apart, its builder, the parameters of its minimal
 members and a parameter reader.  Each minimal member is a fixed point of
-``canonical_contract``, and a contraction step only shortens a doubled
-path, so a graph is in a family exactly when its contraction has the
-canonical form of one of the family's minimal members.  ``family_of``
-turns that key into the family and the parameters read off the graph;
-``classify_genus`` and ``census.census`` both call it.
+``canonical_contract``, and contraction only shortens doubled paths, so
+a graph is in a family exactly when its contraction has the canonical
+form of one of the family's minimal members.  ``family_of`` turns that
+key into the family and the parameters read off the graph;
+``classify_genus`` and ``census.census`` both call it.  The contraction
+and the readers take the maximal doubled paths from ``doubled_paths``.
 
-The genus-zero gate.  A contraction step deletes a vertex of degree four
-and leaves every other degree as it was, so it keeps the number of
-isolated vertices and of degree-two vertices.  A step needs three
-vertices and removes one, so only the single vertex contracts to the
-single vertex.  Every other genus-zero minimal member has no isolated
-vertex and exactly four vertices of degree two: the ends of two doubled
-edges, or, around a four-cycle or a two-sum, each bare corner or
+The genus-zero gate.  Contraction deletes the sites, which have degree
+four, and adds vertices of degree four only, so it keeps the number of
+isolated vertices and of degree-two vertices.  A graph with a site
+contracts to at least two vertices, so only the single vertex contracts
+to the single vertex.  Every other genus-zero minimal member has no
+isolated vertex and exactly four vertices of degree two: the ends of two
+doubled edges, or, around a four-cycle or a two-sum, each bare corner or
 junction and the end of each leg of length one.  So a genus-zero graph
 with an isolated vertex, other than the single vertex, or with more than
 four degree-two vertices matches nothing, and ``classify_genus`` does
@@ -45,6 +46,7 @@ from .errors import (
     BadParametersError,
     ClassificationFailureError,
     InvalidSiteError,
+    MalformedLineError,
 )
 from .perm import components, groups
 
@@ -253,6 +255,8 @@ def two_path_extend(graph: AdGraph, v: int, edge_set_a: Iterable[int]) -> AdGrap
 
 def one_sum_components(graph: AdGraph, v1: int, v2: int) -> AdGraph:
     """Identify two vertices that lie in different components."""
+    if not (0 <= v1 < graph.n and 0 <= v2 < graph.n):
+        raise InvalidSiteError(f"one-sum vertex out of range 0..{graph.n - 1}")
     comp_of = components(graph.n, graph.edges)[0]
     if v1 == v2 or comp_of[v1] == comp_of[v2]:
         raise InvalidSiteError("one-sum vertices must lie in different components")
@@ -286,36 +290,16 @@ def two_sum(g1: AdGraph, e1: int, g2: AdGraph, e2: int) -> AdGraph:
     return AdGraph(nxt, tuple(edges))
 
 
-def _pendant_ineligible(graph: AdGraph, v: int) -> str | None:
-    """Interior doubled-path vertex test: degree 4, exactly two distinct
-    neighbors, two parallel edges to each."""
-    nbrs: dict[int, int] = {}
-    for u, w in graph.edges:
-        if v == u:
-            nbrs[w] = nbrs.get(w, 0) + 1
-        elif v == w:
-            nbrs[u] = nbrs.get(u, 0) + 1
-    if sum(nbrs.values()) != 4 or len(nbrs) != 2 or set(nbrs.values()) != {2}:
-        return "vertex is not an interior doubled-path vertex"
-    return None
-
-
 def doubled_path_contract(graph: AdGraph, v: int, neighbor: int) -> AdGraph:
     """Contract the doubled pair between interior vertex v and one of its
     two neighbors, merging v into the neighbor."""
-    why = _pendant_ineligible(graph, v)
-    if why:
-        raise InvalidSiteError(why)
-    pair = [i for i, e in enumerate(graph.edges)
-            if set(e) == {v, neighbor}]
+    if v not in contractible_sites(graph):
+        raise InvalidSiteError("vertex is not an interior doubled-path vertex")
+    pair = [i for i, e in enumerate(graph.edges) if set(e) == {v, neighbor}]
     if len(pair) != 2:
         raise InvalidSiteError(f"no doubled pair between {v} and {neighbor}")
-    edges = [
-        e for i, e in enumerate(graph.edges) if i not in pair
-    ]
-    edges = [
-        (neighbor if x == v else x, neighbor if y == v else y) for x, y in edges
-    ]
+    edges = [(neighbor if x == v else x, neighbor if y == v else y)
+             for i, (x, y) in enumerate(graph.edges) if i not in pair]
     return _remove_vertex(graph.n, edges, v)
 
 
@@ -346,21 +330,53 @@ def contractible_sites(graph: AdGraph) -> list[int]:
     return [v for v in range(graph.n) if deg[v] == 4 and doubled[v] == 2]
 
 
-def canonical_contract(graph: AdGraph, chooser=None) -> AdGraph:
-    """Contract interior doubled-path vertices until none remain.
+def _paths_through(graph: AdGraph, sites: set[int]) -> list[tuple[tuple[int, ...], int]]:
+    """``doubled_paths`` with the contractible sites given."""
+    pairs = [e for e, m in graph.multiplicity().items() if m == 2]
+    first: dict[int, int] = {}  # the first pair met at each site
+    joins = [(first.setdefault(v, i), i)
+             for i, e in enumerate(pairs) for v in e if v in sites]
+    paths = groups(*components(len(pairs), joins))
+    return [(tuple(sorted(v for i in p for v in pairs[i] if v not in sites)), len(p))
+            for p in paths]
 
-    Deterministic site order (lowest vertex, merged into its lower
-    neighbor); a chooser may randomize the order, and the result is
-    independent of it up to isomorphism.
-    """
-    g = AdGraph(graph.n, graph.edges)
-    while True:
-        sites = contractible_sites(g)
-        if not sites:
-            return g
-        v = sites[0] if chooser is None else chooser.pick(sites)
-        nbrs = sorted({u for e in g.edges if v in e for u in e if u != v})
-        g = doubled_path_contract(g, v, nbrs[0])
+
+def doubled_paths(graph: AdGraph) -> list[tuple[tuple[int, ...], int]]:
+    """Each maximal doubled path as ``(ends, length)``: the doubled pairs
+    (multiplicity exactly two) joined at the contractible sites.  The
+    ends are ``(a, b)``, a <= b, the same vertex twice for a path that
+    returns to its start, and ``()`` for a doubled cycle of sites.
+    Bundles of more than two parallel edges are not listed."""
+    return _paths_through(graph, set(contractible_sites(graph)))
+
+
+def canonical_contract(graph: AdGraph) -> AdGraph:
+    """Shrink every maximal doubled path to one doubled edge, in one pass.
+
+    The sites go and the other vertices keep their order.  A path from a
+    to b != a becomes the doubled pair (a, b); a path that returns to a,
+    a fresh vertex joined to a by four edges; a doubled cycle of sites, a
+    doubled two-cycle.  A graph with no site keeps its vertices and
+    edges as they are.  Contracting one site at a time, in any order,
+    gives an isomorphic graph."""
+    sites = set(contractible_sites(graph))
+    label = {v: i for i, v in enumerate(v for v in range(graph.n)
+                                         if v not in sites)}
+    n = len(label)
+    edges = [(label[u], label[v]) for u, v in graph.edges
+             if u in label and v in label]
+    for ends, length in _paths_through(graph, sites):
+        if length == 1:  # no site on it: kept above
+            continue
+        if not ends:
+            edges += [(n, n + 1)] * 4
+            n += 2
+        elif ends[0] == ends[1]:
+            edges += [(label[ends[0]], n)] * 4
+            n += 1
+        else:
+            edges += [(label[ends[0]], label[ends[1]])] * 2
+    return AdGraph(n, tuple(edges))
 
 
 def is_reduced(graph: AdGraph) -> bool:
@@ -656,61 +672,19 @@ def recognize_doubled_tree(graph: AdGraph) -> tuple[int, ...] | None:
     return tuple(rank[parent[v]] for v in order[1:])
 
 
-def _maximal_doubled_paths(graph: AdGraph) -> list[list[int]]:
-    """Split the doubled part into maximal doubled paths, each given as
-    its vertex chain; a bundle of 2m parallel edges counts as m paths of
-    length one."""
-    mult = graph.multiplicity()
-    doubled_adj: dict[int, list[int]] = {}
-    for (u, v), m in mult.items():
-        if m == 2:
-            doubled_adj.setdefault(u, []).append(v)
-            doubled_adj.setdefault(v, []).append(u)
-    interior = set(contractible_sites(graph))
-    segments = []
-    seen_pairs = set()
-    for start in sorted(doubled_adj):
-        if start in interior:
-            continue
-        for first in sorted(doubled_adj[start]):
-            if (start, first) in seen_pairs:
-                continue
-            chain = [start, first]
-            seen_pairs.add((start, first))
-            seen_pairs.add((first, start))
-            while chain[-1] in interior:
-                nxt = next(
-                    w for w in doubled_adj[chain[-1]] if w != chain[-2]
-                )
-                seen_pairs.add((chain[-1], nxt))
-                seen_pairs.add((nxt, chain[-1]))
-                chain.append(nxt)
-            segments.append(chain)
-    # each path found twice, once from each end
-    unique = []
-    listed = set()
-    for seg in segments:
-        key = (seg[0], seg[1], seg[-1], len(seg))
-        rkey = (seg[-1], seg[-2], seg[0], len(seg))
-        if key in listed or rkey in listed:
-            continue
-        listed.add(key)
-        unique.append(seg)
-    unique += [[u, v] for (u, v), m in mult.items() if m > 2 for _ in range(m // 2)]
-    return unique
-
-
 def _path_lengths(graph: AdGraph) -> tuple[int, ...]:
-    return tuple(sorted(len(seg) - 1 for seg in _maximal_doubled_paths(graph)))
+    """Maximal doubled path lengths, counting a bundle of m > 2 parallel
+    edges as m // 2 paths of length one."""
+    bundles = [1 for m in graph.multiplicity().values() if m > 2
+               for _ in range(m // 2)]
+    return tuple(sorted([k for _, k in doubled_paths(graph)] + bundles))
 
 
 def _legs(graph: AdGraph) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """The single edges, and the length of the doubled path ending at
     each vertex: at a core vertex, its pendant leg."""
     singles = [e for e, m in graph.multiplicity().items() if m == 1]
-    leg = {v: len(seg) - 1
-           for seg in _maximal_doubled_paths(graph) for v in (seg[0], seg[-1])}
-    return singles, leg
+    return singles, {v: k for ends, k in doubled_paths(graph) for v in ends}
 
 
 def _four_cycle_legs(graph: AdGraph) -> tuple[int, ...]:
@@ -731,13 +705,13 @@ def _junction_legs(graph: AdGraph) -> tuple[int, ...]:
     return tuple(sorted(leg.get(v, 0) for v in set(ends) if ends.count(v) == 2))
 
 
-def _one_sum_cycle_lengths(graph: AdGraph) -> tuple[int, ...]:
-    """Cycle lengths of two doubled cycles glued at the degree-8 hub:
-    deleting the hub leaves one doubled path per cycle, one vertex
-    shorter."""
-    hub = graph.degrees().index(8)
-    comp, k = components(graph.n, [e for e in graph.edges if hub not in e])
-    return tuple(sorted(len(c) + 1 for c in groups(comp, k) if hub not in c))
+def _cycle_lengths(graph: AdGraph) -> tuple[int, ...]:
+    """Lengths of the doubled cycles that make up the graph, one-summed
+    or apart: the doubled paths that close up, and a 2 for each bundle
+    of four edges."""
+    closed = [k for ends, k in doubled_paths(graph) if len(set(ends)) < 2]
+    return tuple(sorted(closed + [2 for m in graph.multiplicity().values()
+                                  if m == 4]))
 
 
 class Family(NamedTuple):
@@ -763,11 +737,11 @@ FAMILIES: dict[str, Family] = {
     "doubled-even-cycle": Family(doubled_cycle, ((2,),), lambda g: (g.n,)),
     "doubled-cycles-disjoint": Family(
         lambda i, j: doubled_cycle(i).disjoint_union(doubled_cycle(j)), ((2, 2),),
-        lambda g: tuple(sorted(len(c) for c in g.components()))),
+        _cycle_lengths),
     "doubled-cycles-one-sum": Family(
         lambda i, j: one_sum_components(
             doubled_cycle(i).disjoint_union(doubled_cycle(j)), 0, i),
-        ((2, 2),), _one_sum_cycle_lengths),
+        ((2, 2),), _cycle_lengths),
     "doubled-theta": Family(doubled_theta, ((1, 1, 1),), _path_lengths),
     "k4-doubled-paths": Family(k4_doubled_paths, ((1, 1),), _path_lengths),
     "k4-two-sum": Family(k4_two_sum, ((1, 1),), _path_lengths),
@@ -896,24 +870,34 @@ def random_genus0(moves: int, seed: int, start_vertices: int | None = None):
 
 
 def replay_script(text: str) -> AdGraph:
+    """Replay a ``random_genus0`` move script.  A missing, extra or
+    non-integer field, or a move before ``start``, raises
+    MalformedLineError; an unknown move or a bad site InvalidSiteError."""
+    arity = {"start": 1, "pendant": 1, "onesum": 2, "twopath": 1}
     graph = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.replace(":", " : ").split()
-        if parts[0] == "start":
-            graph = isolated_vertices(int(parts[1]))
-        elif parts[0] == "pendant":
-            graph = doubled_pendant(graph, int(parts[1]))
-        elif parts[0] == "twopath":
-            v = int(parts[1])
-            a = [int(p) for p in parts[3:]]
-            graph = two_path_extend(graph, v, a)
-        elif parts[0] == "onesum":
-            graph = one_sum_components(graph, int(parts[1]), int(parts[2]))
-        else:
+        head, colon, tail = line.partition(":")  # twopath v : edges
+        op, *fields = head.split() or [""]
+        if op not in arity:
             raise InvalidSiteError(f"unknown script line {line!r}")
+        if len(fields) != arity[op] or bool(colon) != (op == "twopath"):
+            raise MalformedLineError(lineno, raw, f"wrong fields for {op}")
+        try:
+            args = [int(f) for f in fields + tail.split()]
+        except ValueError:
+            raise MalformedLineError(lineno, raw, "fields must be integers") from None
+        if op == "start":
+            graph = isolated_vertices(*args)
+        elif graph is None:
+            raise MalformedLineError(lineno, raw, "move before start")
+        elif op == "twopath":
+            graph = two_path_extend(graph, args[0], args[1:])
+        else:
+            move = doubled_pendant if op == "pendant" else one_sum_components
+            graph = move(graph, *args)
     if graph is None:
         raise InvalidSiteError("empty move script")
     return graph

@@ -246,25 +246,29 @@ def suite_doubled_path_moves(rng: random.Random, iters: int) -> SuiteResult:
     return res
 
 
+def stepwise_contract(graph: AdGraph, rng: random.Random | None = None) -> AdGraph:
+    """The reference for ``families.canonical_contract``: merge one site
+    at a time into its lower neighbour with ``doubled_path_contract``.
+    The site is the first one, or with ``rng`` one drawn by a single
+    ``rng.randrange(len(sites))``."""
+    while sites := families.contractible_sites(graph):
+        v = sites[0] if rng is None else sites[rng.randrange(len(sites))]
+        low = min(u for e in graph.edges if v in e for u in e if u != v)
+        graph = families.doubled_path_contract(graph, v, low)
+    return graph
+
+
 def suite_families(rng: random.Random, iters: int) -> SuiteResult:
-    """Canonical contraction and the genus-zero move generator."""
+    """Canonical contraction against the stepwise reference in random
+    order, and the genus-zero move generator."""
     res = SuiteResult("families")
     for _ in range(iters):
         graph = corpus.random_adgraph(rng, max_edges=12)
         dump = adgraph.write_graph_file(graph)
         contracted = families.canonical_contract(graph)
-        res.check(
-            families.isomorphic(
-                families.canonical_contract(contracted), contracted
-            )[0],
-            dump,
-        )
-
-        class _Chooser:
-            def pick(self, options):
-                return options[rng.randrange(len(options))]
-
-        shuffled = families.canonical_contract(graph, _Chooser())
+        again = families.canonical_contract(contracted)
+        res.check(families.isomorphic(again, contracted)[0], dump)
+        shuffled = stepwise_contract(graph, rng)
         res.check(families.isomorphic(contracted, shuffled)[0], dump)
     for seed in range(iters):
         moves = rng.randrange(0, 30)

@@ -1,7 +1,9 @@
 """The classifier as it was before the form table: shape recognizers, a
 genus-2 table and rebuild checks.  Kept verbatim as the reference that
 ``families.classify_genus`` is compared against in
-``tests/test_classify.py``."""
+``tests/test_classify.py``, except that it contracts with the stepwise
+reference ``verify.stepwise_contract``, so the comparison does not run
+``canonical_contract`` on both sides."""
 
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from turaevgenus.errors import ClassificationFailureError
 from turaevgenus.families import (
     FamilySpec,
     c4_legs,
-    canonical_contract,
     canonical_form,
     contractible_sites,
     doubled_theta,
@@ -30,6 +31,7 @@ from turaevgenus.families import (
     k4_two_sum,
     make_family,
 )
+from turaevgenus.verify import stepwise_contract
 
 
 def recognize_doubled_path(graph: AdGraph) -> int | None:
@@ -171,7 +173,7 @@ def _genus2_tags() -> dict[tuple, str]:
 
 
 def _classify_genus2(graph: AdGraph) -> tuple[str, tuple]:
-    tag = _genus2_tags().get(canonical_form(canonical_contract(graph)))
+    tag = _genus2_tags().get(canonical_form(stepwise_contract(graph)))
     if tag is None:
         raise ClassificationFailureError(
             "reduced genus-2 graph matched no minimal forms; "

@@ -5,9 +5,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turaevgenus import corpus, families
 from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
 from turaevgenus.census import CensusFilter, enumerate_adgs
-from turaevgenus.errors import BadParametersError, InvalidSiteError
+from turaevgenus.errors import (
+    BadParametersError,
+    InvalidSiteError,
+    MalformedLineError,
+    TuraevError,
+)
 from turaevgenus.families import (
     Classification,
     FamilySpec,
@@ -16,6 +22,7 @@ from turaevgenus.families import (
     canonical_contract,
     canonical_form,
     classify_genus,
+    contractible_sites,
     doubled_cycle,
     doubled_path,
     doubled_path_contract,
@@ -39,6 +46,7 @@ from turaevgenus.families import (
     wl_hash,
 )
 from turaevgenus.perm import components
+from turaevgenus.verify import stepwise_contract
 
 from iso_oracle import find_isomorphism
 
@@ -217,15 +225,73 @@ def test_canonical_contract_fixed_point():
 
 
 def test_canonical_contract_idempotent_and_order_free(rng):
-    class Chooser:
-        def pick(self, options):
-            return options[rng.randrange(len(options))]
-
     for g in (doubled_cycle(8), k4_doubled_paths(3, 4), k4_two_sum(2, 4)):
         base = canonical_contract(g)
         assert isomorphic(base, canonical_contract(base))[0]
         for _ in range(4):
-            assert isomorphic(base, canonical_contract(g, Chooser()))[0]
+            assert isomorphic(base, stepwise_contract(g, rng))[0]
+
+
+def _contraction_corpus() -> list[AdGraph]:
+    """Paths, cycles, thetas, the K4 families, four-cycles with legs,
+    one-sums of cycles at either vertex, random graphs, random genus-zero
+    graphs and small census graphs: every kind of doubled path, loop
+    paths and cycles of sites included."""
+    graphs = [doubled_path(k) for k in range(5)]
+    graphs += [doubled_cycle(i) for i in range(2, 8)]
+    graphs += [doubled_theta(*p) for p in itertools.product((1, 2, 3), repeat=3)]
+    graphs += [k4_doubled_paths(p, q) for p in (1, 3) for q in (1, 2)]
+    graphs += [k4_two_sum(p, q) for p in (1, 3) for q in (1, 2)]
+    graphs += [c4_legs(*p) for p in itertools.product((0, 2), repeat=4)]
+    graphs += [k4_tilde_two_sum(*p) for p in ((0, 1, 2, 0), (2, 2, 1, 1))]
+    graphs += [one_sum_components(doubled_cycle(i).disjoint_union(doubled_cycle(j)),
+                                  v, i + w)
+               for i in (2, 3, 5) for j in (2, 4) for v in (0, 1) for w in (0, 1)]
+    rng = random.Random(13)
+    graphs += [corpus.random_adgraph(rng, max_edges=16) for _ in range(200)]
+    graphs += [random_genus0(rng.randrange(40), seed)[0] for seed in range(150)]
+    graphs += enumerate_adgs(CensusFilter(8, 12))
+    return graphs
+
+
+def test_canonical_contract_matches_the_stepwise_reference():
+    """One-pass contraction has the canonical form of contracting one
+    site at a time, in first-site order and in random order, and leaves
+    a graph with no site as it is."""
+    rng = random.Random(1313)
+    graphs = _contraction_corpus()
+    contracted = 0
+    for g in graphs:
+        got = canonical_contract(g)
+        form = canonical_form(got)
+        assert form == canonical_form(stepwise_contract(g))
+        assert form == canonical_form(stepwise_contract(g, rng))
+        if contractible_sites(g):
+            contracted += 1
+        else:
+            assert (got.n, got.edges) == (g.n, g.edges)
+    assert contracted > len(graphs) // 4
+
+
+@pytest.mark.parametrize("build", [doubled_cycle, lambda n: doubled_theta(n, n, n)],
+                         ids=["cycle", "theta"])
+def test_contraction_finds_the_sites_a_fixed_number_of_times(build, monkeypatch):
+    """One contraction of a doubled cycle or theta runs the interior test
+    the same number of times at every size."""
+    calls = []
+    real = families.contractible_sites
+
+    def counted(graph):
+        calls.append(graph.n)
+        return real(graph)
+
+    monkeypatch.setattr(families, "contractible_sites", counted)
+    counts = []
+    for n in (10, 100, 1000):
+        calls.clear()
+        canonical_contract(build(n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
 
 
 # --- reducedness ----------------------------------------------------------------
@@ -656,3 +722,66 @@ def test_random_genus0_scripts():
         assert turaev_genus_graph(validate_adg(g)) == 0
         replayed = replay_script(script)
         assert isomorphic(replayed, g)[0]
+
+
+@pytest.mark.parametrize("bad, error, lineno, good", [
+    ("pendant 0", MalformedLineError, 1, "start 1\npendant 0"),
+    ("start x", MalformedLineError, 1, "start 1"),
+    ("start 1\npendant", MalformedLineError, 2, "start 1\npendant 0"),
+    ("start 2\n\nonesum 0", MalformedLineError, 3, "start 2\n\nonesum 0 1"),
+    ("start 1\npendant 0 0", MalformedLineError, 2, "start 1\npendant 0"),
+    ("start 1\npendant 0\ntwopath 0 0", MalformedLineError, 3,
+     "start 1\npendant 0\ntwopath 0 : 0"),
+    ("start 2\nonesum 0 5", InvalidSiteError, None, "start 2\nonesum 0 1"),
+    ("start 2\nonesum 0 -1", InvalidSiteError, None, "start 2\nonesum 0 1"),
+    ("start 1\npendnt 0", InvalidSiteError, None, "start 1\npendant 0"),
+])
+def test_replay_script_near_misses(bad, error, lineno, good):
+    """Each malformed script raises its error, with the line number of
+    the bad line; the valid script one edit away replays."""
+    with pytest.raises(error) as info:
+        replay_script(bad)
+    if lineno is not None:
+        assert info.value.lineno == lineno
+    assert replay_script(good).n >= 1
+
+
+def test_one_sum_rejects_vertices_out_of_range():
+    two = isolated_vertices(2)
+    for v in (2, 5, -1):
+        with pytest.raises(InvalidSiteError):
+            one_sum_components(two, 0, v)
+        with pytest.raises(InvalidSiteError):
+            one_sum_components(two, v, 1)
+
+
+_SCRIPT_TOKENS = st.sampled_from(
+    ["start", "pendant", "twopath", "onesum", ":", "#", "x", "1.5",
+     "-1", "0", "1", "2", "3", "9"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 25), st.integers(0, 10**6), st.data())
+def test_mutated_scripts_replay_or_raise_turaev_errors(moves, seed, data):
+    """A ``random_genus0`` script with one line replaced, deleted,
+    duplicated or with one field changed replays to a graph or raises a
+    TuraevError, never anything else."""
+    lines = random_genus0(moves, seed)[1].splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(["replace", "delete", "duplicate", "field"]))
+    if kind == "replace":
+        lines[i] = " ".join(data.draw(st.lists(_SCRIPT_TOKENS, max_size=6)))
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].split()
+        j = data.draw(st.integers(0, len(fields)))
+        fields[j:j + 1] = data.draw(st.lists(_SCRIPT_TOKENS, max_size=2))
+        lines[i] = " ".join(fields)
+    try:
+        graph = replay_script("\n".join(lines))
+    except TuraevError:
+        return
+    assert isinstance(graph, AdGraph)

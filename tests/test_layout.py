@@ -1,5 +1,5 @@
-"""Architecture guard: where networkx, the planarity search and the
-classifier may be used.
+"""Architecture guard: where networkx, the planarity search, the
+classifier and the stepwise contraction may be used.
 
 Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 
@@ -10,7 +10,11 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   which embeds non-bipartite extensions that ``validate_adg`` rejects;
 * ``classify_genus`` is called only by ``cli.cmd_classify``: the census
   names its classes by ``families.family_of`` on the key it has;
-* inside ``families``, ``isomorphic`` is called only by ``family_of``.
+* inside ``families``, ``isomorphic`` is called only by ``family_of``;
+* ``doubled_path_contract`` is called only in ``verify``, by the
+  stepwise reference ``stepwise_contract`` and by
+  ``suite_doubled_path_moves``: ``canonical_contract`` contracts every
+  doubled path in one pass.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -92,3 +96,8 @@ def test_classify_genus_only_in_cmd_classify():
 def test_isomorphic_in_families_only_in_the_lookup():
     sites = {s for s in _call_sites("isomorphic") if s.startswith("families.")}
     assert sites == {"families.family_of"}
+
+
+def test_doubled_path_contract_only_in_verify():
+    assert _call_sites("doubled_path_contract") == {
+        "verify.stepwise_contract", "verify.suite_doubled_path_moves"}
