@@ -5,9 +5,10 @@ connected simple bipartite planar graphs up to isomorphism, vertex by
 vertex: the new vertex joins neighbours on one side of its parent's
 bipartition, and a candidate is kept when the need bound below fits the
 edge budget, its canonical form is new and the graph is planar.  Stage
-2 assigns edge multiplicities that make every degree even and keeps the
-first assignment per canonical form.  Disconnected graphs are multisets
-of connected atoms plus isolated vertices.  The census groups the
+2 assigns edge multiplicities that make every degree even, from the
+cycle space of the simple graph, and keeps the least assignment of each
+orbit under the simple graph's automorphisms.  Disconnected graphs are
+multisets of connected atoms plus isolated vertices.  The census groups the
 reduced graphs by the canonical form of their doubled-path contraction,
 and ``families.family_of`` names each class from that key.
 Determinism and completeness within the bounds are contractual; speed
@@ -27,6 +28,37 @@ therefore drops every child with B > max_e before canonicalising it and
 loses no class that stage 2 can use; the kept parents keep their
 relative order, so each kept class keeps its first-generated
 representative.
+
+The odd sets are the cycle space.  In a multigraph with every degree
+even, each vertex meets an even number of odd-multiplicity edges, so
+the odd edges of the simple graph G form an even subgraph: an element
+of G's cycle space (Diestel, *Graph Theory*, section 1.9), the span over
+GF(2) of the nu = E - V + 1 fundamental cycles of a spanning tree.
+Conversely, for each element O of the cycle space, multiplicities that
+are odd exactly on O make every degree even.  So stage 2 walks the 2^nu
+elements from the edges' fundamental-cycle coordinates
+(``perm.fundamental_cycles``), gives each edge of O multiplicity 1 and
+every other edge 2, and spreads the spare pairs of the edge budget,
+checking each vertex's degree floor at its last edge.  Each assignment
+comes out once: its odd edges fix O, and O fixes the pairs.
+
+On one simple graph, multigraph isomorphism is an automorphism.  Let
+assignments a and b on G give multigraphs M_a and M_b.  An isomorphism
+phi from M_a to M_b sends each edge of positive multiplicity to one,
+so it maps the edges of G onto the edges of G: phi is an automorphism
+of G with b(phi(e)) = a(e).  Conversely every such automorphism is an
+isomorphism.  So the isomorphism classes among the assignments are the
+orbits of Aut(G) on them, and ``families.automorphism_generators``
+gives a generating set of Aut(G); an orbit of a finite group is closed
+under its generators.
+
+The least member of an orbit is the first per canonical form.  Listing
+every assignment in lexicographic order and keeping the first per
+canonical form of the multigraph keeps, by the last paragraph, exactly
+the lexicographically least member of each orbit, in lexicographic
+order.  Stage 2 keeps that list with no canonical form: it sorts the
+assignments, keeps each one that no earlier orbit has reached, and
+marks its orbit.
 
 Additivity.  The genus recursion's result does not depend on the order
 of its choices, and each step touches one component, so on a disjoint
@@ -57,12 +89,14 @@ from .adgraph import (
 )
 from .errors import BadParametersError, BoundsTooLargeError
 from .families import (
+    automorphism_generators,
     canonical_contract,
     canonical_form,
     family_of,
     is_reduced,
     wl_hash,
 )
+from .perm import fundamental_cycles
 
 MAX_FEASIBLE_EDGES = 16
 MAX_FEASIBLE_VERTICES = 16
@@ -186,52 +220,101 @@ def _even_multiplicity_assignments(
 ) -> list[tuple[int, ...]]:
     """All per-edge multiplicities >= 1 with total <= max_e making every
     vertex degree even and at least ``min_degree``, one per isomorphism
-    class of the resulting multigraph."""
-    edges = list(simple.edges)
+    class of the resulting multigraph: the lexicographically least of
+    each orbit under the automorphisms of ``simple``, in lexicographic
+    order."""
+    edges = simple.edges
     m = len(edges)
     if m == 0:
         return [()] if simple.n == 1 and min_degree == 0 else []
+    labels, trees = fundamental_cycles(simple.n, edges)
     last_at: dict[int, int] = {}
     for i, (u, v) in enumerate(edges):
         last_at[u] = i
         last_at[v] = i
 
     results: list[tuple[int, ...]] = []
-    degree = [0] * simple.n
+    current = [0] * m
+    still = [0] * simple.n  # pairs each vertex still lacks for its floor
 
-    def rec(i: int, used: int):
-        if i == m:
-            results.append(tuple(current))
+    def rec(i: int, pairs: int, short: int):
+        """Spread at most ``pairs`` spare pairs over edges i..m-1;
+        ``short`` sums the positive entries of ``still``."""
+        if pairs == 0 or i == m:
+            if short == 0:
+                results.append(tuple(current[:i]) + parity[i:])
             return
         u, v = edges[i]
-        remaining = m - i - 1
-        for mult in range(1, max_e - used - remaining + 1):
-            ok = True
-            for w in (u, v):
-                if last_at[w] == i:
-                    d = degree[w] + mult
-                    if d % 2 or d < min_degree:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            degree[u] += mult
-            degree[v] += mult
-            current.append(mult)
-            rec(i + 1, used + mult)
-            current.pop()
-            degree[u] -= mult
-            degree[v] -= mult
+        su, sv = still[u], still[v]
+        low = max(su if last_at[u] == i else 0, sv if last_at[v] == i else 0, 0)
+        for k in range(low, pairs + 1):
+            after = short - min(k, max(su, 0)) - min(k, max(sv, 0))
+            # a later pair covers at most two vertices, and this bound
+            # only tightens as k grows
+            if after > 2 * (pairs - k):
+                break
+            still[u] = su - k
+            still[v] = sv - k
+            current[i] = parity[i] + 2 * k
+            rec(i + 1, pairs - k, after)
+        still[u] = su
+        still[v] = sv
 
-    current: list[int] = []
-    rec(0, 0)
-    # rec emits in lexicographic order, so the first assignment per form
-    # is the least of its orbit under the automorphisms of the simple graph
-    firsts: dict[tuple, tuple[int, ...]] = {}
-    for assign in results:
-        multi = [e for e, mult in zip(edges, assign) for _ in range(mult)]
-        firsts.setdefault(canonical_form(AdGraph(simple.n, tuple(multi))), assign)
-    return list(firsts.values())
+    # the odd edges form an element of the cycle space: walk its 2^nu
+    # elements in Gray-code order, one fundamental cycle toggled per step
+    nullity = m - simple.n + trees
+    cycles = [sum(1 << e for e, label in enumerate(labels) if label >> k & 1)
+              for k in range(nullity)]
+    odd = 0
+    for step in range(1 << nullity):
+        if step:
+            odd ^= cycles[(step & -step).bit_length() - 1]
+        spare = max_e - 2 * m + odd.bit_count()
+        if spare < 0:
+            continue
+        parity = tuple(1 if odd >> e & 1 else 2 for e in range(m))
+        base = [0] * simple.n
+        for (u, v), mult in zip(edges, parity):
+            base[u] += mult
+            base[v] += mult
+        still[:] = [(min_degree - d + 1) // 2 for d in base]
+        rec(0, spare // 2, sum(x for x in still if x > 0))
+    results.sort()
+    return _least_of_orbits(simple, results)
+
+
+def _least_of_orbits(
+    simple: AdGraph, assignments: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The members of the sorted, automorphism-closed ``assignments``
+    that no automorphism of ``simple`` maps to a smaller one.  The first
+    member reached of each orbit is its least; the orbit is then closed
+    under the generators and marked."""
+    gens = automorphism_generators(simple) if len(assignments) > 1 else []
+    if not gens:
+        return assignments
+    edges = simple.edges
+    index = {e: i for i, e in enumerate(edges)}
+    moves = [[index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])]
+              for u, v in edges] for g in gens]
+    kept: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for assign in assignments:
+        if assign in seen:
+            continue
+        kept.append(assign)
+        seen.add(assign)
+        orbit = [assign]
+        for mults in orbit:
+            for move in moves:
+                image = [0] * len(edges)
+                for e, mult in zip(move, mults):
+                    image[e] = mult
+                image = tuple(image)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return kept
 
 
 def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph]:

@@ -41,14 +41,14 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .adgraph import AdGraph, turaev_genus_graph, validate_adg
+from .adgraph import MAX_GRAPH_VERTICES, AdGraph, turaev_genus_graph, validate_adg
 from .errors import (
     BadParametersError,
     ClassificationFailureError,
     InvalidSiteError,
     MalformedLineError,
 )
-from .perm import components, groups
+from .perm import components, fundamental_cycles, groups
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -235,7 +235,10 @@ def two_path_extend(graph: AdGraph, v: int, edge_set_a: Iterable[int]) -> AdGrap
     its complement to the two halves, and bridge them through a fresh
     degree-two vertex.  Both sets must have odd size."""
     inc = [i for i, e in enumerate(graph.edges) if v in e]
-    a = set(edge_set_a)
+    listed = list(edge_set_a)
+    a = set(listed)
+    if len(a) != len(listed):
+        raise InvalidSiteError("edge set A lists an edge more than once")
     if not a <= set(inc):
         raise InvalidSiteError("edge set A must consist of edges at v")
     b = [i for i in inc if i not in a]
@@ -396,46 +399,16 @@ def is_reduced(graph: AdGraph) -> bool:
 
 
 def _three_edge_connected(vertices: list[int], edges: list[tuple[int, int]]) -> bool:
-    """Connected, with no cut of one or two edges, from one spanning tree.
-
-    Each non-tree edge gets its own bit, and each tree edge the XOR of the
-    bits of the non-tree edges leaving the subtree below it.  These labels
-    are the edges' coordinates over the fundamental cycles, so an edge set
-    is a cut (meets every cycle an even number of times) exactly when its
-    labels XOR to 0.  Within a connected graph, then, an edge is a bridge
-    exactly when its label is 0, and two edges that are not bridges form
-    a cut exactly when their labels are equal.  The test is exact, in
-    O(V + E) big-integer XORs."""
+    """Connected, with no cut of one or two edges, from the edges'
+    fundamental-cycle labels (``perm.fundamental_cycles``).  An edge set
+    is a cut exactly when its labels XOR to 0, so within a connected
+    graph an edge is a bridge exactly when its label is 0, and two edges
+    that are not bridges form a cut exactly when their labels are equal.
+    The test is exact, in O(V + E) big-integer XORs."""
     index = {v: i for i, v in enumerate(vertices)}
-    n = len(index)
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, w) in enumerate(edges):
-        incident[index[u]].append((index[w], i))
-        incident[index[w]].append((index[u], i))
-    up = [-1] * n
-    up[0] = 0
-    order = [0]
-    tree = set()
-    for v in order:
-        for w, i in incident[v]:
-            if up[w] < 0:
-                up[w] = v
-                tree.add(i)
-                order.append(w)
-    if len(order) < n:
-        return False
-    labels = []
-    crossing = [0] * n
-    for i, (u, w) in enumerate(edges):
-        if i not in tree:
-            bit = 1 << len(labels)
-            labels.append(bit)
-            crossing[index[u]] ^= bit
-            crossing[index[w]] ^= bit
-    for v in reversed(order[1:]):
-        labels.append(crossing[v])
-        crossing[up[v]] ^= crossing[v]
-    return 0 not in labels and len(set(labels)) == len(labels)
+    labels, trees = fundamental_cycles(
+        len(index), [(index[u], index[w]) for u, w in edges])
+    return trees == 1 and 0 not in labels and len(set(labels)) == len(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -521,33 +494,6 @@ def _canonical_labelling(graph: AdGraph) -> tuple[tuple, list[int]]:
     first: list = []  # [cert, colours, path] of the first leaf
     best: list = []   # the same for the least leaf so far
 
-    def refine(col: list[int]) -> list[int]:
-        while True:
-            cells: dict[int, list[int]] = {}
-            for v, c in enumerate(col):
-                cells.setdefault(c, []).append(v)
-            new = None
-            for start, members in cells.items():
-                if len(members) == 1:
-                    continue
-                sigs = [tuple(sorted([base * col[w] + m for w, m in nbrs[v]]))
-                        for v in members]
-                counts: dict[tuple, int] = {}
-                for sig in sigs:
-                    counts[sig] = counts.get(sig, 0) + 1
-                if len(counts) == 1:
-                    continue
-                if new is None:
-                    new = col[:]
-                pos = start
-                for sig in sorted(counts):
-                    pos, counts[sig] = pos + counts[sig], pos
-                for v, sig in zip(members, sigs):
-                    new[v] = counts[sig]
-            if new is None:
-                return col
-            col = new
-
     def leaf(col: list[int], path: list[int]) -> int:
         cert = tuple(sorted(
             (col[u], col[v]) if col[u] < col[v] else (col[v], col[u])
@@ -574,10 +520,7 @@ def _canonical_labelling(graph: AdGraph) -> tuple[tuple, list[int]]:
     def search(col: list[int], path: list[int]) -> int:
         nonlocal twins
         depth = len(path)
-        size = [0] * n
-        for c in col:
-            size[c] += 1
-        start = next((c for c in range(n) if size[c] > 1), None)
+        start = _first_split(col)
         if start is None:
             return leaf(col, path)
         cell = [v for v in range(n) if col[v] == start]
@@ -595,15 +538,147 @@ def _canonical_labelling(graph: AdGraph) -> tuple[tuple, list[int]]:
                 if any(orbit[v] == orbit[u] for u in explored):
                     continue
             explored.append(v)
-            child = [start + 1 if c == start else c for c in col]
-            child[v] = start
-            back = search(refine(child), path + [v])
+            back = search(_refine(nbrs, base, _individualise(col, v)), path + [v])
             if back < depth:
                 return back
         return depth - 1
 
-    search(refine([0] * n), [])
+    search(_refine(nbrs, base, [0] * n), [])
     return (n, best[0]), best[1]
+
+
+def _refine(nbrs: list[tuple[tuple[int, int], ...]], base: int,
+            col: list[int]) -> list[int]:
+    """The coarsest equitable refinement of the ordered partition ``col``
+    (a vertex's colour is the first position of its cell), splitting each
+    cell by its members' sorted (neighbour colour, multiplicity) pairs,
+    encoded as ``base * colour + multiplicity``.  The new cells of a cell
+    take its positions in order of signature, so the result depends only
+    on the coloured graph, not on its vertex numbering."""
+    while True:
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(col):
+            cells.setdefault(c, []).append(v)
+        new = None
+        for start, members in cells.items():
+            if len(members) == 1:
+                continue
+            sigs = [tuple(sorted([base * col[w] + m for w, m in nbrs[v]]))
+                    for v in members]
+            counts: dict[tuple, int] = {}
+            for sig in sigs:
+                counts[sig] = counts.get(sig, 0) + 1
+            if len(counts) == 1:
+                continue
+            if new is None:
+                new = col[:]
+            pos = start
+            for sig in sorted(counts):
+                pos, counts[sig] = pos + counts[sig], pos
+            for v, sig in zip(members, sigs):
+                new[v] = counts[sig]
+        if new is None:
+            return col
+        col = new
+
+
+def _first_split(col: list[int]) -> int | None:
+    """The colour of the first non-singleton cell, or None when the
+    partition is discrete."""
+    size = [0] * len(col)
+    for c in col:
+        size[c] += 1
+    return next((c for c, k in enumerate(size) if k > 1), None)
+
+
+def _individualise(col: list[int], v: int) -> list[int]:
+    """Split v off the front of its cell."""
+    start = col[v]
+    child = [start + 1 if c == start else c for c in col]
+    child[v] = start
+    return child
+
+
+def automorphism_generators(graph: AdGraph) -> list[list[int]]:
+    """Generators of the automorphism group of a multigraph, each a
+    vertex permutation ``g`` (vertex v goes to ``g[v]``), from a
+    stabiliser chain.
+
+    The base b_1, ..., b_k individualises, each time, the first vertex
+    of the first non-singleton cell of the refined partition P_{i-1},
+    until P_k is discrete.  Refinement commutes with automorphisms, so
+    an automorphism fixing the whole base fixes every cell of P_k and
+    so every vertex: G_{k+1} is trivial, where G_i is the pointwise
+    stabiliser of b_1, ..., b_{i-1}.  From the last level up, for each
+    vertex w of b_i's cell in P_{i-1} that the generators found so far
+    (which all fix b_1, ..., b_{i-1}) do not already send b_i to, an
+    exhaustive search (``_automorphism_onto``) looks for an element of
+    G_i that sends b_i to w.  So the generators found at levels i and
+    below generate G_i, by induction from the last level: for g in G_i
+    some generated h has h(b_i) = g(b_i), and h^-1 g lies in G_{i+1}.
+    At level 1 that is the whole group; there is no threshold and no
+    fallback."""
+    n = graph.n
+    adj = _mult_adj(graph)
+    nbrs = [tuple(a.items()) for a in adj]
+    base = 1 + max((m for nb in nbrs for _, m in nb), default=0)
+    chain = [_refine(nbrs, base, [0] * n)]
+    points: list[int] = []
+    while True:
+        col = chain[-1]
+        start = _first_split(col)
+        if start is None:
+            break
+        points.append(col.index(start))
+        chain.append(_refine(nbrs, base, _individualise(col, points[-1])))
+    gens: list[list[int]] = []
+    for b, col, fixed in zip(reversed(points), reversed(chain[:-1]),
+                             reversed(chain[1:])):
+        orbit = None
+        for w in range(n):
+            if col[w] != col[b]:
+                continue
+            if orbit is None:
+                orbit = components(n, [(v, g[v]) for g in gens for v in range(n)])[0]
+            if orbit[w] == orbit[b]:
+                continue
+            g = _automorphism_onto(
+                nbrs, adj, base, fixed, _refine(nbrs, base, _individualise(col, w)))
+            if g is not None:
+                gens.append(g)
+                orbit = None
+    return gens
+
+
+def _automorphism_onto(nbrs: list[tuple[tuple[int, int], ...]],
+                       adj: list[dict[int, int]], base: int,
+                       src: list[int], dst: list[int]) -> list[int] | None:
+    """An automorphism g with ``dst[g[v]] == src[v]`` for every v, or
+    None when there is none.  Both partitions must be refined.  The
+    search individualises the first vertex of the first non-singleton
+    cell of ``src`` against each vertex of the same cell of ``dst`` in
+    turn, refines both sides, and checks the edges at a discrete leaf:
+    refinement loses no automorphism, so the search is exhaustive."""
+    if sorted(src) != sorted(dst):
+        return None
+    n = len(src)
+    start = _first_split(src)
+    if start is None:
+        at = [0] * n
+        for w, c in enumerate(dst):
+            at[c] = w
+        g = [at[c] for c in src]
+        if all(adj[g[u]].get(g[w]) == m for u in range(n) for w, m in nbrs[u]):
+            return g
+        return None
+    child = _refine(nbrs, base, _individualise(src, src.index(start)))
+    for w in range(n):
+        if dst[w] == start:
+            g = _automorphism_onto(
+                nbrs, adj, base, child, _refine(nbrs, base, _individualise(dst, w)))
+            if g is not None:
+                return g
+    return None
 
 
 def _twins(nbrs: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, int]]:
@@ -871,8 +946,10 @@ def random_genus0(moves: int, seed: int, start_vertices: int | None = None):
 
 def replay_script(text: str) -> AdGraph:
     """Replay a ``random_genus0`` move script.  A missing, extra or
-    non-integer field, or a move before ``start``, raises
-    MalformedLineError; an unknown move or a bad site InvalidSiteError."""
+    non-integer field, a move before ``start``, or a ``start`` of more
+    than ``adgraph.MAX_GRAPH_VERTICES`` vertices raises
+    MalformedLineError; an unknown move or a bad site (a repeated edge in
+    ``twopath`` among them) InvalidSiteError."""
     arity = {"start": 1, "pendant": 1, "onesum": 2, "twopath": 1}
     graph = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -890,6 +967,9 @@ def replay_script(text: str) -> AdGraph:
         except ValueError:
             raise MalformedLineError(lineno, raw, "fields must be integers") from None
         if op == "start":
+            if args[0] > MAX_GRAPH_VERTICES:
+                raise MalformedLineError(
+                    lineno, raw, f"vertex count above {MAX_GRAPH_VERTICES}")
             graph = isolated_vertices(*args)
         elif graph is None:
             raise MalformedLineError(lineno, raw, "move before start")

@@ -1,4 +1,4 @@
-"""The three primitives on flat integer arrays.
+"""The four primitives on flat integer arrays.
 
 Every count the genus routes take is an orbit count on half-edges:
 faces are orbits of rotate∘partner, state circles are orbits of the
@@ -8,7 +8,10 @@ ribbon boundaries are orbits on the direction double cover.  Connectivity
 questions (split components, graph components, merged regions) are
 answered by one batch union-find.  Parity questions (bipartitions,
 alternating edge signs, checkerboard crossings, ribbon orientability)
-are answered by one two-colouring solver over GF(2).
+are answered by one two-colouring solver over GF(2).  Cycle-space
+questions (small edge cuts, the odd edges of an even multigraph) are
+answered by one spanning forest that labels every edge with its
+coordinates over the fundamental cycles.
 
 The first two number their classes ``0 .. count-1`` in the order of each
 class's least point, so the labels are deterministic.
@@ -102,6 +105,63 @@ def components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int
             count += 1
         label[i] = label[r]
     return label, count
+
+
+def fundamental_cycles(
+    n: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """Each edge's coordinates over the fundamental cycles of one spanning
+    forest of the graph on ``range(n)`` with edges ``pairs``.
+
+    The forest grows breadth-first from each unreached point in index
+    order.  The k-th non-tree edge, in pair order, gets the bit ``1 << k``;
+    a tree edge gets the XOR of the bits of the non-tree edges leaving the
+    subtree below it, which are the non-tree edges whose fundamental cycle
+    passes through it.  So an edge lies in the sum of the fundamental
+    cycles of a bit set s exactly when its label has an odd number of bits
+    in s, and an edge set is a cut (meets every cycle evenly) exactly when
+    its labels XOR to 0.
+
+    Returns ``(labels, count)``, ``count`` the number of trees.
+    """
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, w) in enumerate(pairs):
+        incident[u].append((w, i))
+        incident[w].append((u, i))
+    parent = [-1] * n   # a root is its own parent
+    up = [-1] * n       # the tree edge to the parent
+    labels = [-1] * len(pairs)  # -1 until an edge is known to be in the tree
+    order: list[int] = []
+    count = head = 0
+    for root in range(n):
+        if parent[root] >= 0:
+            continue
+        count += 1
+        parent[root] = root
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w, i in incident[v]:
+                if parent[w] < 0:
+                    parent[w] = v
+                    up[w] = i
+                    labels[i] = 0
+                    order.append(w)
+    crossing = [0] * n
+    bit = 1
+    for i, label in enumerate(labels):
+        if label < 0:
+            u, w = pairs[i]
+            labels[i] = bit
+            crossing[u] ^= bit
+            crossing[w] ^= bit
+            bit <<= 1
+    for v in reversed(order):
+        if up[v] >= 0:
+            labels[up[v]] = crossing[v]
+            crossing[parent[v]] ^= crossing[v]
+    return labels, count
 
 
 def groups(labels: Sequence[int], count: int) -> list[list[int]]:

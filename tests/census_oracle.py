@@ -4,8 +4,12 @@ The unpruned stage 1 is what the need prune of
 ``census.simple_connected_graphs`` is checked against.  It grows every
 connected simple bipartite planar graph with at most the given vertices
 and edges, one per isomorphism class, with no bound on what stage 2 can
-use.  Stage 2 is the program's own ``_even_multiplicity_assignments``,
-run on every graph.
+use.  Stage 2 is ``_even_multiplicity_assignments`` below, run on every
+graph.
+
+``_even_multiplicity_assignments`` is stage 2 as it was before it walked
+the cycle space, kept verbatim: it backtracks through every multiplicity
+vector in lexicographic order and keeps the first per canonical form.
 
 ``enumerate_adgs`` is the assembly that ``census.enumerate_adgs``
 replaced, kept as it was: it builds every multiset of atoms with every
@@ -17,12 +21,7 @@ import itertools
 from dataclasses import replace
 
 from turaevgenus.adgraph import AdGraph, find_bipartition, turaev_genus_graph
-from turaevgenus.census import (
-    CensusFilter,
-    _even_multiplicity_assignments,
-    _is_planar_bipartite,
-    connected_atoms,
-)
+from turaevgenus.census import CensusFilter, _is_planar_bipartite, connected_atoms
 from turaevgenus.families import canonical_form, is_reduced, wl_hash
 
 
@@ -65,6 +64,59 @@ def unpruned_simple_graphs(max_v: int, max_e: int) -> list[AdGraph]:
         levels.append(level)
         out.extend(level)
     return out
+
+
+def _even_multiplicity_assignments(
+    simple: AdGraph, max_e: int, min_degree: int
+) -> list[tuple[int, ...]]:
+    """All per-edge multiplicities >= 1 with total <= max_e making every
+    vertex degree even and at least ``min_degree``, one per isomorphism
+    class of the resulting multigraph."""
+    edges = list(simple.edges)
+    m = len(edges)
+    if m == 0:
+        return [()] if simple.n == 1 and min_degree == 0 else []
+    last_at: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        last_at[u] = i
+        last_at[v] = i
+
+    results: list[tuple[int, ...]] = []
+    degree = [0] * simple.n
+
+    def rec(i: int, used: int):
+        if i == m:
+            results.append(tuple(current))
+            return
+        u, v = edges[i]
+        remaining = m - i - 1
+        for mult in range(1, max_e - used - remaining + 1):
+            ok = True
+            for w in (u, v):
+                if last_at[w] == i:
+                    d = degree[w] + mult
+                    if d % 2 or d < min_degree:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            degree[u] += mult
+            degree[v] += mult
+            current.append(mult)
+            rec(i + 1, used + mult)
+            current.pop()
+            degree[u] -= mult
+            degree[v] -= mult
+
+    current: list[int] = []
+    rec(0, 0)
+    # rec emits in lexicographic order, so the first assignment per form
+    # is the least of its orbit under the automorphisms of the simple graph
+    firsts: dict[tuple, tuple[int, ...]] = {}
+    for assign in results:
+        multi = [e for e, mult in zip(edges, assign) for _ in range(mult)]
+        firsts.setdefault(canonical_form(AdGraph(simple.n, tuple(multi))), assign)
+    return list(firsts.values())
 
 
 def unpruned_atoms(max_v: int, max_e: int, min_degree: int) -> list[AdGraph]:

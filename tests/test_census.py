@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turaevgenus import census as census_module, corpus
+from turaevgenus import census as census_module, corpus, families
 from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
 from turaevgenus.census import (
     CensusFilter,
@@ -16,9 +16,10 @@ from turaevgenus.census import (
     simple_connected_graphs,
 )
 from turaevgenus.errors import BoundsTooLargeError, TuraevError
-from turaevgenus.families import canonical_form, is_reduced
+from turaevgenus.families import automorphism_generators, canonical_form, is_reduced
 
 from census_oracle import (
+    _even_multiplicity_assignments as first_per_form_assignments,
     enumerate_adgs as filtering_enumerate_adgs,
     need_bound,
     unpruned_atoms,
@@ -152,6 +153,128 @@ def test_prune_drops_exactly_the_graphs_over_budget(bounds, kept, total):
     got = simple_connected_graphs(max_v, max_e, min_degree)
     assert [(g.n, g.edges) for g in got] == within
     assert (len(got), len(oracle)) == (kept, total)
+
+
+# --- stage 2 from the cycle space ---------------------------------------------
+
+STAGE2_BOUNDS = [(10, 10, 2), (8, 12, 2), (8, 16, 4)]
+
+
+@pytest.mark.parametrize("bounds", STAGE2_BOUNDS)
+def test_stage2_keeps_the_first_assignment_per_form(bounds):
+    """The cycle-space walk with orbit deduplication keeps exactly the
+    assignments, in the same order, that backtracking through every
+    multiplicity vector and keeping the first per canonical form kept."""
+    max_v, max_e, min_degree = bounds
+    simples = simple_connected_graphs(max_v, max_e, min_degree)
+    got = [census_module._even_multiplicity_assignments(g, max_e, min_degree)
+           for g in simples]
+    assert got == [first_per_form_assignments(g, max_e, min_degree) for g in simples]
+    assert sum(map(len, got)) > 100
+
+
+def brute_force_automorphism_count(n: int, edges) -> int:
+    """Vertex permutations that keep the edge multiset, counted by
+    backtracking over the vertices in breadth-first order."""
+    mult: dict[tuple[int, int], int] = {}
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        mult[key] = mult.get(key, 0) + 1
+    adjacent = [set() for _ in range(n)]
+    for u, v in mult:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    order: list[int] = []
+    for root in range(n):
+        if root not in order:
+            order.append(root)
+            k = len(order) - 1
+            while k < len(order):
+                order += sorted(w for w in adjacent[order[k]] if w not in order)
+                k += 1
+    image: dict[int, int] = {}
+
+    def count(k: int) -> int:
+        if k == n:
+            return 1
+        v = order[k]
+        total = 0
+        for w in range(n):
+            if w in image.values() or len(adjacent[w]) != len(adjacent[v]):
+                continue
+            if all(mult.get((min(v, x), max(v, x)), 0)
+                   == mult.get((min(w, image[x]), max(w, image[x])), 0)
+                   for x in order[:k]):
+                image[v] = w
+                total += count(k + 1)
+                del image[v]
+        return total
+
+    return count(0)
+
+
+def closure_order(n: int, gens) -> int:
+    """The number of permutations that products of ``gens`` reach."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    for p in frontier:
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+@pytest.mark.parametrize("bounds", STAGE2_BOUNDS)
+def test_automorphism_generators_generate_the_whole_group(bounds):
+    """On every stage-1 graph the generators are automorphisms, and the
+    group they generate is as large as a brute-force count says."""
+    sizes = []
+    for graph in simple_connected_graphs(*bounds):
+        gens = automorphism_generators(graph)
+        edges = sorted(graph.edges)
+        for g in gens:
+            assert sorted(tuple(sorted((g[u], g[v]))) for u, v in edges) == edges
+        order = closure_order(graph.n, gens)
+        assert order == brute_force_automorphism_count(graph.n, graph.edges), graph
+        sizes.append(order)
+    # the bounds hold trivial, small and large groups
+    assert min(sizes) == 1 and max(sizes) >= 48
+
+
+def test_automorphism_generators_on_multigraphs():
+    """Multiplicities count: a doubled edge of a 4-cycle breaks half its
+    symmetry, and a theta with unequal paths keeps only its swaps."""
+    c4 = AdGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    doubled = AdGraph(4, c4.edges + ((0, 1),))
+    theta = AdGraph(5, ((0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1), (0, 4)))
+    for graph, order in ((c4, 8), (doubled, 2), (theta, 2)):
+        assert closure_order(graph.n, automorphism_generators(graph)) == order
+        assert brute_force_automorphism_count(graph.n, graph.edges) == order
+
+
+def test_stage2_makes_no_canonical_form_call(monkeypatch):
+    """A cold ``connected_atoms(8, 16, 4)`` canonicalises exactly as
+    often as its stage 1 alone does: stage 2 canonicalises nothing."""
+    calls = []
+    real = families._canonical_labelling
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(families, "_canonical_labelling", counting)
+    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(census_module, "_ATOM_CACHE", {})
+    simple_connected_graphs(8, 16, 4)
+    stage1 = len(calls)
+    census_module._SIMPLE_CACHE.clear()
+    calls.clear()
+    atoms = connected_atoms(8, 16, 4)
+    assert len(calls) == stage1 > 0
+    assert len(atoms) == 399
 
 
 @st.composite

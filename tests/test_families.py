@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turaevgenus import corpus, families
-from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
+from turaevgenus.adgraph import (
+    MAX_GRAPH_VERTICES, AdGraph, turaev_genus_graph, validate_adg,
+)
 from turaevgenus.census import CensusFilter, enumerate_adgs
 from turaevgenus.errors import (
     BadParametersError,
@@ -744,6 +746,29 @@ def test_replay_script_near_misses(bad, error, lineno, good):
     if lineno is not None:
         assert info.value.lineno == lineno
     assert replay_script(good).n >= 1
+
+
+def test_replay_rejects_a_repeated_twopath_edge():
+    """A repeated edge index is a bad site, not the same line without
+    the repeats."""
+    with pytest.raises(InvalidSiteError):
+        replay_script('start 1\npendant 0\npendant 0\ntwopath 0 : 0 0 0')
+    assert replay_script('start 1\npendant 0\npendant 0\ntwopath 0 : 0').n == 5
+    with pytest.raises(InvalidSiteError):
+        two_path_extend(C22, 0, (0, 0, 1))
+
+
+def test_replay_rejects_a_start_over_the_vertex_cap(monkeypatch):
+    """``start`` above the graph-file cap fails on its own line, before
+    any graph is built; the cap itself replays."""
+    built = []
+    real = families.isolated_vertices
+    monkeypatch.setattr(families, "isolated_vertices",
+                        lambda n: built.append(n) or real(n))
+    with pytest.raises(MalformedLineError) as info:
+        replay_script(f"start {MAX_GRAPH_VERTICES + 1}\nonesum 0 1")
+    assert info.value.lineno == 1 and built == []
+    assert replay_script(f"start {MAX_GRAPH_VERTICES}").n == MAX_GRAPH_VERTICES
 
 
 def test_one_sum_rejects_vertices_out_of_range():

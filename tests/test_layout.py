@@ -14,7 +14,11 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * ``doubled_path_contract`` is called only in ``verify``, by the
   stepwise reference ``stepwise_contract`` and by
   ``suite_doubled_path_moves``: ``canonical_contract`` contracts every
-  doubled path in one pass.
+  doubled path in one pass;
+* fundamental-cycle labels are built only in
+  ``perm.fundamental_cycles``, the one place that XORs a computed value
+  into an array entry, and read by ``families._three_edge_connected``
+  and census stage 2.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -101,3 +105,22 @@ def test_isomorphic_in_families_only_in_the_lookup():
 def test_doubled_path_contract_only_in_verify():
     assert _call_sites("doubled_path_contract") == {
         "verify.stepwise_contract", "verify.suite_doubled_path_moves"}
+
+
+def test_fundamental_cycle_labels_only_in_perm():
+    """Labels are built by XOR-accumulating bits along a spanning tree;
+    a constant toggle such as the bracket's Gray-code flip is not that."""
+    builders = set()
+    for module, tree in _modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.AugAssign)
+                        and isinstance(node.op, ast.BitXor)
+                        and isinstance(node.target, ast.Subscript)
+                        and not isinstance(node.value, ast.Constant)):
+                    builders.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    assert builders == {"perm.fundamental_cycles"}
+    assert _call_sites("fundamental_cycles") == {
+        "families._three_edge_connected",
+        "census._even_multiplicity_assignments",
+    }

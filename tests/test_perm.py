@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from turaevgenus.errors import TuraevError
 from turaevgenus.perm import (
-    components, cycles, groups, least_points, orbits, two_colouring,
+    components, cycles, fundamental_cycles, groups, least_points, orbits,
+    two_colouring,
 )
 
 permutations = st.integers(min_value=0, max_value=40).flatmap(
@@ -168,8 +169,39 @@ def test_two_colouring_matches_brute_force(case):
     check_two_colouring(n, arbitrary)
 
 
+@settings(max_examples=200, deadline=None)
+@given(pair_lists)
+def test_fundamental_cycles_span_the_even_subgraphs(case):
+    """Each of the 2^nu bit sets picks the edges with an odd number of its
+    bits; these edge sets are distinct, every one is even at every point,
+    and an edge's label is 0 exactly when deleting it adds a component."""
+    n, pairs = case
+    pairs = [(u, v) for u, v in pairs if u != v]
+    def trees(edges):
+        linked = set(edges) | {(v, u) for u, v in edges}
+        return len(naive_classes(n, lambda x, y: (x, y) in linked))
+
+    labels, count = fundamental_cycles(n, pairs)
+    assert count == trees(pairs)
+    nullity = len(pairs) - n + count
+    picked = set()
+    for bits in range(1 << min(nullity, 6)):
+        odd = [e for e, label in enumerate(labels) if (label & bits).bit_count() % 2]
+        degree = [0] * n
+        for e in odd:
+            for w in pairs[e]:
+                degree[w] += 1
+        assert all(d % 2 == 0 for d in degree)
+        picked.add(tuple(odd))
+    assert len(picked) == 1 << min(nullity, 6)
+    for e, label in enumerate(labels):
+        rest = pairs[:e] + pairs[e + 1:]
+        assert (label == 0) == (trees(rest) > count)
+
+
 def test_empty():
     assert orbits([]) == ([], 0)
     assert components(0, []) == ([], 0)
     assert cycles([]) == []
     assert two_colouring(0, []) == ([], None)
+    assert fundamental_cycles(0, []) == ([], 0)
