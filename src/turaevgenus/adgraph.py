@@ -12,6 +12,11 @@ is computed by a recursion that never references link diagrams:
 The recursion terminates because each step removes two edges, and a
 graph with edges but no degree-two vertex always contains a parallel
 pair.
+
+Planarity is decided in one place, ``planar_embedding``: the left-right
+test of Brandes (2009), ported from networkx over flat arrays, whose
+clockwise rotations ``planar_rotations`` turns into a checked sphere
+embedding.  The package needs nothing outside the standard library.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from .errors import (
     HasLoopError,
@@ -213,16 +216,326 @@ def check_sphere_embedding(graph: AdGraph) -> None:
 
 def planar_embedding(
     nodes: Iterable[int], pairs: Iterable[tuple[int, int]]
-) -> nx.PlanarEmbedding | None:
-    """The planarity search: networkx's left-right test on the simple
-    graph with vertices ``nodes`` and edges ``pairs``.  Returns
-    networkx's embedding, or ``None`` when the graph is not planar.
-    Every planarity question in ``turaevgenus`` comes here."""
-    g = nx.Graph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from(pairs)
-    ok, emb = nx.check_planarity(g)
-    return emb if ok else None
+) -> list[list[int]] | None:
+    """The planarity search on the simple graph with vertices ``nodes``
+    and edges ``pairs`` (distinct pairs of distinct nodes).  Returns the
+    clockwise neighbour list of each node, in the order of ``nodes``, or
+    ``None`` when the graph is not planar.  Every planarity question in
+    ``turaevgenus`` comes here.
+
+    Vertices are renumbered by position.  The edges are listed by their
+    lower end, and at each lower end in the order ``pairs`` gives them:
+    that is the order in which networkx (3.6.1) copies the graph before
+    its own left-right test, so ``_left_right``, which keeps networkx's
+    traversal orders, finds the same embedding."""
+    nodes = list(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    higher: list[list[int]] = [[] for _ in nodes]
+    for a, b in pairs:
+        i, j = index[a], index[b]
+        if i < j:
+            higher[i].append(j)
+        else:
+            higher[j].append(i)
+    rotations = _left_right(
+        len(nodes), [(i, j) for i, js in enumerate(higher) for j in js])
+    if rotations is None:
+        return None
+    return [[nodes[w] for w in rot] for rot in rotations]
+
+
+def _left_right(n: int, edges: list[tuple[int, int]]) -> list[list[int]] | None:
+    """The left-right planarity test (Brandes, *The left-right planarity
+    test*, 2009, after de Fraysseix, Ossona de Mendez and Rosenstiehl)
+    on vertices 0..n-1 and the simple graph ``edges``, each ``(i, j)``
+    with ``i < j``: the clockwise neighbour list of every vertex, or
+    ``None`` when the graph is not planar.
+
+    A port of ``LRPlanarity.lr_planarity`` in networkx 3.6.1 (BSD),
+    step for step and in its traversal orders: roots in vertex order,
+    each vertex's edges in the order of ``edges``, a stable sort by
+    nesting depth, and the clockwise list started from the neighbour
+    networkx starts it from.  Edges are numbered by position in
+    ``edges`` and every attribute is a flat list over vertices or edges;
+    the three depth-first searches keep explicit stacks, so a long path
+    needs no recursion.  A conflict pair is a list ``[left low, left
+    high, right low, right high]`` of edges, -1 for none."""
+    m = len(edges)
+    if n > 2 and m > 3 * n - 6:
+        return None
+    # each vertex's edges in the order of ``edges``: slots first[v]..first[v+1]-1
+    first = [0] * (n + 1)
+    for i, j in edges:
+        first[i + 1] += 1
+        first[j + 1] += 1
+    for v in range(n):
+        first[v + 1] += first[v]
+    fill = first[:n]
+    slot_edge = [0] * (2 * m)
+    ends = [0] * m  # i + j, so the far end from v is ends[k] - v
+    for k, (i, j) in enumerate(edges):
+        slot_edge[fill[i]] = k
+        fill[i] += 1
+        slot_edge[fill[j]] = k
+        fill[j] += 1
+        ends[k] = i + j
+
+    # -- orientation: a depth-first search orients each edge away from
+    # the vertex it is first met at, and gives each edge its lowpoints
+    height = [-1] * n
+    parent = [-1] * n  # the tree edge into each vertex
+    tail = [-1] * m
+    head = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    roots: list[int] = []
+    at = first[:n]
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent[v]
+            hv = height[v]
+            s, stop = at[v], first[v + 1]
+            while s < stop:
+                k = slot_edge[s]
+                t = tail[k]
+                if t < 0:
+                    w = ends[k] - v
+                    tail[k], head[k] = v, w
+                    lowpt[k] = lowpt2[k] = hv
+                    if height[w] < 0:  # tree edge: finish k after w
+                        parent[w] = k
+                        height[w] = hv + 1
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[k] = height[w]  # back edge
+                elif t != v:  # oriented from its other end
+                    s += 1
+                    continue
+                nesting[k] = 2 * lowpt[k] + (lowpt2[k] < hv)  # chordal: +1
+                if e >= 0:
+                    if lowpt[k] < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[k])
+                        lowpt[e] = lowpt[k]
+                    elif lowpt[k] > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], lowpt[k])
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[k])
+                s += 1
+            at[v] = s
+    out = [[slot_edge[s] for s in range(first[v], first[v + 1])
+            if tail[slot_edge[s]] == v] for v in range(n)]
+
+    # -- testing: a second search in nesting order merges the return
+    # edges of each tree edge into conflict pairs, on one stack
+    ordered = [sorted(ks, key=nesting.__getitem__) for ks in out]
+    conflicts: list[list[int]] = []  # the stack of conflict pairs
+    bottom: list = [None] * m  # the pair on top of it when k was entered
+    lowpt_edge = [0] * m
+    ref = [-1] * m
+    side = [1] * m
+
+    def conflicting(high: int, b: int) -> bool:
+        return high >= 0 and lowpt[high] > lowpt[b]
+
+    def lowest(p: list[int]) -> int:
+        if p[0] < 0 and p[1] < 0:
+            return lowpt[p[2]]
+        if p[2] < 0 and p[3] < 0:
+            return lowpt[p[0]]
+        return min(lowpt[p[0]], lowpt[p[2]])
+
+    def add_constraints(ei: int, e: int) -> bool:
+        p = [-1, -1, -1, -1]
+        # merge the return edges of ei into p's right interval
+        while True:
+            q = conflicts.pop()
+            if q[0] >= 0 or q[1] >= 0:
+                q[:] = q[2], q[3], q[0], q[1]
+                if q[0] >= 0 or q[1] >= 0:
+                    return False
+            if lowpt[q[2]] > lowpt[e]:
+                if p[2] < 0 and p[3] < 0:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:  # align
+                ref[q[2]] = lowpt_edge[e]
+            if (conflicts[-1] if conflicts else None) is bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into the left
+        while conflicting(conflicts[-1][1], ei) or conflicting(conflicts[-1][3], ei):
+            q = conflicts.pop()
+            if conflicting(q[3], ei):
+                q[:] = q[2], q[3], q[0], q[1]
+                if conflicting(q[3], ei):
+                    return False
+            if p[2] >= 0:
+                ref[p[2]] = q[3]
+            if q[2] >= 0:
+                p[2] = q[2]
+            if p[0] < 0 and p[1] < 0:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p != [-1, -1, -1, -1]:
+            conflicts.append(p)
+        return True
+
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
+        hu = height[u]
+        # drop the pairs whose lowest return edge ends at u
+        while conflicts and lowest(conflicts[-1]) == hu:
+            p = conflicts.pop()
+            if p[0] >= 0:
+                side[p[0]] = -1
+        if conflicts:  # trim the return edges ending at u from the next pair
+            p = conflicts[-1]
+            while p[1] >= 0 and head[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] < 0 and p[0] >= 0:  # just emptied
+                ref[p[0]] = p[2]
+                side[p[0]] = -1
+                p[0] = -1
+            while p[3] >= 0 and head[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] < 0 and p[2] >= 0:
+                ref[p[2]] = p[0]
+                side[p[2]] = -1
+                p[2] = -1
+        # the side of e is the side of a highest return edge
+        if lowpt[e] < hu:
+            hl, hr = conflicts[-1][1], conflicts[-1][3]
+            ref[e] = hl if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]) else hr
+
+    at = [0] * n
+    entered = bytearray(m)
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent[v]
+            ks = ordered[v]
+            i = at[v]
+            descended = False
+            while i < len(ks):
+                k = ks[i]
+                if not entered[k]:
+                    bottom[k] = conflicts[-1] if conflicts else None
+                    if parent[head[k]] == k:  # tree edge: finish k after its head
+                        entered[k] = 1
+                        stack.append(v)
+                        stack.append(head[k])
+                        descended = True
+                        break
+                    lowpt_edge[k] = k
+                    conflicts.append([-1, -1, k, k])
+                if lowpt[k] < height[v]:  # k has a return edge
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[k]
+                    elif not add_constraints(k, e):
+                        return None
+                i += 1
+            at[v] = i
+            if not descended and e >= 0:
+                remove_back_edges(e)
+
+    # -- embedding: resolve each side along its chain of references,
+    # sort again by signed nesting depth, and place the back edges
+    for k in range(m):
+        if ref[k] >= 0:
+            chain = []
+            j = k
+            while ref[j] >= 0:
+                chain.append(j)
+                j = ref[j]
+            sign = side[j]
+            for j in reversed(chain):
+                sign = side[j] = side[j] * sign
+                ref[j] = -1
+        nesting[k] *= side[k]
+    # half-edge 2k sits at tail[k], 2k + 1 at head[k]; each vertex's
+    # half-edges form a cyclic list (cw, ccw), entered at leftmost
+    cw = [0] * (2 * m)
+    ccw = [0] * (2 * m)
+    leftmost = [-1] * n
+    ordered = [sorted(ks, key=nesting.__getitem__) for ks in out]
+    for v, ks in enumerate(ordered):
+        if ks:
+            prev = 2 * ks[-1]
+            for k in ks:
+                cw[prev] = 2 * k
+                ccw[2 * k] = prev
+                prev = 2 * k
+            leftmost[v] = 2 * ks[0]
+
+    def insert_ccw_of(v: int, h: int, ref_h: int) -> None:
+        """Put h just counterclockwise of ref_h at v; it is v's leftmost
+        if ref_h was."""
+        before = ccw[ref_h]
+        cw[h], ccw[h] = ref_h, before
+        cw[before] = ccw[ref_h] = h
+        if leftmost[v] == ref_h:
+            leftmost[v] = h
+
+    def insert_cw_of(h: int, ref_h: int) -> None:
+        """Put h just clockwise of ref_h."""
+        after = cw[ref_h]
+        cw[h], ccw[h] = after, ref_h
+        ccw[after] = cw[ref_h] = h
+
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    at = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            ks = ordered[v]
+            i = at[v]
+            while i < len(ks):
+                k = ks[i]
+                i += 1
+                w = head[k]
+                h = 2 * k + 1
+                if parent[w] == k:  # tree edge: v becomes w's leftmost
+                    if leftmost[w] < 0:
+                        cw[h] = ccw[h] = leftmost[w] = h
+                    else:
+                        insert_ccw_of(w, h, leftmost[w])
+                    left_ref[v] = right_ref[v] = 2 * k
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[k] == 1:
+                    insert_cw_of(h, right_ref[w])
+                else:
+                    insert_ccw_of(w, h, left_ref[w])
+                    left_ref[w] = h
+            at[v] = i
+
+    rotations: list[list[int]] = []
+    for v in range(n):
+        rot: list[int] = []
+        h = start = leftmost[v]
+        while h >= 0:
+            k = h >> 1
+            rot.append(tail[k] if h & 1 else head[k])
+            h = cw[h]
+            if h == start:
+                break
+        rotations.append(rot)
+    return rotations
 
 
 def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:
@@ -248,9 +561,9 @@ def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:
         emb = planar_embedding(members, own)
         if emb is None:
             raise NotPlanarError(members)
-        for v in members:
+        for v, clockwise in zip(members, emb):
             rot: list[int] = []
-            for w in emb.neighbors_cw_order(v):
+            for w in clockwise:
                 bundle = by_pair[_pair(v, w)]
                 rot.extend(bundle if v < w else reversed(bundle))
             rotations[v] = tuple(rot)

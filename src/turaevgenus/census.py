@@ -3,8 +3,9 @@
 Connected candidates are generated in two stages.  Stage 1 builds
 connected simple bipartite planar graphs up to isomorphism, vertex by
 vertex: the new vertex joins neighbours on one side of its parent's
-bipartition, and a candidate is kept when the need bound below fits the
-edge budget, its canonical form is new and the graph is planar.  Stage
+bipartition, one neighbour set per orbit of the parent's automorphisms,
+and a candidate is kept when the need bound below fits the edge budget,
+its canonical form is new and the graph is planar.  Stage
 2 assigns edge multiplicities that make every degree even, from the
 cycle space of the simple graph, and keeps the least assignment of each
 orbit under the simple graph's automorphisms.  Disconnected graphs are
@@ -28,6 +29,17 @@ therefore drops every child with B > max_e before canonicalising it and
 loses no class that stage 2 can use; the kept parents keep their
 relative order, so each kept class keeps its first-generated
 representative.
+
+One neighbour set per orbit.  An automorphism g of the parent maps
+the child on neighbour set S onto the child on g(S), so the two are
+isomorphic; g keeps degrees, so the need bound, and it keeps or swaps
+the two sides of a connected bipartite graph, so the one-side test.
+Sets are tried by size, then lexicographically, so the least set of an
+orbit comes first, and a later member would only meet its canonical
+form again.  Stage 1 therefore tries each set that no earlier orbit
+has reached and marks its orbit, closed under the generators of
+``families.automorphism_generators``; the kept representatives and
+their order do not change.
 
 The odd sets are the cycle space.  In a multigraph with every degree
 even, each vertex meets an even number of odd-multiplicity edges, so
@@ -78,6 +90,7 @@ counts are not monotone across vertex counts, so the edge budget skips.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -184,6 +197,8 @@ def simple_connected_graphs(
             side = find_bipartition(parent)
             deg = parent.degrees()
             parent_need = sum(map(need, deg))
+            relabel = None
+            reached: set[tuple[int, ...]] = set()
             for size in range(1, min(v - 1, budget) + 1):
                 for nbrs in itertools.combinations(range(v - 1), size):
                     if any(side[u] != side[nbrs[0]] for u in nbrs):
@@ -191,8 +206,12 @@ def simple_connected_graphs(
                     child_need = parent_need + need(size) + sum(
                         need(deg[u] + 1) - need(deg[u]) for u in nbrs
                     )
-                    if child_need > 2 * max_e:
+                    if child_need > 2 * max_e or nbrs in reached:
                         continue
+                    if relabel is None:
+                        relabel = [functools.partial(_image_of_set, g)
+                                   for g in automorphism_generators(parent)]
+                    _mark_orbit(nbrs, relabel, reached)
                     graph = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
                     key = canonical_form(graph)
                     if key in nxt or key in nonplanar:
@@ -209,6 +228,24 @@ def simple_connected_graphs(
         out.extend(level)
     _SIMPLE_CACHE[(max_v, max_e, min_degree)] = out
     return out
+
+
+def _image_of_set(g: list[int], vertices: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(map(g.__getitem__, vertices)))
+
+
+def _mark_orbit(first: tuple, actions: list, reached: set) -> None:
+    """Add to ``reached`` the orbit of ``first`` under the group that
+    ``actions`` generate, each action a function from a member to its
+    image."""
+    reached.add(first)
+    orbit = [first]
+    for member in orbit:
+        for act in actions:
+            image = act(member)
+            if image not in reached:
+                reached.add(image)
+                orbit.append(image)
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +332,26 @@ def _least_of_orbits(
         return assignments
     edges = simple.edges
     index = {e: i for i, e in enumerate(edges)}
-    moves = [[index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])]
-              for u, v in edges] for g in gens]
+    # edge index[g(e)] takes e's multiplicity: the image reads inverse[j]
+    actions = []
+    for g in gens:
+        inverse = [0] * len(edges)
+        for i, (u, v) in enumerate(edges):
+            inverse[index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])]] = i
+        actions.append(functools.partial(_image_of_assignment, inverse))
     kept: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    reached: set[tuple[int, ...]] = set()
     for assign in assignments:
-        if assign in seen:
-            continue
-        kept.append(assign)
-        seen.add(assign)
-        orbit = [assign]
-        for mults in orbit:
-            for move in moves:
-                image = [0] * len(edges)
-                for e, mult in zip(move, mults):
-                    image[e] = mult
-                image = tuple(image)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
+        if assign not in reached:
+            kept.append(assign)
+            _mark_orbit(assign, actions, reached)
     return kept
+
+
+def _image_of_assignment(
+    inverse: list[int], mults: tuple[int, ...]
+) -> tuple[int, ...]:
+    return tuple(map(mults.__getitem__, inverse))
 
 
 def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph]:

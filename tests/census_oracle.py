@@ -4,7 +4,8 @@ The unpruned stage 1 is what the need prune of
 ``census.simple_connected_graphs`` is checked against.  It grows every
 connected simple bipartite planar graph with at most the given vertices
 and edges, one per isomorphism class, with no bound on what stage 2 can
-use.  Stage 2 is ``_even_multiplicity_assignments`` below, run on every
+use, and it asks networkx, not the program, which candidates are
+planar.  Stage 2 is ``_even_multiplicity_assignments`` below, run on every
 graph.
 
 ``_even_multiplicity_assignments`` is stage 2 as it was before it walked
@@ -20,8 +21,10 @@ degree, reducedness and genus.
 import itertools
 from dataclasses import replace
 
+import networkx as nx
+
 from turaevgenus.adgraph import AdGraph, find_bipartition, turaev_genus_graph
-from turaevgenus.census import CensusFilter, _is_planar_bipartite, connected_atoms
+from turaevgenus.census import CensusFilter, connected_atoms
 from turaevgenus.families import canonical_form, is_reduced, wl_hash
 
 
@@ -54,7 +57,7 @@ def unpruned_simple_graphs(max_v: int, max_e: int) -> list[AdGraph]:
                     key = canonical_form(graph)
                     if key in nxt or key in nonplanar:
                         continue
-                    if _is_planar_bipartite(v, graph.edges):
+                    if nx.check_planarity(nx.Graph(graph.edges))[0]:
                         nxt[key] = graph
                     else:
                         nonplanar.add(key)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from turaevgenus import corpus
+from turaevgenus import adgraph, corpus
 
 
 @pytest.fixture
@@ -13,3 +13,19 @@ def rng():
 @pytest.fixture(scope="session")
 def named():
     return corpus.named_diagrams()
+
+
+@pytest.fixture
+def planarity_calls(monkeypatch):
+    """The list that gets one entry per planarity search.  Every caller
+    of ``adgraph.planar_embedding`` reaches ``adgraph._left_right``,
+    also ``census``, which imports ``planar_embedding`` by name."""
+    calls = []
+    real = adgraph._left_right
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(adgraph, "_left_right", counted)
+    return calls

@@ -2,7 +2,6 @@ import random
 import re
 import time
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,51 +109,38 @@ def doubled_k33(with_rotations: bool) -> AdGraph:
     return AdGraph(6, tuple(edges), rotations=rotations)
 
 
+#: built, and embedded, before any call is counted
+C6 = embed_planar(validate_adg(doubled_cycle(6)))
+
+
 def test_validate_nonplanar_rotation_system():
     with pytest.raises(NotPlanarError):
         validate_adg(doubled_k33(with_rotations=True))
 
 
-def test_rotation_system_proves_planarity(monkeypatch):
-    embedded = embed_planar(validate_adg(doubled_cycle(6)))
+def test_rotation_system_proves_planarity(planarity_calls):
     nonplanar = doubled_k33(with_rotations=True)
-    assert embedded.rotations is not None
-    calls = []
-    real = nx.check_planarity
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(nx, "check_planarity", counted)
-    validate_adg(embedded)
+    assert C6.rotations is not None
+    validate_adg(C6)
     with pytest.raises(NotPlanarError):
         validate_adg(nonplanar)
-    assert calls == []
-    validate_adg(AdGraph(embedded.n, embedded.edges))
-    assert len(calls) == 1
+    assert planarity_calls == []
+    validate_adg(AdGraph(C6.n, C6.edges))
+    assert len(planarity_calls) == 1
 
 
-def test_small_components_skip_networkx(monkeypatch):
+def test_small_components_skip_the_search(planarity_calls):
     # 20,000 isolated vertices, and components of at most four vertices
     # in general, are planar without a test
     c44 = doubled_cycle(4)
-    calls = []
-    real = nx.check_planarity
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(nx, "check_planarity", counted)
     isolated = parse_graph_file("v 20000\n")
     assert turaev_genus_graph(validate_adg(isolated)) == 0
     assert classify_genus(isolated).genus == 0
     validate_adg(AdGraph(c44.n, c44.edges))
-    assert calls == []
+    assert planarity_calls == []
     with pytest.raises(NotPlanarError):
         validate_adg(doubled_k33(with_rotations=False))
-    assert len(calls) == 1
+    assert len(planarity_calls) == 1
 
 
 def test_planar_graph_with_torus_rotations():
@@ -167,24 +153,6 @@ def test_planar_graph_with_torus_rotations():
     assert str(exc.value) == (
         "the rotation system does not embed component [0, 1] in the sphere")
     validate_adg(AdGraph(graph.n, graph.edges))
-
-
-@pytest.fixture
-def planarity_calls(monkeypatch):
-    """The list that gets one entry per ``nx.check_planarity`` call."""
-    calls = []
-    real = nx.check_planarity
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(nx, "check_planarity", counted)
-    return calls
-
-
-#: built, and embedded, before any call is counted
-C6 = embed_planar(validate_adg(doubled_cycle(6)))
 
 
 def test_realize_path_searches_once(planarity_calls):

@@ -3,8 +3,10 @@ classifier and the stepwise contraction may be used.
 
 Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 
-* only ``adgraph`` imports networkx;
-* ``check_planarity`` is called only in ``adgraph.planar_embedding``;
+* no module imports networkx, and ``import turaevgenus`` loads none of
+  it: networkx is an oracle for the tests only;
+* ``planar_embedding`` is called only by ``adgraph.planar_rotations``
+  and ``census._is_planar_bipartite``;
 * ``planar_rotations`` is called only in ``adgraph``, in
   ``construct.embed_planar`` and in ``verify.suite_doubled_path_moves``,
   which embeds non-bipartite extensions that ``validate_adg`` rejects;
@@ -27,6 +29,9 @@ Everything else that needs an embedding asks for
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "turaevgenus"
@@ -66,8 +71,8 @@ def _call_sites(name: str) -> set[str]:
             for where in _calls(tree, name)}
 
 
-def test_only_adgraph_imports_networkx():
-    importers = set()
+def test_no_module_imports_networkx():
+    imported: dict[str, set[str]] = {}
     for module, tree in _modules().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -76,13 +81,23 @@ def test_only_adgraph_imports_networkx():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n.split(".")[0] == "networkx" for n in names):
-                importers.add(module)
-    assert importers == {"adgraph"}
+            imported.setdefault(module, set()).update(n.split(".")[0] for n in names)
+    assert {m for m, names in imported.items() if "networkx" in names} == set()
+    # the scan sees imports: adgraph's standard-library ones, for instance
+    assert {"dataclasses", "random"} <= imported["adgraph"]
 
 
-def test_check_planarity_only_in_planar_embedding():
-    assert _call_sites("check_planarity") == {"adgraph.planar_embedding"}
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, turaevgenus; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_planar_embedding_call_sites():
+    assert _call_sites("planar_embedding") == {
+        "adgraph.planar_rotations", "census._is_planar_bipartite"}
 
 
 def test_planar_rotations_call_sites():
