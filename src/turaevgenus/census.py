@@ -37,9 +37,9 @@ the two sides of a connected bipartite graph, so the one-side test.
 Sets are tried by size, then lexicographically, so the least set of an
 orbit comes first, and a later member would only meet its canonical
 form again.  Stage 1 therefore tries each set that no earlier orbit
-has reached and marks its orbit, closed under the generators of
-``families.automorphism_generators``; the kept representatives and
-their order do not change.
+has reached and marks its orbit, closed under the generators that the
+parent's canonical search returned (``families.canonical_search``);
+the kept representatives and their order do not change.
 
 The odd sets are the cycle space.  In a multigraph with every degree
 even, each vertex meets an even number of odd-multiplicity edges, so
@@ -60,9 +60,9 @@ phi from M_a to M_b sends each edge of positive multiplicity to one,
 so it maps the edges of G onto the edges of G: phi is an automorphism
 of G with b(phi(e)) = a(e).  Conversely every such automorphism is an
 isomorphism.  So the isomorphism classes among the assignments are the
-orbits of Aut(G) on them, and ``families.automorphism_generators``
-gives a generating set of Aut(G); an orbit of a finite group is closed
-under its generators.
+orbits of Aut(G) on them, and the generators that stage 1 kept from
+G's canonical search generate Aut(G) (``families.canonical_search``);
+an orbit of a finite group is closed under its generators.
 
 The least member of an orbit is the first per canonical form.  Listing
 every assignment in lexicographic order and keeping the first per
@@ -102,9 +102,9 @@ from .adgraph import (
 )
 from .errors import BadParametersError, BoundsTooLargeError
 from .families import (
-    automorphism_generators,
     canonical_contract,
     canonical_form,
+    canonical_search,
     family_of,
     is_reduced,
     wl_hash,
@@ -157,16 +157,17 @@ def _is_planar_bipartite(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     return planar_embedding(range(n), edges) is not None
 
 
-_SIMPLE_CACHE: dict[tuple[int, int, int], list[AdGraph]] = {}
+_SIMPLE_CACHE: dict[tuple[int, int, int], list[tuple[AdGraph, list[list[int]]]]] = {}
 _ATOM_CACHE: dict[tuple[int, int, int], list[AdGraph]] = {}
 
 
 def simple_connected_graphs(
     max_v: int, max_e: int, min_degree: int = 2
-) -> list[AdGraph]:
+) -> list[tuple[AdGraph, list[list[int]]]]:
     """The single vertex and, one per isomorphism class, the connected
     simple bipartite planar graphs with at most ``max_v`` vertices whose
-    need bound fits ``max_e``.  Every graph that can take even
+    need bound fits ``max_e``, each with generators of its automorphism
+    group from its canonical search.  Every graph that can take even
     multiplicities, each at least 1, with every degree at least
     ``min_degree`` and at most ``max_e`` edges in all is among them.
 
@@ -183,21 +184,21 @@ def simple_connected_graphs(
     def need(d: int) -> int:
         return max(d + d % 2, min_degree)
 
-    levels: list[list[AdGraph]] = [[AdGraph(1, ())]]
-    out = [AdGraph(1, ())]
+    levels = [[(AdGraph(1, ()), [])]]
+    out = list(levels[0])
     for v in range(2, max_v + 1):
         # one graph per canonical form, the first generated; non-planar
         # forms are remembered so each class is tested once
-        nxt: dict[tuple, AdGraph] = {}
+        nxt: dict[tuple, tuple[AdGraph, list[list[int]]]] = {}
         nonplanar: set[tuple] = set()
-        for parent in levels[-1]:
+        for parent, parent_gens in levels[-1]:
             budget = max_e - parent.edge_count
             if budget < 1:
                 continue
             side = find_bipartition(parent)
             deg = parent.degrees()
             parent_need = sum(map(need, deg))
-            relabel = None
+            relabel = [functools.partial(_image_of_set, g) for g in parent_gens]
             reached: set[tuple[int, ...]] = set()
             for size in range(1, min(v - 1, budget) + 1):
                 for nbrs in itertools.combinations(range(v - 1), size):
@@ -208,20 +209,17 @@ def simple_connected_graphs(
                     )
                     if child_need > 2 * max_e or nbrs in reached:
                         continue
-                    if relabel is None:
-                        relabel = [functools.partial(_image_of_set, g)
-                                   for g in automorphism_generators(parent)]
                     _mark_orbit(nbrs, relabel, reached)
                     graph = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
-                    key = canonical_form(graph)
+                    key, _, gens = canonical_search(graph)
                     if key in nxt or key in nonplanar:
                         continue
                     if _is_planar_bipartite(v, graph.edges):
-                        nxt[key] = graph
+                        nxt[key] = (graph, gens)
                     else:
                         nonplanar.add(key)
         # by WL hash, then by first generation
-        level = sorted(nxt.values(), key=wl_hash)
+        level = sorted(nxt.values(), key=lambda kept: wl_hash(kept[0]))
         if not level:
             break
         levels.append(level)
@@ -253,13 +251,13 @@ def _mark_orbit(first: tuple, actions: list, reached: set) -> None:
 
 
 def _even_multiplicity_assignments(
-    simple: AdGraph, max_e: int, min_degree: int
+    simple: AdGraph, gens: list[list[int]], max_e: int, min_degree: int
 ) -> list[tuple[int, ...]]:
     """All per-edge multiplicities >= 1 with total <= max_e making every
     vertex degree even and at least ``min_degree``, one per isomorphism
     class of the resulting multigraph: the lexicographically least of
-    each orbit under the automorphisms of ``simple``, in lexicographic
-    order."""
+    each orbit under the automorphisms of ``simple``, which ``gens``
+    generate, in lexicographic order."""
     edges = simple.edges
     m = len(edges)
     if m == 0:
@@ -317,18 +315,17 @@ def _even_multiplicity_assignments(
         still[:] = [(min_degree - d + 1) // 2 for d in base]
         rec(0, spare // 2, sum(x for x in still if x > 0))
     results.sort()
-    return _least_of_orbits(simple, results)
+    return _least_of_orbits(simple, gens, results)
 
 
 def _least_of_orbits(
-    simple: AdGraph, assignments: list[tuple[int, ...]]
+    simple: AdGraph, gens: list[list[int]], assignments: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """The members of the sorted, automorphism-closed ``assignments``
-    that no automorphism of ``simple`` maps to a smaller one.  The first
-    member reached of each orbit is its least; the orbit is then closed
-    under the generators and marked."""
-    gens = automorphism_generators(simple) if len(assignments) > 1 else []
-    if not gens:
+    that no automorphism of ``simple`` maps to a smaller one, the group
+    generated by ``gens``.  The first member reached of each orbit is its
+    least; the orbit is then closed under the generators and marked."""
+    if len(assignments) < 2 or not gens:
         return assignments
     edges = simple.edges
     index = {e: i for i, e in enumerate(edges)}
@@ -361,10 +358,10 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
     if cached is not None:
         return cached
     atoms: list[AdGraph] = [AdGraph(1, ())]
-    for simple in simple_connected_graphs(max_v, max_e, min_degree):
+    for simple, gens in simple_connected_graphs(max_v, max_e, min_degree):
         if simple.edge_count == 0:
             continue
-        for assign in _even_multiplicity_assignments(simple, max_e, min_degree):
+        for assign in _even_multiplicity_assignments(simple, gens, max_e, min_degree):
             edges = []
             for e, mult in zip(simple.edges, assign):
                 edges.extend([e] * mult)

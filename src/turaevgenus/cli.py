@@ -123,7 +123,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_census(args) -> int:
-    max_v = max(2, args.max_edges // 2) if args.reduced else args.max_edges
+    max_v = max(2, args.max_edges // 2) if args.reduced else max(1, args.max_edges)
     filt = census_mod.CensusFilter(
         max_vertices=max_v,
         max_edges=args.max_edges,

@@ -453,8 +453,8 @@ def isomorphic(g1: AdGraph, g2: AdGraph) -> tuple[bool, list[int] | None]:
     of ``g2`` with v's canonical label, so ``g1.relabeled(witness)`` has
     the edge multiset of ``g2``.  Only ``n`` and ``edges`` are read:
     rotations and bipartitions are ignored."""
-    form1, label1 = _canonical_labelling(g1)
-    form2, label2 = _canonical_labelling(g2)
+    form1, label1, _ = canonical_search(g1)
+    form2, label2, _ = canonical_search(g2)
     if form1 != form2:
         return False, None
     at = [0] * g2.n
@@ -466,12 +466,14 @@ def isomorphic(g1: AdGraph, g2: AdGraph) -> tuple[bool, list[int] | None]:
 def canonical_form(graph: AdGraph) -> tuple:
     """Complete isomorphism invariant of a multigraph: ``(n, edges)``, the
     least sorted edge tuple over the relabellings the search reaches."""
-    return _canonical_labelling(graph)[0]
+    return canonical_search(graph)[0]
 
 
-def _canonical_labelling(graph: AdGraph) -> tuple[tuple, list[int]]:
-    """The canonical form and the labelling that produces it: vertex v
-    becomes ``labelling[v]`` in the form's edge tuple.
+def canonical_search(graph: AdGraph) -> tuple[tuple, list[int], list[list[int]]]:
+    """The canonical form, the labelling that produces it (vertex v
+    becomes ``labelling[v]`` in the form's edge tuple) and generators of
+    the automorphism group, each a vertex permutation ``g`` (vertex v
+    goes to ``g[v]``).
 
     Individualisation-refinement in the manner of McKay and Piperno,
     *Practical graph isomorphism II* (2014).  Colour refinement counts
@@ -484,6 +486,56 @@ def _canonical_labelling(graph: AdGraph) -> tuple[tuple, list[int]]:
     the same leaves, so the least one is unchanged.  A leaf equal to the
     first or the best leaf also abandons its whole subtree below the
     node where its path leaves that leaf's path.
+
+    The generators are the automorphisms found at equal leaves and, for
+    each twin class c_0, c_1, ..., the transpositions (c_0 c_j).  Twins
+    with equal neighbourhoods, and adjacent twins with equal
+    neighbourhoods apart from each other, are each an equivalence and no
+    vertex has both kinds, so every transposition inside a class is an
+    automorphism.  A search that never branched has a discrete refined
+    unit partition, hence a trivial group, and returns no generator.
+
+    They generate Aut(G) (McKay, *Practical graph isomorphism*, 1981).
+    Let H be the group they generate, b_1, ..., b_k the path of the first
+    leaf, nu_i the node of b_1 ... b_i, and G_i the automorphisms that
+    fix b_1, ..., b_{i-1}.  Refinement commutes with automorphisms, so
+    one that fixes a node's path maps the node's subtree onto itself and
+    keeps leaf certificates.
+
+    (a) ``_refine`` never moves a singleton's colour, so an individualised
+    vertex keeps the first position of its cell.  The automorphism
+    recorded where leaf l equals a reference leaf l' (the first or the
+    best) therefore fixes the paths' common prefix and sends the vertex
+    l' individualised where the paths diverge onto the one l did.
+
+    (b) At any node, a skipped child is the image of an explored one
+    under recorded automorphisms that fix the node's path and twin
+    transpositions inside the cell, which fix the path too since its
+    vertices are singletons; all of them lie in H.
+
+    (c) Let mu below nu_{i-1}, off the first path, have a leaf with the
+    first certificate in its subtree.  Then the search of mu's subtree
+    meets a leaf equal to a reference leaf outside it.  At a leaf, the
+    reference is the first leaf.  At an inner node, a child's search
+    that returns above mu has met such a leaf.  Otherwise take the first
+    explored child x whose subtree holds a leaf with the first
+    certificate; by (b) one exists.  By induction x's search meets a
+    leaf equal to a reference outside x's subtree.  Were the reference
+    under an earlier child x', the automorphism recorded there fixes
+    mu's path and sends x' to x by (a), so its inverse puts a leaf with
+    the first certificate under x', against the choice of x.
+
+    (d) From i = k down to 1, G_i <= H.  G_{k+1} is trivial: it fixes
+    the discrete partition of nu_k.  While nu_{i-1} runs, every leaf met
+    lies below it, so no search returns above it.  Take the explored
+    children of nu_{i-1} in b_i's G_i-orbit in the order explored.  Each
+    one v after b_i meets, by (c), a leaf equal to a reference outside
+    v's subtree, so under an earlier child x; the automorphism recorded
+    there fixes b_1, ..., b_{i-1} and sends x to v by (a), so it lies in
+    K_i, the intersection of H and G_i.  Then x is in the orbit too, and
+    by induction K_i moves b_i onto x, hence onto v.  With (b), the
+    K_i-orbit of b_i is its G_i-orbit.  So for g in G_i some h in K_i
+    has h(b_i) = g(b_i), and h^-1 g lies in G_{i+1} <= H (Schreier).
     """
     n = graph.n
     edges = graph.edges
@@ -544,7 +596,13 @@ def _canonical_labelling(graph: AdGraph) -> tuple[tuple, list[int]]:
         return depth - 1
 
     search(_refine(nbrs, base, [0] * n), [])
-    return (n, best[0]), best[1]
+    if twins:
+        for cls in groups(*components(n, twins)):
+            for v in cls[1:]:
+                swap = list(range(n))
+                swap[cls[0]], swap[v] = v, cls[0]
+                gens.append(swap)
+    return (n, best[0]), best[1], gens
 
 
 def _refine(nbrs: list[tuple[tuple[int, int], ...]], base: int,
@@ -597,88 +655,6 @@ def _individualise(col: list[int], v: int) -> list[int]:
     child = [start + 1 if c == start else c for c in col]
     child[v] = start
     return child
-
-
-def automorphism_generators(graph: AdGraph) -> list[list[int]]:
-    """Generators of the automorphism group of a multigraph, each a
-    vertex permutation ``g`` (vertex v goes to ``g[v]``), from a
-    stabiliser chain.
-
-    The base b_1, ..., b_k individualises, each time, the first vertex
-    of the first non-singleton cell of the refined partition P_{i-1},
-    until P_k is discrete.  Refinement commutes with automorphisms, so
-    an automorphism fixing the whole base fixes every cell of P_k and
-    so every vertex: G_{k+1} is trivial, where G_i is the pointwise
-    stabiliser of b_1, ..., b_{i-1}.  From the last level up, for each
-    vertex w of b_i's cell in P_{i-1} that the generators found so far
-    (which all fix b_1, ..., b_{i-1}) do not already send b_i to, an
-    exhaustive search (``_automorphism_onto``) looks for an element of
-    G_i that sends b_i to w.  So the generators found at levels i and
-    below generate G_i, by induction from the last level: for g in G_i
-    some generated h has h(b_i) = g(b_i), and h^-1 g lies in G_{i+1}.
-    At level 1 that is the whole group; there is no threshold and no
-    fallback."""
-    n = graph.n
-    adj = _mult_adj(graph)
-    nbrs = [tuple(a.items()) for a in adj]
-    base = 1 + max((m for nb in nbrs for _, m in nb), default=0)
-    chain = [_refine(nbrs, base, [0] * n)]
-    points: list[int] = []
-    while True:
-        col = chain[-1]
-        start = _first_split(col)
-        if start is None:
-            break
-        points.append(col.index(start))
-        chain.append(_refine(nbrs, base, _individualise(col, points[-1])))
-    gens: list[list[int]] = []
-    for b, col, fixed in zip(reversed(points), reversed(chain[:-1]),
-                             reversed(chain[1:])):
-        orbit = None
-        for w in range(n):
-            if col[w] != col[b]:
-                continue
-            if orbit is None:
-                orbit = components(n, [(v, g[v]) for g in gens for v in range(n)])[0]
-            if orbit[w] == orbit[b]:
-                continue
-            g = _automorphism_onto(
-                nbrs, adj, base, fixed, _refine(nbrs, base, _individualise(col, w)))
-            if g is not None:
-                gens.append(g)
-                orbit = None
-    return gens
-
-
-def _automorphism_onto(nbrs: list[tuple[tuple[int, int], ...]],
-                       adj: list[dict[int, int]], base: int,
-                       src: list[int], dst: list[int]) -> list[int] | None:
-    """An automorphism g with ``dst[g[v]] == src[v]`` for every v, or
-    None when there is none.  Both partitions must be refined.  The
-    search individualises the first vertex of the first non-singleton
-    cell of ``src`` against each vertex of the same cell of ``dst`` in
-    turn, refines both sides, and checks the edges at a discrete leaf:
-    refinement loses no automorphism, so the search is exhaustive."""
-    if sorted(src) != sorted(dst):
-        return None
-    n = len(src)
-    start = _first_split(src)
-    if start is None:
-        at = [0] * n
-        for w, c in enumerate(dst):
-            at[c] = w
-        g = [at[c] for c in src]
-        if all(adj[g[u]].get(g[w]) == m for u in range(n) for w, m in nbrs[u]):
-            return g
-        return None
-    child = _refine(nbrs, base, _individualise(src, src.index(start)))
-    for w in range(n):
-        if dst[w] == start:
-            g = _automorphism_onto(
-                nbrs, adj, base, child, _refine(nbrs, base, _individualise(dst, w)))
-            if g is not None:
-                return g
-    return None
 
 
 def _twins(nbrs: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, int]]:

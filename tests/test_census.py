@@ -16,7 +16,7 @@ from turaevgenus.census import (
     simple_connected_graphs,
 )
 from turaevgenus.errors import BoundsTooLargeError, TuraevError
-from turaevgenus.families import automorphism_generators, canonical_form, is_reduced
+from turaevgenus.families import canonical_form, canonical_search, is_reduced
 
 from census_oracle import (
     _even_multiplicity_assignments as first_per_form_assignments,
@@ -114,7 +114,7 @@ def test_simple_graph_generation_counts():
     # direct count below
     got = simple_connected_graphs(4, 6)
     by_n = {}
-    for g in got:
+    for g, _ in got:
         by_n[g.n] = by_n.get(g.n, 0) + 1
     # n=1: K1; n=2: K2; n=3: the path; n=4: path, star, C4, C4+chord is
     # not bipartite, K4 minus edge not bipartite => path, star, cycle
@@ -151,7 +151,7 @@ def test_prune_drops_exactly_the_graphs_over_budget(bounds, kept, total):
     within = [(g.n, g.edges) for g in oracle
               if g.edge_count == 0 or need_bound(g, min_degree) <= max_e]
     got = simple_connected_graphs(max_v, max_e, min_degree)
-    assert [(g.n, g.edges) for g in got] == within
+    assert [(g.n, g.edges) for g, _ in got] == within
     assert (len(got), len(oracle)) == (kept, total)
 
 
@@ -167,9 +167,10 @@ def test_stage2_keeps_the_first_assignment_per_form(bounds):
     multiplicity vector and keeping the first per canonical form kept."""
     max_v, max_e, min_degree = bounds
     simples = simple_connected_graphs(max_v, max_e, min_degree)
-    got = [census_module._even_multiplicity_assignments(g, max_e, min_degree)
-           for g in simples]
-    assert got == [first_per_form_assignments(g, max_e, min_degree) for g in simples]
+    got = [census_module._even_multiplicity_assignments(g, gens, max_e, min_degree)
+           for g, gens in simples]
+    assert got == [first_per_form_assignments(g, max_e, min_degree)
+                   for g, _ in simples]
     assert sum(map(len, got)) > 100
 
 
@@ -229,11 +230,12 @@ def closure_order(n: int, gens) -> int:
 
 @pytest.mark.parametrize("bounds", STAGE2_BOUNDS)
 def test_automorphism_generators_generate_the_whole_group(bounds):
-    """On every stage-1 graph the generators are automorphisms, and the
-    group they generate is as large as a brute-force count says."""
+    """On every stage-1 graph the generators that the canonical search
+    returns are automorphisms, and the group they generate is as large
+    as a brute-force count says."""
     sizes = []
-    for graph in simple_connected_graphs(*bounds):
-        gens = automorphism_generators(graph)
+    for graph, _ in simple_connected_graphs(*bounds):
+        gens = canonical_search(graph)[2]
         edges = sorted(graph.edges)
         for g in gens:
             assert sorted(tuple(sorted((g[u], g[v]))) for u, v in edges) == edges
@@ -246,26 +248,30 @@ def test_automorphism_generators_generate_the_whole_group(bounds):
 
 def test_automorphism_generators_on_multigraphs():
     """Multiplicities count: a doubled edge of a 4-cycle breaks half its
-    symmetry, and a theta with unequal paths keeps only its swaps."""
+    symmetry, and a theta with unequal paths keeps only its swaps.
+    K_{2,4} has S_2 x S_4 from two twin classes."""
     c4 = AdGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     doubled = AdGraph(4, c4.edges + ((0, 1),))
     theta = AdGraph(5, ((0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1), (0, 4)))
-    for graph, order in ((c4, 8), (doubled, 2), (theta, 2)):
-        assert closure_order(graph.n, automorphism_generators(graph)) == order
+    k24 = AdGraph(6, tuple((u, v) for u in (0, 1) for v in range(2, 6)))
+    for graph, order in ((c4, 8), (doubled, 2), (theta, 2), (k24, 48)):
+        assert closure_order(graph.n, canonical_search(graph)[2]) == order
         assert brute_force_automorphism_count(graph.n, graph.edges) == order
 
 
 def test_stage2_makes_no_canonical_form_call(monkeypatch):
-    """A cold ``connected_atoms(8, 16, 4)`` canonicalises exactly as
-    often as its stage 1 alone does: stage 2 canonicalises nothing."""
+    """A cold ``connected_atoms(8, 16, 4)`` searches exactly as often as
+    its stage 1 alone does: stage 2 reads the generators stage 1 kept
+    and runs no canonical search."""
     calls = []
-    real = families._canonical_labelling
+    real = families.canonical_search
 
     def counting(graph):
         calls.append(graph)
         return real(graph)
 
-    monkeypatch.setattr(families, "_canonical_labelling", counting)
+    monkeypatch.setattr(families, "canonical_search", counting)
+    monkeypatch.setattr(census_module, "canonical_search", counting)
     monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(census_module, "_ATOM_CACHE", {})
     simple_connected_graphs(8, 16, 4)
@@ -284,13 +290,13 @@ def test_stage1_canonicalises_one_neighbour_set_per_orbit(monkeypatch, bounds, c
     fewer children (649 and 1,096 when every set was tried); the
     output is pinned against the unpruned oracle above."""
     counted = []
-    real = census_module.canonical_form
+    real = census_module.canonical_search
 
     def counting(graph):
         counted.append(graph)
         return real(graph)
 
-    monkeypatch.setattr(census_module, "canonical_form", counting)
+    monkeypatch.setattr(census_module, "canonical_search", counting)
     monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     simple_connected_graphs(*bounds)
     assert len(counted) == calls

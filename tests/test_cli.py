@@ -111,6 +111,19 @@ def test_census_reduced_genus0_is_the_single_vertex(capsys, max_edges):
     ]
 
 
+def test_census_edgeless_lists_the_single_vertex(capsys):
+    """At an edge bound of 0 the single vertex is still a graph of genus
+    0, with or without ``--reduced``."""
+    code, out, _ = run(capsys, "census", "--genus", "0", "--max-edges", "0")
+    assert code == 0
+    assert out.splitlines() == [
+        "genus 0, maxEdges 0: 1 graph(s)",
+        "  v=1 e=0 edges=[]",
+    ]
+    code, out, _ = run(capsys, "census", "--genus", "1", "--max-edges", "0")
+    assert out.splitlines() == ["genus 1, maxEdges 0: 0 graph(s)"]
+
+
 def test_byte_identical_reruns(capsys, c22_file):
     _, out1, _ = run(capsys, "census", "--genus", "1", "--max-edges", "8",
                      "--reduced", "--json")

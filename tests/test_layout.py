@@ -13,6 +13,10 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * ``classify_genus`` is called only by ``cli.cmd_classify``: the census
   names its classes by ``families.family_of`` on the key it has;
 * inside ``families``, ``isomorphic`` is called only by ``family_of``;
+* the refinement helpers ``_refine``, ``_individualise`` and
+  ``_first_split`` are called only by ``families.canonical_search``, the
+  one search behind the canonical form, the isomorphism witness and the
+  automorphism group; no module defines ``automorphism_generators``;
 * ``doubled_path_contract`` is called only in ``verify``, by the
   stepwise reference ``stepwise_contract`` and by
   ``suite_doubled_path_moves``: ``canonical_contract`` contracts every
@@ -115,6 +119,16 @@ def test_classify_genus_only_in_cmd_classify():
 def test_isomorphic_in_families_only_in_the_lookup():
     sites = {s for s in _call_sites("isomorphic") if s.startswith("families.")}
     assert sites == {"families.family_of"}
+
+
+def test_one_search_behind_form_and_automorphisms():
+    for helper in ("_refine", "_individualise", "_first_split"):
+        assert _call_sites(helper) == {"families.canonical_search"}, helper
+    defined = {f"{module}.{node.name}" for module, tree in _modules().items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not {d for d in defined if d.endswith(".automorphism_generators")}
+    # the scan sees top-level definitions
+    assert "families.canonical_search" in defined
 
 
 def test_doubled_path_contract_only_in_verify():
