@@ -112,8 +112,8 @@ def test_census_reduced_genus0_is_the_single_vertex(capsys, max_edges):
 
 
 def test_census_edgeless_lists_the_single_vertex(capsys):
-    """At an edge bound of 0 the single vertex is still a graph of genus
-    0, with or without ``--reduced``."""
+    """At an edge bound of 0 the single vertex is still the one graph of
+    genus 0, as ``--reduced`` lists it; the vertex cap is at least 1."""
     code, out, _ = run(capsys, "census", "--genus", "0", "--max-edges", "0")
     assert code == 0
     assert out.splitlines() == [
