@@ -35,6 +35,7 @@ from .errors import (
     NotValidatedError,
     OddDegreeError,
     TuraevError,
+    integer,
 )
 from . import perm
 from .ribbon import RibbonGraph
@@ -735,7 +736,7 @@ MAX_GRAPH_VERTICES = 100_000
 
 def _ints(tokens: list[str], lineno: int, line: str) -> list[int]:
     try:
-        return [int(t) for t in tokens]
+        return [integer(t) for t in tokens]
     except ValueError:
         raise MalformedLineError(lineno, line, "expected integers") from None
 

@@ -22,7 +22,7 @@ from .diagram import (
     turaev_genus_diagram,
     write_pd,
 )
-from .errors import NotUtf8Error, TuraevError
+from .errors import NotUtf8Error, TuraevError, integer
 
 SCHEMA_VERSION = 1
 
@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_realize)
 
     p = sub.add_parser("census", help="census of small decomposition graphs")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-edges", type=int, required=True)
+    p.add_argument("--genus", type=integer, required=True)
+    p.add_argument("--max-edges", type=integer, required=True)
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_census)
@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("verify", help="run the cross-oracle property sweep")
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=integer, default=50)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -1,11 +1,13 @@
 """Alternating decompositions of link diagrams.
 
 Every non-alternating arc is marked with two points, one near each
-endpoint.  Walking around a face, consecutive marked points that do not
-belong to the same arc traversal are joined by an arc inside the face.
-The joins close up into disjoint simple curves; each curve becomes a
-vertex of the alternating decomposition graph and each non-alternating
-arc an edge between the two curves crossing it.
+endpoint.  Inside each face, a curve joins the marked point at the end
+of one non-alternating traversal to the marked point at the start of
+the next, found by walking the face permutation ``face_step``.  The
+joins close up into disjoint simple curves; each curve becomes a vertex
+of the alternating decomposition graph and each non-alternating arc an
+edge between the two curves crossing it.  The alternating regions that
+hold crossings are the classes of crossings joined by alternating arcs.
 
 The face walks all inherit one handedness from the rotation system, so
 reading the crossed arcs along each curve yields rotation tables that
@@ -22,7 +24,7 @@ from . import adgraph
 from .adgraph import AdGraph
 from .diagram import PlanarDiagram, classify_arcs
 from .errors import TuraevError
-from .perm import components, cycles
+from .perm import components, cycles, orbits
 from .ribbon import ribbon_genus
 
 
@@ -57,47 +59,63 @@ class Decomposition:
 
 
 def decompose(diagram: PlanarDiagram) -> Decomposition:
+    """The curves, graph and alternating regions of ``diagram``.
+
+    Marked point ``(arc, end)``, near half-edge ``arc_ends[arc][end]``, is
+    numbered ``2 * rank(arc) + end`` among the non-alternating arcs.
+
+    *Curves.*  A face walk along a non-alternating arc from ``h`` to
+    ``partner[h]`` passes the marked point near ``h``, then the one near
+    ``partner[h]``.  From there a curve runs inside the face to the
+    marked point at the start of the face's next non-alternating
+    traversal ``g``, the first return of ``face_step`` from ``h`` to such
+    half-edges.  A first return of a permutation is a permutation, and
+    ``partner`` permutes those half-edges, so ``succ`` is one; its cycles
+    are the curves.
+
+    *Regions.*  Each curve segment cuts from its face an outer piece,
+    holding the corners and the alternating arcs from ``partner[h]`` to
+    ``g``; what is left of a face with segments is its central piece,
+    bounded by segments and the middles of non-alternating arcs, with no
+    corner.  Regions are pieces glued across shared arcs and at
+    crossings.  The curves meet the diagram only near the ends of
+    non-alternating arcs, so an alternating arc, its two crossings and
+    the four corners at each lie in one region.  Conversely the corners
+    of an outer piece, or of a face with no segment, are joined by its
+    alternating arcs; pieces glued across an alternating arc, across a
+    non-alternating arc beyond a marked point, or at a crossing share a
+    corner's crossing; pieces glued across a non-alternating arc's
+    middle are both central.  So the regions with crossings are the
+    classes of crossings joined by alternating arcs, and ``r_alt`` adds
+    one region per free loop.  The other side of each segment is
+    central, so the curves bounding a class are those through a marked
+    point ``(arc, end)`` whose crossing, at that end of the arc, is in
+    the class.
+    """
     kinds = classify_arcs(diagram)
     na_arcs = sorted(a for a, k in kinds.items() if not k.alternating)
-    na_set = set(na_arcs)
+    partner = diagram.partner
+    point = [-1] * len(partner)
+    for i, arc in enumerate(na_arcs):
+        h0, h1 = diagram.arc_ends[arc]
+        point[h0], point[h1] = 2 * i, 2 * i + 1
 
-    faces = diagram.faces()
-
-    # emissions[face] = list of (marked point, traversal position, emission slot)
-    emissions: list[list[tuple[MarkedPoint, int, int]]] = []
-    for face in faces:
-        row = []
-        for pos, h in enumerate(face):
-            arc = diagram.arc_at(h)
-            if arc in na_set:
-                ends = diagram.arc_ends[arc]
-                near = 0 if ends[0] == h else 1
-                row.append((MarkedPoint(arc, near), pos, 0))
-                row.append((MarkedPoint(arc, 1 - near), pos, 1))
-        emissions.append(row)
-
-    # joins: from the closing emission of one traversal to the opening
-    # emission of the next non-alternating traversal around the face;
-    # marked point (arc, end) has index 2 * (rank of arc) + end
-    point_index = {arc: 2 * i for i, arc in enumerate(na_arcs)}
-    succ = [-1] * (2 * len(na_arcs))
-    for row in emissions:
-        m = len(row)
-        for i in range(m):
-            mp, pos, slot = row[i]
-            mp2, pos2, slot2 = row[(i + 1) % m]
-            if pos == pos2 and slot == 0 and slot2 == 1:
-                continue  # the gap runs along the arc's own middle
-            succ[point_index[mp.arc] + mp.end] = point_index[mp2.arc] + mp2.end
-    if -1 in succ:
-        raise TuraevError("curve tracing did not close up")
+    step = diagram.face_step()
+    succ = [0] * (2 * len(na_arcs))
+    for h, p in enumerate(point):
+        if p >= 0:
+            g = step[h]
+            while point[g] < 0:
+                g = step[g]
+            succ[point[partner[h]]] = point[g]
 
     # curves: cycles of the join successor, in first-encounter order
+    curve_of, _ = orbits(succ)
+    point_cycles = cycles(succ)
     curves = [
-        tuple(MarkedPoint(na_arcs[i >> 1], i & 1) for i in cycle)
-        for cycle in cycles(succ)
+        tuple(MarkedPoint(na_arcs[p >> 1], p & 1) for p in cycle)
+        for cycle in point_cycles
     ]
-    curve_of = {mp: ci for ci, curve in enumerate(curves) for mp in curve}
 
     # graph: one vertex per curve, plus one isolated vertex per
     # alternating split component (including free loops)
@@ -109,27 +127,27 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     vertex_curves += [None] * (n_vertices - len(curves))
 
     edges = []
-    signs = []
-    for arc in na_arcs:
-        cu = curve_of[MarkedPoint(arc, 0)]
-        cv = curve_of[MarkedPoint(arc, 1)]
+    for i, arc in enumerate(na_arcs):
+        cu, cv = curve_of[2 * i], curve_of[2 * i + 1]
         if cu == cv:
             raise TuraevError(f"non-alternating arc {arc} met a single curve")
         edges.append((cu, cv))
-        signs.append(kinds[arc].sign)
-    edge_of_arc = {arc: i for i, arc in enumerate(na_arcs)}
-
-    rotations = [
-        tuple(edge_of_arc[mp.arc] for mp in cycle) for cycle in curves
-    ]
+    # edge i is the arc of marked points 2i and 2i + 1
+    rotations = [tuple(p >> 1 for p in cycle) for cycle in point_cycles]
     rotations += [()] * (n_vertices - len(curves))
 
     graph = AdGraph(n_vertices, tuple(edges), rotations=tuple(rotations))
     graph = adgraph.validate_adg(graph)
 
-    r_alt, region_curves = _alternating_regions(
-        diagram, faces, emissions, curve_of, na_set
-    )
+    region, count = components(diagram.crossing_count, (
+        (h1 >> 2, h2 >> 2)
+        for arc, (h1, h2) in diagram.arc_ends.items()
+        if kinds[arc].alternating
+    ))
+    touched: list[set[int]] = [set() for _ in range(count)]
+    for i, arc in enumerate(na_arcs):
+        for end, h in enumerate(diagram.arc_ends[arc]):
+            touched[region[h >> 2]].add(curve_of[2 * i + end])
 
     return Decomposition(
         diagram=diagram,
@@ -137,81 +155,10 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
         graph=graph,
         vertex_curves=tuple(vertex_curves),
         edge_arcs=tuple(na_arcs),
-        signs=tuple(signs),
-        r_alt=r_alt,
-        region_curves=region_curves,
+        signs=tuple(kinds[arc].sign for arc in na_arcs),
+        r_alt=count + diagram.free_loops,
+        region_curves=tuple(sorted(tuple(sorted(cs)) for cs in touched)),
     )
-
-
-def _alternating_regions(diagram, faces, emissions, curve_of, na_set):
-    """Count regions of the sphere complement of the curves that contain
-    crossings, and record which curves bound each.
-
-    The chords of a face cut it into one central piece (bounded by chords
-    and arc middles only, hence crossing-free) and one outer piece per
-    chord; pieces merge across crossings and, for central pieces, across
-    the middles of non-alternating arcs.
-    """
-    pieces: dict[tuple, int] = {}
-
-    def piece_id(key) -> int:
-        return pieces.setdefault(key, len(pieces))
-
-    corner_piece = [0] * len(diagram.partner)  # arrival half-edge -> piece
-    curve_touch: list[tuple[int, int]] = []  # (piece, curve)
-    face_of_start = [0] * len(diagram.partner)
-
-    for fi, face in enumerate(faces):
-        for h in face:
-            face_of_start[h] = fi
-        row = emissions[fi]
-        na_positions = sorted({pos for (_, pos, _) in row})
-        if not na_positions:
-            pid = piece_id(("whole", fi))
-            for h in face:
-                corner_piece[diagram.partner[h]] = pid
-            continue
-        piece_id(("central", fi))
-        # the outer piece after non-alternating traversal p holds the
-        # corners up to (and excluding) the next non-alternating traversal
-        r = len(face)
-        for k, p in enumerate(na_positions):
-            q = na_positions[(k + 1) % len(na_positions)]
-            pid = piece_id(("outer", fi, p))
-            pos = p
-            while True:
-                corner_piece[diagram.partner[face[pos]]] = pid
-                pos = (pos + 1) % r
-                if pos == q:
-                    break
-            mp_here = next(mp for (mp, pp, slot) in row if pp == p and slot == 1)
-            curve_touch.append((pid, curve_of[mp_here]))
-
-    # glue the four corners around each crossing, and central pieces
-    # across the middles of non-alternating arcs
-    glue = [
-        (corner_piece[4 * ci], corner_piece[4 * ci + s])
-        for ci in range(diagram.crossing_count)
-        for s in (1, 2, 3)
-    ]
-    for arc in na_set:
-        h1, h2 = diagram.arc_ends[arc]
-        glue.append((
-            piece_id(("central", face_of_start[h1])),
-            piece_id(("central", face_of_start[h2])),
-        ))
-    region, _ = components(len(pieces), glue)
-
-    crossing_regions: dict[int, set[int]] = {}
-    for pid in corner_piece:
-        crossing_regions.setdefault(region[pid], set())
-    for pid, curve in curve_touch:
-        if region[pid] in crossing_regions:
-            crossing_regions[region[pid]].add(curve)
-    region_curves = tuple(
-        sorted(tuple(sorted(cs)) for cs in crossing_regions.values())
-    )
-    return len(crossing_regions) + diagram.free_loops, region_curves
 
 
 def twisted_genus(diagram: PlanarDiagram) -> int:

@@ -27,8 +27,9 @@ from .errors import (
     NoCrossingsError,
     NonPlanarMapError,
     TooLargeError,
+    integer,
 )
-from .perm import components, cycles, groups, least_points, orbits
+from .perm import components, groups, least_points, orbits
 
 Crossing = tuple[int, int, int, int]
 
@@ -51,7 +52,7 @@ def _state_limit() -> int:
     if raw is None:
         return DEFAULT_STATE_LIMIT
     try:
-        limit = int(raw)
+        limit = integer(raw)
     except ValueError:
         limit = 0  # rejected below with the same message
     if limit < 1:
@@ -123,18 +124,13 @@ class PlanarDiagram:
         """k(D): split components of the 4-valent graph plus free loops."""
         return self._component_count + self.free_loops
 
-    def _face_step(self) -> list[int]:
-        """h -> rotate(partner(h)): the next half-edge along a face."""
-        return [(p & ~3) | ((p + 1) & 3) for p in self.partner]
+    def face_step(self) -> list[int]:
+        """h -> rotate(partner(h)): the next half-edge along a face.
 
-    def faces(self) -> list[list[int]]:
-        """Face walks of the rotation system.
-
-        Each face is the cyclic list of half-edges at which its boundary
-        traversal leaves a crossing; successive traversals follow
-        ``h -> rotate(partner(h))``.
+        A face is an orbit: the half-edges at which its boundary
+        traversal leaves a crossing.
         """
-        return cycles(self._face_step())
+        return [(p & ~3) | ((p + 1) & 3) for p in self.partner]
 
     def _check_genus_zero(self) -> None:
         # Euler's formula per split component, each on its own sphere;
@@ -142,7 +138,7 @@ class PlanarDiagram:
         chi = [0] * self._component_count
         for comp in self.component_of:
             chi[comp] -= 1
-        for h in least_points(orbits(self._face_step())[0]):
+        for h in least_points(orbits(self.face_step())[0]):
             chi[self.component_of[h >> 2]] += 1
         for comp, value in enumerate(chi):
             if value != 2:
@@ -201,7 +197,7 @@ def parse_pd(text: str) -> PlanarDiagram:
             if len(parts) != 5:
                 raise MalformedLineError(lineno, chunk, "expected 4 arc ids")
             try:
-                arcs = tuple(int(p) for p in parts[1:])
+                arcs = tuple(integer(p) for p in parts[1:])
             except ValueError:
                 raise MalformedLineError(lineno, chunk, "arc ids must be integers")
             if any(a <= 0 for a in arcs):

@@ -1,4 +1,17 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the integer reader of
+every input format."""
+
+
+def integer(text: str) -> int:
+    """``int(text)`` for ASCII ``-?[0-9]+`` only.  Surrounding space, a
+    ``+`` sign, ``_`` separators and non-ASCII digits, which ``int``
+    takes, raise ``ValueError`` here, so each reader keeps its message."""
+    # the only ASCII characters that isdigit() accepts are 0-9
+    if text.isascii() and (
+        text.isdigit() or text[:1] == "-" and text[1:].isdigit()
+    ):
+        return int(text)
+    raise ValueError(f"invalid integer {text!r}")
 
 
 class TuraevError(Exception):

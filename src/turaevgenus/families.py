@@ -47,6 +47,7 @@ from .errors import (
     ClassificationFailureError,
     InvalidSiteError,
     MalformedLineError,
+    integer,
 )
 from .perm import components, fundamental_cycles, groups
 
@@ -939,7 +940,7 @@ def replay_script(text: str) -> AdGraph:
         if len(fields) != arity[op] or bool(colon) != (op == "twopath"):
             raise MalformedLineError(lineno, raw, f"wrong fields for {op}")
         try:
-            args = [int(f) for f in fields + tail.split()]
+            args = [integer(f) for f in fields + tail.split()]
         except ValueError:
             raise MalformedLineError(lineno, raw, "fields must be integers") from None
         if op == "start":

@@ -208,6 +208,10 @@ _REPEATED_DIRECTIVE = {
     "v 2\ne 1 2\ne 1 2\nrot x : 1 2\n",
     "v 2\ne 1 2\ne 1 2\nrot 1 : 1 y\n",
     "v -1\n",
+    "v 12\ne 1_2 2\n",
+    "v 1_2\n",
+    "v \uff12\n",
+    "v 2\ne 1 2\ne 1 2\nrot 1 : 1 +2\n",
     *_REPEATED_DIRECTIVE,
 ])
 @pytest.mark.parametrize("command", ["genus-g", "classify", "realize"])
@@ -282,6 +286,21 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--genus", "1", "--max-edges", "1_6"],
+    ["census", "--genus", "\uff11", "--max-edges", "8"],
+    ["verify", "--iters", "+2"],
+    ["verify", "--seed", " 3"],
+])
+def test_strict_integer_flags_exit_2(capsys, argv):
+    """A flag value that ``int`` takes but is not ASCII ``-?[0-9]+`` is a
+    usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
 
 
 def test_verify_small(capsys):

@@ -6,8 +6,15 @@ from turaevgenus import corpus
 from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
 from turaevgenus.construct import embed_planar, realize_diagram
 from turaevgenus.decompose import decompose, twisted_genus
-from turaevgenus.diagram import classify_arcs, turaev_genus_diagram
+from turaevgenus.diagram import (
+    classify_arcs,
+    connected_sum,
+    insert_twist,
+    turaev_genus_diagram,
+)
 from turaevgenus.families import doubled_cycle, isomorphic
+
+import decompose_oracle
 
 
 def test_trefoil_decomposition():
@@ -34,6 +41,7 @@ def test_9_42_decomposition():
             per_arc[mp] = per_arc.get(mp, 0) + 1
     assert all(count == 1 for count in per_arc.values())
     assert len(per_arc) == 2 * dec.graph.edge_count
+    assert dec.region_curves == ((0,), (1,))
 
 
 def test_annular_link_decomposition():
@@ -55,6 +63,7 @@ def test_annular_link_decomposition():
         len(curves) == 2 and comp_of[curves[0]] != comp_of[curves[1]]
         for curves in dec.region_curves
     )
+    assert dec.region_curves == ((0,), (1, 2), (3,))
 
 
 def test_split_alternating_components_are_isolated_vertices():
@@ -121,3 +130,24 @@ def test_oracle_triangle_random(seed):
     dec = decompose(d)
     assert twisted_genus(d) == g
     assert turaev_genus_graph(dec.graph) == g
+
+
+def test_decomposition_matches_oracle_on_fixed_diagrams(named):
+    fixed = list(named.values()) + [corpus.torus_2k(k) for k in range(1, 9)]
+    for d in fixed:
+        assert decompose(d) == decompose_oracle.decompose(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(4, 16))
+def test_decomposition_matches_oracle_random(seed, max_edges):
+    """The whole ``Decomposition``, curves, graph and regions, equals the
+    oracle's on a realized diagram, its mirror, and its disjoint union,
+    connected sum and twisted connected sum with a second one."""
+    rng = random.Random(seed)
+    d = corpus.random_diagram(rng, max_edges=max_edges)
+    e = corpus.random_diagram(rng, max_edges=max_edges)
+    summed = connected_sum(d, rng.choice(d.arcs), e, rng.choice(e.arcs))
+    twisted = insert_twist(summed, rng.choice(summed.arcs))
+    for x in (d, d.mirror(), d.disjoint_union(e), summed, twisted):
+        assert decompose(x) == decompose_oracle.decompose(x)

@@ -34,6 +34,7 @@ from turaevgenus.errors import (
     NonPlanarMapError,
     TooLargeError,
 )
+from turaevgenus.perm import orbits
 
 TREFOIL = corpus.TREFOIL
 KINK = "X 1 1 2 2"
@@ -67,7 +68,7 @@ def test_parse_kink_euler():
     assert d.crossing_count == 1
     assert len(d.arc_ends) == 2
     # V - E + F = 1 - 2 + 3 = 2
-    assert len(d.faces()) == 3
+    assert orbits(d.face_step())[1] == 3
 
 
 def test_parse_errors():
@@ -77,6 +78,12 @@ def test_parse_errors():
         parse_pd("X 1 2 3")
     with pytest.raises(MalformedLineError):
         parse_pd("X 1 2 3 -4")
+    # int() takes these, the reader does not: a fullwidth digit, a '_'
+    # separator, a '+' sign
+    for bad in ("X \uff11 4 2 5 / X 3 6 4 1 / X 5 2 6 3",
+                "X 1_0 4 2 5", "X +1 4 2 5"):
+        with pytest.raises(MalformedLineError):
+            parse_pd(bad)
     with pytest.raises(ArcMultiplicityError):
         parse_pd("X 1 2 3 4")
     # interleaved loops at one crossing only close up on a torus
@@ -273,7 +280,9 @@ def test_bracket_limits(monkeypatch):
         bracket_span(parse_pd(TREFOIL).disjoint_union(parse_pd(TREFOIL)))
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "0", ""])
+@pytest.mark.parametrize("value", [
+    "abc", "-5", "0", "", " 1_8 ", "1_8", "\uff11\uff18", " 18", "+18",
+])
 def test_bad_state_limit_rejected(monkeypatch, value):
     monkeypatch.setenv("ADG_MAX_STATES", value)
     with pytest.raises(BadParametersError) as exc:

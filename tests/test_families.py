@@ -737,6 +737,9 @@ def test_random_genus0_scripts():
     ("start 2\nonesum 0 5", InvalidSiteError, None, "start 2\nonesum 0 1"),
     ("start 2\nonesum 0 -1", InvalidSiteError, None, "start 2\nonesum 0 1"),
     ("start 1\npendnt 0", InvalidSiteError, None, "start 1\npendant 0"),
+    ("start 1_0", MalformedLineError, 1, "start 10"),
+    ("start 1\npendant \uff10", MalformedLineError, 2, "start 1\npendant 0"),
+    ("start 2\nonesum 0 +1", MalformedLineError, 2, "start 2\nonesum 0 1"),
 ])
 def test_replay_script_near_misses(bad, error, lineno, good):
     """Each malformed script raises its error, with the line number of
