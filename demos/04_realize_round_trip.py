@@ -12,25 +12,32 @@ from turaevgenus.adgraph import turaev_genus_graph, validate_adg
 from turaevgenus.construct import embed_planar, realize_diagram
 from turaevgenus.decompose import decompose
 from turaevgenus.diagram import is_adequate, turaev_genus_diagram, write_pd
-from turaevgenus.families import FamilySpec, isomorphic, make_family
+from turaevgenus.families import (
+    c4_legs,
+    doubled_cycle,
+    doubled_theta,
+    doubled_tree,
+    isomorphic,
+    k4_doubled_paths,
+    k4_two_sum,
+)
 
-specs = [
-    FamilySpec("DoubledCycle", (2,)),
-    FamilySpec("DoubledCycle", (6,)),
-    FamilySpec("Theta", (1, 1, 3)),
-    FamilySpec("K4pq", (2, 2)),
-    FamilySpec("K4TwoSum", (2, 2)),
-    FamilySpec("C4Legs", (1, 0, 2, 0)),
-    FamilySpec("DoubledTree", (0, 0, 1, 1)),
-]
+graphs = {
+    "doubled_cycle(2)": doubled_cycle(2),
+    "doubled_cycle(6)": doubled_cycle(6),
+    "doubled_theta(1, 1, 3)": doubled_theta(1, 1, 3),
+    "k4_doubled_paths(2, 2)": k4_doubled_paths(2, 2),
+    "k4_two_sum(2, 2)": k4_two_sum(2, 2),
+    "c4_legs(1, 0, 2, 0)": c4_legs(1, 0, 2, 0),
+    "doubled_tree((0, 0, 1, 1))": doubled_tree((0, 0, 1, 1)),
+}
 
-for spec in specs:
-    graph = make_family(spec)
+for name, graph in graphs.items():
     validated = embed_planar(validate_adg(graph))
     diagram = realize_diagram(validated)
     back = decompose(diagram).graph
     round_trip = isomorphic(back, graph)[0]
-    print(f"{spec.tag}{spec.params}: v = {graph.n}, e = {graph.edge_count}"
+    print(f"{name}: v = {graph.n}, e = {graph.edge_count}"
           f" -> diagram with {diagram.crossing_count} crossings")
     print(f"  genus (graph) = {turaev_genus_graph(validated)},"
           f" genus (diagram) = {turaev_genus_diagram(diagram)},"
@@ -39,5 +46,4 @@ for spec in specs:
 
 print()
 print("PD code of the realized doubled two-cycle:")
-c22 = make_family(FamilySpec("DoubledCycle", (2,)))
-print(write_pd(realize_diagram(embed_planar(validate_adg(c22)))))
+print(write_pd(realize_diagram(embed_planar(validate_adg(doubled_cycle(2))))))

@@ -26,12 +26,10 @@ from .diagram import (
 from .decompose import Decomposition, decompose, twisted_genus
 from .families import (
     Classification,
-    FamilySpec,
     canonical_contract,
     classify_genus,
     is_reduced,
     isomorphic,
-    make_family,
     random_genus0,
 )
 from .ribbon import RibbonGraph, boundary_count, is_orientable, ribbon_genus, twist_all
@@ -40,7 +38,6 @@ __all__ = [
     "AdGraph",
     "Classification",
     "Decomposition",
-    "FamilySpec",
     "PlanarDiagram",
     "RibbonGraph",
     "boundary_count",
@@ -56,7 +53,6 @@ __all__ = [
     "is_reduced",
     "isomorphic",
     "kauffman_bracket",
-    "make_family",
     "nullity",
     "parse_graph_file",
     "parse_pd",

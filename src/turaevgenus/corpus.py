@@ -18,7 +18,6 @@ from .adgraph import AdGraph, validate_adg
 from .construct import embed_planar, realize_diagram
 from .diagram import PlanarDiagram, link_component_count, parse_pd
 from .errors import TuraevError
-from .families import FamilySpec, make_family
 from .perm import two_colouring
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
@@ -107,39 +106,33 @@ def random_adgraph(rng: random.Random, max_edges: int = 12) -> AdGraph:
     graph, mixing family instances, disjoint unions, and one-sums.  The
     families and parameter choices drawn are those whose instances are
     always bipartite, hence valid decomposition graphs."""
-    def atom() -> FamilySpec:
+    def atom() -> AdGraph:
         roll = rng.randrange(8)
         if roll == 0:
-            return FamilySpec("DoubledPath", (rng.randint(1, 3),))
+            return families.doubled_path(rng.randint(1, 3))
         if roll == 1:
-            return FamilySpec("DoubledCycle", (2 * rng.randint(1, 3),))
+            return families.doubled_cycle(2 * rng.randint(1, 3))
         if roll == 2:
             base = rng.choice((1, 2))
-            return FamilySpec(
-                "Theta", tuple(base + 2 * rng.randint(0, 1) for _ in range(3))
-            )
+            return families.doubled_theta(
+                *(base + 2 * rng.randint(0, 1) for _ in range(3)))
         if roll == 3:
-            return FamilySpec(
-                "K4pq", (2 * rng.randint(1, 2), 2 * rng.randint(1, 2))
-            )
+            return families.k4_doubled_paths(
+                2 * rng.randint(1, 2), 2 * rng.randint(1, 2))
         if roll == 4:
-            return FamilySpec("K4TwoSum", (2, 2))
+            return families.k4_two_sum(2, 2)
         if roll == 5:
-            return FamilySpec(
-                "C4Legs", tuple(rng.randint(0, 2) for _ in range(4))
-            )
+            return families.c4_legs(*(rng.randint(0, 2) for _ in range(4)))
         if roll == 6:
-            return FamilySpec(
-                "K4tildeTwoSum", tuple(rng.randint(0, 1) for _ in range(4))
-            )
-        parents = tuple(rng.randrange(max(1, i)) for i in range(rng.randint(1, 4)))
-        return FamilySpec("DoubledTree", parents)
+            return families.k4_tilde_two_sum(
+                *(rng.randint(0, 1) for _ in range(4)))
+        return families.doubled_tree(
+            [rng.randrange(max(1, i)) for i in range(rng.randint(1, 4))])
 
     while True:
-        spec = atom()
-        graph = make_family(spec)
+        graph = atom()
         if rng.random() < 0.3:
-            other = make_family(atom())
+            other = atom()
             if graph.edge_count + other.edge_count <= max_edges:
                 merged = graph.disjoint_union(other)
                 if rng.random() < 0.5:

@@ -2,7 +2,7 @@
 
 A diagram is stored as a PD code: each crossing lists its four incident
 arc identifiers counterclockwise, starting at the incoming under-strand.
-This carries both the rotation system (the plane embedding up to mirror)
+This carries both the rotation system (the oriented plane embedding)
 and the over/under decoration, which is exactly the data the Turaev
 genus formula and the alternating decomposition need.
 
@@ -33,14 +33,11 @@ from .perm import components, groups, least_points, orbits
 
 Crossing = tuple[int, int, int, int]
 
-#: Slot pairings for the two smoothings.  In the standard convention the
-#: A-resolution joins slots 0-1 and 2-3, the B-resolution joins 0-3 and 1-2.
-#: The swapped convention exchanges the two; the genus formula is symmetric
-#: in s_A and s_B, so swapping must not change any genus output.
-_SMOOTHINGS = {
-    "standard": {"A": (1, 0, 3, 2), "B": (3, 2, 1, 0)},
-    "swapped": {"A": (3, 2, 1, 0), "B": (1, 0, 3, 2)},
-}
+#: Slot pairings for the two smoothings: the A-smoothing joins slots 0-1
+#: and 2-3, the B-smoothing joins 0-3 and 1-2.  ``PlanarDiagram.mirror``
+#: exchanges the two, so the mirror of a diagram has (s_B, s_A) for its
+#: (s_A, s_B).
+_SMOOTHINGS = {"A": (1, 0, 3, 2), "B": (3, 2, 1, 0)}
 
 DEFAULT_STATE_LIMIT = 18
 
@@ -75,15 +72,16 @@ class PlanarDiagram:
     )
 
     def __init__(self, crossings: Sequence[Crossing], free_loops: int = 0):
-        if free_loops < 0:
-            raise ValueError("free_loops must be nonnegative")
-        self.crossings: tuple[Crossing, ...] = tuple(
-            tuple(int(a) for a in x) for x in crossings
-        )
+        if type(free_loops) is not int or free_loops < 0:
+            raise BadParametersError(
+                f"free_loops must be a non-negative integer, got {free_loops!r}")
+        self.crossings: tuple[Crossing, ...] = tuple(map(tuple, crossings))
         for x in self.crossings:
             if len(x) != 4:
                 raise MalformedLineError(0, str(x), "crossing needs 4 arcs")
-        self.free_loops = int(free_loops)
+            if any(type(a) is not int for a in x):
+                raise MalformedLineError(0, str(x), "arc ids must be integers")
+        self.free_loops = free_loops
 
         ends: dict[int, list[int]] = {}
         for ci, x in enumerate(self.crossings):
@@ -151,9 +149,12 @@ class PlanarDiagram:
     # -- derived invariants ----------------------------------------------------
 
     def mirror(self) -> "PlanarDiagram":
-        """Reverse all rotations and swap over/under at every crossing."""
+        """The mirror image: reverse every rotation, keeping each crossing's
+        incoming under-strand at slot 0 and its strands over and under.
+        Slots 1 and 3 trade places, so the A- and B-smoothings trade too
+        and the Kauffman bracket maps A to A^-1."""
         return PlanarDiagram(
-            [(b, a, d, c) for (a, b, c, d) in self.crossings], self.free_loops
+            [(a, d, c, b) for (a, b, c, d) in self.crossings], self.free_loops
         )
 
     def disjoint_union(self, other: "PlanarDiagram") -> "PlanarDiagram":
@@ -213,25 +214,13 @@ def write_pd(diagram: PlanarDiagram) -> str:
 
 # -- Kauffman states -------------------------------------------------------------
 
-def resolve_state(
-    diagram: PlanarDiagram,
-    choice: Mapping[int, str] | Sequence[str],
-    convention: str = "standard",
-) -> int:
-    """Number of circles after smoothing every crossing per ``choice``.
-
-    ``choice`` maps crossing index to 'A' or 'B' (a sequence indexed by
-    crossing position works too).
-    """
-    n = diagram.crossing_count
-    if isinstance(choice, Mapping):
-        labels = [choice[i] for i in range(n)]
-    else:
-        labels = list(choice)
-    if len(labels) != n:
+def resolve_state(diagram: PlanarDiagram, choice: Sequence[str]) -> int:
+    """Number of circles after smoothing crossing i by ``choice[i]``,
+    'A' or 'B'."""
+    if len(choice) != diagram.crossing_count:
         raise ValueError("choice must label every crossing")
-    pairings = _SMOOTHINGS[convention]
-    return _circles(diagram, [pairings[x] for x in labels])[1] + diagram.free_loops
+    pairs = [_SMOOTHINGS[x] for x in choice]
+    return _circles(diagram, pairs)[1] + diagram.free_loops
 
 
 def _circles(
@@ -244,23 +233,17 @@ def _circles(
     return orbits(diagram.partner, smooth)
 
 
-def state_circle_counts(
-    diagram: PlanarDiagram, convention: str = "standard"
-) -> tuple[int, int]:
+def state_circle_counts(diagram: PlanarDiagram) -> tuple[int, int]:
     """(s_A, s_B) for the all-A and all-B states."""
     n = diagram.crossing_count
-    s_a = resolve_state(diagram, ["A"] * n, convention)
-    s_b = resolve_state(diagram, ["B"] * n, convention)
-    return s_a, s_b
+    return resolve_state(diagram, ["A"] * n), resolve_state(diagram, ["B"] * n)
 
 
-def turaev_genus_diagram(
-    diagram: PlanarDiagram, convention: str = "standard"
-) -> int:
+def turaev_genus_diagram(diagram: PlanarDiagram) -> int:
     """Genus of the Turaev surface: (2k + c - s_A - s_B) / 2."""
     if diagram.crossing_count == 0:
         return 0
-    s_a, s_b = state_circle_counts(diagram, convention)
+    s_a, s_b = state_circle_counts(diagram)
     val = 2 * diagram.split_components + diagram.crossing_count - s_a - s_b
     if val < 0 or val % 2:
         raise InternalParityError(
@@ -445,7 +428,7 @@ def writhe(diagram: PlanarDiagram) -> int:
     return w
 
 
-def kauffman_bracket(diagram: PlanarDiagram, convention: str = "standard") -> LaurentPoly:
+def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     """Bracket state sum over all 2^c resolutions, delta = -A^2 - A^-2."""
     n = diagram.crossing_count
     if n == 0 and diagram.free_loops == 0:
@@ -457,9 +440,8 @@ def kauffman_bracket(diagram: PlanarDiagram, convention: str = "standard") -> La
     delta_pows = [LaurentPoly({0: 1})]
     for _ in range(n + diagram.free_loops + 2):
         delta_pows.append(delta_pows[-1] * delta)
-    pairings = _SMOOTHINGS[convention]
     rows = [
-        [[4 * ci + s for s in pairings[state]] for ci in range(n)]
+        [[4 * ci + s for s in _SMOOTHINGS[state]] for ci in range(n)]
         for state in ("A", "B")
     ]
     # walk the states in Gray-code order, flipping one crossing at a time,
@@ -484,7 +466,7 @@ def kauffman_bracket(diagram: PlanarDiagram, convention: str = "standard") -> La
     return LaurentPoly(total)
 
 
-def jones_polynomial(diagram: PlanarDiagram, convention: str = "standard") -> LaurentPoly:
+def jones_polynomial(diagram: PlanarDiagram) -> LaurentPoly:
     """Writhe-normalized bracket, in the bracket variable A.
 
     Substituting t = A^-4 gives the Jones polynomial; exponents of the
@@ -492,14 +474,10 @@ def jones_polynomial(diagram: PlanarDiagram, convention: str = "standard") -> La
     """
     w = writhe(diagram)
     norm = LaurentPoly.monomial(-3 * w, -1 if w % 2 else 1)
-    return kauffman_bracket(diagram, convention) * norm
+    return kauffman_bracket(diagram) * norm
 
 
-def bracket_span(
-    diagram: PlanarDiagram,
-    convention: str = "standard",
-    poly: LaurentPoly | None = None,
-) -> int:
+def bracket_span(diagram: PlanarDiagram, poly: LaurentPoly | None = None) -> int:
     """Span of the Jones polynomial in the variable t.
 
     Requires a connected diagram; the span in A is always a multiple
@@ -511,7 +489,7 @@ def bracket_span(
     if diagram.split_components > 1:
         raise DisconnectedError("bracket span needs a connected diagram")
     if poly is None:
-        poly = jones_polynomial(diagram, convention)
+        poly = jones_polynomial(diagram)
     span_a = poly.span
     if span_a % 4:
         raise InternalParityError(f"bracket span {span_a} not divisible by 4")
@@ -520,7 +498,7 @@ def bracket_span(
 
 # -- adequacy ------------------------------------------------------------------
 
-def is_adequate(diagram: PlanarDiagram, convention: str = "standard") -> bool:
+def is_adequate(diagram: PlanarDiagram) -> bool:
     """True when every single flip away from the all-A and the all-B
     state strictly decreases the circle count.
 
@@ -531,8 +509,7 @@ def is_adequate(diagram: PlanarDiagram, convention: str = "standard") -> bool:
     n = diagram.crossing_count
     if n == 0:
         raise NoCrossingsError("adequacy needs at least one crossing")
-    for state in ("A", "B"):
-        pair = _SMOOTHINGS[convention][state]
+    for pair in _SMOOTHINGS.values():
         label, _ = _circles(diagram, [pair] * n)
         # slot 0 lies on one smoothing arc, slot ``other`` on the second
         other = min(s for s in (1, 2, 3) if s != pair[0])

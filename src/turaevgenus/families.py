@@ -169,52 +169,6 @@ def isolated_vertices(n: int) -> AdGraph:
     return AdGraph(n, ())
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Named family plus integer parameters, e.g. ('DoubledCycle', (4,))."""
-
-    tag: str
-    params: tuple = ()
-
-
-_FAMILY_BUILDERS = {
-    "DoubledPath": doubled_path,
-    "DoubledCycle": doubled_cycle,
-    "Theta": doubled_theta,
-    "K4pq": k4_doubled_paths,
-    "K4p": k4_one_path,
-    "K4TwoSum": k4_two_sum,
-    "C4Legs": c4_legs,
-    "K4tilde": k4_tilde,
-    "K4tildeTwoSum": k4_tilde_two_sum,
-    "DoubledTree": lambda *ps: doubled_tree(ps),
-    "IsolatedVertices": isolated_vertices,
-}
-
-
-def make_family(spec: FamilySpec) -> AdGraph:
-    if spec.tag == "DisjointUnion":
-        parts = [make_family(s) for s in spec.params]
-        if not parts:
-            raise BadParametersError("empty disjoint union")
-        out = parts[0]
-        for part in parts[1:]:
-            out = out.disjoint_union(part)
-        return out
-    if spec.tag == "OneSum":
-        specs, picks = spec.params
-        parts = [make_family(s) for s in specs]
-        out = parts[0]
-        for part, (v_here, v_there) in zip(parts[1:], picks):
-            merged = out.disjoint_union(part)
-            out = one_sum_components(merged, v_here, out.n + v_there)
-        return out
-    builder = _FAMILY_BUILDERS.get(spec.tag)
-    if builder is None:
-        raise BadParametersError(f"unknown family tag {spec.tag!r}")
-    return builder(*spec.params)
-
-
 # ---------------------------------------------------------------------------
 # moves
 
@@ -384,32 +338,20 @@ def canonical_contract(graph: AdGraph) -> AdGraph:
 
 
 def is_reduced(graph: AdGraph) -> bool:
-    """A single vertex, or every component 3-edge-connected; single-vertex
-    components are only allowed when the whole graph is one vertex."""
+    """A single vertex, or no isolated vertex and every component
+    3-edge-connected, from the edges' fundamental-cycle labels
+    (``perm.fundamental_cycles``).  An edge set is a cut exactly when its
+    labels XOR to 0, so an edge is a bridge exactly when its label is 0,
+    and two edges that are not bridges form a cut exactly when their
+    labels are equal.  Edges in different components have disjoint label
+    supports, so one pass over the whole graph decides every component,
+    in O(V + E) big-integer XORs."""
     if graph.n == 1 and not graph.edges:
         return True
-    comps = graph.components()
-    for comp in comps:
-        if len(comp) == 1:
-            return False
-        members = set(comp)
-        edges = [e for e in graph.edges if e[0] in members]
-        if not _three_edge_connected(comp, edges):
-            return False
-    return True
-
-
-def _three_edge_connected(vertices: list[int], edges: list[tuple[int, int]]) -> bool:
-    """Connected, with no cut of one or two edges, from the edges'
-    fundamental-cycle labels (``perm.fundamental_cycles``).  An edge set
-    is a cut exactly when its labels XOR to 0, so within a connected
-    graph an edge is a bridge exactly when its label is 0, and two edges
-    that are not bridges form a cut exactly when their labels are equal.
-    The test is exact, in O(V + E) big-integer XORs."""
-    index = {v: i for i, v in enumerate(vertices)}
-    labels, trees = fundamental_cycles(
-        len(index), [(index[u], index[w]) for u, w in edges])
-    return trees == 1 and 0 not in labels and len(set(labels)) == len(labels)
+    if 0 in graph.degrees():
+        return False
+    labels, _ = fundamental_cycles(graph.n, graph.edges)
+    return 0 not in labels and len(set(labels)) == len(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -882,16 +824,16 @@ def classify_genus(graph: AdGraph) -> Classification:
 # seeded genus-zero generator
 
 
-def random_genus0(moves: int, seed: int, start_vertices: int | None = None):
+def random_genus0(moves: int, seed: int):
     """Random sequence of doubled pendant moves, two-path extensions, and
     cross-component one-sums, starting from isolated vertices.
 
     Returns the resulting graph and a replayable line script.
     """
     rng = random.Random(seed)
-    n0 = start_vertices if start_vertices is not None else rng.randint(1, 3)
-    graph = isolated_vertices(max(1, n0))
-    script = [f"start {max(1, n0)}"]
+    n0 = rng.randint(1, 3)
+    graph = isolated_vertices(n0)
+    script = [f"start {n0}"]
     for _ in range(moves):
         options = ["pendant"]
         degs = graph.degrees()

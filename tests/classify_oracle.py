@@ -3,7 +3,8 @@ genus-2 table and rebuild checks.  Kept verbatim as the reference that
 ``families.classify_genus`` is compared against in
 ``tests/test_classify.py``, except that it contracts with the stepwise
 reference ``verify.stepwise_contract``, so the comparison does not run
-``canonical_contract`` on both sides."""
+``canonical_contract`` on both sides, and builds the two doubled-cycle
+forms from ``doubled_cycle`` and ``one_sum_components``."""
 
 from __future__ import annotations
 
@@ -18,10 +19,10 @@ from turaevgenus.adgraph import (
 )
 from turaevgenus.errors import ClassificationFailureError
 from turaevgenus.families import (
-    FamilySpec,
     c4_legs,
     canonical_form,
     contractible_sites,
+    doubled_cycle,
     doubled_theta,
     doubled_tree,
     is_reduced,
@@ -29,7 +30,7 @@ from turaevgenus.families import (
     k4_doubled_paths,
     k4_tilde_two_sum,
     k4_two_sum,
-    make_family,
+    one_sum_components,
 )
 from turaevgenus.verify import stepwise_contract
 
@@ -146,16 +147,17 @@ class Classification:
     parameters: tuple = ()
 
 
+def _two_cycles(i: int, j: int) -> AdGraph:
+    return doubled_cycle(i).disjoint_union(doubled_cycle(j))
+
+
+def _two_cycles_one_sum(i: int, j: int) -> AdGraph:
+    return one_sum_components(_two_cycles(i, j), 0, i)
+
+
 _GENUS2_FORMS = (
-    ("doubled-cycles-disjoint",
-     lambda: make_family(FamilySpec("DisjointUnion", (
-         FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledCycle", (2,))))),
-     ),
-    ("doubled-cycles-one-sum",
-     lambda: make_family(FamilySpec("OneSum", (
-         (FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledCycle", (2,))),
-         ((0, 0),)))),
-     ),
+    ("doubled-cycles-disjoint", lambda: _two_cycles(2, 2)),
+    ("doubled-cycles-one-sum", lambda: _two_cycles_one_sum(2, 2)),
     ("doubled-theta", lambda: doubled_theta(1, 1, 1)),
     ("k4-doubled-paths", lambda: k4_doubled_paths(1, 1)),
     ("k4-two-sum", lambda: k4_two_sum(1, 1)),
@@ -191,13 +193,8 @@ def _classify_genus2(graph: AdGraph) -> tuple[str, tuple]:
     else:
         params = tuple(sorted(len(s) - 1 for s in _maximal_doubled_paths(graph)))
     rebuilt = {
-        "doubled-cycles-disjoint": lambda: make_family(
-            FamilySpec("DisjointUnion", tuple(
-                FamilySpec("DoubledCycle", (i,)) for i in params))),
-        "doubled-cycles-one-sum": lambda: make_family(
-            FamilySpec("OneSum", (
-                tuple(FamilySpec("DoubledCycle", (i,)) for i in params),
-                ((0, 0),)))),
+        "doubled-cycles-disjoint": lambda: _two_cycles(*params),
+        "doubled-cycles-one-sum": lambda: _two_cycles_one_sum(*params),
         "doubled-theta": lambda: doubled_theta(*params),
         "k4-doubled-paths": lambda: k4_doubled_paths(*params),
         "k4-two-sum": lambda: k4_two_sum(*params),

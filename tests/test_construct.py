@@ -23,11 +23,16 @@ from turaevgenus.errors import (
     SignMismatchError,
 )
 from turaevgenus.families import (
-    FamilySpec,
+    c4_legs,
     doubled_cycle,
+    doubled_path,
+    doubled_theta,
+    doubled_tree,
     isolated_vertices,
     isomorphic,
-    make_family,
+    k4_doubled_paths,
+    k4_tilde_two_sum,
+    k4_two_sum,
 )
 from turaevgenus import adgraph, construct
 from turaevgenus.adgraph import half_edges
@@ -165,17 +170,18 @@ def test_realize_c22_structure():
 
 
 @pytest.mark.parametrize("spec", [
-    FamilySpec("DoubledPath", (2,)),
-    FamilySpec("DoubledCycle", (4,)),
-    FamilySpec("Theta", (2, 2, 2)),
-    FamilySpec("K4pq", (2, 2)),
-    FamilySpec("K4TwoSum", (2, 2)),
-    FamilySpec("C4Legs", (1, 2, 0, 1)),
-    FamilySpec("K4tildeTwoSum", (0, 1, 1, 2)),
-    FamilySpec("DoubledTree", (0, 0, 1)),
+    (doubled_path, (2,)),
+    (doubled_cycle, (4,)),
+    (doubled_theta, (2, 2, 2)),
+    (k4_doubled_paths, (2, 2)),
+    (k4_two_sum, (2, 2)),
+    (c4_legs, (1, 2, 0, 1)),
+    (k4_tilde_two_sum, (0, 1, 1, 2)),
+    (doubled_tree, ((0, 0, 1),)),
 ])
 def test_round_trip_families(spec):
-    g = make_family(spec)
+    build, params = spec
+    g = build(*params)
     validated = embed_planar(validate_adg(AdGraph(g.n, g.edges)))
     d = realize_diagram(validated)
     dec = decompose(d)
@@ -202,7 +208,7 @@ def test_alternate_embeddings_agree():
     from turaevgenus.adgraph import to_ribbon
     from turaevgenus.ribbon import ribbon_genus, twist_all
 
-    for g in (doubled_cycle(4), make_family(FamilySpec("K4pq", (2, 2)))):
+    for g in (doubled_cycle(4), k4_doubled_paths(2, 2)):
         embedded = embed_planar(validate_adg(AdGraph(g.n, g.edges)))
         mirrored = AdGraph(
             embedded.n, embedded.edges, embedded.bipartition,

@@ -1,8 +1,9 @@
 import random
+import sys
 
 from hypothesis import given, settings, strategies as st
 
-from turaevgenus import corpus
+from turaevgenus import corpus, verify
 from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
 from turaevgenus.construct import embed_planar, realize_diagram
 from turaevgenus.decompose import decompose, twisted_genus
@@ -151,3 +152,21 @@ def test_decomposition_matches_oracle_random(seed, max_edges):
     twisted = insert_twist(summed, rng.choice(summed.arcs))
     for x in (d, d.mirror(), d.disjoint_union(e), summed, twisted):
         assert decompose(x) == decompose_oracle.decompose(x)
+
+
+def test_verify_decomposes_each_diagram_once(monkeypatch):
+    """``suite_decompose`` takes the twisted genus from the decomposition
+    it already holds: one ``decompose`` per diagram."""
+    calls = []
+    real = sys.modules["turaevgenus.decompose"].decompose
+
+    def counted(diagram):
+        calls.append(diagram)
+        return real(diagram)
+
+    # twisted_genus calls the module's own binding, verify its import
+    monkeypatch.setattr(sys.modules["turaevgenus.decompose"], "decompose", counted)
+    monkeypatch.setattr(verify, "decompose", counted)
+    res = verify.suite_decompose(random.Random("0:suite_decompose"), 5)
+    assert res.ok
+    assert len(calls) == len(set(map(id, calls))) == 11

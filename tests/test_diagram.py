@@ -91,6 +91,19 @@ def test_parse_errors():
         parse_pd("X 1 2 1 2")
 
 
+def test_constructor_rejects_non_integers():
+    # int() would truncate 1.9 and parse '3' into the trefoil
+    for bad in ([(1.9, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)],
+                [(1, 4, 2, 5), ("3", 6, 4, 1), (5, 2, 6, 3)],
+                [(1, 4, 2, 5), (3, 6, 4, True), (5, 2, 6, 3)]):
+        with pytest.raises(MalformedLineError, match="arc ids must be integers"):
+            PlanarDiagram(bad)
+    for loops in (1.7, -1, "1", True, None):
+        with pytest.raises(BadParametersError, match="free_loops"):
+            PlanarDiagram([], free_loops=loops)
+    assert PlanarDiagram([], free_loops=1).free_loops == 1
+
+
 def test_parse_disjoint_diagrams_in_one_file():
     text = TREFOIL + "\n# second split component\n" + \
         "X 7 10 8 11 / X 9 12 10 7 / X 11 8 12 9"
@@ -139,11 +152,22 @@ def test_genus_split_union_adds():
 
 
 def test_convention_swap_exchanges_states(named):
+    """The mirror image swaps the A- and B-smoothings."""
     for d in named.values():
         s_a, s_b = state_circle_counts(d)
-        assert state_circle_counts(d, convention="swapped") == (s_b, s_a)
-        assert turaev_genus_diagram(d, convention="swapped") == \
-            turaev_genus_diagram(d)
+        assert state_circle_counts(d.mirror()) == (s_b, s_a)
+        assert d.mirror().mirror().crossings == d.crossings
+
+
+def test_mirror_of_trefoil_inverts_the_variable():
+    d = parse_pd(TREFOIL)
+    m = d.mirror()
+    assert state_circle_counts(d) == (3, 2)
+    assert state_circle_counts(m) == (2, 3)
+    assert jones_polynomial(m).coeffs == {
+        -e: c for e, c in jones_polynomial(d).coeffs.items()}
+    assert kauffman_bracket(m).coeffs == {
+        -e: c for e, c in kauffman_bracket(d).coeffs.items()}
 
 
 def test_mirror_preserves_genus(named):
@@ -316,16 +340,16 @@ def test_adequate_needs_crossings():
         is_adequate(EMPTY_DIAGRAM)
 
 
-def adequate_by_flips(d, convention="standard"):
+def adequate_by_flips(d):
     """The definition: every single flip away from the all-A and the
     all-B state strictly decreases the circle count."""
     n = d.crossing_count
     for base, flip in (("A", "B"), ("B", "A")):
         labels = [base] * n
-        base_count = resolve_state(d, labels, convention)
+        base_count = resolve_state(d, labels)
         for ci in range(n):
             labels[ci] = flip
-            if resolve_state(d, labels, convention) >= base_count:
+            if resolve_state(d, labels) >= base_count:
                 return False
             labels[ci] = base
     return True
@@ -345,9 +369,9 @@ def adequacy_cases():
 def test_is_adequate_matches_flip_definition():
     outcomes = []
     for d in adequacy_cases():
-        for convention in ("standard", "swapped"):
-            expected = adequate_by_flips(d, convention)
-            assert is_adequate(d, convention) == expected, d
+        for x in (d, d.mirror()):
+            expected = adequate_by_flips(x)
+            assert is_adequate(x) == expected, x
             outcomes.append(expected)
     assert True in outcomes and False in outcomes
 

@@ -18,9 +18,6 @@ from turaevgenus.errors import (
 )
 from turaevgenus.families import (
     Classification,
-    FamilySpec,
-    _FAMILY_BUILDERS,
-    _three_edge_connected,
     canonical_contract,
     canonical_form,
     classify_genus,
@@ -31,16 +28,17 @@ from turaevgenus.families import (
     doubled_path_extend,
     doubled_pendant,
     doubled_theta,
+    doubled_tree,
     genus2_minimal_forms,
     is_reduced,
     isolated_vertices,
     isomorphic,
     c4_legs,
     k4_doubled_paths,
+    k4_one_path,
     k4_tilde,
     k4_tilde_two_sum,
     k4_two_sum,
-    make_family,
     one_sum_components,
     random_genus0,
     replay_script,
@@ -81,16 +79,6 @@ def test_k4_two_sum_shape():
     assert isomorphic(g, expected)[0]
 
 
-def test_family_spec_dispatch():
-    g = make_family(FamilySpec("DoubledCycle", (2,)))
-    assert isomorphic(g, C22)[0]
-    union = make_family(FamilySpec("DisjointUnion", (
-        FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledPath", (1,)))))
-    assert union.n == 4 and union.edge_count == 6
-    with pytest.raises(BadParametersError):
-        make_family(FamilySpec("Nonsense", ()))
-
-
 def test_bad_parameters():
     with pytest.raises(BadParametersError):
         doubled_cycle(1)
@@ -102,34 +90,17 @@ def test_bad_parameters():
         k4_doubled_paths(0, 1)
 
 
-_PLAIN_CASES = {
-    "DoubledPath": (2,),
-    "DoubledCycle": (4,),
-    "Theta": (1, 2, 3),
-    "K4pq": (2, 3),
-    "K4p": (2,),
-    "K4TwoSum": (1, 2),
-    "C4Legs": (1, 2, 0, 3),
-    "K4tilde": (2, 1),
-    "K4tildeTwoSum": (0, 1, 2, 1),
-    "DoubledTree": (0, 0, 1),
-    "IsolatedVertices": (3,),
-}
-
-
 def test_constructors_build_plain_graphs():
-    assert set(_PLAIN_CASES) == set(_FAMILY_BUILDERS)
-    specs = [FamilySpec(tag, params) for tag, params in _PLAIN_CASES.items()]
-    specs += [
-        FamilySpec("DisjointUnion", (
-            FamilySpec("DoubledCycle", (2,)), FamilySpec("Theta", (1, 1, 1)))),
-        FamilySpec("OneSum", (
-            (FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledPath", (2,))),
-            ((0, 1),))),
+    plain = [
+        doubled_path(2), doubled_cycle(4), doubled_theta(1, 2, 3),
+        k4_doubled_paths(2, 3), k4_one_path(2), k4_two_sum(1, 2),
+        c4_legs(1, 2, 0, 3), k4_tilde(2, 1), k4_tilde_two_sum(0, 1, 2, 1),
+        doubled_tree((0, 0, 1)), isolated_vertices(3),
+        C22.disjoint_union(doubled_theta(1, 1, 1)),
+        one_sum_components(C22.disjoint_union(doubled_path(2)), 0, C22.n + 1),
     ]
-    for spec in specs:
-        g = make_family(spec)
-        assert g.rotations is None and g.bipartition is None, spec
+    for g in plain:
+        assert g.rotations is None and g.bipartition is None, g
     # vertex numbering and edge order stay fixed: the rotations that
     # planar_rotations finds, and so the realized diagrams, depend on both
     pinned = [
@@ -219,9 +190,7 @@ def test_canonical_contract_k4():
 
 
 def test_canonical_contract_fixed_point():
-    one_sum = make_family(FamilySpec("OneSum", (
-        (FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledCycle", (2,))),
-        ((0, 0),))))
+    one_sum = one_sum_components(C22.disjoint_union(C22), 0, C22.n)
     got = canonical_contract(one_sum)
     assert isomorphic(got, one_sum)[0]
 
@@ -327,19 +296,19 @@ def component_edge_lists(graph):
         yield comp, [e for e in graph.edges if e[0] in members]
 
 
+def is_reduced_brute(graph):
+    """The definition, by the slow oracle on each component."""
+    if graph.n == 1 and not graph.edges:
+        return True
+    return all(len(comp) > 1 and k_edge_connected_brute(comp, edges, 3)
+               for comp, edges in component_edge_lists(graph))
+
+
 def test_three_edge_connected_matches_brute_force_on_census():
-    seen = set()
-    outcomes = set()
-    for graph in enumerate_adgs(CensusFilter(max_vertices=8, max_edges=12)):
-        for comp, edges in component_edge_lists(graph):
-            key = (len(comp), tuple(edges))
-            if len(comp) < 2 or key in seen:
-                continue
-            seen.add(key)
-            fast = _three_edge_connected(comp, edges)
-            assert fast == k_edge_connected_brute(comp, edges, 3), edges
-            outcomes.add(fast)
-    assert outcomes == {True, False} and len(seen) > 300
+    graphs = enumerate_adgs(CensusFilter(max_vertices=8, max_edges=12))
+    fast = [is_reduced(g) for g in graphs]
+    assert fast == [is_reduced_brute(g) for g in graphs]
+    assert set(fast) == {True, False} and len(graphs) > 300
 
 
 def bridge_search_three_edge_connected(vertices, edges):
@@ -393,10 +362,16 @@ def is_reduced_by_bridge_search(graph):
                for comp, edges in component_edge_lists(graph))
 
 
-def test_three_edge_connected_needs_connectivity():
-    triple = [(0, 1)] * 3
-    assert _three_edge_connected([0, 1], triple)
-    assert not _three_edge_connected([0, 1, 2, 3], triple + [(2, 3)] * 3)
+def test_is_reduced_judges_each_component():
+    """The labels come from one spanning forest of the whole graph, and
+    still each component is judged on its own."""
+    triple = ((0, 1),) * 3
+    assert is_reduced(AdGraph(2, triple))
+    assert is_reduced(AdGraph(4, triple + ((2, 3),) * 3))
+    assert not is_reduced(AdGraph(4, triple + ((2, 3),) * 2))
+    assert not is_reduced(AdGraph(5, triple + ((2, 3),) * 3))
+    assert not is_reduced(AdGraph(3, triple + ((1, 2),)))
+    assert is_reduced(AdGraph(0, ()))
 
 
 def test_is_reduced_matches_bridge_search_on_census():
@@ -434,9 +409,8 @@ multigraphs = st.integers(min_value=1, max_value=10).flatmap(
 @given(multigraphs)
 def test_three_edge_connected_matches_brute_force(data):
     n, edges, _ = data
-    for comp, comp_edges in component_edge_lists(AdGraph(n, tuple(edges))):
-        assert (_three_edge_connected(comp, comp_edges)
-                == k_edge_connected_brute(comp, comp_edges, 3))
+    graph = AdGraph(n, tuple(edges))
+    assert is_reduced(graph) == is_reduced_brute(graph)
 
 
 # --- isomorphism ----------------------------------------------------------------
@@ -662,9 +636,7 @@ def test_classify_five_representatives():
     got = set()
     for graph in (
         C22.disjoint_union(C22),
-        make_family(FamilySpec("OneSum", (
-            (FamilySpec("DoubledCycle", (2,)), FamilySpec("DoubledCycle", (2,))),
-            ((0, 0),)))),
+        one_sum_components(C22.disjoint_union(C22), 0, C22.n),
         doubled_theta(1, 1, 1),
         k4_doubled_paths(2, 2),
         k4_two_sum(2, 2),
@@ -680,9 +652,8 @@ def test_classify_parameter_recovery():
     assert info.family == "doubled-theta" and info.parameters == (1, 3, 3)
     info = classify_genus(k4_doubled_paths(4, 2))
     assert info.family == "k4-doubled-paths" and info.parameters == (2, 4)
-    big = make_family(FamilySpec("OneSum", (
-        (FamilySpec("DoubledCycle", (4,)), FamilySpec("DoubledCycle", (2,))),
-        ((0, 0),))))
+    c42 = doubled_cycle(4)
+    big = one_sum_components(c42.disjoint_union(C22), 0, c42.n)
     info = classify_genus(big)
     assert info.family == "doubled-cycles-one-sum"
     assert info.parameters == (2, 4)

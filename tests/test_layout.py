@@ -23,8 +23,8 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   doubled path in one pass;
 * fundamental-cycle labels are built only in
   ``perm.fundamental_cycles``, the one place that XORs a computed value
-  into an array entry, and read by ``families._three_edge_connected``
-  and census stage 2.
+  into an array entry, and read by ``families.is_reduced`` and census
+  stage 2.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -150,6 +150,6 @@ def test_fundamental_cycle_labels_only_in_perm():
                     builders.add(f"{module}.{getattr(top, 'name', '<module>')}")
     assert builders == {"perm.fundamental_cycles"}
     assert _call_sites("fundamental_cycles") == {
-        "families._three_edge_connected",
+        "families.is_reduced",
         "census._even_multiplicity_assignments",
     }
