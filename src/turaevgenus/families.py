@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -419,16 +420,18 @@ def canonical_search(graph: AdGraph) -> tuple[tuple, list[int], list[list[int]]]
     goes to ``g[v]``).
 
     Individualisation-refinement in the manner of McKay and Piperno,
-    *Practical graph isomorphism II* (2014).  Colour refinement counts
-    edge multiplicities; a vertex's colour is the first position of its
-    cell in the ordered partition, so a discrete partition is a
-    relabelling.  Each node branches on its first non-singleton cell.
-    Twins (equal multiplicity neighbourhoods) and the automorphisms found
-    at equal leaves prune branches that an automorphism fixing the
-    individualised path maps onto an explored one; such branches hold
-    the same leaves, so the least one is unchanged.  A leaf equal to the
-    first or the best leaf also abandons its whole subtree below the
-    node where its path leaves that leaf's path.
+    *Practical graph isomorphism II* (2014).  Colour refinement
+    (``_refine``) counts edge multiplicities; a vertex's colour is the
+    first position of its cell in the ordered partition, so a discrete
+    partition is a relabelling.  Each node branches on its first
+    non-singleton cell, or, when that cell lies inside one twin class,
+    makes it discrete in one step.  Twins (equal multiplicity
+    neighbourhoods) and the automorphisms found at equal leaves prune
+    branches that an automorphism fixing the individualised path maps
+    onto an explored one; such branches hold the same leaves, so the
+    least one is unchanged.  A leaf equal to the first or the best leaf
+    also abandons its whole subtree below the node where its path leaves
+    that leaf's path.
 
     The generators are the automorphisms found at equal leaves and, for
     each twin class c_0, c_1, ..., the transpositions (c_0 c_j).  Twins
@@ -445,16 +448,23 @@ def canonical_search(graph: AdGraph) -> tuple[tuple, list[int], list[list[int]]]
     one that fixes a node's path maps the node's subtree onto itself and
     keeps leaf certificates.
 
-    (a) ``_refine`` never moves a singleton's colour, so an individualised
-    vertex keeps the first position of its cell.  The automorphism
-    recorded where leaf l equals a reference leaf l' (the first or the
-    best) therefore fixes the paths' common prefix and sends the vertex
-    l' individualised where the paths diverge onto the one l did.
+    (a) ``_refine`` never moves a singleton, and the sub-cells of a cell
+    it splits take that cell's positions in key order, so an
+    individualised vertex keeps the position ``_individualise`` gave it:
+    the first of its cell, or the i-th for the i-th vertex of a cell
+    made discrete in one step.  Paths part only at a branching node.
+    The automorphism recorded where leaf l equals a reference leaf l'
+    (the first or the best) therefore fixes the paths' common prefix and
+    sends the vertex l' individualised where the paths diverge onto the
+    one l did.
 
     (b) At any node, a skipped child is the image of an explored one
     under recorded automorphisms that fix the node's path and twin
     transpositions inside the cell, which fix the path too since its
-    vertices are singletons; all of them lie in H.
+    vertices are singletons; all of them lie in H.  A cell inside one
+    twin class is made discrete in vertex order; every other order is
+    the image of that one under twin transpositions inside the cell, so
+    its leaves are automorphic to the ones explored.
 
     (c) Let mu below nu_{i-1}, off the first path, have a leaf with the
     first certificate in its subtree.  Then the search of mu's subtree
@@ -469,11 +479,15 @@ def canonical_search(graph: AdGraph) -> tuple[tuple, list[int], list[list[int]]]
     the first certificate under x', against the choice of x.
 
     (d) From i = k down to 1, G_i <= H.  G_{k+1} is trivial: it fixes
-    the discrete partition of nu_k.  While nu_{i-1} runs, every leaf met
-    lies below it, so no search returns above it.  Take the explored
-    children of nu_{i-1} in b_i's G_i-orbit in the order explored.  Each
-    one v after b_i meets, by (c), a leaf equal to a reference outside
-    v's subtree, so under an earlier child x; the automorphism recorded
+    the discrete partition of nu_k.  Where b_i lies in a cell made
+    discrete in one step, G_i moves b_i only within the rest of that
+    cell, its twins, so for g in G_i a twin transposition t in H that
+    fixes b_1, ..., b_{i-1} has t(b_i) = g(b_i), and t^-1 g lies in
+    G_{i+1} <= H.  Otherwise, while nu_{i-1} runs, every leaf met lies
+    below it, so no search returns above it.  Take the explored children
+    of nu_{i-1} in b_i's G_i-orbit in the order explored.  Each one v
+    after b_i meets, by (c), a leaf equal to a reference outside v's
+    subtree, so under an earlier child x; the automorphism recorded
     there fixes b_1, ..., b_{i-1} and sends x to v by (a), so it lies in
     K_i, the intersection of H and G_i.  Then x is in the orbit too, and
     by induction K_i moves b_i onto x, hence onto v.  With (b), the
@@ -482,9 +496,13 @@ def canonical_search(graph: AdGraph) -> tuple[tuple, list[int], list[list[int]]]
     """
     n = graph.n
     edges = graph.edges
-    nbrs = [tuple(a.items()) for a in _mult_adj(graph)]
-    base = 1 + max((m for nb in nbrs for _, m in nb), default=0)
-    twins: list[tuple[int, int]] | None = None
+    nbrs = _weighted_nbrs(graph)
+    root = _refine(nbrs, [0] * n, [0] if n else [])
+    twins = _twins(nbrs) if len(set(root)) < n else []
+    twin_of = [-1] * n  # each vertex's twin class, -1 for none
+    for i, cls in enumerate(twins):
+        for v in cls:
+            twin_of[v] = i
     gens: list[list[int]] = []
     first: list = []  # [cert, colours, path] of the first leaf
     best: list = []   # the same for the least leaf so far
@@ -513,74 +531,149 @@ def canonical_search(graph: AdGraph) -> tuple[tuple, list[int], list[list[int]]]
         return len(path) - 1
 
     def search(col: list[int], path: list[int]) -> int:
-        nonlocal twins
         depth = len(path)
         start = _first_split(col)
         if start is None:
             return leaf(col, path)
         cell = [v for v in range(n) if col[v] == start]
+        twin = twin_of[cell[0]]
+        if twin >= 0 and all(twin_of[v] == twin for v in cell):
+            choices = [cell]
+        else:
+            choices = [[v] for v in cell]
         explored: list[int] = []
         orbit: list[int] = []
         seen_gens = -1
-        for v in cell:
+        for chosen in choices:
+            v = chosen[0]
             if explored:
-                if twins is None:
-                    twins = _twins(nbrs)
                 if seen_gens != len(gens):
                     seen_gens = len(gens)
-                    in_cell = [(u, w) for u, w in twins if col[u] == start == col[w]]
-                    orbit = _orbits_fixing(n, path, gens, in_cell)
+                    orbit = _orbits_fixing(n, path, gens, cell, twin_of)
                 if any(orbit[v] == orbit[u] for u in explored):
                     continue
             explored.append(v)
-            back = search(_refine(nbrs, base, _individualise(col, v)), path + [v])
+            child = _individualise(col, chosen)
+            back = search(_refine(nbrs, child, range(start, start + len(chosen))),
+                          path + chosen)
             if back < depth:
                 return back
         return depth - 1
 
-    search(_refine(nbrs, base, [0] * n), [])
-    if twins:
-        for cls in groups(*components(n, twins)):
-            for v in cls[1:]:
-                swap = list(range(n))
-                swap[cls[0]], swap[v] = v, cls[0]
-                gens.append(swap)
+    search(root, [])
+    identity = list(range(n))
+    for cls in twins:
+        for v in cls[1:]:
+            swap = identity[:]  # a copy shares the int objects
+            swap[cls[0]], swap[v] = v, cls[0]
+            gens.append(swap)
     return (n, best[0]), best[1], gens
 
 
-def _refine(nbrs: list[tuple[tuple[int, int], ...]], base: int,
-            col: list[int]) -> list[int]:
-    """The coarsest equitable refinement of the ordered partition ``col``
-    (a vertex's colour is the first position of its cell), splitting each
-    cell by its members' sorted (neighbour colour, multiplicity) pairs,
-    encoded as ``base * colour + multiplicity``.  The new cells of a cell
-    take its positions in order of signature, so the result depends only
-    on the coloured graph, not on its vertex numbering."""
-    while True:
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(col):
-            cells.setdefault(c, []).append(v)
-        new = None
-        for start, members in cells.items():
-            if len(members) == 1:
+def _weighted_nbrs(graph: AdGraph) -> list[tuple[tuple[int, int], ...]]:
+    """Each vertex's pairs (neighbour, (n + 1) ** multiplicity).  At most
+    n neighbours share a multiplicity, so a vertex's sum of weights into
+    a vertex set is the base-(n + 1) number whose digits count its
+    neighbours there by multiplicity: it determines, and is determined
+    by, the multiset of multiplicities into the set."""
+    base = graph.n + 1
+    adj: list[dict[int, int]] = [dict() for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adj[u][v] = adj[u].get(v, 1) * base
+        adj[v][u] = adj[v].get(u, 1) * base
+    return [tuple(a.items()) for a in adj]
+
+
+def _refine(nbrs: list[tuple[tuple[int, int], ...]], col: list[int],
+            queue: Iterable[int]) -> list[int]:
+    """The coarsest equitable refinement of the ordered partition
+    ``col``, made in place and returned: afterwards the vertices of a
+    cell have equal multisets of edge multiplicities into each cell.  A
+    vertex's colour is the first position of its cell.
+
+    Splitter-queue refinement, as in nauty and Traces (McKay and
+    Piperno 2014; Paige and Tarjan, *Three partition refinement
+    algorithms*, 1987).  ``queue`` holds the colours of the cells to
+    split by; ``col`` must already be equitable with respect to every
+    other cell.  Splitters leave the queue first in, first out.  Each
+    vertex adjacent to the splitter W gets as key the sum of its weights
+    into W (``nbrs`` as from ``_weighted_nbrs``), which encodes its
+    multiset of multiplicities into W.  Then, in position order, each
+    non-singleton cell holding such a vertex splits into its members not
+    adjacent to W, followed by the others grouped by key in key order,
+    and these sub-cells take the cell's positions in that order.  A
+    singleton never moves.
+
+    The sub-cells of a queued cell are all queued; of any other cell,
+    all but the first largest.  The skip is sound: the partition is
+    already stable with respect to the old cell, and a vertex's multiset
+    into the skipped sub-cell is its multiset into the old cell less its
+    multisets into the others, which are queued.  So every split is
+    forced, the cells as sets are the coarsest equitable refinement, and
+    their order depends only on the coloured graph, not on the vertex
+    numbering.
+
+    Cost O(m log n) after O(n) set-up.  Between two splitters that hold
+    a vertex, a cell holding it was split while unqueued and a sub-cell
+    of at most half its size queued, so each neighbour list is read
+    O(log n) times; a split moves only the members adjacent to W."""
+    n = len(col)
+    order = sorted(range(n), key=col.__getitem__)
+    pos = [0] * n
+    end = [0] * n  # end[c]: one past the last position of the cell at c
+    for i, v in enumerate(order):
+        pos[v] = i
+        end[col[v]] = i + 1
+    cells = n - end.count(0)
+    queue = deque(queue)
+    queued = [False] * n
+    for c in queue:
+        queued[c] = True
+    while queue and cells < n:
+        splitter = queue.popleft()
+        queued[splitter] = False
+        into: dict[int, int] = {}
+        for v in order[splitter:end[splitter]]:
+            for w, m in nbrs[v]:
+                into[w] = into.get(w, 0) + m
+        touched: dict[int, list[int]] = {}
+        for w in into:
+            c = col[w]
+            if end[c] - c > 1:
+                touched.setdefault(c, []).append(w)
+        for c in sorted(touched):
+            members = touched[c]
+            keyed: dict[int, list[int]] = {}
+            for w in members:
+                keyed.setdefault(into[w], []).append(w)
+            stop = end[c]
+            mid = stop - len(members)  # the members go to [mid, stop)
+            if mid == c and len(keyed) == 1:
                 continue
-            sigs = [tuple(sorted([base * col[w] + m for w, m in nbrs[v]]))
-                    for v in members]
-            counts: dict[tuple, int] = {}
-            for sig in sigs:
-                counts[sig] = counts.get(sig, 0) + 1
-            if len(counts) == 1:
-                continue
-            if new is None:
-                new = col[:]
-            pos = start
-            for sig in sorted(counts):
-                pos, counts[sig] = pos + counts[sig], pos
-            for v, sig in zip(members, sigs):
-                new[v] = counts[sig]
-        if new is None:
-            return col
-        col = new
+            # the others in [mid, stop) take the slots the members leave
+            strays = [order[p] for p in range(mid, stop) if order[p] not in into]
+            for w, p in zip(strays, [pos[w] for w in members if pos[w] < mid]):
+                order[p], pos[w] = w, p
+            starts = [c] if mid > c else []
+            end[c] = mid
+            p = mid
+            for key in sorted(keyed):
+                start = p
+                for w in keyed[key]:
+                    order[p], pos[w], col[w] = w, p, start
+                    p += 1
+                starts.append(start)
+                end[start] = p
+            cells += len(starts) - 1
+            if queued[c]:
+                del starts[0]
+            else:
+                sizes = [end[s] - s for s in starts]
+                del starts[sizes.index(max(sizes))]
+            for s in starts:
+                queued[s] = True
+                queue.append(s)
+    return col
 
 
 def _first_split(col: list[int]) -> int | None:
@@ -592,41 +685,43 @@ def _first_split(col: list[int]) -> int | None:
     return next((c for c, k in enumerate(size) if k > 1), None)
 
 
-def _individualise(col: list[int], v: int) -> list[int]:
-    """Split v off the front of its cell."""
-    start = col[v]
-    child = [start + 1 if c == start else c for c in col]
-    child[v] = start
+def _individualise(col: list[int], chosen: list[int]) -> list[int]:
+    """Split the vertices ``chosen``, which share a cell, off the front
+    of it in the order given."""
+    start = col[chosen[0]]
+    child = [start + len(chosen) if c == start else c for c in col]
+    for i, v in enumerate(chosen):
+        child[v] = start + i
     return child
 
 
-def _twins(nbrs: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, int]]:
-    """Vertex pairs whose transposition is an automorphism: equal
-    multiplicity neighbourhoods, apart from each other when adjacent."""
+def _twins(nbrs: list[tuple[tuple[int, int], ...]]) -> list[list[int]]:
+    """The twin classes of two or more vertices, each in increasing
+    order: equal multiplicity neighbourhoods, or adjacent with equal
+    neighbourhoods apart from each other.  No vertex has both kinds."""
     by_key: dict[tuple, list[int]] = {}
     for v, nb in enumerate(nbrs):
         by_key.setdefault(tuple(sorted(nb)), []).append(v)
-    pairs = [(u, v) for group in by_key.values()
-             for i, u in enumerate(group) for v in group[i + 1:]]
-    for u, nb in enumerate(nbrs):
-        for v, _ in nb:
-            if u < v and len(nb) == len(nbrs[v]) and (
-                sorted(x for x in nb if x[0] != v)
-                == sorted(x for x in nbrs[v] if x[0] != u)
-            ):
-                pairs.append((u, v))
-    return pairs
+    classes = [group for group in by_key.values() if len(group) > 1]
+    pairs = [(u, v) for u, nb in enumerate(nbrs) for v, _ in nb
+             if u < v and len(nb) == len(nbrs[v])
+             and sorted(x for x in nb if x[0] != v)
+             == sorted(x for x in nbrs[v] if x[0] != u)]
+    if pairs:
+        classes += [cls for cls in groups(*components(len(nbrs), pairs))
+                    if len(cls) > 1]
+    return classes
 
 
 def _orbits_fixing(n: int, path: list[int], gens: list[list[int]],
-                   pairs: list[tuple[int, int]]) -> list[int]:
-    """Orbit labels of the group generated by the transpositions ``pairs``
-    and the automorphisms in ``gens`` that fix ``path`` pointwise.
-    Extends ``pairs``."""
-    for g in gens:
-        if all(g[p] == p for p in path):
-            pairs += enumerate(g)
-    return components(n, pairs)[0]
+                   cell: list[int], twin_of: list[int]) -> list[int]:
+    """Orbit labels of the group generated by the automorphisms in
+    ``gens`` that fix ``path`` pointwise and the transpositions of twins
+    inside ``cell``, ``twin_of`` giving each vertex's twin class or -1."""
+    first: dict[int, int] = {}  # the first member of each class in the cell
+    pairs = [(first.setdefault(twin_of[v], v), v) for v in cell if twin_of[v] >= 0]
+    fixing = [enumerate(g) for g in gens if all(g[p] == p for p in path)]
+    return components(n, itertools.chain(pairs, *fixing))[0]
 
 
 # ---------------------------------------------------------------------------

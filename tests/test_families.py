@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +48,7 @@ from turaevgenus.perm import components
 from turaevgenus.verify import stepwise_contract
 
 from iso_oracle import find_isomorphism
+from refine_oracle import round_refine
 
 C22 = doubled_cycle(2)
 
@@ -484,6 +484,104 @@ def test_canonical_form_on_cycle_unions():
     assert unions == 96
 
 
+@st.composite
+def refinement_cases(draw):
+    """A multigraph on at most 12 vertices with multiplicities 1 to 4,
+    choices of vertices to individualise, and a relabelling."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] < e[1]), max_size=24))
+    edges = [e for e in sorted(pairs) for _ in range(draw(st.integers(1, 4)))]
+    picks = draw(st.lists(st.integers(0, 11), max_size=5))
+    return AdGraph(n, tuple(edges)), picks, draw(st.permutations(range(n)))
+
+
+def refinement_sequence(graph, picks, original=None):
+    """The partitions of the splitter-queue and the round-based
+    refinement, from the unit partition and after each individualisation
+    of the picked member of the first non-singleton cell.  Members are
+    counted in vertex order, or in the order of ``original``, each
+    vertex's number before a relabelling, so that a relabelled copy
+    picks the images of the same vertices."""
+    nbrs = families._weighted_nbrs(graph)
+    plain = [tuple(a.items()) for a in families._mult_adj(graph)]
+    base = 1 + max((m for nb in plain for _, m in nb), default=0)
+    col = families._refine(nbrs, [0] * graph.n, [0])
+    ref = round_refine(plain, base, [0] * graph.n)
+    steps = [(col[:], ref)]
+    for pick in picks:
+        start = families._first_split(col)
+        if start is None:
+            break
+        cell = sorted((v for v in range(graph.n) if col[v] == start),
+                      key=original.__getitem__ if original else None)
+        v = cell[pick % len(cell)]
+        child = families._individualise(col, [v])
+        ref = round_refine(plain, base, families._individualise(ref, [v]))
+        col = families._refine(nbrs, child, [child[v]])
+        steps.append((col[:], ref))
+    return steps
+
+
+def cells_of(col):
+    """The cells of an ordered partition as sets, after checking that
+    each colour is the first position of its cell."""
+    cells = {}
+    for v, c in enumerate(col):
+        cells.setdefault(c, set()).add(v)
+    starts = sorted(cells)
+    assert starts == list(itertools.accumulate(
+        [0] + [len(cells[c]) for c in starts[:-1]]))
+    return {frozenset(cell) for cell in cells.values()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(refinement_cases())
+def test_refine_matches_round_based_oracle(case):
+    """The splitter queue reaches the oracle's cells, as sets, and its
+    ordered result commutes with relabelling."""
+    graph, picks, perm = case
+    steps = refinement_sequence(graph, picks)
+    for col, ref in steps:
+        assert cells_of(col) == cells_of(ref)
+    original = [perm.index(w) for w in range(graph.n)]
+    moved = refinement_sequence(graph.relabeled(perm), picks, original)
+    assert len(moved) == len(steps)
+    for (col, _), (col2, _) in zip(steps, moved):
+        assert all(col2[perm[v]] == col[v] for v in range(graph.n))
+
+
+#: graphs on which a queue that also skips the largest sub-cell of a
+#: queued cell stops at a partition that is not equitable
+_SKIP_WITNESSES = [
+    AdGraph(14, ((0, 2), (0, 12), (0, 12), (1, 5), (4, 7), (4, 7), (4, 12),
+                 (8, 11), (8, 12), (8, 12), (9, 13), (9, 13), (10, 12))),
+    AdGraph(12, ((0, 1), (0, 10), (1, 7), (1, 7), (1, 7), (1, 11), (2, 5),
+                 (3, 6), (3, 6), (3, 6), (3, 7), (3, 9), (3, 9), (4, 8), (4, 8),
+                 (4, 8), (6, 8), (6, 10), (6, 10), (6, 10), (8, 10))),
+]
+
+
+def test_refine_matches_round_based_oracle_on_seeded_graphs():
+    """20,000 seeded multigraphs, refined from the unit partition and
+    after one individualisation: a queue that loses a splitter stops at
+    a partition that is not equitable on a few of them."""
+    rng = random.Random(1)
+    graphs = list(_SKIP_WITNESSES)
+    for _ in range(20000):
+        n = rng.randint(2, 14)
+        pairs = {tuple(sorted(rng.sample(range(n), 2)))
+                 for _ in range(rng.randint(1, 2 * n))}
+        graphs.append(AdGraph(n, tuple(
+            e for e in sorted(pairs) for _ in range(rng.choice((1, 1, 1, 2, 3))))))
+    steps = 0
+    for graph in graphs:
+        for col, ref in refinement_sequence(graph, [rng.randrange(graph.n)]):
+            assert cells_of(col) == cells_of(ref), graph
+            steps += 1
+    assert steps > 30000
+
+
 def test_canonical_form_separates_same_profile():
     k411 = k4_doubled_paths(1, 1)
     c42 = doubled_cycle(4)
@@ -494,16 +592,78 @@ def test_canonical_form_separates_same_profile():
     assert canonical_form(AdGraph(3, ())) != canonical_form(AdGraph(2, ()))
 
 
-def test_canonical_form_prunes_automorphisms():
+@pytest.fixture
+def refine_counts(monkeypatch):
+    """Counts of ``families._refine`` calls and of the reads of the
+    neighbour list it is handed."""
+    counts = {"calls": 0, "reads": 0}
+    real = families._refine
+
+    class Reads(list):
+        def __getitem__(self, i):
+            counts["reads"] += 1
+            return list.__getitem__(self, i)
+
+    def counted(nbrs, *args):
+        counts["calls"] += 1
+        return real(Reads(nbrs), *args)
+
+    monkeypatch.setattr(families, "_refine", counted)
+    return counts
+
+
+def test_canonical_form_prunes_automorphisms(refine_counts):
     # a star with seven legs of length two has 7! leg permutations; only
-    # the automorphisms found at equal leaves keep the search small
+    # the automorphisms found at equal leaves keep the search small: one
+    # refinement per node visited
     edges = []
     for leg in range(7):
         edges += [(0, 2 * leg + 1), (2 * leg + 1, 2 * leg + 2)]
     star = AdGraph(15, tuple(edges))
-    start = time.perf_counter()
     canonical_form(star)
-    assert time.perf_counter() - start < 0.2
+    assert refine_counts["calls"] == 28
+
+
+def test_refinement_work_grows_near_linearly_on_long_paths(refine_counts):
+    # a round-based refinement moves one step along a doubled path per
+    # pass over every cell, about 4x the reads per doubling of k
+    reads = []
+    for k in (40, 80, 160):
+        refine_counts["reads"] = 0
+        canonical_form(doubled_theta(k, k, k))
+        reads.append(refine_counts["reads"])
+    assert all(0 < a and b <= 2.5 * a for a, b in zip(reads, reads[1:])), reads
+
+
+def doubled_star(k):
+    """A hub joined to k leaves, every edge doubled: k twins."""
+    return AdGraph(k + 1, tuple(e for v in range(1, k + 1) for e in [(0, v)] * 2))
+
+
+def test_canonical_form_of_a_large_twin_class():
+    # every order of the 1,500 twin leaves gives an automorphic leaf, so
+    # the search makes their cell discrete in one step instead of 1,500
+    # nested levels
+    star = doubled_star(1500)
+    form = canonical_form(star)
+    perm = random.Random(15).sample(range(star.n), star.n)
+    assert canonical_form(star.relabeled(perm)) == form
+    assert canonical_form(doubled_star(1499).disjoint_union(isolated_vertices(1))) != form
+
+
+@pytest.mark.parametrize("graph,family,params", [
+    (doubled_theta(166, 166, 166), "doubled-theta", (166, 166, 166)),
+    (k4_doubled_paths(250, 250), "k4-doubled-paths", (250, 250)),
+    (c4_legs(120, 3, 77, 40), "four-cycle-legs", (120, 3, 77, 40)),
+    (k4_two_sum(140, 90), "k4-two-sum", (90, 140)),
+], ids=["theta166", "k4pq250", "c4legs120", "k4twosum140"])
+def test_classify_long_family_graphs(graph, family, params):
+    info = classify_genus(graph)
+    assert (info.family, info.parameters) == (family, params)
+    perm = random.Random(graph.n).sample(range(graph.n), graph.n)
+    relabeled = graph.relabeled(perm)
+    ok, witness = isomorphic(graph, relabeled)
+    assert ok and sorted(graph.relabeled(witness).edges) == sorted(relabeled.edges)
 
 
 
