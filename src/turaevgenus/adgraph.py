@@ -216,13 +216,14 @@ def check_sphere_embedding(graph: AdGraph) -> None:
 
 
 def planar_embedding(
-    nodes: Iterable[int], pairs: Iterable[tuple[int, int]]
+    nodes: Iterable[int], pairs: Iterable[tuple[int, int]], embed: bool = True
 ) -> list[list[int]] | None:
     """The planarity search on the simple graph with vertices ``nodes``
     and edges ``pairs`` (distinct pairs of distinct nodes).  Returns the
     clockwise neighbour list of each node, in the order of ``nodes``, or
     ``None`` when the graph is not planar.  Every planarity question in
-    ``turaevgenus`` comes here.
+    ``turaevgenus`` comes here.  With ``embed`` false the search stops
+    after its testing phase, and a planar graph gets an empty list.
 
     Vertices are renumbered by position.  The edges are listed by their
     lower end, and at each lower end in the order ``pairs`` gives them:
@@ -239,13 +240,15 @@ def planar_embedding(
         else:
             higher[j].append(i)
     rotations = _left_right(
-        len(nodes), [(i, j) for i, js in enumerate(higher) for j in js])
+        len(nodes), [(i, j) for i, js in enumerate(higher) for j in js], embed)
     if rotations is None:
         return None
     return [[nodes[w] for w in rot] for rot in rotations]
 
 
-def _left_right(n: int, edges: list[tuple[int, int]]) -> list[list[int]] | None:
+def _left_right(
+    n: int, edges: list[tuple[int, int]], embed: bool = True
+) -> list[list[int]] | None:
     """The left-right planarity test (Brandes, *The left-right planarity
     test*, 2009, after de Fraysseix, Ossona de Mendez and Rosenstiehl)
     on vertices 0..n-1 and the simple graph ``edges``, each ``(i, j)``
@@ -260,7 +263,9 @@ def _left_right(n: int, edges: list[tuple[int, int]]) -> list[list[int]] | None:
     ``edges`` and every attribute is a flat list over vertices or edges;
     the three depth-first searches keep explicit stacks, so a long path
     needs no recursion.  A conflict pair is a list ``[left low, left
-    high, right low, right high]`` of edges, -1 for none."""
+    high, right low, right high]`` of edges, -1 for none.  With ``embed``
+    false a planar graph gets an empty list once the testing phase has
+    passed."""
     m = len(edges)
     if n > 2 and m > 3 * n - 6:
         return None
@@ -450,6 +455,8 @@ def _left_right(n: int, edges: list[tuple[int, int]]) -> list[list[int]] | None:
             at[v] = i
             if not descended and e >= 0:
                 remove_back_edges(e)
+    if not embed:
+        return []
 
     # -- embedding: resolve each side along its chain of references,
     # sort again by signed nesting depth, and place the back edges

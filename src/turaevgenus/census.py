@@ -41,6 +41,22 @@ has reached and marks its orbit, closed under the generators that the
 parent's canonical search returned (``families.canonical_search``);
 the kept representatives and their order do not change.
 
+Earlier parents.  Let the child C = P + v give its new vertex v degree
+d, and let another vertex w have degree above d in C and leave C - w
+connected.  If C is planar, C - w is a connected bipartite planar graph
+whose need bound is at most C's, so its class is in the previous level,
+and it has E(C) - deg(w) < E(P) edges.  A level is sorted by
+``wl_hash``, whose key starts with (n, E), so that class came before P.
+Extending it by the image of w's neighbours gives a graph isomorphic
+to C; that set lies on one side, since C - w is connected, and passes
+the budget and the need bound, since C does.  So a child isomorphic to
+C was generated before C: from that set, or from the least set of its
+orbit.  C is therefore not the first generated child of its class, the
+one that stage 1 keeps, and a non-planar C is never kept.  Stage 1 skips
+such a C before its canonical search; the first generated child of each
+class is never skipped, so the kept graphs, their order and their
+generators do not change.
+
 The odd sets are the cycle space.  In a multigraph with every degree
 even, each vertex meets an even number of odd-multiplicity edges, so
 the odd edges of the simple graph G form an even subgraph: an element
@@ -109,7 +125,7 @@ from .families import (
     is_reduced,
     wl_hash,
 )
-from .perm import fundamental_cycles
+from .perm import components, fundamental_cycles
 
 MAX_FEASIBLE_EDGES = 16
 MAX_FEASIBLE_VERTICES = 16
@@ -149,12 +165,13 @@ def _is_planar_bipartite(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     """Planarity of a simple bipartite graph.  Fewer than 9 edges cannot
     hold a subdivided K5 or K3,3; a planar bipartite graph on v >= 3
     vertices has at most 2v - 4 edges.  Otherwise
-    ``adgraph.planar_embedding`` runs the search."""
+    ``adgraph.planar_embedding`` runs the search, without its embedding
+    phase."""
     if len(edges) < 9:
         return True
     if n >= 3 and len(edges) > 2 * n - 4:
         return False
-    return planar_embedding(range(n), edges) is not None
+    return planar_embedding(range(n), edges, embed=False) is not None
 
 
 _SIMPLE_CACHE: dict[tuple[int, int, int], list[tuple[AdGraph, list[list[int]]]]] = {}
@@ -176,7 +193,11 @@ def simple_connected_graphs(
     child with B > ``max_e`` is dropped before its canonical form is
     taken: every graph with B <= ``max_e`` is still grown from a parent
     that was kept.  The bound is necessary, not sufficient; stage 2
-    decides."""
+    decides.  Two more tests skip a child before its search without
+    changing the output: a neighbour set in the orbit of an earlier one,
+    and a child with a vertex of higher degree than the new one whose
+    deletion keeps it connected, which an earlier parent with fewer
+    edges has already grown."""
     cached = _SIMPLE_CACHE.get((max_v, max_e, min_degree))
     if cached is not None:
         return cached
@@ -211,6 +232,8 @@ def simple_connected_graphs(
                         continue
                     _mark_orbit(nbrs, relabel, reached)
                     graph = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
+                    if _has_an_earlier_parent(graph, size):
+                        continue
                     key, _, gens = canonical_search(graph)
                     if key in nxt or key in nonplanar:
                         continue
@@ -226,6 +249,21 @@ def simple_connected_graphs(
         out.extend(level)
     _SIMPLE_CACHE[(max_v, max_e, min_degree)] = out
     return out
+
+
+def _has_an_earlier_parent(graph: AdGraph, new_degree: int) -> bool:
+    """Whether a vertex of ``graph`` has more than ``new_degree``
+    neighbours, the degree of its last vertex, and leaves the rest
+    connected when deleted: then an earlier parent, with fewer edges,
+    already tried the graph's class (see "Earlier parents" above)."""
+    n = graph.n
+    deg = graph.degrees()
+    edges = graph.edges
+    return any(
+        deg[w] > new_degree
+        and components(n, (e for e in edges if w not in e))[1] == 2
+        for w in range(n - 1)
+    )
 
 
 def _image_of_set(g: list[int], vertices: tuple[int, ...]) -> tuple[int, ...]:

@@ -141,6 +141,8 @@ def test_connected_atoms_match_unpruned_oracle(bounds):
 @pytest.mark.parametrize("bounds,kept,total", [
     ((10, 10, 2), 139, 821),
     ((8, 16, 4), 194, 226),
+    # the earlier-parent test skips 1,822 children here
+    ((9, 18, 4), 618, 808),
 ])
 def test_prune_drops_exactly_the_graphs_over_budget(bounds, kept, total):
     """Stage 1 keeps the oracle's graphs with need bound at most the
@@ -283,12 +285,14 @@ def test_stage2_makes_no_canonical_form_call(monkeypatch):
     assert len(atoms) == 399
 
 
-@pytest.mark.parametrize("bounds,calls", [((10, 10, 2), 369), ((8, 16, 4), 666)])
+@pytest.mark.parametrize("bounds,calls", [((10, 10, 2), 240), ((8, 16, 4), 307)])
 def test_stage1_canonicalises_one_neighbour_set_per_orbit(monkeypatch, bounds, calls):
     """Stage 1 extends each parent only by the least neighbour set of
-    each orbit under the parent's automorphisms, so it canonicalises
-    fewer children (649 and 1,096 when every set was tried); the
-    output is pinned against the unpruned oracle above."""
+    each orbit under the parent's automorphisms, and skips a child that
+    an earlier parent with fewer edges has grown, so it canonicalises
+    fewer children (649 and 1,096 when every set was tried, 369 and 666
+    with the orbit prune alone); the output is pinned against the
+    unpruned oracle above."""
     counted = []
     real = census_module.canonical_search
 
@@ -300,6 +304,35 @@ def test_stage1_canonicalises_one_neighbour_set_per_orbit(monkeypatch, bounds, c
     monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     simple_connected_graphs(*bounds)
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("bounds,skips", [((10, 10, 2), 129), ((8, 16, 4), 359)])
+def test_skipped_children_repeat_an_earlier_form(monkeypatch, bounds, skips):
+    """Every child that the earlier-parent test skips has the canonical
+    form of a child that an earlier search at its level returned, so a
+    search would only have met that form again; the counts show that
+    the test does skip."""
+    returned: dict[int, set] = {}
+    skipped = []
+    real_test = census_module._has_an_earlier_parent
+    real_search = census_module.canonical_search
+
+    def testing(graph, new_degree):
+        skip = real_test(graph, new_degree)
+        if skip:
+            skipped.append(real_search(graph)[0] in returned.get(graph.n, ()))
+        return skip
+
+    def searching(graph):
+        result = real_search(graph)
+        returned.setdefault(graph.n, set()).add(result[0])
+        return result
+
+    monkeypatch.setattr(census_module, "_has_an_earlier_parent", testing)
+    monkeypatch.setattr(census_module, "canonical_search", searching)
+    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
+    simple_connected_graphs(*bounds)
+    assert skipped == [True] * skips
 
 
 @st.composite

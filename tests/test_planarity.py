@@ -35,10 +35,12 @@ def networkx_embedding(nodes, pairs) -> list[list[int]] | None:
 
 
 def assert_matches_networkx(nodes, pairs) -> bool:
-    """Same answer and same rotations as networkx; returns planarity."""
+    """Same answer and same rotations as networkx, and the same answer
+    without the embedding phase; returns planarity."""
     nodes, pairs = list(nodes), list(pairs)
     want = networkx_embedding(nodes, pairs)
     assert planar_embedding(nodes, pairs) == want
+    assert planar_embedding(nodes, pairs, embed=False) == (None if want is None else [])
     return want is not None
 
 
@@ -139,6 +141,7 @@ def test_small_and_empty_graphs():
     assert planar_embedding([], []) == []
     assert planar_embedding([7], []) == [[]]
     assert planar_embedding([3, 5], [(5, 3)]) == [[5], [3]]
+    assert planar_embedding([3, 5], [(5, 3)], embed=False) == []
     assert assert_matches_networkx(range(4), itertools.combinations(range(4), 2))
     assert_matches_networkx([4, 2, 9], [(9, 4), (2, 9)])
     graph = AdGraph(3, ((0, 1), (1, 2), (0, 1), (1, 2)))
