@@ -4,11 +4,15 @@ Connected candidates are generated in two stages.  Stage 1 builds
 connected simple bipartite planar graphs up to isomorphism, vertex by
 vertex: the new vertex joins neighbours on one side of its parent's
 bipartition, one neighbour set per orbit of the parent's automorphisms,
-and a candidate is kept when the need bound below fits the edge budget,
-its canonical form is new and the graph is planar.  Stage
-2 assigns edge multiplicities that make every degree even, from the
-cycle space of the simple graph, and keeps the least assignment of each
-orbit under the simple graph's automorphisms.  Disconnected graphs are
+and a candidate is kept, as its canonical form, when the need bound
+below fits the edge budget, the form is new and the graph is planar.
+Stage 2 assigns edge multiplicities that make every degree even, from
+the cycle space of the simple graph, and keeps the least assignment of
+each orbit under the simple graph's automorphisms.  Isomorphic atoms
+have isomorphic simple graphs, hence one canonical simple graph and one
+orbit of assignments on it, so each atom is its class's canonical
+representative, whatever order the graphs were generated in (McKay,
+*Isomorph-free exhaustive generation*, 1998).  Disconnected graphs are
 multisets of connected atoms plus isolated vertices.  The census groups the
 reduced graphs by the canonical form of their doubled-path contraction,
 and ``families.family_of`` names each class from that key.
@@ -26,9 +30,7 @@ connected graph on v >= 2 vertices keeps its connectivity after the
 deletion of some vertex (a leaf of a spanning tree), so a graph with
 B <= max_e is grown in stage 1 from a parent with B <= max_e.  Stage 1
 therefore drops every child with B > max_e before canonicalising it and
-loses no class that stage 2 can use; the kept parents keep their
-relative order, so each kept class keeps its first-generated
-representative.
+loses no class that stage 2 can use.
 
 One neighbour set per orbit.  An automorphism g of the parent maps
 the child on neighbour set S onto the child on g(S), so the two are
@@ -38,24 +40,25 @@ Sets are tried by size, then lexicographically, so the least set of an
 orbit comes first, and a later member would only meet its canonical
 form again.  Stage 1 therefore tries each set that no earlier orbit
 has reached and marks its orbit, closed under the generators that the
-parent's canonical search returned (``families.canonical_search``);
-the kept representatives and their order do not change.
+parent's canonical search returned (``families.canonical_search``),
+each conjugated by the search's labelling onto the kept form.
 
-Earlier parents.  Let the child C = P + v give its new vertex v degree
-d, and let another vertex w have degree above d in C and leave C - w
-connected.  If C is planar, C - w is a connected bipartite planar graph
-whose need bound is at most C's, so its class is in the previous level,
-and it has E(C) - deg(w) < E(P) edges.  A level is sorted by
-``wl_hash``, whose key starts with (n, E), so that class came before P.
-Extending it by the image of w's neighbours gives a graph isomorphic
-to C; that set lies on one side, since C - w is connected, and passes
-the budget and the need bound, since C does.  So a child isomorphic to
-C was generated before C: from that set, or from the least set of its
-orbit.  C is therefore not the first generated child of its class, the
-one that stage 1 keeps, and a non-planar C is never kept.  Stage 1 skips
-such a C before its canonical search; the first generated child of each
-class is never skipped, so the kept graphs, their order and their
-generators do not change.
+Skipped children.  Stage 1 skips, before its canonical search, a child
+C = P + v in which some vertex w has more neighbours than the new
+vertex v and leaves C - w connected.  No class is lost.  Let C be a
+connected bipartite planar graph on the level's vertex count with
+B(C) <= max_e, and let w* be a vertex of maximum degree among the
+vertices whose deletion leaves C connected.
+C - w* is a connected bipartite planar graph whose need bound is at
+most C's, so its canonical form P* is kept at the previous level, with
+E(C) - deg(w*) edges.  An isomorphism from C - w* onto P* maps N(w*) to
+a set S on one side of P*, since C is connected and bipartite, and S
+passes the budget and the need bound, since P* + S is isomorphic to C.
+The first-tried member S' of the orbit of S under Aut(P*) gives a child
+P* + S' isomorphic to C in which the new vertex plays w*.  A vertex of
+higher degree whose deletion keeps that child connected would be one of
+C, against the choice of w*, so the degree test does not skip it, and
+its canonical search finds C's class.  A non-planar C is never kept.
 
 The odd sets are the cycle space.  In a multigraph with every degree
 even, each vertex meets an even number of odd-multiplicity edges, so
@@ -76,9 +79,10 @@ phi from M_a to M_b sends each edge of positive multiplicity to one,
 so it maps the edges of G onto the edges of G: phi is an automorphism
 of G with b(phi(e)) = a(e).  Conversely every such automorphism is an
 isomorphism.  So the isomorphism classes among the assignments are the
-orbits of Aut(G) on them, and the generators that stage 1 kept from
-G's canonical search generate Aut(G) (``families.canonical_search``);
-an orbit of a finite group is closed under its generators.
+orbits of Aut(G) on them, and the generators that stage 1 kept,
+conjugates of those G's canonical search returned, generate Aut(G)
+(``families.canonical_search``); an orbit of a finite group is closed
+under its generators.
 
 The least member of an orbit is the first per canonical form.  Listing
 every assignment in lexicographic order and keeping the first per
@@ -95,11 +99,14 @@ components`` both add up, and so does the genus.  A graph is reduced
 exactly when it is one vertex or every component is a reduced atom, so
 a reduced query adds an isolated vertex only to the empty combination.
 
-Order.  Atoms combine in pre-order with nondecreasing indices.  A
-dropped atom, or a subtree already over the genus (genera are
-nonnegative), holds only graphs that a whole-graph filter would reject,
-and dropping keeps the atoms' relative order; so the survivors come out
-in the unfiltered order, and the stable sort keeps the output order.
+Order.  Stage-1 levels and the atoms are sorted by (n, E, edges).
+Atoms combine in pre-order with nondecreasing indices, so a graph is
+the union of its atoms in that order plus its isolated vertices: like
+each atom, it is a function of its class.  A dropped atom, or a subtree
+already over the genus (genera are nonnegative), holds only graphs that
+a whole-graph filter would reject, and dropping keeps the atoms'
+relative order; so the survivors come out in the unfiltered order, and
+the stable sort by (n, E) orders them as it orders the unfiltered list.
 Atoms are sorted by vertex count, so the vertex budget ends a loop; edge
 counts are not monotone across vertex counts, so the edge budget skips.
 """
@@ -123,7 +130,6 @@ from .families import (
     canonical_search,
     family_of,
     is_reduced,
-    wl_hash,
 )
 from .perm import components, fundamental_cycles
 
@@ -136,7 +142,6 @@ class CensusFilter:
     max_vertices: int
     max_edges: int
     require_reduced: bool = False
-    require_no_deg2: bool = False
     genus_equals: int | None = None
     allow_isolated: bool = True
 
@@ -183,8 +188,9 @@ def simple_connected_graphs(
 ) -> list[tuple[AdGraph, list[list[int]]]]:
     """The single vertex and, one per isomorphism class, the connected
     simple bipartite planar graphs with at most ``max_v`` vertices whose
-    need bound fits ``max_e``, each with generators of its automorphism
-    group from its canonical search.  Every graph that can take even
+    need bound fits ``max_e``, each as its canonical form with generators
+    of its automorphism group, sorted by (n, E, edges).  Every graph that
+    can take even
     multiplicities, each at least 1, with every degree at least
     ``min_degree`` and at most ``max_e`` edges in all is among them.
 
@@ -196,8 +202,8 @@ def simple_connected_graphs(
     decides.  Two more tests skip a child before its search without
     changing the output: a neighbour set in the orbit of an earlier one,
     and a child with a vertex of higher degree than the new one whose
-    deletion keeps it connected, which an earlier parent with fewer
-    edges has already grown."""
+    deletion keeps it connected, whose class a child of a parent with
+    fewer edges reaches unskipped."""
     cached = _SIMPLE_CACHE.get((max_v, max_e, min_degree))
     if cached is not None:
         return cached
@@ -208,8 +214,8 @@ def simple_connected_graphs(
     levels = [[(AdGraph(1, ()), [])]]
     out = list(levels[0])
     for v in range(2, max_v + 1):
-        # one graph per canonical form, the first generated; non-planar
-        # forms are remembered so each class is tested once
+        # one graph per canonical form; non-planar forms are remembered
+        # so each class is tested once
         nxt: dict[tuple, tuple[AdGraph, list[list[int]]]] = {}
         nonplanar: set[tuple] = set()
         for parent, parent_gens in levels[-1]:
@@ -234,15 +240,15 @@ def simple_connected_graphs(
                     graph = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
                     if _has_an_earlier_parent(graph, size):
                         continue
-                    key, _, gens = canonical_search(graph)
+                    key, label, gens = canonical_search(graph)
                     if key in nxt or key in nonplanar:
                         continue
                     if _is_planar_bipartite(v, graph.edges):
-                        nxt[key] = (graph, gens)
+                        nxt[key] = (AdGraph(v, key[1]),
+                                    [_conjugate(g, label) for g in gens])
                     else:
                         nonplanar.add(key)
-        # by WL hash, then by first generation
-        level = sorted(nxt.values(), key=lambda kept: wl_hash(kept[0]))
+        level = sorted(nxt.values(), key=lambda kept: _census_order(kept[0]))
         if not level:
             break
         levels.append(level)
@@ -251,11 +257,15 @@ def simple_connected_graphs(
     return out
 
 
+def _census_order(graph: AdGraph) -> tuple:
+    return graph.n, graph.edge_count, graph.edges
+
+
 def _has_an_earlier_parent(graph: AdGraph, new_degree: int) -> bool:
     """Whether a vertex of ``graph`` has more than ``new_degree``
     neighbours, the degree of its last vertex, and leaves the rest
-    connected when deleted: then an earlier parent, with fewer edges,
-    already tried the graph's class (see "Earlier parents" above)."""
+    connected when deleted: then a parent with fewer edges grows the
+    graph's class unskipped (see "Skipped children" above)."""
     n = graph.n
     deg = graph.degrees()
     edges = graph.edges
@@ -264,6 +274,15 @@ def _has_an_earlier_parent(graph: AdGraph, new_degree: int) -> bool:
         and components(n, (e for e in edges if w not in e))[1] == 2
         for w in range(n - 1)
     )
+
+
+def _conjugate(g: list[int], label: list[int]) -> list[int]:
+    """The automorphism ``g`` of a graph as an automorphism of its
+    canonical form, in which vertex v is ``label[v]``."""
+    image = [0] * len(g)
+    for v, w in enumerate(g):
+        image[label[v]] = label[w]
+    return image
 
 
 def _image_of_set(g: list[int], vertices: tuple[int, ...]) -> tuple[int, ...]:
@@ -404,7 +423,7 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
             for e, mult in zip(simple.edges, assign):
                 edges.extend([e] * mult)
             atoms.append(AdGraph(simple.n, tuple(sorted(edges))))
-    atoms.sort(key=lambda g: (g.n, g.edge_count, wl_hash(g)))
+    atoms.sort(key=_census_order)
     _ATOM_CACHE[(max_v, max_e, min_degree)] = atoms
     return atoms
 
@@ -415,9 +434,9 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
 
 def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
     """All validated alternating decomposition graphs within the bounds,
-    one per isomorphism class, in a deterministic order.  Atoms built with
-    ``min_degree`` 4 have no degree-2 vertex: ``require_no_deg2`` is free."""
-    min_degree = 4 if (filt.require_reduced or filt.require_no_deg2) else 2
+    one per isomorphism class, each the union of canonical atoms, stably
+    sorted by (n, E) (see "Order" above)."""
+    min_degree = 4 if filt.require_reduced else 2
     target = filt.genus_equals
     atoms: list[tuple[AdGraph, int]] = []
     for atom in connected_atoms(filt.max_vertices, filt.max_edges, min_degree):
@@ -450,7 +469,7 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
             rec(i, graph.disjoint_union(atom), genus + atom_genus)
 
     rec(0, AdGraph(0, ()), 0)
-    out.sort(key=lambda g: (g.n, g.edge_count, wl_hash(g)))
+    out.sort(key=lambda g: (g.n, g.edge_count))
     return out
 
 

@@ -359,38 +359,6 @@ def is_reduced(graph: AdGraph) -> bool:
 # multigraph isomorphism
 
 
-def _mult_adj(graph: AdGraph) -> list[dict[int, int]]:
-    adj: list[dict[int, int]] = [dict() for _ in range(graph.n)]
-    for u, v in graph.edges:
-        adj[u][v] = adj[u].get(v, 0) + 1
-        adj[v][u] = adj[v].get(u, 0) + 1
-    return adj
-
-
-def wl_hash(graph: AdGraph) -> tuple:
-    """Census output-order key: ``(n, E, sorted colours)`` after
-    Weisfeiler-Lehman refinement with edge multiplicities.
-
-    Not an isomorphism filter.  Colours are ranks within one graph, so
-    the key keeps only the sizes of the colour classes: on
-    ``connected_atoms(8, 14)`` 122,757 pairs with equal (n, E) share it.
-    Its values fix the order of census output and must not change.
-    """
-    adj = _mult_adj(graph)
-    colors = [sum(adj[v].values()) for v in range(graph.n)]
-    for _ in range(graph.n):
-        sigs = [
-            (colors[v], tuple(sorted((m, colors[w]) for w, m in adj[v].items())))
-            for v in range(graph.n)
-        ]
-        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        nxt = [table[s] for s in sigs]
-        if nxt == colors:
-            break
-        colors = nxt
-    return (graph.n, graph.edge_count, tuple(sorted(colors)))
-
-
 def isomorphic(g1: AdGraph, g2: AdGraph) -> tuple[bool, list[int] | None]:
     """Multigraph isomorphism respecting multiplicities, decided by equal
     canonical forms.  The witness sends vertex v of ``g1`` to the vertex
@@ -849,11 +817,6 @@ def _forms() -> dict[tuple, str]:
     """Family tag of each minimal member, keyed by its canonical form."""
     return {canonical_form(family.build(*params)): tag
             for tag, family in FAMILIES.items() for params in family.minimal}
-
-
-def genus2_minimal_forms() -> list[tuple[str, AdGraph]]:
-    return [(tag, FAMILIES[tag].build(*FAMILIES[tag].minimal[0]))
-            for tag in GENUS2_FAMILIES]
 
 
 def family_of(key: tuple, graph: AdGraph, genus: int) -> tuple[str | None, tuple]:

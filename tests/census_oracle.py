@@ -13,9 +13,9 @@ the cycle space, kept verbatim: it backtracks through every multiplicity
 vector in lexicographic order and keeps the first per canonical form.
 
 ``enumerate_adgs`` is the assembly that ``census.enumerate_adgs``
-replaced, kept as it was: it builds every multiset of atoms with every
+replaced: it builds every multiset of atoms with every
 count of isolated vertices, and only then filters each whole graph by
-degree, reducedness and genus.
+reducedness and genus.
 """
 
 import itertools
@@ -25,7 +25,12 @@ import networkx as nx
 
 from turaevgenus.adgraph import AdGraph, find_bipartition, turaev_genus_graph
 from turaevgenus.census import CensusFilter, connected_atoms
-from turaevgenus.families import canonical_form, is_reduced, wl_hash
+from turaevgenus.families import canonical_form, is_reduced
+
+
+def census_order(graph: AdGraph) -> tuple:
+    """The order of stage-1 levels and of atoms in ``census``."""
+    return graph.n, graph.edge_count, graph.edges
 
 
 def need_bound(graph: AdGraph, min_degree: int) -> int:
@@ -38,7 +43,7 @@ def need_bound(graph: AdGraph, min_degree: int) -> int:
 
 def unpruned_simple_graphs(max_v: int, max_e: int) -> list[AdGraph]:
     """All connected simple bipartite planar graphs with at most the
-    given vertices and edges, one per isomorphism class."""
+    given vertices and edges, each as its canonical form."""
     levels: list[list[AdGraph]] = [[AdGraph(1, ())]]
     out = [AdGraph(1, ())]
     for v in range(2, max_v + 1):
@@ -58,10 +63,10 @@ def unpruned_simple_graphs(max_v: int, max_e: int) -> list[AdGraph]:
                     if key in nxt or key in nonplanar:
                         continue
                     if nx.check_planarity(nx.Graph(graph.edges))[0]:
-                        nxt[key] = graph
+                        nxt[key] = AdGraph(v, key[1])
                     else:
                         nonplanar.add(key)
-        level = sorted(nxt.values(), key=wl_hash)
+        level = sorted(nxt.values(), key=census_order)
         if not level:
             break
         levels.append(level)
@@ -133,14 +138,14 @@ def unpruned_atoms(max_v: int, max_e: int, min_degree: int) -> list[AdGraph]:
             for e, mult in zip(simple.edges, assign):
                 edges.extend([e] * mult)
             atoms.append(AdGraph(simple.n, tuple(sorted(edges))))
-    atoms.sort(key=lambda g: (g.n, g.edge_count, wl_hash(g)))
+    atoms.sort(key=census_order)
     return atoms
 
 
 def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
     """All validated alternating decomposition graphs within the bounds,
     one per isomorphism class, in a deterministic order."""
-    min_degree = 4 if (filt.require_reduced or filt.require_no_deg2) else 2
+    min_degree = 4 if filt.require_reduced else 2
     atoms = [
         a for a in connected_atoms(filt.max_vertices, filt.max_edges, min_degree)
         if a.edge_count > 0
@@ -179,8 +184,6 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
             out.append(graph)
     filtered = []
     for graph in out:
-        if filt.require_no_deg2 and any(d == 2 for d in graph.degrees()):
-            continue
         if filt.require_reduced and not is_reduced(graph):
             continue
         # stage 1 proved each atom's simple graph planar and bipartite,
@@ -190,5 +193,5 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
             if turaev_genus_graph(validated) != filt.genus_equals:
                 continue
         filtered.append(validated)
-    filtered.sort(key=lambda g: (g.n, g.edge_count, wl_hash(g)))
+    filtered.sort(key=lambda g: (g.n, g.edge_count))
     return filtered

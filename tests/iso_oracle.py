@@ -4,8 +4,11 @@ canonical-form ``families.isomorphic`` is checked against.
 It shares no code with the canonical form.  It rejects on the sorted
 per-vertex multiplicity lists and on Weisfeiler-Lehman colour classes,
 then extends a partial map vertex by vertex, checking multiplicities to
-the vertices already mapped.
+the vertices already mapped.  The same backtracking lists every
+isomorphism, so every automorphism of a graph.
 """
+
+from collections.abc import Iterator
 
 from turaevgenus.adgraph import AdGraph
 
@@ -43,14 +46,20 @@ def _profile(adj: list[dict[int, int]]) -> list[list[int]]:
 def find_isomorphism(g1: AdGraph, g2: AdGraph) -> list[int] | None:
     """A map ``m`` with ``g1.relabeled(m)`` equal to ``g2`` as a
     multigraph, or None when there is none."""
+    return next(isomorphisms(g1, g2), None)
+
+
+def isomorphisms(g1: AdGraph, g2: AdGraph) -> Iterator[list[int]]:
+    """Every map ``m`` with ``g1.relabeled(m)`` equal to ``g2`` as a
+    multigraph, each yielded as a fresh list."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return None
+        return
     adj1, adj2 = _mult_adj(g1), _mult_adj(g2)
     if _profile(adj1) != _profile(adj2):
-        return None
+        return
     col1, col2 = _wl_colors(adj1), _wl_colors(adj2)
     if sorted(col1) != sorted(col2):
-        return None
+        return
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(col2):
         by_color.setdefault(c, []).append(v)
@@ -68,9 +77,10 @@ def find_isomorphism(g1: AdGraph, g2: AdGraph) -> list[int] | None:
     mapping = [-1] * g1.n
     used = [False] * g2.n
 
-    def extend(i: int) -> bool:
+    def extend(i: int) -> Iterator[list[int]]:
         if i == len(ordered):
-            return True
+            yield mapping[:]
+            return
         v = ordered[i]
         for w in by_color[col1[v]]:
             if used[w]:
@@ -83,10 +93,8 @@ def find_isomorphism(g1: AdGraph, g2: AdGraph) -> list[int] | None:
             if ok and sum(adj2[w].values()) == sum(adj1[v].values()):
                 mapping[v] = w
                 used[w] = True
-                if extend(i + 1):
-                    return True
+                yield from extend(i + 1)
                 mapping[v] = -1
                 used[w] = False
-        return False
 
-    return mapping if extend(0) else None
+    yield from extend(0)

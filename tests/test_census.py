@@ -25,7 +25,7 @@ from census_oracle import (
     unpruned_atoms,
     unpruned_simple_graphs,
 )
-from iso_oracle import find_isomorphism
+from iso_oracle import find_isomorphism, isomorphisms
 
 
 def naive_validated_adgs(max_v: int, max_e: int) -> list[AdGraph]:
@@ -155,6 +155,44 @@ def test_prune_drops_exactly_the_graphs_over_budget(bounds, kept, total):
     got = simple_connected_graphs(max_v, max_e, min_degree)
     assert [(g.n, g.edges) for g, _ in got] == within
     assert (len(got), len(oracle)) == (kept, total)
+
+
+# --- canonical representatives ------------------------------------------------
+
+def _is_automorphism(g: list[int], edges: tuple) -> bool:
+    return sorted(tuple(sorted((g[u], g[v]))) for u, v in edges) == sorted(edges)
+
+
+@pytest.mark.parametrize("bounds", [(8, 12, 2), (8, 16, 4)])
+def test_stage1_keeps_canonical_forms(bounds):
+    """Each stage-1 graph is its own canonical form, whatever order
+    it was generated in, and comes with automorphisms of that form."""
+    graphs = simple_connected_graphs(*bounds)
+    for graph, gens in graphs:
+        assert graph.edges == canonical_form(graph)[1]
+        assert all(_is_automorphism(g, graph.edges) for g in gens)
+    assert sum(1 for _, gens in graphs if gens) > 50
+
+
+def test_atoms_are_canonical_representatives():
+    """Each atom is the canonical form of its simple graph carrying the
+    least multiplicity vector over the whole automorphism group of that
+    graph, as the backtracking oracle lists it, and the atoms come in
+    (n, E, edges) order."""
+    atoms = connected_atoms(8, 12)
+    assert atoms == sorted(atoms, key=lambda g: (g.n, g.edge_count, g.edges))
+    moved = 0
+    for atom in atoms:
+        mult = atom.multiplicity()
+        simple = AdGraph(atom.n, tuple(sorted(mult)))
+        assert simple.edges == canonical_form(simple)[1]
+        least = tuple(mult[e] for e in simple.edges)
+        for g in isomorphisms(simple, simple):
+            image = {tuple(sorted((g[u], g[v]))): m for (u, v), m in mult.items()}
+            vector = tuple(image[e] for e in simple.edges)
+            assert least <= vector, atom
+            moved += vector != least
+    assert moved > 1000
 
 
 # --- stage 2 from the cycle space ---------------------------------------------
@@ -446,36 +484,48 @@ def test_canonical_form_matches_isomorphic_on_atoms():
 
 # --- assembly from classified atoms -------------------------------------------
 
+def _no_degree_two(graph: AdGraph) -> bool:
+    return 2 not in graph.degrees()
+
+
+# each query is a filter and a test that both lists are cut down by
 ORACLE_QUERIES = [
-    CensusFilter(8, 12),
-    CensusFilter(10, 10),
-    CensusFilter(8, 16, require_reduced=True),
-    CensusFilter(8, 16, require_no_deg2=True),
+    (CensusFilter(8, 12), None),
+    (CensusFilter(10, 10), None),
+    (CensusFilter(8, 16, require_reduced=True), None),
+    # the unions of atoms of minimum degree 4 and isolated vertices
+    (CensusFilter(8, 16), _no_degree_two),
 ] + [
-    replace(base, genus_equals=genus, allow_isolated=isolated)
+    (replace(base, genus_equals=genus, allow_isolated=isolated), None)
     for base in (CensusFilter(8, 16, require_reduced=True), CensusFilter(10, 12))
     for genus in range(4)
     for isolated in (True, False)
 ]
 
 
-def _query_id(filt: CensusFilter) -> str:
+def _query_id(query: tuple) -> str:
+    filt, keep = query
     tags = [f"{filt.max_vertices}-{filt.max_edges}"]
-    tags += [name for name in ("require_reduced", "require_no_deg2")
-             if getattr(filt, name)]
+    if filt.require_reduced:
+        tags.append("require_reduced")
+    if keep is _no_degree_two:
+        tags.append("no-deg2")
     if filt.genus_equals is not None:
         tags.append(f"genus{filt.genus_equals}")
         tags.append("isolated" if filt.allow_isolated else "no-isolated")
     return "-".join(tags)
 
 
-@pytest.mark.parametrize("filt", ORACLE_QUERIES, ids=_query_id)
-def test_enumerate_matches_the_filtering_oracle(filt):
+@pytest.mark.parametrize("query", ORACLE_QUERIES, ids=_query_id)
+def test_enumerate_matches_the_filtering_oracle(query):
     """Assembling from classified atoms gives the graphs that building
     every graph and then filtering it gave, in the same order and with
     the same bipartitions."""
+    filt, keep = query
+
     def rows(graphs):
-        return [(g.n, g.edges, g.bipartition) for g in graphs]
+        return [(g.n, g.edges, g.bipartition) for g in graphs
+                if keep is None or keep(g)]
 
     assert rows(enumerate_adgs(filt)) == rows(filtering_enumerate_adgs(filt))
 

@@ -24,7 +24,12 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * fundamental-cycle labels are built only in
   ``perm.fundamental_cycles``, the one place that XORs a computed value
   into an array entry, and read by ``families.is_reduced`` and census
-  stage 2.
+  stage 2;
+* every top-level function and class is named by another top-level
+  statement of some module, or exported in ``__all__``: nothing in
+  ``src`` lives for the tests alone; and no module defines ``wl_hash``,
+  since the census keeps canonical representatives and needs no
+  order-fixing hash.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -153,3 +158,42 @@ def test_fundamental_cycle_labels_only_in_perm():
         "families.is_reduced",
         "census._even_multiplicity_assignments",
     }
+
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The bare names and attribute names that ``node`` reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _unused(modules: dict[str, ast.Module]) -> list[str]:
+    """The top-level functions and classes that no other top-level
+    statement names and ``__init__.__all__`` does not export."""
+    exported = set()
+    for node in modules["__init__"].body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "__all__"):
+            exported = set(ast.literal_eval(node.value))
+    naming: dict[str, set[str]] = {}  # each name, and the statements naming it
+    defined = []
+    for module, tree in modules.items():
+        for top in tree.body:
+            where = f"{module}.{getattr(top, 'name', '<module>')}"
+            for name in _names(top):
+                naming.setdefault(name, set()).add(where)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((where, top.name))
+    return [where for where, name in defined
+            if name not in exported and not naming.get(name, set()) - {where}]
+
+
+def test_every_top_level_definition_is_used():
+    modules = _modules()
+    assert _unused(modules) == []
+    assert not [f"{module}.wl_hash" for module, tree in modules.items()
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "wl_hash"]
+    # the scan flags a definition that only names itself
+    modules["orphan"] = ast.parse("def orphan(n):\n    return orphan(n - 1)\n")
+    assert _unused(modules) == ["orphan.orphan"]
