@@ -5,7 +5,8 @@ connected simple bipartite planar graphs up to isomorphism, vertex by
 vertex: the new vertex joins neighbours on one side of its parent's
 bipartition, one neighbour set per orbit of the parent's automorphisms,
 and a candidate is kept, as its canonical form, when the need bound
-below fits the edge budget, the form is new and the graph is planar.
+below fits the edge budget, the new vertex is its canonical deletion
+vertex up to automorphism, and the graph is planar.
 Stage 2 assigns edge multiplicities that make every degree even, from
 the cycle space of the simple graph, and keeps the least assignment of
 each orbit under the simple graph's automorphisms.  Isomorphic atoms
@@ -34,31 +35,36 @@ loses no class that stage 2 can use.
 
 One neighbour set per orbit.  An automorphism g of the parent maps
 the child on neighbour set S onto the child on g(S), so the two are
-isomorphic; g keeps degrees, so the need bound, and it keeps or swaps
-the two sides of a connected bipartite graph, so the one-side test.
-Sets are tried by size, then lexicographically, so the least set of an
-orbit comes first, and a later member would only meet its canonical
-form again.  Stage 1 therefore tries each set that no earlier orbit
-has reached and marks its orbit, closed under the generators that the
-parent's canonical search returned (``families.canonical_search``),
-each conjugated by the search's labelling onto the kept form.
+isomorphic; g keeps degrees, so the need bound, and keeps or swaps the
+two sides of a connected bipartite graph.  Stage 1 therefore tries
+each set, drawn from one side, that no earlier orbit has reached and
+marks its orbit, closed under the generators that the parent's
+canonical search returned (``families.canonical_search``), each
+conjugated by the search's labelling onto the kept form.
 
-Skipped children.  Stage 1 skips, before its canonical search, a child
-C = P + v in which some vertex w has more neighbours than the new
-vertex v and leaves C - w connected.  No class is lost.  Let C be a
-connected bipartite planar graph on the level's vertex count with
-B(C) <= max_e, and let w* be a vertex of maximum degree among the
-vertices whose deletion leaves C connected.
-C - w* is a connected bipartite planar graph whose need bound is at
-most C's, so its canonical form P* is kept at the previous level, with
-E(C) - deg(w*) edges.  An isomorphism from C - w* onto P* maps N(w*) to
-a set S on one side of P*, since C is connected and bipartite, and S
-passes the budget and the need bound, since P* + S is isomorphic to C.
-The first-tried member S' of the orbit of S under Aut(P*) gives a child
-P* + S' isomorphic to C in which the new vertex plays w*.  A vertex of
-higher degree whose deletion keeps that child connected would be one of
-C, against the choice of w*, so the degree test does not skip it, and
-its canonical search finds C's class.  A non-planar C is never kept.
+Canonical deletion.  Call a vertex of a connected graph C deletable
+when C without it is connected, and let w*(C) be the deletable vertex
+of highest degree with the greatest canonical label.  An isomorphism
+from C onto C' keeps degrees, deletability and, up to an automorphism,
+canonical labels, so it maps the Aut(C)-orbit of w*(C) onto that of
+w*(C').  Stage 1 accepts a child C = P + v exactly when v lies in the
+orbit of w*(C) (McKay, *Isomorph-free exhaustive generation*, J.
+Algorithms 1998; Brinkmann and McKay's plantri), and rejects v before
+the search when a deletable vertex has higher degree.  Every class is
+reached: for C on the level's vertex count with B(C) <= max_e, C - w*
+is connected, bipartite and planar with need bound at most C's, so its
+canonical form P* is kept, and an isomorphism onto P* maps N(w*) to a
+set S on one side of P*.  The first-tried member S' of S's orbit under
+Aut(P*) gives a child P* + S' isomorphic to C with the new vertex as
+w*, which passes the budget, the need bound and the rule.  Each class
+is accepted once: an isomorphism between accepted children P1 + S1 and
+P2 + S2 maps the orbit of one new vertex onto the other's, so after an
+automorphism it takes new vertex to new vertex and restricts to an
+isomorphism from P1 onto P2 that maps S1 onto S2.  A level keeps one
+parent per class, so P1 = P2, S1 and S2 share an orbit of Aut(P1), and
+one set per orbit is tried: S1 = S2.  No table of the forms met is
+needed.  A planar graph's canonical parent is planar, so planarity is
+tested once per accepted class.
 
 The odd sets are the cycle space.  In a multigraph with every degree
 even, each vertex meets an even number of odd-multiplicity edges, so
@@ -189,21 +195,12 @@ def simple_connected_graphs(
     """The single vertex and, one per isomorphism class, the connected
     simple bipartite planar graphs with at most ``max_v`` vertices whose
     need bound fits ``max_e``, each as its canonical form with generators
-    of its automorphism group, sorted by (n, E, edges).  Every graph that
-    can take even
-    multiplicities, each at least 1, with every degree at least
-    ``min_degree`` and at most ``max_e`` edges in all is among them.
-
-    Such a multigraph has at least B = sum_v max(d_v + (d_v mod 2),
-    min_degree) / 2 edges, and deleting a vertex never raises B, so a
-    child with B > ``max_e`` is dropped before its canonical form is
-    taken: every graph with B <= ``max_e`` is still grown from a parent
-    that was kept.  The bound is necessary, not sufficient; stage 2
-    decides.  Two more tests skip a child before its search without
-    changing the output: a neighbour set in the orbit of an earlier one,
-    and a child with a vertex of higher degree than the new one whose
-    deletion keeps it connected, whose class a child of a parent with
-    fewer edges reaches unskipped."""
+    of its automorphism group, sorted by (n, E, edges): every graph that
+    can take even multiplicities, each at least 1, with every degree at
+    least ``min_degree`` and at most ``max_e`` edges in all.  Each level
+    accepts each class once, from its canonical parent, whose neighbour
+    sets it draws from each side, one per orbit (see "Canonical
+    deletion" above); stage 2 decides which graphs take multiplicities."""
     cached = _SIMPLE_CACHE.get((max_v, max_e, min_degree))
     if cached is not None:
         return cached
@@ -214,43 +211,32 @@ def simple_connected_graphs(
     levels = [[(AdGraph(1, ()), [])]]
     out = list(levels[0])
     for v in range(2, max_v + 1):
-        # one graph per canonical form; non-planar forms are remembered
-        # so each class is tested once
-        nxt: dict[tuple, tuple[AdGraph, list[list[int]]]] = {}
-        nonplanar: set[tuple] = set()
+        level = []
         for parent, parent_gens in levels[-1]:
             budget = max_e - parent.edge_count
-            if budget < 1:
-                continue
-            side = find_bipartition(parent)
-            deg = parent.degrees()
-            parent_need = sum(map(need, deg))
+            parent_need = sum(map(need, parent.degrees()))
+            gain = [need(d + 1) - need(d) for d in parent.degrees()]
             relabel = [functools.partial(_image_of_set, g) for g in parent_gens]
             reached: set[tuple[int, ...]] = set()
-            for size in range(1, min(v - 1, budget) + 1):
-                for nbrs in itertools.combinations(range(v - 1), size):
-                    if any(side[u] != side[nbrs[0]] for u in nbrs):
-                        continue
-                    child_need = parent_need + need(size) + sum(
-                        need(deg[u] + 1) - need(deg[u]) for u in nbrs
-                    )
-                    if child_need > 2 * max_e or nbrs in reached:
-                        continue
-                    _mark_orbit(nbrs, relabel, reached)
-                    graph = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
-                    if _has_an_earlier_parent(graph, size):
-                        continue
-                    key, label, gens = canonical_search(graph)
-                    if key in nxt or key in nonplanar:
-                        continue
-                    if _is_planar_bipartite(v, graph.edges):
-                        nxt[key] = (AdGraph(v, key[1]),
-                                    [_conjugate(g, label) for g in gens])
-                    else:
-                        nonplanar.add(key)
-        level = sorted(nxt.values(), key=lambda kept: _census_order(kept[0]))
-        if not level:
-            break
+            side = find_bipartition(parent)
+            sides = [[u for u in range(v - 1) if side[u] == s] for s in (0, 1)]
+            for nbrs in itertools.chain.from_iterable(
+                itertools.combinations(part, size)
+                for part in sides for size in range(1, min(len(part), budget) + 1)
+            ):
+                child_need = parent_need + need(len(nbrs)) + sum(gain[u] for u in nbrs)
+                if child_need > 2 * max_e or nbrs in reached:
+                    continue
+                _mark_orbit(nbrs, relabel, reached)
+                child = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
+                if _has_an_earlier_parent(child, len(nbrs)):
+                    continue
+                key, label, gens = canonical_search(child)
+                if (_is_canonical_deletion(child, label, gens)
+                        and _is_planar_bipartite(v, child.edges)):
+                    level.append((AdGraph(v, key[1]),
+                                  [_conjugate(g, label) for g in gens]))
+        level.sort(key=lambda kept: _census_order(kept[0]))
         levels.append(level)
         out.extend(level)
     _SIMPLE_CACHE[(max_v, max_e, min_degree)] = out
@@ -261,19 +247,31 @@ def _census_order(graph: AdGraph) -> tuple:
     return graph.n, graph.edge_count, graph.edges
 
 
+def _deletable(graph: AdGraph, w: int) -> bool:
+    """Whether ``graph`` without vertex ``w`` is connected."""
+    return components(graph.n, (e for e in graph.edges if w not in e))[1] == 2
+
+
 def _has_an_earlier_parent(graph: AdGraph, new_degree: int) -> bool:
-    """Whether a vertex of ``graph`` has more than ``new_degree``
-    neighbours, the degree of its last vertex, and leaves the rest
-    connected when deleted: then a parent with fewer edges grows the
-    graph's class unskipped (see "Skipped children" above)."""
-    n = graph.n
+    """Whether a deletable vertex of ``graph`` has more neighbours than
+    the last, ``new_degree``: the rule's half that runs before the search."""
     deg = graph.degrees()
-    edges = graph.edges
-    return any(
-        deg[w] > new_degree
-        and components(n, (e for e in edges if w not in e))[1] == 2
-        for w in range(n - 1)
-    )
+    return any(deg[w] > new_degree and _deletable(graph, w)
+               for w in range(graph.n - 1))
+
+
+def _is_canonical_deletion(
+    graph: AdGraph, label: list[int], gens: list[list[int]]
+) -> bool:
+    """Whether the last vertex of ``graph``, deletable and of top degree
+    among the deletable ones, lies in the orbit under ``gens`` of the one
+    of that degree with the greatest ``label`` (see "Canonical deletion")."""
+    new = graph.n - 1
+    deg = graph.degrees()
+    by_label = sorted(range(graph.n), key=label.__getitem__, reverse=True)
+    w = next(w for w in by_label if deg[w] == deg[new]
+             and (w == new or _deletable(graph, w)))
+    return w == new or new in _mark_orbit(w, [g.__getitem__ for g in gens], set())
 
 
 def _conjugate(g: list[int], label: list[int]) -> list[int]:
@@ -289,10 +287,10 @@ def _image_of_set(g: list[int], vertices: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(map(g.__getitem__, vertices)))
 
 
-def _mark_orbit(first: tuple, actions: list, reached: set) -> None:
+def _mark_orbit(first, actions: list, reached: set) -> set:
     """Add to ``reached`` the orbit of ``first`` under the group that
     ``actions`` generate, each action a function from a member to its
-    image."""
+    image, and return ``reached``."""
     reached.add(first)
     orbit = [first]
     for member in orbit:
@@ -301,6 +299,7 @@ def _mark_orbit(first: tuple, actions: list, reached: set) -> None:
             if image not in reached:
                 reached.add(image)
                 orbit.append(image)
+    return reached
 
 
 # ---------------------------------------------------------------------------

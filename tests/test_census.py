@@ -325,8 +325,8 @@ def test_stage2_makes_no_canonical_form_call(monkeypatch):
 
 @pytest.mark.parametrize("bounds,calls", [((10, 10, 2), 240), ((8, 16, 4), 307)])
 def test_stage1_canonicalises_one_neighbour_set_per_orbit(monkeypatch, bounds, calls):
-    """Stage 1 extends each parent only by the least neighbour set of
-    each orbit under the parent's automorphisms, and skips a child that
+    """Stage 1 extends each parent only by the first-tried neighbour set
+    of each orbit under the parent's automorphisms, and skips a child that
     an earlier parent with fewer edges has grown, so it canonicalises
     fewer children (649 and 1,096 when every set was tried, 369 and 666
     with the orbit prune alone); the output is pinned against the
@@ -373,6 +373,43 @@ def test_skipped_children_repeat_an_earlier_form(monkeypatch, bounds, skips):
     assert skipped == [True] * skips
 
 
+@pytest.mark.parametrize("bounds,accepted,rejected", [
+    ((10, 10, 2), 138, 102),
+    ((8, 16, 4), 211, 96),
+])
+def test_stage1_accepts_each_class_exactly_once(monkeypatch, bounds, accepted,
+                                                rejected):
+    """Every child that the canonical deletion rule accepts has a
+    canonical form that no earlier accepted child had, and only accepted
+    children are tested for planarity, so each class is tested once.
+    The orbit half of the rule rejects searched children too: the rule
+    does not hold vacuously."""
+    verdicts = []
+    forms = []
+    tested = []
+    real_rule = census_module._is_canonical_deletion
+    real_planar = census_module._is_planar_bipartite
+
+    def rule(graph, label, gens):
+        accept = real_rule(graph, label, gens)
+        verdicts.append(accept)
+        if accept:
+            forms.append(canonical_form(graph))
+        return accept
+
+    def planar(n, edges):
+        tested.append(canonical_form(AdGraph(n, edges)))
+        return real_planar(n, edges)
+
+    monkeypatch.setattr(census_module, "_is_canonical_deletion", rule)
+    monkeypatch.setattr(census_module, "_is_planar_bipartite", planar)
+    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
+    simple_connected_graphs(*bounds)
+    assert len(set(forms)) == len(forms) == accepted
+    assert tested == forms
+    assert verdicts.count(False) == rejected
+
+
 @st.composite
 def connected_bipartite_graphs(draw):
     """A random spanning tree, grown vertex by vertex, plus random edges
@@ -404,6 +441,46 @@ def test_deleting_a_vertex_never_raises_the_need_bound(graph):
             continue
         for min_degree in (2, 4):
             assert need_bound(sub, min_degree) <= need_bound(graph, min_degree)
+
+
+def _accepted_deletions(graph: AdGraph) -> set[int]:
+    """The deletable vertices of top degree among the deletable ones
+    whose move to the last place the canonical deletion rule accepts."""
+    deg = graph.degrees()
+    deletable = [w for w in range(graph.n) if census_module._deletable(graph, w)]
+    top = max(deg[w] for w in deletable)
+    accepted = set()
+    for w in deletable:
+        if deg[w] < top:
+            continue
+        order = [v for v in range(graph.n) if v != w] + [w]
+        moved = graph.relabeled([order.index(v) for v in range(graph.n)])
+        _, label, gens = canonical_search(moved)
+        if census_module._is_canonical_deletion(moved, label, gens):
+            accepted.add(w)
+    return accepted
+
+
+def _marked(graph: AdGraph, w: int) -> AdGraph:
+    """``graph`` with a new vertex joined to ``w`` by its only double
+    edge, so that an isomorphism between two marked copies of a simple
+    graph is an automorphism taking one marked vertex to the other."""
+    return AdGraph(graph.n + 1, graph.edges + ((w, graph.n),) * 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_bipartite_graphs(), st.data())
+def test_canonical_deletion_accepts_one_orbit(graph, data):
+    """Of the deletable vertices of top degree, moved last in turn, the
+    rule accepts exactly one orbit of the automorphism group (found by
+    the backtracking oracle), and a relabelled copy accepts its image."""
+    accepted = _accepted_deletions(graph)
+    w = min(accepted)
+    orbit = {x for x in range(graph.n)
+             if find_isomorphism(_marked(graph, w), _marked(graph, x)) is not None}
+    assert accepted == orbit
+    perm = data.draw(st.permutations(range(graph.n)))
+    assert _accepted_deletions(graph.relabeled(perm)) == {perm[x] for x in accepted}
 
 
 def test_cleared_caches_give_a_cold_census():

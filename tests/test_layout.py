@@ -29,7 +29,10 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   statement of some module, or exported in ``__all__``: nothing in
   ``src`` lives for the tests alone; and no module defines ``wl_hash``,
   since the census keeps canonical representatives and needs no
-  order-fixing hash.
+  order-fixing hash;
+* ``census.simple_connected_graphs`` builds no dict: stage 1 accepts
+  each class once by its canonical deletion and keeps no per-level
+  table of the forms it has met.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -197,3 +200,21 @@ def test_every_top_level_definition_is_used():
     # the scan flags a definition that only names itself
     modules["orphan"] = ast.parse("def orphan(n):\n    return orphan(n - 1)\n")
     assert _unused(modules) == ["orphan.orphan"]
+
+
+def _builds_a_dict(node: ast.AST) -> bool:
+    """Whether ``node`` holds a dict display, a dict comprehension or a
+    call of ``dict``."""
+    return any(isinstance(n, (ast.Dict, ast.DictComp))
+               or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "dict")
+               for n in ast.walk(node))
+
+
+def test_stage1_keeps_no_table_of_forms():
+    stage1 = next(node for node in _modules()["census"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "simple_connected_graphs")
+    assert not _builds_a_dict(stage1)
+    # the scan sees each way of building one
+    for code in ("seen = {}", "seen = {k: 1 for k in ks}", "seen = dict(ks)"):
+        assert _builds_a_dict(ast.parse(code)), code
