@@ -16,8 +16,8 @@ for name in ("trefoil", "9_42", "annular-link"):
     d = corpus.named_diagrams()[name]
     dec = decompose(d)
     print(f"{name}:")
-    print(f"  curves: {len(dec.curve_system.curves)}")
-    for i, curve in enumerate(dec.curve_system.curves):
+    print(f"  curves: {len(dec.curves)}")
+    for i, curve in enumerate(dec.curves):
         arcs = " ".join(str(mp.arc) for mp in curve)
         print(f"    curve {i} crosses arcs {arcs}")
     print(f"  graph: {dec.graph.n} vertices, {dec.graph.edge_count} edges, "

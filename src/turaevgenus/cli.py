@@ -18,6 +18,7 @@ from .diagram import (
     bracket_span,
     jones_polynomial,
     parse_pd,
+    require_connected,
     state_circle_counts,
     turaev_genus_diagram,
     write_pd,
@@ -55,9 +56,7 @@ def cmd_genus_d(args) -> int:
 def cmd_decompose(args) -> int:
     diagram = parse_pd(_read(args.file))
     dec = decompose(diagram)
-    curves = [
-        [mp.arc for mp in cycle] for cycle in dec.curve_system.curves
-    ]
+    curves = [[mp.arc for mp in cycle] for cycle in dec.curves]
     payload = {
         "curves": curves,
         "graph": {
@@ -192,6 +191,7 @@ def cmd_census(args) -> int:
 
 def cmd_bracket(args) -> int:
     diagram = parse_pd(_read(args.file))
+    require_connected(diagram)
     poly = jones_polynomial(diagram)
     span = bracket_span(diagram, poly=poly)
     print(f"span_t = {span}")

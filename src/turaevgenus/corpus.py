@@ -98,7 +98,7 @@ def make_alternating(diagram: PlanarDiagram) -> PlanarDiagram:
     crossings = []
     for ci, (a, b, c, d) in enumerate(diagram.crossings):
         crossings.append((b, c, d, a) if swap[ci] else (a, b, c, d))
-    return PlanarDiagram(crossings, diagram.free_loops)
+    return PlanarDiagram(crossings)
 
 
 def random_adgraph(rng: random.Random, max_edges: int = 12) -> AdGraph:

@@ -37,18 +37,12 @@ class MarkedPoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CurveSystem:
-    curves: tuple[tuple[MarkedPoint, ...], ...]
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    diagram: PlanarDiagram
-    curve_system: CurveSystem
+    #: the marked points along each curve, in traversal order
+    curves: tuple[tuple[MarkedPoint, ...], ...]
+    #: vertex i < len(curves) is curve i; each later vertex is the
+    #: isolated vertex of an alternating split component
     graph: AdGraph
-    #: curve index per graph vertex; None marks the isolated vertex of an
-    #: alternating split component
-    vertex_curves: tuple[int | None, ...]
     #: non-alternating arc id per graph edge
     edge_arcs: tuple[int, ...]
     #: '+' / '-' per graph edge
@@ -86,11 +80,10 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     non-alternating arc beyond a marked point, or at a crossing share a
     corner's crossing; pieces glued across a non-alternating arc's
     middle are both central.  So the regions with crossings are the
-    classes of crossings joined by alternating arcs, and ``r_alt`` adds
-    one region per free loop.  The other side of each segment is
-    central, so the curves bounding a class are those through a marked
-    point ``(arc, end)`` whose crossing, at that end of the arc, is in
-    the class.
+    classes of crossings joined by alternating arcs.  The other side of
+    each segment is central, so the curves bounding a class are those
+    through a marked point ``(arc, end)`` whose crossing, at that end of
+    the arc, is in the class.
     """
     kinds = classify_arcs(diagram)
     na_arcs = sorted(a for a, k in kinds.items() if not k.alternating)
@@ -118,13 +111,11 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     ]
 
     # graph: one vertex per curve, plus one isolated vertex per
-    # alternating split component (including free loops)
+    # alternating split component
     na_components = {
         diagram.component_of[diagram.arc_ends[arc][0] >> 2] for arc in na_arcs
     }
     n_vertices = len(curves) + diagram.split_components - len(na_components)
-    vertex_curves: list[int | None] = list(range(len(curves)))
-    vertex_curves += [None] * (n_vertices - len(curves))
 
     edges = []
     for i, arc in enumerate(na_arcs):
@@ -150,13 +141,11 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
             touched[region[h >> 2]].add(curve_of[2 * i + end])
 
     return Decomposition(
-        diagram=diagram,
-        curve_system=CurveSystem(tuple(curves)),
+        curves=tuple(curves),
         graph=graph,
-        vertex_curves=tuple(vertex_curves),
         edge_arcs=tuple(na_arcs),
         signs=tuple(kinds[arc].sign for arc in na_arcs),
-        r_alt=count + diagram.free_loops,
+        r_alt=count,
         region_curves=tuple(sorted(tuple(sorted(cs)) for cs in touched)),
     )
 

@@ -22,10 +22,10 @@ from .errors import (
     BadParametersError,
     DisconnectedError,
     EmptyDiagramError,
-    InternalParityError,
     MalformedLineError,
     NoCrossingsError,
     NonPlanarMapError,
+    ParityError,
     TooLargeError,
     integer,
 )
@@ -59,29 +59,20 @@ def _state_limit() -> int:
 
 
 class PlanarDiagram:
-    """An immutable link diagram on a disjoint union of spheres.
-
-    ``free_loops`` counts crossingless unknot components.  They cannot be
-    written in the PD file format but arise naturally as resolution
-    by-products and split summands.
-    """
+    """An immutable link diagram on a disjoint union of spheres: exactly
+    the crossings of its PD code."""
 
     __slots__ = (
-        "crossings", "free_loops", "arc_ends", "partner", "component_of",
-        "_component_count",
+        "crossings", "arc_ends", "partner", "component_of", "split_components",
     )
 
-    def __init__(self, crossings: Sequence[Crossing], free_loops: int = 0):
-        if type(free_loops) is not int or free_loops < 0:
-            raise BadParametersError(
-                f"free_loops must be a non-negative integer, got {free_loops!r}")
+    def __init__(self, crossings: Sequence[Crossing]):
         self.crossings: tuple[Crossing, ...] = tuple(map(tuple, crossings))
         for x in self.crossings:
             if len(x) != 4:
                 raise MalformedLineError(0, str(x), "crossing needs 4 arcs")
             if any(type(a) is not int for a in x):
                 raise MalformedLineError(0, str(x), "arc ids must be integers")
-        self.free_loops = free_loops
 
         ends: dict[int, list[int]] = {}
         for ci, x in enumerate(self.crossings):
@@ -97,8 +88,8 @@ class PlanarDiagram:
         self.partner: list[int] = [0] * (4 * len(self.crossings))
         for h1, h2 in self.arc_ends.values():
             self.partner[h1], self.partner[h2] = h2, h1
-        #: split component label per crossing, and the number of them
-        self.component_of, self._component_count = components(
+        #: split component label per crossing, and k(D), the number of them
+        self.component_of, self.split_components = components(
             len(self.crossings),
             ((h1 >> 2, h2 >> 2) for h1, h2 in self.arc_ends.values()),
         )
@@ -117,11 +108,6 @@ class PlanarDiagram:
     def arc_at(self, h: int) -> int:
         return self.crossings[h >> 2][h & 3]
 
-    @property
-    def split_components(self) -> int:
-        """k(D): split components of the 4-valent graph plus free loops."""
-        return self._component_count + self.free_loops
-
     def face_step(self) -> list[int]:
         """h -> rotate(partner(h)): the next half-edge along a face.
 
@@ -133,7 +119,7 @@ class PlanarDiagram:
     def _check_genus_zero(self) -> None:
         # Euler's formula per split component, each on its own sphere;
         # with E = 2V it reads F - V = 2
-        chi = [0] * self._component_count
+        chi = [0] * self.split_components
         for comp in self.component_of:
             chi[comp] -= 1
         for h in least_points(orbits(self.face_step())[0]):
@@ -153,24 +139,16 @@ class PlanarDiagram:
         incoming under-strand at slot 0 and its strands over and under.
         Slots 1 and 3 trade places, so the A- and B-smoothings trade too
         and the Kauffman bracket maps A to A^-1."""
-        return PlanarDiagram(
-            [(a, d, c, b) for (a, b, c, d) in self.crossings], self.free_loops
-        )
+        return PlanarDiagram([(a, d, c, b) for (a, b, c, d) in self.crossings])
 
     def disjoint_union(self, other: "PlanarDiagram") -> "PlanarDiagram":
         shift = max(self.arc_ends, default=0)
         moved = [tuple(a + shift for a in x) for x in other.crossings]
-        return PlanarDiagram(
-            list(self.crossings) + moved, self.free_loops + other.free_loops
-        )
+        return PlanarDiagram(list(self.crossings) + moved)
 
     def __repr__(self) -> str:
         body = " / ".join("X " + " ".join(map(str, x)) for x in self.crossings)
-        extra = f" + {self.free_loops} loops" if self.free_loops else ""
-        return f"<PlanarDiagram c={self.crossing_count} [{body}]{extra}>"
-
-
-EMPTY_DIAGRAM = PlanarDiagram([])
+        return f"<PlanarDiagram c={self.crossing_count} [{body}]>"
 
 
 # -- PD file format ------------------------------------------------------------
@@ -220,15 +198,14 @@ def resolve_state(diagram: PlanarDiagram, choice: Sequence[str]) -> int:
     if len(choice) != diagram.crossing_count:
         raise ValueError("choice must label every crossing")
     pairs = [_SMOOTHINGS[x] for x in choice]
-    return _circles(diagram, pairs)[1] + diagram.free_loops
+    return _circles(diagram, pairs)[1]
 
 
 def _circles(
     diagram: PlanarDiagram, pairs: Sequence[Sequence[int]]
 ) -> tuple[list[int], int]:
-    """Circle label per half-edge, and the circle count without free
-    loops, of the state smoothing crossing ci by the slot pairing
-    ``pairs[ci]``."""
+    """Circle label per half-edge, and the circle count, of the state
+    smoothing crossing ci by the slot pairing ``pairs[ci]``."""
     smooth = [4 * ci + s for ci, pair in enumerate(pairs) for s in pair]
     return orbits(diagram.partner, smooth)
 
@@ -246,7 +223,7 @@ def turaev_genus_diagram(diagram: PlanarDiagram) -> int:
     s_a, s_b = state_circle_counts(diagram)
     val = 2 * diagram.split_components + diagram.crossing_count - s_a - s_b
     if val < 0 or val % 2:
-        raise InternalParityError(
+        raise ParityError(
             f"2k + c - sA - sB = {val}; smoothing convention is broken"
         )
     return val // 2
@@ -311,8 +288,7 @@ def connected_sum(
         pa, pb = (y2, x2) if swap else (x2, y2)
         for h, arc in ((x1, fresh), (pa, fresh), (y1, fresh + 1), (pb, fresh + 1)):
             new[h >> 2][h & 3] = arc
-        return PlanarDiagram([tuple(x) for x in new],
-                             d1.free_loops + d2.free_loops)
+        return PlanarDiagram([tuple(x) for x in new])
 
     try:
         return build(False)
@@ -345,7 +321,7 @@ def insert_twist(diagram: PlanarDiagram, arc: int) -> PlanarDiagram:
         # first passage under: p enters at slot 0
         kink = (p_arc, loop_arc, loop_arc, q_arc)
     new.append(list(kink))
-    return PlanarDiagram([tuple(x) for x in new], diagram.free_loops)
+    return PlanarDiagram([tuple(x) for x in new])
 
 
 # -- Kauffman bracket and Jones span ---------------------------------------------------
@@ -407,7 +383,7 @@ def _strand_orbits(diagram: PlanarDiagram) -> tuple[list[int], int]:
 
 
 def link_component_count(diagram: PlanarDiagram) -> int:
-    return _strand_orbits(diagram)[1] // 2 + diagram.free_loops
+    return _strand_orbits(diagram)[1] // 2
 
 
 def writhe(diagram: PlanarDiagram) -> int:
@@ -431,14 +407,14 @@ def writhe(diagram: PlanarDiagram) -> int:
 def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     """Bracket state sum over all 2^c resolutions, delta = -A^2 - A^-2."""
     n = diagram.crossing_count
-    if n == 0 and diagram.free_loops == 0:
+    if n == 0:
         raise EmptyDiagramError("the empty diagram has no Kauffman bracket")
     limit = _state_limit()
     if n > limit:
         raise TooLargeError(f"{n} crossings exceeds state-sum limit {limit}")
     delta = LaurentPoly({2: -1, -2: -1})
     delta_pows = [LaurentPoly({0: 1})]
-    for _ in range(n + diagram.free_loops + 2):
+    for _ in range(n + 2):
         delta_pows.append(delta_pows[-1] * delta)
     rows = [
         [[4 * ci + s for s in _SMOOTHINGS[state]] for ci in range(n)]
@@ -461,7 +437,7 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     total: dict[int, int] = {}
     for (a, circles), count in tally.items():
         exp = 2 * a - n
-        for e, c in delta_pows[circles + diagram.free_loops - 1].coeffs.items():
+        for e, c in delta_pows[circles - 1].coeffs.items():
             total[e + exp] = total.get(e + exp, 0) + c * count
     return LaurentPoly(total)
 
@@ -477,6 +453,13 @@ def jones_polynomial(diagram: PlanarDiagram) -> LaurentPoly:
     return kauffman_bracket(diagram) * norm
 
 
+def require_connected(diagram: PlanarDiagram) -> None:
+    """Reject a split diagram, whose bracket span is not defined, before
+    any state sum is run."""
+    if diagram.split_components > 1:
+        raise DisconnectedError("bracket span needs a connected diagram")
+
+
 def bracket_span(diagram: PlanarDiagram, poly: LaurentPoly | None = None) -> int:
     """Span of the Jones polynomial in the variable t.
 
@@ -484,15 +467,14 @@ def bracket_span(diagram: PlanarDiagram, poly: LaurentPoly | None = None) -> int
     of 4.  ``poly`` is the diagram's ``jones_polynomial`` when the caller
     already has it.
     """
-    if diagram.crossing_count == 0 and diagram.free_loops <= 1:
+    require_connected(diagram)
+    if diagram.crossing_count == 0:
         return 0
-    if diagram.split_components > 1:
-        raise DisconnectedError("bracket span needs a connected diagram")
     if poly is None:
         poly = jones_polynomial(diagram)
     span_a = poly.span
     if span_a % 4:
-        raise InternalParityError(f"bracket span {span_a} not divisible by 4")
+        raise ParityError(f"bracket span {span_a} not divisible by 4")
     return span_a // 4
 
 

@@ -58,10 +58,6 @@ class ArcNotFoundError(TuraevError):
     """An operation referenced an arc id absent from the diagram."""
 
 
-class InternalParityError(TuraevError):
-    """The Turaev genus formula produced a negative or non-integer value."""
-
-
 class TooLargeError(TuraevError):
     """The diagram exceeds the configured state-sum crossing limit."""
 
@@ -75,7 +71,7 @@ class NoCrossingsError(TuraevError):
 
 
 class EmptyDiagramError(TuraevError):
-    """The diagram has neither crossings nor loops, so it has no bracket."""
+    """The diagram has no crossings, so it has no bracket."""
 
 
 # --- ribbon graph errors ----------------------------------------------------
@@ -94,7 +90,9 @@ class NonOrientableError(TuraevError):
 
 
 class ParityError(TuraevError):
-    """The orientable genus formula yielded an odd value."""
+    """A genus or span formula yielded a value of impossible parity: an
+    odd Euler genus of an orientable ribbon graph, a negative or odd
+    2k + c - s_A - s_B, or a bracket span in A that 4 does not divide."""
 
 
 # --- abstract graph errors --------------------------------------------------

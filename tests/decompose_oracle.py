@@ -14,7 +14,7 @@ built here from ``face_step``.
 
 from turaevgenus import adgraph
 from turaevgenus.adgraph import AdGraph
-from turaevgenus.decompose import CurveSystem, Decomposition, MarkedPoint
+from turaevgenus.decompose import Decomposition, MarkedPoint
 from turaevgenus.diagram import PlanarDiagram, classify_arcs
 from turaevgenus.errors import TuraevError
 from turaevgenus.perm import components, cycles
@@ -64,13 +64,11 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     curve_of = {mp: ci for ci, curve in enumerate(curves) for mp in curve}
 
     # graph: one vertex per curve, plus one isolated vertex per
-    # alternating split component (including free loops)
+    # alternating split component
     na_components = {
         diagram.component_of[diagram.arc_ends[arc][0] >> 2] for arc in na_arcs
     }
     n_vertices = len(curves) + diagram.split_components - len(na_components)
-    vertex_curves: list[int | None] = list(range(len(curves)))
-    vertex_curves += [None] * (n_vertices - len(curves))
 
     edges = []
     signs = []
@@ -96,10 +94,8 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     )
 
     return Decomposition(
-        diagram=diagram,
-        curve_system=CurveSystem(tuple(curves)),
+        curves=tuple(curves),
         graph=graph,
-        vertex_curves=tuple(vertex_curves),
         edge_arcs=tuple(na_arcs),
         signs=tuple(signs),
         r_alt=r_alt,
@@ -175,4 +171,4 @@ def _alternating_regions(diagram, faces, emissions, curve_of, na_set):
     region_curves = tuple(
         sorted(tuple(sorted(cs)) for cs in crossing_regions.values())
     )
-    return len(crossing_regions) + diagram.free_loops, region_curves
+    return len(crossing_regions), region_curves

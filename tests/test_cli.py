@@ -190,6 +190,19 @@ def test_bracket_empty_diagram_exit_1(capsys, tmp_path):
     assert err == "error: the empty diagram has no Kauffman bracket\n"
 
 
+def test_bracket_split_diagram_rejected_before_the_state_sum(
+        capsys, monkeypatch, tmp_path):
+    # two trefoils, the file of test_parse_disjoint_diagrams_in_one_file;
+    # a state limit below their crossing count shows the sum never ran
+    path = tmp_path / "two-trefoils.pd"
+    path.write_text(corpus.TREFOIL + "\n# second split component\n"
+                    "X 7 10 8 11 / X 9 12 10 7 / X 11 8 12 9\n")
+    monkeypatch.setenv("ADG_MAX_STATES", "2")
+    code, out, err = run(capsys, "bracket", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: bracket span needs a connected diagram\n"
+
+
 # a second 'v' line or a second rotation of one vertex is rejected, never
 # silently overriding the first
 _REPEATED_DIRECTIVE = {

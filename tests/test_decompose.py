@@ -22,14 +22,13 @@ def test_trefoil_decomposition():
     dec = decompose(corpus.trefoil())
     assert dec.graph.n == 1
     assert dec.graph.edge_count == 0
-    assert dec.curve_system.curves == ()
+    assert dec.curves == ()
     assert dec.r_alt == 1
-    assert dec.vertex_curves == (None,)
 
 
 def test_9_42_decomposition():
     dec = decompose(corpus.nine_42())
-    assert len(dec.curve_system.curves) == 2
+    assert len(dec.curves) == 2
     c22 = doubled_cycle(2)
     assert isomorphic(
         AdGraph(dec.graph.n, dec.graph.edges), AdGraph(c22.n, c22.edges)
@@ -37,7 +36,7 @@ def test_9_42_decomposition():
     assert dec.r_alt == 2
     # every marked point sits on a non-alternating arc, twice per arc
     per_arc = {}
-    for curve in dec.curve_system.curves:
+    for curve in dec.curves:
         for mp in curve:
             per_arc[mp] = per_arc.get(mp, 0) + 1
     assert all(count == 1 for count in per_arc.values())
@@ -73,15 +72,6 @@ def test_split_alternating_components_are_isolated_vertices():
     assert dec.graph.n == 2
     assert dec.graph.edge_count == 0
     assert dec.r_alt == 2
-
-
-def test_free_loops_count_as_components():
-    from turaevgenus.diagram import PlanarDiagram
-
-    d = PlanarDiagram(corpus.trefoil().crossings, free_loops=2)
-    dec = decompose(d)
-    assert dec.graph.n == 3
-    assert dec.r_alt == 3
 
 
 def test_edge_arc_correspondence(named):

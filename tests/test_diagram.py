@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from turaevgenus import corpus
 from turaevgenus.diagram import (
-    EMPTY_DIAGRAM,
     LaurentPoly,
     PlanarDiagram,
     bracket_span,
@@ -98,10 +97,6 @@ def test_constructor_rejects_non_integers():
                 [(1, 4, 2, 5), (3, 6, 4, True), (5, 2, 6, 3)]):
         with pytest.raises(MalformedLineError, match="arc ids must be integers"):
             PlanarDiagram(bad)
-    for loops in (1.7, -1, "1", True, None):
-        with pytest.raises(BadParametersError, match="free_loops"):
-            PlanarDiagram([], free_loops=loops)
-    assert PlanarDiagram([], free_loops=1).free_loops == 1
 
 
 def test_parse_disjoint_diagrams_in_one_file():
@@ -114,9 +109,20 @@ def test_parse_disjoint_diagrams_in_one_file():
 
 
 def test_write_pd_round_trip(named):
-    for d in named.values():
+    """Every way of building a diagram keeps to what a PD code says."""
+    trefoil, nine_42 = named["trefoil"], named["9_42"]
+    rng = random.Random(5)
+    cases = list(named.values()) + [
+        nine_42.mirror(),
+        trefoil.disjoint_union(nine_42),
+        connected_sum(trefoil, 1, nine_42, 3),
+        insert_twist(nine_42, 2),
+    ]
+    cases += [corpus.random_diagram(rng, max_edges=10) for _ in range(4)]
+    for d in cases:
         again = parse_pd(write_pd(d))
-        assert again.crossings == d.crossings
+        assert again.crossings == d.crossings, d
+        assert again.split_components == d.split_components, d
 
 
 # --- states and genus -------------------------------------------------------------
@@ -124,11 +130,6 @@ def test_write_pd_round_trip(named):
 def test_trefoil_states():
     d = parse_pd(TREFOIL)
     assert set(state_circle_counts(d)) == {2, 3}
-
-
-def test_unlink_states():
-    d = PlanarDiagram([], free_loops=4)
-    assert resolve_state(d, []) == 4
 
 
 def test_kink_states():
@@ -216,7 +217,7 @@ def test_connected_sum_missing_arc():
     with pytest.raises(ArcNotFoundError):
         connected_sum(t, 99, t, 1)
     with pytest.raises(ArcNotFoundError):
-        connected_sum(t, 1, EMPTY_DIAGRAM, 1)
+        connected_sum(t, 1, PlanarDiagram([]), 1)
 
 
 def test_connected_sum_additivity(named, rng):
@@ -273,7 +274,6 @@ def test_trefoil_jones_polynomial():
 
 def test_unknot_span():
     assert bracket_span(parse_pd(KINK)) == 0
-    assert bracket_span(PlanarDiagram([], free_loops=1)) == 0
 
 
 def test_figure_eight_span(named):
@@ -287,12 +287,11 @@ def test_bracket_raw_trefoil():
 
 
 def test_bracket_of_empty_diagram_rejected():
-    # zero circles has no delta power; one free loop is the unknot
+    # zero circles has no delta power
     with pytest.raises(EmptyDiagramError):
-        kauffman_bracket(EMPTY_DIAGRAM)
+        kauffman_bracket(PlanarDiagram([]))
     with pytest.raises(EmptyDiagramError):
         jones_polynomial(parse_pd("# just a comment\n"))
-    assert kauffman_bracket(PlanarDiagram([], free_loops=1)).coeffs == {0: 1}
 
 
 def test_bracket_limits(monkeypatch):
@@ -337,7 +336,7 @@ def test_kink_not_adequate():
 
 def test_adequate_needs_crossings():
     with pytest.raises(NoCrossingsError):
-        is_adequate(EMPTY_DIAGRAM)
+        is_adequate(PlanarDiagram([]))
 
 
 def adequate_by_flips(d):
@@ -382,7 +381,6 @@ def test_bracket_matches_state_by_state_sum():
     cases = list(corpus.named_diagrams().values())
     cases += [corpus.torus_2k(k) for k in range(1, 6)]
     cases += [corpus.random_diagram(rng, max_edges=6) for _ in range(6)]
-    cases += [PlanarDiagram(parse_pd(TREFOIL).crossings, free_loops=2)]
     delta = LaurentPoly({2: -1, -2: -1})
     for d in cases:
         n = d.crossing_count

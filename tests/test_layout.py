@@ -25,9 +25,10 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   ``perm.fundamental_cycles``, the one place that XORs a computed value
   into an array entry, and read by ``families.is_reduced`` and census
   stage 2;
-* every top-level function and class is named by another top-level
-  statement of some module, or exported in ``__all__``: nothing in
-  ``src`` lives for the tests alone; and no module defines ``wl_hash``,
+* every top-level function, class and assigned name (dunder names
+  aside) is named by another top-level statement of some module, or
+  exported in ``__all__``: nothing in ``src`` lives for the tests
+  alone; and no module defines ``wl_hash``,
   since the census keeps canonical representatives and needs no
   order-fixing hash;
 * ``census.simple_connected_graphs`` builds no dict: stage 1 accepts
@@ -170,9 +171,22 @@ def _names(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _defines(top: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function or class, or
+    the non-dunder names an assignment binds."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = (top.targets if isinstance(top, ast.Assign)
+               else [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)
+            and not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
 def _unused(modules: dict[str, ast.Module]) -> list[str]:
-    """The top-level functions and classes that no other top-level
-    statement names and ``__init__.__all__`` does not export."""
+    """The top-level functions, classes and assigned names that no other
+    top-level statement names and ``__init__.__all__`` does not
+    export."""
     exported = set()
     for node in modules["__init__"].body:
         if (isinstance(node, ast.Assign)
@@ -182,11 +196,11 @@ def _unused(modules: dict[str, ast.Module]) -> list[str]:
     defined = []
     for module, tree in modules.items():
         for top in tree.body:
-            where = f"{module}.{getattr(top, 'name', '<module>')}"
+            defines = _defines(top)
+            where = f"{module}.{defines[0] if defines else '<module>'}"
             for name in _names(top):
                 naming.setdefault(name, set()).add(where)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((where, top.name))
+            defined += [(f"{module}.{name}", name) for name in defines]
     return [where for where, name in defined
             if name not in exported and not naming.get(name, set()) - {where}]
 
@@ -200,6 +214,9 @@ def test_every_top_level_definition_is_used():
     # the scan flags a definition that only names itself
     modules["orphan"] = ast.parse("def orphan(n):\n    return orphan(n - 1)\n")
     assert _unused(modules) == ["orphan.orphan"]
+    # and an assigned name that no other statement reads, dunders aside
+    modules["orphan"] = ast.parse("LIMIT = 2\nSPARE = LIMIT\n__version__ = '1'\n")
+    assert _unused(modules) == ["orphan.SPARE"]
 
 
 def _builds_a_dict(node: ast.AST) -> bool:
