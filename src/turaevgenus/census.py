@@ -43,14 +43,18 @@ canonical search returned (``families.canonical_search``), each
 conjugated by the search's labelling onto the kept form.
 
 Canonical deletion.  Call a vertex of a connected graph C deletable
-when C without it is connected, and let w*(C) be the deletable vertex
-of highest degree with the greatest canonical label.  An isomorphism
-from C onto C' keeps degrees, deletability and, up to an automorphism,
-canonical labels, so it maps the Aut(C)-orbit of w*(C) onto that of
-w*(C').  Stage 1 accepts a child C = P + v exactly when v lies in the
-orbit of w*(C) (McKay, *Isomorph-free exhaustive generation*, J.
-Algorithms 1998; Brinkmann and McKay's plantri), and rejects v before
-the search when a deletable vertex has higher degree.  Every class is
+when C without it is connected, give each vertex the key (its degree,
+its neighbours' degrees in increasing order), and let w*(C) be the
+deletable vertex of highest key with, among those, the greatest
+canonical label.  An isomorphism from C onto C' keeps keys,
+deletability and, up to an automorphism, canonical labels, so it maps
+the Aut(C)-orbit of w*(C) onto that of w*(C').  Stage 1 accepts a child
+C = P + v exactly when v lies in the orbit of w*(C) (McKay,
+*Isomorph-free exhaustive generation*, J. Algorithms 1998; geng and
+Brinkmann and McKay's plantri rank by vertex invariants too).  An
+automorphism keeps keys, so when a deletable vertex has a higher key
+than v, v lies outside that orbit, and stage 1 rejects it before the
+search.  Every class is
 reached: for C on the level's vertex count with B(C) <= max_e, C - w*
 is connected, bipartite and planar with need bound at most C's, so its
 canonical form P* is kept, and an isomorphism onto P* maps N(w*) to a
@@ -108,7 +112,12 @@ a reduced query adds an isolated vertex only to the empty combination.
 Order.  Stage-1 levels and the atoms are sorted by (n, E, edges).
 Atoms combine in pre-order with nondecreasing indices, so a graph is
 the union of its atoms in that order plus its isolated vertices: like
-each atom, it is a function of its class.  A dropped atom, or a subtree
+each atom, it is a function of its class.  Each atom is connected, so
+its two-colouring puts its vertex 0 on side 0; the atoms' sides in
+that order, then side 0 for each isolated vertex, are the union's
+two-colouring with the least vertex of each component on side 0,
+which is what ``find_bipartition`` gives, so each atom is coloured
+once and each graph is built once.  A dropped atom, or a subtree
 already over the genus (genera are nonnegative), holds only graphs that
 a whole-graph filter would reject, and dropping keeps the atoms'
 relative order; so the survivors come out in the unfiltered order, and
@@ -229,7 +238,7 @@ def simple_connected_graphs(
                     continue
                 _mark_orbit(nbrs, relabel, reached)
                 child = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
-                if _has_an_earlier_parent(child, len(nbrs)):
+                if _outranked(child):
                     continue
                 key, label, gens = canonical_search(child)
                 if (_is_canonical_deletion(child, label, gens)
@@ -252,25 +261,36 @@ def _deletable(graph: AdGraph, w: int) -> bool:
     return components(graph.n, (e for e in graph.edges if w not in e))[1] == 2
 
 
-def _has_an_earlier_parent(graph: AdGraph, new_degree: int) -> bool:
-    """Whether a deletable vertex of ``graph`` has more neighbours than
-    the last, ``new_degree``: the rule's half that runs before the search."""
+def _deletion_keys(graph: AdGraph) -> list[tuple[int, list[int]]]:
+    """Each vertex's rank as a deletion: its degree, then its neighbours'
+    degrees in increasing order; every isomorphism keeps both."""
     deg = graph.degrees()
-    return any(deg[w] > new_degree and _deletable(graph, w)
-               for w in range(graph.n - 1))
+    around: list[list[int]] = [[] for _ in deg]
+    for u, v in graph.edges:
+        around[u].append(deg[v])
+        around[v].append(deg[u])
+    for ds in around:
+        ds.sort()
+    return list(zip(deg, around))
+
+
+def _outranked(graph: AdGraph) -> bool:
+    """Whether a deletable vertex of ``graph`` has a higher key than the
+    last: the rule's half that runs before the search."""
+    *keys, new = _deletion_keys(graph)
+    return any(key > new and _deletable(graph, w) for w, key in enumerate(keys))
 
 
 def _is_canonical_deletion(
     graph: AdGraph, label: list[int], gens: list[list[int]]
 ) -> bool:
-    """Whether the last vertex of ``graph``, deletable and of top degree
-    among the deletable ones, lies in the orbit under ``gens`` of the one
-    of that degree with the greatest ``label`` (see "Canonical deletion")."""
+    """Whether the last vertex of ``graph`` lies in the orbit under
+    ``gens`` of the deletable vertex with the highest key and, among
+    those, the greatest ``label`` (see "Canonical deletion")."""
     new = graph.n - 1
-    deg = graph.degrees()
-    by_label = sorted(range(graph.n), key=label.__getitem__, reverse=True)
-    w = next(w for w in by_label if deg[w] == deg[new]
-             and (w == new or _deletable(graph, w)))
+    keys = _deletion_keys(graph)
+    ranked = sorted(range(graph.n), key=lambda w: (keys[w], label[w]), reverse=True)
+    w = next(w for w in ranked if _deletable(graph, w))
     return w == new or new in _mark_orbit(w, [g.__getitem__ for g in gens], set())
 
 
@@ -433,41 +453,43 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
 
 def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
     """All validated alternating decomposition graphs within the bounds,
-    one per isomorphism class, each the union of canonical atoms, stably
-    sorted by (n, E) (see "Order" above)."""
+    one per isomorphism class, each the union of canonical atoms with
+    its bipartition, stably sorted by (n, E) (see "Order" above)."""
     min_degree = 4 if filt.require_reduced else 2
     target = filt.genus_equals
-    atoms: list[tuple[AdGraph, int]] = []
+    atoms: list[tuple[AdGraph, tuple[int, ...], int]] = []
     for atom in connected_atoms(filt.max_vertices, filt.max_edges, min_degree):
         if atom.edge_count == 0 or (filt.require_reduced and not is_reduced(atom)):
             continue
         # stage 1 proved each atom's simple graph planar and bipartite,
         # and stage 2 made every degree even: only the bipartition is new
+        sides = find_bipartition(atom)
         genus = 0 if target is None else turaev_genus_graph(
-            replace(atom, bipartition=find_bipartition(atom)))
+            replace(atom, bipartition=sides))
         if target is None or genus <= target:
-            atoms.append((atom, genus))
+            atoms.append((atom, sides, genus))
     out: list[AdGraph] = []
 
-    def rec(start: int, graph: AdGraph, genus: int):
+    def rec(start: int, n: int, edges: tuple, sides: tuple, genus: int):
         if target is None or genus == target:
-            low = 0 if graph.n else 1
-            top = filt.max_vertices - graph.n if filt.allow_isolated else 0
+            low = 0 if n else 1
+            top = filt.max_vertices - n if filt.allow_isolated else 0
             if filt.require_reduced:
                 top = min(top, low)
             for extra in range(low, top + 1):
-                whole = graph.disjoint_union(AdGraph(extra, ()))
-                out.append(replace(whole, bipartition=find_bipartition(whole)))
+                out.append(AdGraph(n + extra, edges, sides + (0,) * extra))
         for i in range(start, len(atoms)):
-            atom, atom_genus = atoms[i]
-            if graph.n + atom.n > filt.max_vertices:
+            atom, atom_sides, atom_genus = atoms[i]
+            if n + atom.n > filt.max_vertices:
                 break
-            if (graph.edge_count + atom.edge_count > filt.max_edges
+            if (len(edges) + atom.edge_count > filt.max_edges
                     or (target is not None and genus + atom_genus > target)):
                 continue
-            rec(i, graph.disjoint_union(atom), genus + atom_genus)
+            rec(i, n + atom.n,
+                edges + tuple((u + n, v + n) for u, v in atom.edges),
+                sides + atom_sides, genus + atom_genus)
 
-    rec(0, AdGraph(0, ()), 0)
+    rec(0, 0, (), (), 0)
     out.sort(key=lambda g: (g.n, g.edge_count))
     return out
 

@@ -19,7 +19,6 @@ from .diagram import (
     jones_polynomial,
     parse_pd,
     require_connected,
-    state_circle_counts,
     turaev_genus_diagram,
     write_pd,
 )
@@ -44,12 +43,12 @@ def _emit_json(payload: dict) -> None:
 
 def cmd_genus_d(args) -> int:
     diagram = parse_pd(_read(args.file))
-    s_a, s_b = state_circle_counts(diagram) if diagram.crossing_count else (0, 0)
     g = turaev_genus_diagram(diagram)
-    print(
-        f"g_T = {g}, c = {diagram.crossing_count}, "
-        f"sA+sB = {s_a + s_b}, k = {diagram.split_components}"
-    )
+    c, k = diagram.crossing_count, diagram.split_components
+    # g = (2k + c - sA - sB) / 2 holds exactly, so sA + sB needs no
+    # second pass over the two states
+    circles = 2 * k + c - 2 * g if c else 0
+    print(f"g_T = {g}, c = {c}, sA+sB = {circles}, k = {k}")
     return 0
 
 

@@ -17,7 +17,7 @@ from . import families
 from .adgraph import AdGraph, validate_adg
 from .construct import embed_planar, realize_diagram
 from .diagram import PlanarDiagram, link_component_count, parse_pd
-from .errors import TuraevError
+from .errors import BadParametersError, TuraevError
 from .perm import two_colouring
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
@@ -105,7 +105,13 @@ def random_adgraph(rng: random.Random, max_edges: int = 12) -> AdGraph:
     """A seeded random validated, embedded alternating decomposition
     graph, mixing family instances, disjoint unions, and one-sums.  The
     families and parameter choices drawn are those whose instances are
-    always bipartite, hence valid decomposition graphs."""
+    always bipartite, hence valid decomposition graphs.  Every atom has
+    at least 2 edges, so ``max_edges`` below 2 raises
+    ``BadParametersError``."""
+    if max_edges < 2:
+        raise BadParametersError(
+            f"random_adgraph needs max_edges >= 2, got {max_edges}")
+
     def atom() -> AdGraph:
         roll = rng.randrange(8)
         if roll == 0:
@@ -165,11 +171,12 @@ def alternating_knot_corpus(
     """
     from .diagram import connected_sum, is_adequate
 
-    basics: list[tuple[str, PlanarDiagram]] = [
-        (f"torus-2-{k}", torus_2k(k)) for k in range(3, max_crossings + 1, 2)
-    ]
-    basics.append(("figure-eight", figure_eight()))
-    out = list(basics)
+    # the summands below need the (2, k) torus diagrams up to k = 9
+    table = {f"torus-2-{k}": torus_2k(k)
+             for k in range(3, max(max_crossings, 9) + 1, 2)}
+    table["figure-eight"] = figure_eight()
+    out = [(name, d) for name, d in table.items()
+           if d.crossing_count <= max_crossings]
     summands = [
         ("torus-2-3", "torus-2-3"),
         ("torus-2-3", "torus-2-5"),
@@ -188,8 +195,9 @@ def alternating_knot_corpus(
         ("figure-eight", "figure-eight", "figure-eight"),
         ("torus-2-3", "torus-2-3", "torus-2-3", "torus-2-3"),
     ]
-    table = dict(basics)
     for combo in summands:
+        if sum(table[name].crossing_count for name in combo) > max_crossings:
+            continue
         diagram = table[combo[0]]
         for name in combo[1:]:
             other = table[name]
@@ -197,8 +205,6 @@ def alternating_knot_corpus(
                 diagram, next(iter(diagram.arc_ends)), other,
                 next(iter(other.arc_ends)),
             )
-        if diagram.crossing_count > max_crossings:
-            continue
         alt = make_alternating(diagram)
         assert link_component_count(alt) == 1 and is_adequate(alt)
         out.append(("#".join(combo), alt))

@@ -3,11 +3,17 @@ import itertools
 import random
 from dataclasses import replace
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from turaevgenus import census as census_module, corpus, families
-from turaevgenus.adgraph import AdGraph, turaev_genus_graph, validate_adg
+from turaevgenus.adgraph import (
+    AdGraph,
+    find_bipartition,
+    turaev_genus_graph,
+    validate_adg,
+)
 from turaevgenus.census import (
     CensusFilter,
     census,
@@ -81,6 +87,40 @@ def test_enumerated_graphs_pass_validation(filt):
     for graph in graphs:
         bare = AdGraph(graph.n, graph.edges)
         assert validate_adg(bare).bipartition == graph.bipartition
+
+
+@pytest.mark.parametrize("graphs", [
+    lambda: enumerate_adgs(CensusFilter(10, 10)),
+    lambda: enumerate_adgs(CensusFilter(8, 16, genus_equals=2)),
+    lambda: [g for cls in census(3, CensusFilter(8, 16, allow_isolated=False))
+             for g in cls.members],
+], ids=["all-10-10", "genus2-16", "reduced-genus3-census-16"])
+def test_carried_bipartition_is_the_two_colouring(graphs):
+    """``enumerate_adgs`` concatenates its atoms' bipartitions, and side
+    0 for each isolated vertex; that is the two-colouring that
+    ``find_bipartition`` gives the whole graph."""
+    found = graphs()
+    assert len(found) > 20
+    for graph in found:
+        assert graph.bipartition == find_bipartition(graph)
+
+
+def test_bipartition_found_once_per_atom(monkeypatch):
+    """With the atoms cached, ``enumerate_adgs`` two-colours each atom
+    with edges once, not each of the 1,100 graphs it returns."""
+    filt = CensusFilter(10, 10)
+    enumerate_adgs(filt)
+    calls = []
+    real = census_module.find_bipartition
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(census_module, "find_bipartition", counting)
+    graphs = enumerate_adgs(filt)
+    atoms = [a for a in connected_atoms(10, 10) if a.edge_count]
+    assert (len(calls), len(graphs)) == (len(atoms), 1100) == (139, 1100)
 
 
 def test_census_two_vertices():
@@ -323,14 +363,15 @@ def test_stage2_makes_no_canonical_form_call(monkeypatch):
     assert len(atoms) == 399
 
 
-@pytest.mark.parametrize("bounds,calls", [((10, 10, 2), 240), ((8, 16, 4), 307)])
+@pytest.mark.parametrize("bounds,calls", [((10, 10, 2), 148), ((8, 16, 4), 222)],
+                         ids=["10-10-2", "8-16-4"])
 def test_stage1_canonicalises_one_neighbour_set_per_orbit(monkeypatch, bounds, calls):
     """Stage 1 extends each parent only by the first-tried neighbour set
-    of each orbit under the parent's automorphisms, and skips a child that
-    an earlier parent with fewer edges has grown, so it canonicalises
+    of each orbit under the parent's automorphisms, and skips a child
+    whose new vertex a deletable vertex outranks, so it canonicalises
     fewer children (649 and 1,096 when every set was tried, 369 and 666
-    with the orbit prune alone); the output is pinned against the
-    unpruned oracle above."""
+    with the orbit prune alone, 240 and 307 when the rank was the degree
+    alone); the output is pinned against the unpruned oracle above."""
     counted = []
     real = census_module.canonical_search
 
@@ -344,39 +385,38 @@ def test_stage1_canonicalises_one_neighbour_set_per_orbit(monkeypatch, bounds, c
     assert len(counted) == calls
 
 
-@pytest.mark.parametrize("bounds,skips", [((10, 10, 2), 129), ((8, 16, 4), 359)])
-def test_skipped_children_repeat_an_earlier_form(monkeypatch, bounds, skips):
-    """Every child that the earlier-parent test skips has the canonical
-    form of a child that an earlier search at its level returned, so a
-    search would only have met that form again; the counts show that
-    the test does skip."""
-    returned: dict[int, set] = {}
+@pytest.mark.parametrize("bounds,skips,nonplanar", [
+    ((10, 10, 2), 221, 0),
+    ((8, 16, 4), 444, 22),
+], ids=["10-10-2", "8-16-4"])
+def test_skipped_children_are_kept_classes_or_nonplanar(
+        monkeypatch, bounds, skips, nonplanar):
+    """Every child that the rank test skips fits the edge budget, so its
+    canonical form is a class that its level keeps, or it is not planar:
+    a search would have found nothing new.  The counts show that the
+    test does skip."""
     skipped = []
-    real_test = census_module._has_an_earlier_parent
-    real_search = census_module.canonical_search
+    real_test = census_module._outranked
 
-    def testing(graph, new_degree):
-        skip = real_test(graph, new_degree)
+    def testing(graph):
+        skip = real_test(graph)
         if skip:
-            skipped.append(real_search(graph)[0] in returned.get(graph.n, ()))
+            skipped.append(graph)
         return skip
 
-    def searching(graph):
-        result = real_search(graph)
-        returned.setdefault(graph.n, set()).add(result[0])
-        return result
-
-    monkeypatch.setattr(census_module, "_has_an_earlier_parent", testing)
-    monkeypatch.setattr(census_module, "canonical_search", searching)
+    monkeypatch.setattr(census_module, "_outranked", testing)
     monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
-    simple_connected_graphs(*bounds)
-    assert skipped == [True] * skips
+    kept = {(g.n, g.edges) for g, _ in simple_connected_graphs(*bounds)}
+    planar = [nx.check_planarity(nx.Graph(g.edges))[0] for g in skipped]
+    assert all(canonical_form(g) in kept
+               for g, is_planar in zip(skipped, planar) if is_planar)
+    assert (len(skipped), planar.count(False)) == (skips, nonplanar)
 
 
 @pytest.mark.parametrize("bounds,accepted,rejected", [
-    ((10, 10, 2), 138, 102),
-    ((8, 16, 4), 211, 96),
-])
+    ((10, 10, 2), 138, 10),
+    ((8, 16, 4), 212, 10),
+], ids=["10-10-2", "8-16-4"])
 def test_stage1_accepts_each_class_exactly_once(monkeypatch, bounds, accepted,
                                                 rejected):
     """Every child that the canonical deletion rule accepts has a

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from turaevgenus import cli, corpus, verify
+from turaevgenus import cli, corpus, diagram, verify
 from turaevgenus.adgraph import (
     MAX_GRAPH_VERTICES,
     parse_graph_file,
@@ -39,6 +39,22 @@ def test_genus_d(capsys, trefoil_file):
     code, out, _ = run(capsys, "genus-d", trefoil_file)
     assert code == 0
     assert out.strip() == "g_T = 0, c = 3, sA+sB = 5, k = 1"
+
+
+def test_genus_d_counts_state_circles_once(capsys, monkeypatch, trefoil_file):
+    """One all-A and one all-B smoothing per run: sA + sB is read off
+    the genus, not counted again."""
+    calls = []
+    real = diagram.resolve_state
+
+    def counting(d, state):
+        calls.append(state[0])
+        return real(d, state)
+
+    monkeypatch.setattr(diagram, "resolve_state", counting)
+    code, out, _ = run(capsys, "genus-d", trefoil_file)
+    assert (code, out) == (0, "g_T = 0, c = 3, sA+sB = 5, k = 1\n")
+    assert calls == ["A", "B"]
 
 
 def test_genus_g(capsys, c22_file):
