@@ -594,44 +594,27 @@ def to_ribbon(graph: AdGraph, twisted: bool = False) -> RibbonGraph:
 # -- the genus recursion ------------------------------------------------------------
 
 
-class _FirstChoice:
-    """Deterministic choice: the head of the worklist.
-
-    The worklists lose members by swap-pop, so the head is not the lowest
-    vertex or pair; it is fixed by the input's edge order alone.
-    """
-
-    def pick(self, options):
-        return options[0]
-
-
-class RandomChoice:
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-
-    def pick(self, options):
-        return options[self.rng.randrange(len(options))]
-
-
-def turaev_genus_graph(graph: AdGraph, chooser=None) -> int:
+def turaev_genus_graph(graph: AdGraph, rng: random.Random | None = None) -> int:
     """Turaev genus of a validated alternating decomposition graph.
 
-    ``chooser.pick(options)`` is handed a worklist, either the degree-two
-    vertices or the parallel pairs as ``(u, w)`` with ``u < w``, and
-    returns one member; the result is choice-independent.  The recursion
-    runs in O(E log E): each step costs the degree of the vertices it
-    touches, a contraction moves the smaller adjacency map into the
-    larger, and connectivity is settled once for the whole run (see
-    ``_genus_recursion``).
+    Each step takes a member of a worklist, either the degree-two
+    vertices or the parallel pairs as ``(u, w)`` with ``u < w``: its
+    head, or ``rng.choice`` of it when ``rng`` is given; the result is
+    choice-independent.  The worklists lose members by swap-pop, so the
+    head is not the lowest vertex or pair; it is fixed by the input's
+    edge order alone.  The recursion runs in O(E log E): each step costs
+    the degree of the vertices it touches, a contraction moves the
+    smaller adjacency map into the larger, and connectivity is settled
+    once for the whole run (see ``_genus_recursion``).
     """
     if graph.bipartition is None:
         raise NotValidatedError("call validate_adg first")
-    return _genus_recursion(graph.edges, chooser or _FirstChoice())
+    return _genus_recursion(graph.edges, rng)
 
 
 class _Worklist:
-    """A set kept as a flat list, so that ``items`` is handed to the
-    chooser as is; removal swaps the last item into the hole."""
+    """A set kept as a flat list, so that a choice reads ``items`` as
+    is; removal swaps the last item into the hole."""
 
     __slots__ = ("items", "_at")
 
@@ -657,7 +640,9 @@ def _pair(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
-def _genus_recursion(edge_list: Iterable[tuple[int, int]], chooser) -> int:
+def _genus_recursion(
+    edge_list: Iterable[tuple[int, int]], rng: random.Random | None = None
+) -> int:
     """Contract a degree-two vertex while there is one, else delete a
     parallel pair, and count the deletions whose ends stay connected.
 
@@ -687,7 +672,7 @@ def _genus_recursion(edge_list: Iterable[tuple[int, int]], chooser) -> int:
     remaining = len(edges)
     while remaining:
         if deg2.items:
-            v = chooser.pick(deg2.items)
+            v = deg2.items[0] if rng is None else rng.choice(deg2.items)
             ends = list(adj[v])  # one doubled neighbour, or two single ones
             a, b = ends[0], ends[-1]
             live -= len(ends)  # v goes, and one of a, b when they differ
@@ -715,7 +700,7 @@ def _genus_recursion(edge_list: Iterable[tuple[int, int]], chooser) -> int:
                 deg2.mark(b, False)
             deg2.mark(a, deg[a] == 2)
         elif pairs.items:
-            u, w = chooser.pick(pairs.items)
+            u, w = pairs.items[0] if rng is None else rng.choice(pairs.items)
             m = adj[u][w] - 2
             if m:
                 adj[u][w] = adj[w][u] = m

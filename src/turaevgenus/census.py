@@ -54,10 +54,12 @@ C = P + v exactly when v lies in the orbit of w*(C) (McKay,
 Brinkmann and McKay's plantri rank by vertex invariants too).  An
 automorphism keeps keys, so when a deletable vertex has a higher key
 than v, v lies outside that orbit, and stage 1 rejects it before the
-search.  Every class is
-reached: for C on the level's vertex count with B(C) <= max_e, C - w*
-is connected, bipartite and planar with need bound at most C's, so its
-canonical form P* is kept, and an isomorphism onto P* maps N(w*) to a
+search.  Otherwise w* has v's key, since v is deletable (P is
+connected), so only the vertices that share that key are ranked by
+label, and v itself is never tested.  Every class is reached: for C
+on the level's vertex count with B(C) <= max_e, C - w* is connected,
+bipartite and planar with need bound at most C's, so its canonical
+form P* is kept, and an isomorphism onto P* maps N(w*) to a
 set S on one side of P*.  The first-tried member S' of S's orbit under
 Aut(P*) gives a child P* + S' isomorphic to C with the new vertex as
 w*, which passes the budget, the need bound and the rule.  Each class
@@ -68,7 +70,8 @@ isomorphism from P1 onto P2 that maps S1 onto S2.  A level keeps one
 parent per class, so P1 = P2, S1 and S2 share an orbit of Aut(P1), and
 one set per orbit is tried: S1 = S2.  No table of the forms met is
 needed.  A planar graph's canonical parent is planar, so planarity is
-tested once per accepted class.
+tested once per accepted class, and each accepted class is two-coloured
+once, on its canonical form, where it is kept.
 
 The odd sets are the cycle space.  In a multigraph with every degree
 even, each vertex meets an even number of odd-multiplicity edges, so
@@ -112,12 +115,13 @@ a reduced query adds an isolated vertex only to the empty combination.
 Order.  Stage-1 levels and the atoms are sorted by (n, E, edges).
 Atoms combine in pre-order with nondecreasing indices, so a graph is
 the union of its atoms in that order plus its isolated vertices: like
-each atom, it is a function of its class.  Each atom is connected, so
-its two-colouring puts its vertex 0 on side 0; the atoms' sides in
-that order, then side 0 for each isolated vertex, are the union's
-two-colouring with the least vertex of each component on side 0,
-which is what ``find_bipartition`` gives, so each atom is coloured
-once and each graph is built once.  A dropped atom, or a subtree
+each atom, it is a function of its class.  An atom carries its simple
+graph's two-colouring, made in stage 1, since multiplicities move no
+vertex across; it is connected, so vertex 0 is on side 0.  The atoms'
+sides in that order, then side 0 for each isolated vertex, are the
+union's two-colouring with the least vertex of each component on side
+0, which is what ``find_bipartition`` gives, so no graph is coloured
+again and each graph is built once.  A dropped atom, or a subtree
 already over the genus (genera are nonnegative), holds only graphs that
 a whole-graph filter would reject, and dropping keeps the atoms'
 relative order; so the survivors come out in the unfiltered order, and
@@ -203,8 +207,9 @@ def simple_connected_graphs(
 ) -> list[tuple[AdGraph, list[list[int]]]]:
     """The single vertex and, one per isomorphism class, the connected
     simple bipartite planar graphs with at most ``max_v`` vertices whose
-    need bound fits ``max_e``, each as its canonical form with generators
-    of its automorphism group, sorted by (n, E, edges): every graph that
+    need bound fits ``max_e``, each as its canonical form carrying its
+    bipartition, with generators of its automorphism group, sorted by
+    (n, E, edges): every graph that
     can take even multiplicities, each at least 1, with every degree at
     least ``min_degree`` and at most ``max_e`` edges in all.  Each level
     accepts each class once, from its canonical parent, whose neighbour
@@ -217,7 +222,7 @@ def simple_connected_graphs(
     def need(d: int) -> int:
         return max(d + d % 2, min_degree)
 
-    levels = [[(AdGraph(1, ()), [])]]
+    levels = [[(AdGraph(1, (), (0,)), [])]]
     out = list(levels[0])
     for v in range(2, max_v + 1):
         level = []
@@ -227,7 +232,7 @@ def simple_connected_graphs(
             gain = [need(d + 1) - need(d) for d in parent.degrees()]
             relabel = [functools.partial(_image_of_set, g) for g in parent_gens]
             reached: set[tuple[int, ...]] = set()
-            side = find_bipartition(parent)
+            side = parent.bipartition
             sides = [[u for u in range(v - 1) if side[u] == s] for s in (0, 1)]
             for nbrs in itertools.chain.from_iterable(
                 itertools.combinations(part, size)
@@ -238,12 +243,11 @@ def simple_connected_graphs(
                     continue
                 _mark_orbit(nbrs, relabel, reached)
                 child = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
-                if _outranked(child):
-                    continue
-                key, label, gens = canonical_search(child)
-                if (_is_canonical_deletion(child, label, gens)
-                        and _is_planar_bipartite(v, child.edges)):
-                    level.append((AdGraph(v, key[1]),
+                found = _canonical_deletion(child)
+                if found is not None and _is_planar_bipartite(v, child.edges):
+                    key, label, gens = found
+                    form = AdGraph(v, key[1])
+                    level.append((AdGraph(v, form.edges, find_bipartition(form)),
                                   [_conjugate(g, label) for g in gens]))
         level.sort(key=lambda kept: _census_order(kept[0]))
         levels.append(level)
@@ -274,24 +278,24 @@ def _deletion_keys(graph: AdGraph) -> list[tuple[int, list[int]]]:
     return list(zip(deg, around))
 
 
-def _outranked(graph: AdGraph) -> bool:
-    """Whether a deletable vertex of ``graph`` has a higher key than the
-    last: the rule's half that runs before the search."""
-    *keys, new = _deletion_keys(graph)
-    return any(key > new and _deletable(graph, w) for w, key in enumerate(keys))
-
-
-def _is_canonical_deletion(
-    graph: AdGraph, label: list[int], gens: list[list[int]]
-) -> bool:
-    """Whether the last vertex of ``graph`` lies in the orbit under
-    ``gens`` of the deletable vertex with the highest key and, among
-    those, the greatest ``label`` (see "Canonical deletion")."""
-    new = graph.n - 1
+def _canonical_deletion(graph: AdGraph) -> tuple | None:
+    """The canonical search of ``graph`` when its last vertex, the new
+    one, lies in the orbit of w*, else ``None`` (see "Canonical
+    deletion").  The new vertex is deletable, so it is rejected before
+    the search when a deletable vertex has a higher key, and otherwise
+    w* is among the vertices that share its key."""
     keys = _deletion_keys(graph)
-    ranked = sorted(range(graph.n), key=lambda w: (keys[w], label[w]), reverse=True)
-    w = next(w for w in ranked if _deletable(graph, w))
-    return w == new or new in _mark_orbit(w, [g.__getitem__ for g in gens], set())
+    new = graph.n - 1
+    if any(key > keys[new] and _deletable(graph, w) for w, key in enumerate(keys)):
+        return None
+    found = canonical_search(graph)
+    _, label, gens = found
+    tied = sorted((w for w, key in enumerate(keys) if key == keys[new]),
+                  key=label.__getitem__, reverse=True)
+    w = next(w for w in tied if w == new or _deletable(graph, w))
+    if w == new or new in _mark_orbit(w, [g.__getitem__ for g in gens], set()):
+        return found
+    return None
 
 
 def _conjugate(g: list[int], label: list[int]) -> list[int]:
@@ -428,12 +432,14 @@ def _image_of_assignment(
 
 
 def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph]:
-    """Connected validated alternating decomposition graphs (and the
-    single vertex) up to isomorphism within the bounds."""
+    """Connected alternating decomposition graphs (and the single
+    vertex) up to isomorphism within the bounds, each a canonical
+    representative carrying its simple graph's bipartition, so the genus
+    recursion takes it as it is; sorted by (n, E, edges)."""
     cached = _ATOM_CACHE.get((max_v, max_e, min_degree))
     if cached is not None:
         return cached
-    atoms: list[AdGraph] = [AdGraph(1, ())]
+    atoms: list[AdGraph] = [AdGraph(1, (), (0,))]
     for simple, gens in simple_connected_graphs(max_v, max_e, min_degree):
         if simple.edge_count == 0:
             continue
@@ -441,7 +447,7 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
             edges = []
             for e, mult in zip(simple.edges, assign):
                 edges.extend([e] * mult)
-            atoms.append(AdGraph(simple.n, tuple(sorted(edges))))
+            atoms.append(AdGraph(simple.n, tuple(sorted(edges)), simple.bipartition))
     atoms.sort(key=_census_order)
     _ATOM_CACHE[(max_v, max_e, min_degree)] = atoms
     return atoms
@@ -452,22 +458,19 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
 
 
 def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
-    """All validated alternating decomposition graphs within the bounds,
-    one per isomorphism class, each the union of canonical atoms with
-    its bipartition, stably sorted by (n, E) (see "Order" above)."""
+    """All alternating decomposition graphs within the bounds, one per
+    isomorphism class, each the union of canonical atoms carrying the
+    atoms' bipartitions in order, stably sorted by (n, E) (see "Order"
+    above).  Nothing is two-coloured or validated again here."""
     min_degree = 4 if filt.require_reduced else 2
     target = filt.genus_equals
-    atoms: list[tuple[AdGraph, tuple[int, ...], int]] = []
+    atoms: list[tuple[AdGraph, int]] = []
     for atom in connected_atoms(filt.max_vertices, filt.max_edges, min_degree):
         if atom.edge_count == 0 or (filt.require_reduced and not is_reduced(atom)):
             continue
-        # stage 1 proved each atom's simple graph planar and bipartite,
-        # and stage 2 made every degree even: only the bipartition is new
-        sides = find_bipartition(atom)
-        genus = 0 if target is None else turaev_genus_graph(
-            replace(atom, bipartition=sides))
+        genus = 0 if target is None else turaev_genus_graph(atom)
         if target is None or genus <= target:
-            atoms.append((atom, sides, genus))
+            atoms.append((atom, genus))
     out: list[AdGraph] = []
 
     def rec(start: int, n: int, edges: tuple, sides: tuple, genus: int):
@@ -479,7 +482,7 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
             for extra in range(low, top + 1):
                 out.append(AdGraph(n + extra, edges, sides + (0,) * extra))
         for i in range(start, len(atoms)):
-            atom, atom_sides, atom_genus = atoms[i]
+            atom, atom_genus = atoms[i]
             if n + atom.n > filt.max_vertices:
                 break
             if (len(edges) + atom.edge_count > filt.max_edges
@@ -487,7 +490,7 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
                 continue
             rec(i, n + atom.n,
                 edges + tuple((u + n, v + n) for u, v in atom.edges),
-                sides + atom_sides, genus + atom_genus)
+                sides + atom.bipartition, genus + atom_genus)
 
     rec(0, 0, (), (), 0)
     out.sort(key=lambda g: (g.n, g.edge_count))

@@ -24,7 +24,7 @@ from . import adgraph
 from .adgraph import AdGraph
 from .diagram import PlanarDiagram, classify_arcs
 from .errors import TuraevError
-from .perm import components, cycles, orbits
+from .perm import components, cycles
 from .ribbon import ribbon_genus
 
 
@@ -47,9 +47,13 @@ class Decomposition:
     edge_arcs: tuple[int, ...]
     #: '+' / '-' per graph edge
     signs: tuple[str, ...]
-    r_alt: int
     #: per alternating region, the sorted curve indices on its boundary
     region_curves: tuple[tuple[int, ...], ...]
+
+    @property
+    def r_alt(self) -> int:
+        """The number of alternating regions."""
+        return len(self.region_curves)
 
 
 def decompose(diagram: PlanarDiagram) -> Decomposition:
@@ -103,8 +107,7 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
             succ[point[partner[h]]] = point[g]
 
     # curves: cycles of the join successor, in first-encounter order
-    curve_of, _ = orbits(succ)
-    point_cycles = cycles(succ)
+    curve_of, point_cycles = cycles(succ)
     curves = [
         tuple(MarkedPoint(na_arcs[p >> 1], p & 1) for p in cycle)
         for cycle in point_cycles
@@ -145,7 +148,6 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
         graph=graph,
         edge_arcs=tuple(na_arcs),
         signs=tuple(kinds[arc].sign for arc in na_arcs),
-        r_alt=count,
         region_curves=tuple(sorted(tuple(sorted(cs)) for cs in touched)),
     )
 

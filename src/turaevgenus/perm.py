@@ -67,18 +67,19 @@ def least_points(labels: Sequence[int]) -> list[int]:
     return out
 
 
-def cycles(step: Sequence[int]) -> list[list[int]]:
-    """Each orbit of ``step`` as its points in walk order from its least
-    point, orbits in label order."""
+def cycles(step: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The ``orbits`` labels of ``step``, and each orbit as its points
+    in walk order from its least point, orbits in label order."""
+    labels, _ = orbits(step)
     out: list[list[int]] = []
-    for h0 in least_points(orbits(step)[0]):
+    for h0 in least_points(labels):
         cycle = [h0]
         h = step[h0]
         while h != h0:
             cycle.append(h)
             h = step[h]
         out.append(cycle)
-    return out
+    return labels, out
 
 
 def components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import adgraph, construct, corpus, diagram, families, ribbon
-from .adgraph import AdGraph, RandomChoice
+from .adgraph import AdGraph
 from .decompose import decompose
 from .diagram import PlanarDiagram, write_pd
 from .errors import BadParametersError
@@ -184,7 +184,8 @@ def suite_graph_recursion(rng: random.Random, iters: int) -> SuiteResult:
         dump = adgraph.write_graph_file(graph)
         g = adgraph.turaev_genus_graph(graph)
         res.check(
-            adgraph.turaev_genus_graph(graph, RandomChoice(rng.randrange(10**6))) == g,
+            adgraph.turaev_genus_graph(
+                graph, random.Random(rng.randrange(10**6))) == g,
             dump,
         )
         res.check(

@@ -25,7 +25,7 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     na_arcs = sorted(a for a, k in kinds.items() if not k.alternating)
     na_set = set(na_arcs)
 
-    faces = cycles(diagram.face_step())
+    _, faces = cycles(diagram.face_step())
 
     # emissions[face] = list of (marked point, traversal position, emission slot)
     emissions: list[list[tuple[MarkedPoint, int, int]]] = []
@@ -59,7 +59,7 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     # curves: cycles of the join successor, in first-encounter order
     curves = [
         tuple(MarkedPoint(na_arcs[i >> 1], i & 1) for i in cycle)
-        for cycle in cycles(succ)
+        for cycle in cycles(succ)[1]
     ]
     curve_of = {mp: ci for ci, curve in enumerate(curves) for mp in curve}
 
@@ -89,7 +89,7 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
     graph = AdGraph(n_vertices, tuple(edges), rotations=tuple(rotations))
     graph = adgraph.validate_adg(graph)
 
-    r_alt, region_curves = _alternating_regions(
+    region_curves = _alternating_regions(
         diagram, faces, emissions, curve_of, na_set
     )
 
@@ -98,14 +98,13 @@ def decompose(diagram: PlanarDiagram) -> Decomposition:
         graph=graph,
         edge_arcs=tuple(na_arcs),
         signs=tuple(signs),
-        r_alt=r_alt,
         region_curves=region_curves,
     )
 
 
 def _alternating_regions(diagram, faces, emissions, curve_of, na_set):
-    """Count regions of the sphere complement of the curves that contain
-    crossings, and record which curves bound each.
+    """The regions of the sphere complement of the curves that contain
+    crossings, each as the sorted curves that bound it.
 
     The chords of a face cut it into one central piece (bounded by chords
     and arc middles only, hence crossing-free) and one outer piece per
@@ -168,7 +167,4 @@ def _alternating_regions(diagram, faces, emissions, curve_of, na_set):
     for pid, curve in curve_touch:
         if region[pid] in crossing_regions:
             crossing_regions[region[pid]].add(curve)
-    region_curves = tuple(
-        sorted(tuple(sorted(cs)) for cs in crossing_regions.values())
-    )
-    return len(crossing_regions), region_curves
+    return tuple(sorted(tuple(sorted(cs)) for cs in crossing_regions.values()))

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from turaevgenus import corpus, perm
 from turaevgenus.adgraph import (
     AdGraph,
-    RandomChoice,
-    _FirstChoice,
     _genus_recursion,
     check_sphere_embedding,
     nullity,
@@ -288,7 +286,7 @@ def test_figure_genus_five():
 def test_randomized_choices_agree():
     g = validate_adg(hub_and_chains_graph())
     for seed in range(8):
-        assert turaev_genus_graph(g, RandomChoice(seed)) == 5
+        assert turaev_genus_graph(g, random.Random(seed)) == 5
 
 
 def test_simplify_and_nullity():
@@ -346,7 +344,7 @@ def test_twisted_oracle_matches_recursion():
 
 # -- the worklist recursion against the rescanning one -------------------------
 
-def quadratic_genus_recursion(edge_list, chooser) -> int:
+def quadratic_genus_recursion(edge_list, rng=None) -> int:
     """The recursion as first written: every step recounts degrees and
     multiplicities over all edges, relabels every edge on a contraction
     and runs a fresh union-find after each deletion.  O(E^2)."""
@@ -360,7 +358,7 @@ def quadratic_genus_recursion(edge_list, chooser) -> int:
             deg[v] = deg.get(v, 0) + 1
         deg2 = sorted(v for v, d in deg.items() if d == 2)
         if deg2:
-            v = chooser.pick(deg2)
+            v = deg2[0] if rng is None else rng.choice(deg2)
             i1, i2 = [i for i, e in enumerate(edges) if v in e]
             a = edges[i1][0] if edges[i1][1] == v else edges[i1][1]
             b = edges[i2][0] if edges[i2][1] == v else edges[i2][1]
@@ -380,7 +378,7 @@ def quadratic_genus_recursion(edge_list, chooser) -> int:
                 mult.setdefault((min(u, v), max(u, v)), []).append(i)
             pairs = sorted(k for k, idx in mult.items() if len(idx) >= 2)
             assert pairs, "no degree-two vertex and no parallel pair"
-            u, v = chooser.pick(pairs)
+            u, v = pairs[0] if rng is None else rng.choice(pairs)
             i1, i2 = mult[(u, v)][:2]
             rest = [e for i, e in enumerate(edges) if i != i1 and i != i2]
             comp, _ = perm.components(n, rest)
@@ -391,14 +389,14 @@ def quadratic_genus_recursion(edge_list, chooser) -> int:
 
 
 def choosers():
-    return [_FirstChoice(), RandomChoice(1), RandomChoice(2)]
+    return [None, random.Random(1), random.Random(2)]
 
 
 def assert_matches_oracle(graph: AdGraph) -> None:
-    expected = quadratic_genus_recursion(graph.edges, _FirstChoice())
-    for chooser in choosers():
-        assert _genus_recursion(graph.edges, chooser) == expected, graph
-    assert quadratic_genus_recursion(graph.edges, RandomChoice(3)) == expected
+    expected = quadratic_genus_recursion(graph.edges)
+    for rng in choosers():
+        assert _genus_recursion(graph.edges, rng) == expected, graph
+    assert quadratic_genus_recursion(graph.edges, random.Random(3)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -427,11 +425,11 @@ def test_recursion_scales():
 def test_contraction_creating_a_loop_rejected():
     # the path 0-1-2 plus the edge 0-2: every contraction closes a loop
     with pytest.raises(TuraevError, match="created a loop"):
-        _genus_recursion([(0, 1), (1, 2), (0, 2)], _FirstChoice())
+        _genus_recursion([(0, 1), (1, 2), (0, 2)])
 
 
 def test_stuck_recursion_rejected():
     # the simple K_{4,4}: every degree is four and no edge is doubled
     k44 = [(u, v) for u in range(4) for v in range(4, 8)]
     with pytest.raises(TuraevError, match="no degree-two vertex"):
-        _genus_recursion(k44, _FirstChoice())
+        _genus_recursion(k44)

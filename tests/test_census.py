@@ -106,10 +106,10 @@ def test_carried_bipartition_is_the_two_colouring(graphs):
 
 
 def test_bipartition_found_once_per_atom(monkeypatch):
-    """With the atoms cached, ``enumerate_adgs`` two-colours each atom
-    with edges once, not each of the 1,100 graphs it returns."""
-    filt = CensusFilter(10, 10)
-    enumerate_adgs(filt)
+    """A cold stage 1 two-colours each kept class with edges once, on
+    its canonical form; the atoms carry their simple graph's sides, so a
+    warm ``enumerate_adgs`` two-colours none of its 139 atoms and 1,100
+    graphs."""
     calls = []
     real = census_module.find_bipartition
 
@@ -118,9 +118,18 @@ def test_bipartition_found_once_per_atom(monkeypatch):
         return real(graph)
 
     monkeypatch.setattr(census_module, "find_bipartition", counting)
+    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(census_module, "_ATOM_CACHE", {})
+    filt = CensusFilter(10, 10)
+    enumerate_adgs(filt)
+    classes = [g for g, _ in simple_connected_graphs(10, 10) if g.edge_count]
+    assert (sorted((g.n, g.edges) for g in calls)
+            == sorted((g.n, g.edges) for g in classes))
+    assert len(calls) == 138
+    calls.clear()
     graphs = enumerate_adgs(filt)
     atoms = [a for a in connected_atoms(10, 10) if a.edge_count]
-    assert (len(calls), len(graphs)) == (len(atoms), 1100) == (139, 1100)
+    assert (len(calls), len(atoms), len(graphs)) == (0, 139, 1100)
 
 
 def test_census_two_vertices():
@@ -391,20 +400,29 @@ def test_stage1_canonicalises_one_neighbour_set_per_orbit(monkeypatch, bounds, c
 ], ids=["10-10-2", "8-16-4"])
 def test_skipped_children_are_kept_classes_or_nonplanar(
         monkeypatch, bounds, skips, nonplanar):
-    """Every child that the rank test skips fits the edge budget, so its
+    """Every child that the rank test skips, so that the canonical
+    deletion rule returns without a search, fits the edge budget, so its
     canonical form is a class that its level keeps, or it is not planar:
     a search would have found nothing new.  The counts show that the
     test does skip."""
     skipped = []
-    real_test = census_module._outranked
+    searched = []
+    real_rule = census_module._canonical_deletion
+    real_search = census_module.canonical_search
 
-    def testing(graph):
-        skip = real_test(graph)
-        if skip:
+    def search(graph):
+        searched.append(graph)
+        return real_search(graph)
+
+    def rule(graph):
+        before = len(searched)
+        found = real_rule(graph)
+        if len(searched) == before:
             skipped.append(graph)
-        return skip
+        return found
 
-    monkeypatch.setattr(census_module, "_outranked", testing)
+    monkeypatch.setattr(census_module, "canonical_search", search)
+    monkeypatch.setattr(census_module, "_canonical_deletion", rule)
     monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     kept = {(g.n, g.edges) for g, _ in simple_connected_graphs(*bounds)}
     planar = [nx.check_planarity(nx.Graph(g.edges))[0] for g in skipped]
@@ -427,27 +445,90 @@ def test_stage1_accepts_each_class_exactly_once(monkeypatch, bounds, accepted,
     verdicts = []
     forms = []
     tested = []
-    real_rule = census_module._is_canonical_deletion
+    searched = []
+    real_rule = census_module._canonical_deletion
+    real_search = census_module.canonical_search
     real_planar = census_module._is_planar_bipartite
 
-    def rule(graph, label, gens):
-        accept = real_rule(graph, label, gens)
-        verdicts.append(accept)
-        if accept:
+    def search(graph):
+        searched.append(graph)
+        return real_search(graph)
+
+    def rule(graph):
+        before = len(searched)
+        found = real_rule(graph)
+        if len(searched) > before:
+            verdicts.append(found is not None)
+        if found is not None:
             forms.append(canonical_form(graph))
-        return accept
+        return found
 
     def planar(n, edges):
         tested.append(canonical_form(AdGraph(n, edges)))
         return real_planar(n, edges)
 
-    monkeypatch.setattr(census_module, "_is_canonical_deletion", rule)
+    monkeypatch.setattr(census_module, "canonical_search", search)
+    monkeypatch.setattr(census_module, "_canonical_deletion", rule)
     monkeypatch.setattr(census_module, "_is_planar_bipartite", planar)
     monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     simple_connected_graphs(*bounds)
     assert len(set(forms)) == len(forms) == accepted
     assert tested == forms
     assert verdicts.count(False) == rejected
+
+
+def _count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every call to ``census.<name>``."""
+    calls = []
+    real = getattr(census_module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(census_module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("bounds,children", [
+    ((10, 10, 2), 369),
+    ((8, 16, 4), 666),
+], ids=["10-10-2", "8-16-4"])
+def test_deletion_keys_computed_once_per_child(monkeypatch, bounds, children):
+    """Each child that reaches the canonical deletion rule has its
+    vertex keys computed once, for the test before the search and the
+    ranking after it alike."""
+    rules = _count_calls(monkeypatch, "_canonical_deletion")
+    keys = _count_calls(monkeypatch, "_deletion_keys")
+    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
+    simple_connected_graphs(*bounds)
+    assert [args[0] for args in keys] == [args[0] for args in rules]
+    assert len(rules) == children
+
+
+@pytest.mark.parametrize("bounds,asked", [
+    ((10, 10, 2), 653),
+    ((8, 16, 4), 853),
+], ids=["10-10-2", "8-16-4"])
+def test_new_vertex_never_tested_for_deletability(monkeypatch, bounds, asked):
+    """The new vertex of a child is deletable, since its parent is
+    connected, so the rule never asks about it."""
+    calls = _count_calls(monkeypatch, "_deletable")
+    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
+    simple_connected_graphs(*bounds)
+    assert all(w != graph.n - 1 for graph, w in calls)
+    assert len(calls) == asked
+
+
+@pytest.mark.parametrize("bounds", [(10, 10), (8, 16, 4)])
+def test_atoms_carry_their_two_colouring(bounds):
+    """Every atom, the single vertex included, carries the bipartition
+    that ``find_bipartition`` gives it, so the genus recursion takes it
+    as it is."""
+    atoms = connected_atoms(*bounds)
+    assert len(atoms) > 100
+    for atom in atoms:
+        assert atom.bipartition == find_bipartition(atom)
 
 
 @st.composite
@@ -495,8 +576,7 @@ def _accepted_deletions(graph: AdGraph) -> set[int]:
             continue
         order = [v for v in range(graph.n) if v != w] + [w]
         moved = graph.relabeled([order.index(v) for v in range(graph.n)])
-        _, label, gens = canonical_search(moved)
-        if census_module._is_canonical_deletion(moved, label, gens):
+        if census_module._canonical_deletion(moved) is not None:
             accepted.add(w)
     return accepted
 

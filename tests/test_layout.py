@@ -33,7 +33,14 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   order-fixing hash;
 * ``census.simple_connected_graphs`` builds no dict: stage 1 accepts
   each class once by its canonical deletion and keeps no per-level
-  table of the forms it has met.
+  table of the forms it has met;
+* ``_deletion_keys`` and ``_deletable`` are called only by
+  ``census._canonical_deletion``, the one call that decides a stage-1
+  child;
+* in ``census``, ``find_bipartition`` is called only by
+  ``simple_connected_graphs``, once per kept class, and no ``replace``
+  call passes ``bipartition=``: atoms and the graphs built from them
+  carry the sides stage 1 found.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -235,3 +242,25 @@ def test_stage1_keeps_no_table_of_forms():
     # the scan sees each way of building one
     for code in ("seen = {}", "seen = {k: 1 for k in ks}", "seen = dict(ks)"):
         assert _builds_a_dict(ast.parse(code)), code
+
+
+def test_canonical_deletion_is_decided_in_one_call():
+    for helper in ("_deletion_keys", "_deletable"):
+        assert _call_sites(helper) == {"census._canonical_deletion"}, helper
+
+
+def _replaces_bipartition(tree: ast.AST) -> list[ast.Call]:
+    """The ``replace`` calls in ``tree`` that pass ``bipartition=``."""
+    return [n for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "replace"
+            and any(k.arg == "bipartition" for k in n.keywords)]
+
+
+def test_census_two_colours_only_in_stage1():
+    sites = _call_sites("find_bipartition")
+    assert {s for s in sites if s.startswith("census.")} == {
+        "census.simple_connected_graphs"}
+    assert _replaces_bipartition(_modules()["census"]) == []
+    # the scan sees two-colourings and bipartition replaces elsewhere
+    assert "adgraph.validate_adg" in sites
+    assert _replaces_bipartition(_modules()["adgraph"])

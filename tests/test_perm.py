@@ -70,8 +70,10 @@ def test_orbits_are_the_cycles(step):
     labels, count = orbits(step)
     expected = naive_classes(len(step), lambda x, y: step[x] == y or step[y] == x)
     assert as_classes(labels, count) == expected
-    # the cycle lists walk the same classes in step order
-    walks = cycles(step)
+    # the cycle lists walk the same classes in step order, and come with
+    # the same labels
+    walk_labels, walks = cycles(step)
+    assert walk_labels == labels
     assert [frozenset(c) for c in walks] == expected
     for c in walks:
         assert c[0] == min(c)
@@ -202,6 +204,6 @@ def test_fundamental_cycles_span_the_even_subgraphs(case):
 def test_empty():
     assert orbits([]) == ([], 0)
     assert components(0, []) == ([], 0)
-    assert cycles([]) == []
+    assert cycles([]) == ([], [])
     assert two_colouring(0, []) == ([], None)
     assert fundamental_cycles(0, []) == ([], 0)
