@@ -16,7 +16,7 @@ representative, whatever order the graphs were generated in (McKay,
 *Isomorph-free exhaustive generation*, 1998).  Disconnected graphs are
 multisets of connected atoms plus isolated vertices.  The census groups the
 reduced graphs by the canonical form of their doubled-path contraction,
-and ``families.family_of`` names each class from that key.
+and ``families.family_of`` names each class from the same search.
 Determinism and completeness within the bounds are contractual; speed
 is desk-scale.
 
@@ -132,7 +132,6 @@ counts are not monotone across vertex counts, so the edge budget skips.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -144,13 +143,12 @@ from .adgraph import (
 )
 from .errors import BadParametersError, BoundsTooLargeError
 from .families import (
-    canonical_contract,
-    canonical_form,
     canonical_search,
+    contract_with_lengths,
     family_of,
     is_reduced,
 )
-from .perm import components, fundamental_cycles
+from .perm import components, fundamental_cycles, orbit, pair_actions
 
 MAX_FEASIBLE_EDGES = 16
 MAX_FEASIBLE_VERTICES = 16
@@ -230,7 +228,8 @@ def simple_connected_graphs(
             budget = max_e - parent.edge_count
             parent_need = sum(map(need, parent.degrees()))
             gain = [need(d + 1) - need(d) for d in parent.degrees()]
-            relabel = [functools.partial(_image_of_set, g) for g in parent_gens]
+            relabel = [lambda nbrs, g=g: tuple(sorted(map(g.__getitem__, nbrs)))
+                       for g in parent_gens]
             reached: set[tuple[int, ...]] = set()
             side = parent.bipartition
             sides = [[u for u in range(v - 1) if side[u] == s] for s in (0, 1)]
@@ -241,7 +240,7 @@ def simple_connected_graphs(
                 child_need = parent_need + need(len(nbrs)) + sum(gain[u] for u in nbrs)
                 if child_need > 2 * max_e or nbrs in reached:
                     continue
-                _mark_orbit(nbrs, relabel, reached)
+                orbit(nbrs, relabel, reached)
                 child = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
                 found = _canonical_deletion(child)
                 if found is not None and _is_planar_bipartite(v, child.edges):
@@ -293,7 +292,7 @@ def _canonical_deletion(graph: AdGraph) -> tuple | None:
     tied = sorted((w for w, key in enumerate(keys) if key == keys[new]),
                   key=label.__getitem__, reverse=True)
     w = next(w for w in tied if w == new or _deletable(graph, w))
-    if w == new or new in _mark_orbit(w, [g.__getitem__ for g in gens], set()):
+    if w == new or new in orbit(w, [g.__getitem__ for g in gens]):
         return found
     return None
 
@@ -305,25 +304,6 @@ def _conjugate(g: list[int], label: list[int]) -> list[int]:
     for v, w in enumerate(g):
         image[label[v]] = label[w]
     return image
-
-
-def _image_of_set(g: list[int], vertices: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(map(g.__getitem__, vertices)))
-
-
-def _mark_orbit(first, actions: list, reached: set) -> set:
-    """Add to ``reached`` the orbit of ``first`` under the group that
-    ``actions`` generate, each action a function from a member to its
-    image, and return ``reached``."""
-    reached.add(first)
-    orbit = [first]
-    for member in orbit:
-        for act in actions:
-            image = act(member)
-            if image not in reached:
-                reached.add(image)
-                orbit.append(image)
-    return reached
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +387,14 @@ def _least_of_orbits(
     least; the orbit is then closed under the generators and marked."""
     if len(assignments) < 2 or not gens:
         return assignments
-    edges = simple.edges
-    index = {e: i for i, e in enumerate(edges)}
-    # edge index[g(e)] takes e's multiplicity: the image reads inverse[j]
-    actions = []
-    for g in gens:
-        inverse = [0] * len(edges)
-        for i, (u, v) in enumerate(edges):
-            inverse[index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])]] = i
-        actions.append(functools.partial(_image_of_assignment, inverse))
+    actions = pair_actions(simple.edges, gens)
     kept: list[tuple[int, ...]] = []
     reached: set[tuple[int, ...]] = set()
     for assign in assignments:
         if assign not in reached:
             kept.append(assign)
-            _mark_orbit(assign, actions, reached)
+            orbit(assign, actions, reached)
     return kept
-
-
-def _image_of_assignment(
-    inverse: list[int], mults: tuple[int, ...]
-) -> tuple[int, ...]:
-    return tuple(map(mults.__getitem__, inverse))
 
 
 def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph]:
@@ -521,10 +487,11 @@ def census(genus: int, filt: CensusFilter) -> list[CensusClass]:
     filt = replace(filt, require_reduced=True, genus_equals=genus)
     classes: dict[tuple, CensusClass] = {}
     for graph in enumerate_adgs(filt):
-        contracted = canonical_contract(graph)
-        key = canonical_form(contracted)
-        cls = classes.get(key)
+        contracted, lengths = contract_with_lengths(graph)
+        found = canonical_search(contracted)
+        cls = classes.get(found[0])
         if cls is None:
-            cls = classes[key] = CensusClass(contracted, *family_of(key, graph, genus))
+            cls = classes[found[0]] = CensusClass(
+                contracted, *family_of(found, lengths, genus))
         cls.members.append(graph)
     return list(classes.values())

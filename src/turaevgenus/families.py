@@ -11,13 +11,31 @@ parameters.  A caller that needs the embedding asks for
 
 The form table.  ``FAMILIES`` gives each family that ``classify_genus``
 names, doubled trees apart, its builder, the parameters of its minimal
-members and a parameter reader.  Each minimal member is a fixed point of
+members and a printed map.  Each minimal member is a fixed point of
 ``canonical_contract``, and contraction only shortens doubled paths, so
 a graph is in a family exactly when its contraction has the canonical
-form of one of the family's minimal members.  ``family_of`` turns that
-key into the family and the parameters read off the graph;
-``classify_genus`` and ``census.census`` both call it.  The contraction
-and the readers take the maximal doubled paths from ``doubled_paths``.
+form of one of the family's minimal members.  ``family_of`` turns the
+contraction's canonical search into the family and its parameters;
+``classify_genus`` and ``census.census`` both call it, and neither
+searches again.
+
+Reading the parameters.  ``contract_with_lengths`` gives each bundle of
+the contraction the lengths of the doubled paths, or of the doubled
+cycle, behind it; the canonical labelling carries them onto the form as
+a vector.  Expanding the bundles back inverts the contraction, so form
+and vector determine the graph up to isomorphism, and an isomorphism
+between two graphs moves their vectors by an automorphism of the form:
+the orbit under the search's generators is an invariant, and
+``family_of`` takes its greatest member (McKay, *Isomorph-free
+exhaustive generation*, 1998).  A builder lays one doubled path or cycle
+per nonzero parameter on a fixed core, so each parameter lands on one
+slot of the vector, up to an automorphism of the form; ``_forms`` finds
+the slots on a probe member.  Read through the slots, any member of the
+orbit gives parameters that build an isomorphic graph; parallel paths
+are interchangeable, so the order inside a bundle does not matter.  The
+printed map picks one such tuple: ``sorted``, or for ``c4_legs`` the
+greatest rotation or reflection.  No answer is rebuilt at run time; the
+tests rebuild them all.
 
 The genus-zero gate.  Contraction deletes the sites, which have degree
 four, and adds vertices of degree four only, so it keeps the number of
@@ -29,8 +47,9 @@ doubled edges, or, around a four-cycle or a two-sum, each bare corner or
 junction and the end of each leg of length one.  So a genus-zero graph
 with an isolated vertex, other than the single vertex, or with more than
 four degree-two vertices matches nothing, and ``classify_genus`` does
-not contract it.  Doubled trees are recognized directly; the docstring
-of ``recognize_doubled_tree`` shows why its parent list needs no check.
+not contract it.  Doubled trees are recognized directly, on the
+canonical form; the docstring of ``recognize_doubled_tree`` shows why
+its parent list needs no check.
 """
 
 from __future__ import annotations
@@ -50,7 +69,7 @@ from .errors import (
     MalformedLineError,
     integer,
 )
-from .perm import components, fundamental_cycles, groups
+from .perm import components, fundamental_cycles, groups, orbit, pair_actions
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -289,53 +308,61 @@ def contractible_sites(graph: AdGraph) -> list[int]:
     return [v for v in range(graph.n) if deg[v] == 4 and doubled[v] == 2]
 
 
-def _paths_through(graph: AdGraph, sites: set[int]) -> list[tuple[tuple[int, ...], int]]:
-    """``doubled_paths`` with the contractible sites given."""
-    pairs = [e for e, m in graph.multiplicity().items() if m == 2]
-    first: dict[int, int] = {}  # the first pair met at each site
-    joins = [(first.setdefault(v, i), i)
-             for i, e in enumerate(pairs) for v in e if v in sites]
-    paths = groups(*components(len(pairs), joins))
-    return [(tuple(sorted(v for i in p for v in pairs[i] if v not in sites)), len(p))
-            for p in paths]
-
-
-def doubled_paths(graph: AdGraph) -> list[tuple[tuple[int, ...], int]]:
-    """Each maximal doubled path as ``(ends, length)``: the doubled pairs
-    (multiplicity exactly two) joined at the contractible sites.  The
-    ends are ``(a, b)``, a <= b, the same vertex twice for a path that
-    returns to its start, and ``()`` for a doubled cycle of sites.
-    Bundles of more than two parallel edges are not listed."""
-    return _paths_through(graph, set(contractible_sites(graph)))
-
-
 def canonical_contract(graph: AdGraph) -> AdGraph:
-    """Shrink every maximal doubled path to one doubled edge, in one pass.
+    """``contract_with_lengths`` without the lengths."""
+    return contract_with_lengths(graph)[0]
+
+
+def contract_with_lengths(
+    graph: AdGraph,
+) -> tuple[AdGraph, dict[tuple[int, int], tuple[int, ...]]]:
+    """Shrink every maximal doubled path, the doubled pairs (multiplicity
+    exactly two) joined at the sites, to one doubled edge, in one pass,
+    and give the lengths behind each bundle of the result.
 
     The sites go and the other vertices keep their order.  A path from a
     to b != a becomes the doubled pair (a, b); a path that returns to a,
     a fresh vertex joined to a by four edges; a doubled cycle of sites, a
     doubled two-cycle.  A graph with no site keeps its vertices and
     edges as they are.  Contracting one site at a time, in any order,
-    gives an isomorphic graph."""
+    gives an isomorphic graph.  Four edges at a vertex of degree four
+    are a doubled cycle and get its length, 2 if they were in the input
+    (no other path ends there: that end would be a site).  Any other
+    bundle of 2k or 2k + 1 edges gets the sorted lengths of k paths:
+    those contracted onto it, then input pairs of length one."""
     sites = set(contractible_sites(graph))
     label = {v: i for i, v in enumerate(v for v in range(graph.n)
                                          if v not in sites)}
     n = len(label)
     edges = [(label[u], label[v]) for u, v in graph.edges
              if u in label and v in label]
-    for ends, length in _paths_through(graph, sites):
-        if length == 1:  # no site on it: kept above
+    pairs = [e for e, m in graph.multiplicity().items() if m == 2]
+    first: dict[int, int] = {}  # the first pair met at each site
+    joins = [(first.setdefault(v, i), i)
+             for i, e in enumerate(pairs) for v in e if v in sites]
+    longer: dict[tuple[int, int], list[int]] = {}  # the paths through a site
+    for path in groups(*components(len(pairs), joins)):
+        if len(path) == 1:  # no site on it: kept above
             continue
-        if not ends:
-            edges += [(n, n + 1)] * 4
-            n += 2
-        elif ends[0] == ends[1]:
-            edges += [(label[ends[0]], n)] * 4
-            n += 1
-        else:
-            edges += [(label[ends[0]], label[ends[1]])] * 2
-    return AdGraph(n, tuple(edges))
+        ends = sorted(label[v] for i in path for v in pairs[i] if v not in sites)
+        if len(set(ends)) == 2:
+            pair = tuple(ends)
+            edges += [pair] * 2
+        else:  # closed: a fresh vertex, two for a cycle of sites
+            pair = (ends[0], n) if ends else (n, n + 1)
+            edges += [pair] * 4
+            n = pair[1] + 1
+        longer.setdefault(pair, []).append(len(path))
+    contracted = AdGraph(n, tuple(edges))
+    deg = contracted.degrees()
+    lengths = {}
+    for (u, v), m in contracted.multiplicity().items():
+        ks = longer.get((u, v), [])
+        if m == 4 and 4 in (deg[u], deg[v]):
+            lengths[(u, v)] = tuple(ks) or (2,)
+        elif m > 1:
+            lengths[(u, v)] = tuple(sorted(ks + [1] * (m // 2 - len(ks))))
+    return contracted, lengths
 
 
 def is_reduced(graph: AdGraph) -> bool:
@@ -698,77 +725,36 @@ def _orbits_fixing(n: int, path: list[int], gens: list[list[int]],
 
 def recognize_doubled_tree(graph: AdGraph) -> tuple[int, ...] | None:
     """Parent list when the graph is a doubled tree (connected, every
-    edge doubled, underlying graph acyclic).
-
-    The list is read off the graph's own depth-first search: vertex v
-    gets its rank in the visiting order, and its parent, visited
-    earlier, a smaller rank.  So ``doubled_tree(parents)`` has the
-    doubled pair (rank[parent[v]], rank[v]) for each of the n - 1 tree
-    edges and nothing else: it is the graph relabelled by rank, and
-    needs no isomorphism check."""
+    edge doubled, underlying graph acyclic), read off its depth-first
+    search: vertex v gets its rank in the visiting order, and its
+    parent, visited earlier, a smaller rank.  So ``doubled_tree(parents)``
+    is the graph relabelled by rank and needs no isomorphism check.
+    ``classify_genus`` passes the canonical form, so the list depends
+    only on the isomorphism class."""
     mult = graph.multiplicity()
-    if any(m != 2 for m in mult.values()):
+    if (any(m != 2 for m in mult.values()) or len(mult) != graph.n - 1
+            or graph.component_count() != 1):
         return None
-    if len(mult) != graph.n - 1 or graph.component_count() != 1:
-        return None
-    adj: dict[int, list[int]] = {v: [] for v in range(graph.n)}
+    adj: list[list[int]] = [[] for _ in range(graph.n)]
     for u, v in mult:
         adj[u].append(v)
         adj[v].append(u)
-    parent = {0: None}
-    order = [0]
+    rank = {0: 0}  # in visiting order
+    parents: list[int] = []
     stack = [0]
     while stack:
         u = stack.pop()
         for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
+            if w not in rank:
+                rank[w] = len(rank)
+                parents.append(rank[u])
                 stack.append(w)
-    rank = {v: i for i, v in enumerate(order)}
-    return tuple(rank[parent[v]] for v in order[1:])
+    return tuple(parents)
 
 
-def _path_lengths(graph: AdGraph) -> tuple[int, ...]:
-    """Maximal doubled path lengths, counting a bundle of m > 2 parallel
-    edges as m // 2 paths of length one."""
-    bundles = [1 for m in graph.multiplicity().values() if m > 2
-               for _ in range(m // 2)]
-    return tuple(sorted([k for _, k in doubled_paths(graph)] + bundles))
-
-
-def _legs(graph: AdGraph) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """The single edges, and the length of the doubled path ending at
-    each vertex: at a core vertex, its pendant leg."""
-    singles = [e for e, m in graph.multiplicity().items() if m == 1]
-    return singles, {v: k for ends, k in doubled_paths(graph) for v in ends}
-
-
-def _four_cycle_legs(graph: AdGraph) -> tuple[int, ...]:
-    """Legs in cyclic order from the least core vertex, first towards
-    its neighbour on the earlier single edge."""
-    singles, leg = _legs(graph)
-    core = sorted({v for e in singles for v in e})
-    start = core[0]
-    first, last = [w if u == start else u for u, w in singles if start in (u, w)]
-    (opposite,) = set(core) - {start, first, last}
-    return tuple(leg.get(v, 0) for v in (start, first, opposite, last))
-
-
-def _junction_legs(graph: AdGraph) -> tuple[int, ...]:
-    """Sorted legs at the four core vertices with two single edges."""
-    singles, leg = _legs(graph)
-    ends = [v for e in singles for v in e]
-    return tuple(sorted(leg.get(v, 0) for v in set(ends) if ends.count(v) == 2))
-
-
-def _cycle_lengths(graph: AdGraph) -> tuple[int, ...]:
-    """Lengths of the doubled cycles that make up the graph, one-summed
-    or apart: the doubled paths that close up, and a 2 for each bundle
-    of four edges."""
-    closed = [k for ends, k in doubled_paths(graph) if len(set(ends)) < 2]
-    return tuple(sorted(closed + [2 for m in graph.multiplicity().values()
-                                  if m == 4]))
+def _dihedral_greatest(*legs: int) -> tuple[int, ...]:
+    """The greatest of the rotations and reflections of a cyclic tuple."""
+    return max(t[i:] + t[:i] for t in (legs, legs[::-1]) for i in range(len(t)))
 
 
 class Family(NamedTuple):
@@ -777,73 +763,87 @@ class Family(NamedTuple):
     build: Callable[..., AdGraph]
     #: the parameters of the members that ``canonical_contract`` fixes
     minimal: tuple[tuple[int, ...], ...]
-    #: the parameters of a member, in the order ``build`` takes them
-    read: Callable[[AdGraph], tuple[int, ...]]
+    #: one tuple among the parameters that build isomorphic members
+    printed: Callable[..., tuple[int, ...]] = lambda *params: tuple(sorted(params))
 
 
 _LEGS01 = tuple(itertools.product((0, 1), repeat=4))
 
 #: Every family that ``classify_genus`` names, doubled trees apart.
 FAMILIES: dict[str, Family] = {
-    "single-vertex": Family(lambda: isolated_vertices(1), ((),), lambda g: ()),
+    "single-vertex": Family(lambda: isolated_vertices(1), ((),)),
     "two-doubled-paths": Family(
-        lambda p, q: doubled_path(p).disjoint_union(doubled_path(q)), ((1, 1),),
-        lambda g: tuple(sorted(len(c) - 1 for c in g.components()))),
-    "four-cycle-legs": Family(c4_legs, _LEGS01, _four_cycle_legs),
-    "k4tilde-two-sum": Family(k4_tilde_two_sum, _LEGS01, _junction_legs),
-    "doubled-even-cycle": Family(doubled_cycle, ((2,),), lambda g: (g.n,)),
+        lambda p, q: doubled_path(p).disjoint_union(doubled_path(q)), ((1, 1),)),
+    "four-cycle-legs": Family(c4_legs, _LEGS01, _dihedral_greatest),
+    "k4tilde-two-sum": Family(k4_tilde_two_sum, _LEGS01),
+    "doubled-even-cycle": Family(doubled_cycle, ((2,),)),
     "doubled-cycles-disjoint": Family(
-        lambda i, j: doubled_cycle(i).disjoint_union(doubled_cycle(j)), ((2, 2),),
-        _cycle_lengths),
+        lambda i, j: doubled_cycle(i).disjoint_union(doubled_cycle(j)), ((2, 2),)),
     "doubled-cycles-one-sum": Family(
         lambda i, j: one_sum_components(
             doubled_cycle(i).disjoint_union(doubled_cycle(j)), 0, i),
-        ((2, 2),), _cycle_lengths),
-    "doubled-theta": Family(doubled_theta, ((1, 1, 1),), _path_lengths),
-    "k4-doubled-paths": Family(k4_doubled_paths, ((1, 1),), _path_lengths),
-    "k4-two-sum": Family(k4_two_sum, ((1, 1),), _path_lengths),
+        ((2, 2),)),
+    "doubled-theta": Family(doubled_theta, ((1, 1, 1),)),
+    "k4-doubled-paths": Family(k4_doubled_paths, ((1, 1),)),
+    "k4-two-sum": Family(k4_two_sum, ((1, 1),)),
 }
 
 GENUS2_FAMILIES = ("doubled-cycles-disjoint", "doubled-cycles-one-sum",
                    "doubled-theta", "k4-doubled-paths", "k4-two-sum")
 
-#: families whose parameters are confirmed by rebuilding the graph from
-#: them: these readers pick legs, paths or cycles out of the graph's shape
-_REBUILT = {"four-cycle-legs", "k4tilde-two-sum", *GENUS2_FAMILIES}
+_THEOREMS = {1: ("doubled-even-cycle",), 2: GENUS2_FAMILIES}  # reduced graphs
+
+
+def _on_form(found: tuple, lengths: dict) -> tuple[tuple, list]:
+    """The lengths of a contraction as a vector on the form of its
+    canonical search ``found``, in the order of the form's vertex pairs,
+    and the actions of the search's generators on it."""
+    _, label, gens = found
+    order = sorted(lengths, key=lambda e: sorted((label[e[0]], label[e[1]])))
+    return tuple(lengths[e] for e in order), pair_actions(order, gens)
 
 
 @cache
-def _forms() -> dict[tuple, str]:
-    """Family tag of each minimal member, keyed by its canonical form."""
-    return {canonical_form(family.build(*params)): tag
-            for tag, family in FAMILIES.items() for params in family.minimal}
+def _forms() -> dict[tuple, tuple[str, tuple]]:
+    """Each minimal form's family tag and slots, keyed by the form: slot
+    i is ``(entry, rank)`` of parameter i in the vector of lengths, or
+    None where the minimal member has it zero, read off a probe member
+    with the distinct lengths 3, 4, ... there."""
+    table: dict[tuple, tuple[str, tuple]] = {}
+    for tag, family in FAMILIES.items():
+        for params in family.minimal:
+            probe = [3 + i if p else 0 for i, p in enumerate(params)]
+            contracted, lengths = contract_with_lengths(family.build(*probe))
+            found = canonical_search(contracted)
+            vector, _ = _on_form(found, lengths)
+            where = {k: (j, r) for j, ks in enumerate(vector) for r, k in enumerate(ks)}
+            table.setdefault(found[0], (tag, tuple(where.get(k) for k in probe)))
+    return table
 
 
-def family_of(key: tuple, graph: AdGraph, genus: int) -> tuple[str | None, tuple]:
-    """The family and parameters of ``graph``, whose contraction has the
-    canonical form ``key``, or ``(None, ())``.
-
-    A reduced graph of genus one must be a doubled even cycle, and one of
-    genus two must contract to one of the five minimal forms; for such a
-    ``graph`` anything else would refute the classification theorems and
+def family_of(found: tuple, lengths: dict, genus: int) -> tuple[str | None, tuple]:
+    """The family and parameters of a graph whose contraction has the
+    canonical search ``found`` and the ``lengths`` of
+    ``contract_with_lengths``, or ``(None, ())``: see "Reading the
+    parameters" above.  A reduced graph of genus one must be a doubled
+    even cycle, and one of genus two must contract to a minimal form of
+    genus two; anything else refutes the classification theorems and
     raises ClassificationFailureError."""
-    tag = _forms().get(key)
+    tag, slots = _forms().get(found[0], (None, ()))
+    if genus in (1, 2) and tag not in _THEOREMS[genus]:
+        raise ClassificationFailureError(
+            f"reduced genus-{genus} graph matched no minimal form of its "
+            "genus; this contradicts the classification"
+        )
     if tag is None:
-        if genus in (1, 2):
-            raise ClassificationFailureError(
-                f"reduced genus-{genus} graph matched no minimal form; "
-                "this contradicts the classification"
-            )
         return None, ()
-    family = FAMILIES[tag]
-    params = family.read(graph)
+    vector, actions = _on_form(found, lengths)
+    best = max(orbit(vector, actions))
+    params = FAMILIES[tag].printed(
+        *(0 if slot is None else best[slot[0]][slot[1]] for slot in slots))
     if tag == "doubled-even-cycle" and params[0] % 2:
         raise ClassificationFailureError(
             "reduced genus-1 graph is not a doubled even cycle")
-    if tag in _REBUILT and not isomorphic(graph, family.build(*params))[0]:
-        raise ClassificationFailureError(
-            f"parameter recovery for {tag} with {params} failed verification"
-        )
     return tag, params
 
 
@@ -869,13 +869,14 @@ def classify_genus(graph: AdGraph) -> Classification:
         twos = degs.count(2)
         if twos > 4 or (0 in degs and graph.n != 1):
             return Classification(0, reduced)
-        parents = recognize_doubled_tree(graph) if graph.edges else None
-        if parents is not None:
+        if graph.edges and recognize_doubled_tree(graph) is not None:
+            parents = recognize_doubled_tree(AdGraph(*canonical_form(graph)))
             return Classification(0, reduced, "doubled-tree", (twos,) + parents)
     elif genus > 2 or not reduced:
         return Classification(genus, reduced)
-    key = canonical_form(canonical_contract(graph))
-    return Classification(genus, reduced, *family_of(key, graph, genus))
+    contracted, lengths = contract_with_lengths(graph)
+    found = canonical_search(contracted)  # the only search, trees apart
+    return Classification(genus, reduced, *family_of(found, lengths, genus))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The four primitives on flat integer arrays.
+"""The primitives on flat integer arrays, and one orbit closure.
 
 Every count the genus routes take is an orbit count on half-edges:
 faces are orbits of rotate∘partner, state circles are orbits of the
@@ -171,6 +171,36 @@ def groups(labels: Sequence[int], count: int) -> list[list[int]]:
     for i, lab in enumerate(labels):
         out[lab].append(i)
     return out
+
+
+def orbit(first, actions: Sequence, reached: set | None = None) -> set:
+    """Add to ``reached`` (a new set by default) the orbit of ``first``
+    under the group that ``actions`` generate, each a function from a
+    member to its image, and return ``reached``."""
+    reached = set() if reached is None else reached
+    reached.add(first)
+    todo = [first]
+    for member in todo:
+        for act in actions:
+            image = act(member)
+            if image not in reached:
+                reached.add(image)
+                todo.append(image)
+    return reached
+
+
+def pair_actions(pairs: Sequence[tuple[int, int]],
+                 gens: Iterable[Sequence[int]]) -> list:
+    """For ``orbit``: each vertex permutation of ``gens`` acting on tuples
+    indexed by ``pairs``, distinct pairs (u, v), u < v, that it permutes."""
+    position = {e: i for i, e in enumerate(pairs)}
+    actions = []
+    for g in gens:
+        source = [0] * len(pairs)  # entry i moves to its pair's image
+        for i, (u, v) in enumerate(pairs):
+            source[position[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])]] = i
+        actions.append(lambda entries, s=source: tuple(map(entries.__getitem__, s)))
+    return actions
 
 
 def two_colouring(

@@ -653,7 +653,7 @@ def test_canonical_form_of_a_large_twin_class():
 @pytest.mark.parametrize("graph,family,params", [
     (doubled_theta(166, 166, 166), "doubled-theta", (166, 166, 166)),
     (k4_doubled_paths(250, 250), "k4-doubled-paths", (250, 250)),
-    (c4_legs(120, 3, 77, 40), "four-cycle-legs", (120, 3, 77, 40)),
+    (c4_legs(120, 3, 77, 40), "four-cycle-legs", (120, 40, 77, 3)),
     (k4_two_sum(140, 90), "k4-two-sum", (90, 140)),
 ], ids=["theta166", "k4pq250", "c4legs120", "k4twosum140"])
 def test_classify_long_family_graphs(graph, family, params):

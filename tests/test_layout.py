@@ -12,7 +12,9 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   which embeds non-bipartite extensions that ``validate_adg`` rejects;
 * ``classify_genus`` is called only by ``cli.cmd_classify``: the census
   names its classes by ``families.family_of`` on the key it has;
-* inside ``families``, ``isomorphic`` is called only by ``family_of``;
+* no ``families`` function calls ``isomorphic``: parameters are read off
+  the contraction's canonical search, not confirmed by a rebuild, and a
+  ``families.Family`` has no reader field;
 * the refinement helpers ``_refine``, ``_individualise`` and
   ``_first_split`` are called only by ``families.canonical_search``, the
   one search behind the canonical form, the isomorphism witness and the
@@ -132,9 +134,19 @@ def test_classify_genus_only_in_cmd_classify():
     assert _call_sites("classify_genus") == {"cli.cmd_classify"}
 
 
-def test_isomorphic_in_families_only_in_the_lookup():
-    sites = {s for s in _call_sites("isomorphic") if s.startswith("families.")}
-    assert sites == {"families.family_of"}
+def test_no_isomorphic_call_in_families():
+    sites = _call_sites("isomorphic")
+    assert not {s for s in sites if s.startswith("families.")}
+    # the scan sees calls of it elsewhere
+    assert "verify.suite_doubled_path_moves" in sites
+
+
+def test_family_has_no_reader():
+    """A family is its builder, its minimal members and a printed map."""
+    family = next(node for node in _modules()["families"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "Family")
+    fields = {node.target.id for node in family.body if isinstance(node, ast.AnnAssign)}
+    assert fields == {"build", "minimal", "printed"}
 
 
 def test_one_search_behind_form_and_automorphisms():

@@ -1,5 +1,6 @@
 """The orbit tracer and the union-find against naive set-based
-decompositions, and the two-colouring solver against brute force."""
+decompositions, the two-colouring solver against brute force, and the
+orbit closure against the union-find."""
 
 import itertools
 import time
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from turaevgenus.errors import TuraevError
 from turaevgenus.perm import (
-    components, cycles, fundamental_cycles, groups, least_points, orbits,
+    components, cycles, fundamental_cycles, groups, least_points, orbit, orbits,
     two_colouring,
 )
 
@@ -207,3 +208,20 @@ def test_empty():
     assert cycles([]) == ([], [])
     assert two_colouring(0, []) == ([], None)
     assert fundamental_cycles(0, []) == ([], 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.tuples(st.lists(st.permutations(list(range(n))), max_size=3),
+                        st.integers(0, n - 1))))
+def test_orbit_is_the_class_of_the_generators(case):
+    """The orbit of a point under permutations is its class in the
+    union-find of the pairs (x, g[x]); a set given to ``orbit`` grows."""
+    gens, x = case
+    n = len(gens[0]) if gens else x + 1
+    labels, _ = components(n, [(v, g[v]) for g in gens for v in range(n)])
+    expected = {v for v in range(n) if labels[v] == labels[x]}
+    assert orbit(x, [g.__getitem__ for g in gens]) == expected
+    reached = {-1}
+    assert orbit(x, [g.__getitem__ for g in gens], reached) is reached
+    assert reached == expected | {-1}
