@@ -35,7 +35,7 @@ from .errors import (
     NotValidatedError,
     OddDegreeError,
     TuraevError,
-    integer,
+    integers,
 )
 from . import perm
 from .ribbon import RibbonGraph
@@ -171,30 +171,52 @@ def half_edges(graph: AdGraph) -> tuple[list[int], list[int], list[int]]:
         raise NotEmbeddedError(
             f"{len(graph.rotations)} rotation tables for {graph.n} vertices"
         )
+    edge_at: list[int] = []  # the edge at each slot
     vertex: list[int] = []
     succ: list[int] = []
-    slots: dict[int, list[int]] = {}
     for v, rot in enumerate(graph.rotations):
-        base = len(vertex)
-        for i, e in enumerate(rot):
-            slots.setdefault(e, []).append(base + i)
-            vertex.append(v)
-            succ.append(base + (i + 1) % len(rot))
-    partner = [0] * len(vertex)
-    for e, ends in enumerate(graph.edges):
-        occ = slots.pop(e, [])
-        if sorted(vertex[h] for h in occ) != list(ends):
-            raise NotEmbeddedError(
-                f"edge {e} {ends} sits at vertices "
-                f"{sorted(vertex[h] for h in occ)} in the rotation system"
-            )
-        a, b = occ
-        partner[a], partner[b] = b, a
-    if slots:
+        if rot:
+            base = len(edge_at)
+            edge_at += rot
+            vertex += [v] * len(rot)
+            succ += range(base + 1, len(edge_at))
+            succ.append(base)
+    # slots run in vertex order, so an edge's first slot is at its lower
+    # end; one pass pairs each later slot with the first.  It runs only
+    # on 2m slots holding edges 0..m-1, else ``partner`` keeps its -1s.
+    # Then an edge listed once leaves a -1 in ``partner``, one never
+    # listed a -1 in ``first``, and one listed three or more times forces
+    # one of those; the ends are read only when neither holds a -1.  The
+    # messages are built only on failure.
+    m = len(graph.edges)
+    first = [-1] * m
+    partner = [-1] * len(edge_at)
+    if (len(edge_at) == 2 * m and min(edge_at, default=0) >= 0
+            and max(edge_at, default=0) < m):
+        for h, e in enumerate(edge_at):
+            g = first[e]
+            if g < 0:
+                first[e] = h
+            else:
+                partner[g] = h
+                partner[h] = g
+    lower = map(vertex.__getitem__, first)
+    upper = map(vertex.__getitem__, map(partner.__getitem__, first))
+    if (-1 in first or -1 in partner
+            or tuple(zip(lower, upper)) != tuple(map(tuple, graph.edges))):
+        slots: dict[int, list[int]] = {}
+        for h, e in enumerate(edge_at):
+            slots.setdefault(e, []).append(h)
+        for e, ends in enumerate(graph.edges):
+            at = [vertex[h] for h in slots.pop(e, [])]
+            if at != list(ends):
+                raise NotEmbeddedError(
+                    f"edge {e} {ends} sits at vertices {at} in the rotation system"
+                )
         raise NotEmbeddedError(
             f"rotation system lists unknown edges {sorted(slots)}"
         )
-    return partner, [succ[p] for p in partner], vertex
+    return partner, list(map(succ.__getitem__, partner)), vertex
 
 
 def check_sphere_embedding(graph: AdGraph) -> None:
@@ -614,13 +636,14 @@ def turaev_genus_graph(graph: AdGraph, rng: random.Random | None = None) -> int:
 
 class _Worklist:
     """A set kept as a flat list, so that a choice reads ``items`` as
-    is; removal swaps the last item into the hole."""
+    is; it starts as the distinct ``items`` in their order, and removal
+    swaps the last item into the hole."""
 
     __slots__ = ("items", "_at")
 
-    def __init__(self):
-        self.items: list = []
-        self._at: dict = {}
+    def __init__(self, items: Iterable):
+        self.items: list = list(items)
+        self._at: dict = dict(zip(self.items, range(len(self.items))))
 
     def mark(self, item, member: bool) -> None:
         at, items = self._at, self.items
@@ -662,12 +685,9 @@ def _genus_recursion(
         adj[w][u] = adj[w].get(u, 0) + 1
         deg[u] += 1
         deg[w] += 1
-    deg2, pairs = _Worklist(), _Worklist()
-    for u in range(n):
-        deg2.mark(u, deg[u] == 2)
-        for w, m in adj[u].items():
-            if u < w and m >= 2:
-                pairs.mark((u, w), True)
+    deg2 = _Worklist(u for u in range(n) if deg[u] == 2)
+    pairs = _Worklist((u, w) for u in range(n)
+                      for w, m in adj[u].items() if u < w and m >= 2)
     live, deletions = n, 0
     remaining = len(edges)
     while remaining:
@@ -728,7 +748,7 @@ MAX_GRAPH_VERTICES = 100_000
 
 def _ints(tokens: list[str], lineno: int, line: str) -> list[int]:
     try:
-        return [integer(t) for t in tokens]
+        return integers(tokens)
     except ValueError:
         raise MalformedLineError(lineno, line, "expected integers") from None
 

@@ -206,6 +206,7 @@ def alternating_knot_corpus(
                 next(iter(other.arc_ends)),
             )
         alt = make_alternating(diagram)
-        assert link_component_count(alt) == 1 and is_adequate(alt)
+        if link_component_count(alt) != 1 or not is_adequate(alt):
+            raise TuraevError(f"{'#'.join(combo)} is not an adequate knot diagram")
         out.append(("#".join(combo), alt))
     return out

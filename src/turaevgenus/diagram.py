@@ -13,6 +13,7 @@ belong to the under-strand, slots 1 and 3 to the over-strand.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -28,6 +29,7 @@ from .errors import (
     ParityError,
     TooLargeError,
     integer,
+    integers,
 )
 from .perm import components, groups, least_points, orbits
 
@@ -71,23 +73,32 @@ class PlanarDiagram:
         for x in self.crossings:
             if len(x) != 4:
                 raise MalformedLineError(0, str(x), "crossing needs 4 arcs")
-            if any(type(a) is not int for a in x):
+            a, b, c, d = x
+            if not type(a) is type(b) is type(c) is type(d) is int:
                 raise MalformedLineError(0, str(x), "arc ids must be integers")
 
-        ends: dict[int, list[int]] = {}
-        for ci, x in enumerate(self.crossings):
-            for slot, arc in enumerate(x):
-                ends.setdefault(arc, []).append(4 * ci + slot)
-        for arc, occ in ends.items():
-            if len(occ) != 2:
-                raise ArcMultiplicityError(arc, len(occ))
-        self.arc_ends: dict[int, tuple[int, int]] = {
-            a: (occ[0], occ[1]) for a, occ in sorted(ends.items())
-        }
+        # half-edge h carries arcs[h]; one pass pairs each end with the
+        # arc's first end.  An arc used once leaves a -1 in ``partner``;
+        # with exactly half as many arcs as half-edges, an arc used three
+        # or more times forces another used once.  The counts are taken
+        # only to name the first bad arc.
+        arcs = [a for x in self.crossings for a in x]
+        first: dict[int, int] = {}
+        partner = [-1] * len(arcs)
+        for h, arc in enumerate(arcs):
+            g = first.setdefault(arc, h)
+            if g != h:
+                partner[g] = h
+                partner[h] = g
+        if 2 * len(first) != len(arcs) or -1 in partner:
+            arc, count = next(
+                item for item in Counter(arcs).items() if item[1] != 2)
+            raise ArcMultiplicityError(arc, count)
         #: ``partner[h]`` is the other half-edge on the arc at ``h``
-        self.partner: list[int] = [0] * (4 * len(self.crossings))
-        for h1, h2 in self.arc_ends.values():
-            self.partner[h1], self.partner[h2] = h2, h1
+        self.partner: list[int] = partner
+        self.arc_ends: dict[int, tuple[int, int]] = {
+            a: (first[a], partner[first[a]]) for a in sorted(first)
+        }
         #: split component label per crossing, and k(D), the number of them
         self.component_of, self.split_components = components(
             len(self.crossings),
@@ -161,7 +172,7 @@ def parse_pd(text: str) -> PlanarDiagram:
     starting with ``#`` and blank lines are ignored.  Crossings may also
     be separated by ``/`` on a single line.
     """
-    crossings: list[Crossing] = []
+    crossings: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -176,10 +187,10 @@ def parse_pd(text: str) -> PlanarDiagram:
             if len(parts) != 5:
                 raise MalformedLineError(lineno, chunk, "expected 4 arc ids")
             try:
-                arcs = tuple(integer(p) for p in parts[1:])
+                arcs = integers(parts[1:])
             except ValueError:
                 raise MalformedLineError(lineno, chunk, "arc ids must be integers")
-            if any(a <= 0 for a in arcs):
+            if min(arcs) <= 0:
                 raise MalformedLineError(lineno, chunk, "arc ids must be positive")
             crossings.append(arcs)
     return PlanarDiagram(crossings)
@@ -243,17 +254,14 @@ class ArcKind:
     sign: str | None = None
 
 
+#: the kind of an arc by how many of its two ends are over-strands (odd
+#: slots): none, one or two; every arc of a kind shares its value
+_ARC_KINDS = (ArcKind(False, "-"), ArcKind(True), ArcKind(False, "+"))
+
+
 def classify_arcs(diagram: PlanarDiagram) -> dict[int, ArcKind]:
-    out = {}
-    for arc, (h1, h2) in diagram.arc_ends.items():
-        unders = (h1 & 1 == 0) + (h2 & 1 == 0)
-        if unders == 1:
-            out[arc] = ArcKind(True)
-        elif unders == 2:
-            out[arc] = ArcKind(False, "-")
-        else:
-            out[arc] = ArcKind(False, "+")
-    return out
+    return {arc: _ARC_KINDS[(h1 & 1) + (h2 & 1)]
+            for arc, (h1, h2) in diagram.arc_ends.items()}
 
 
 # -- surgery operations ---------------------------------------------------------------

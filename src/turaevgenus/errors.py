@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all modules, and the integer reader of
+"""Exception hierarchy shared by all modules, and the integer readers of
 every input format."""
+
+from typing import Sequence
 
 
 def integer(text: str) -> int:
@@ -12,6 +14,18 @@ def integer(text: str) -> int:
     ):
         return int(text)
     raise ValueError(f"invalid integer {text!r}")
+
+
+def integers(tokens: Sequence[str]) -> list[int]:
+    """``[integer(t) for t in tokens]`` for a whole line.  When the
+    tokens are non-empty and their concatenation is ASCII digits, each
+    token is ``[0-9]+``, which ``int`` reads just as ``integer`` does, so
+    ``map(int)`` reads the line in one call.  Any other line, one with a
+    negative or a bad token, is read token by token by ``integer``."""
+    joined = "".join(tokens)
+    if joined.isascii() and joined.isdigit() and all(tokens):
+        return list(map(int, tokens))
+    return [integer(t) for t in tokens]
 
 
 class TuraevError(Exception):
@@ -91,8 +105,9 @@ class NonOrientableError(TuraevError):
 
 class ParityError(TuraevError):
     """A genus or span formula yielded a value of impossible parity: an
-    odd Euler genus of an orientable ribbon graph, a negative or odd
-    2k + c - s_A - s_B, or a bracket span in A that 4 does not divide."""
+    odd Euler genus of an orientable ribbon graph, an odd number of
+    directed boundary walks, a negative or odd 2k + c - s_A - s_B, or a
+    bracket span in A that 4 does not divide."""
 
 
 # --- abstract graph errors --------------------------------------------------

@@ -25,9 +25,13 @@ class RibbonGraph:
     edges: tuple[tuple[int, int, bool], ...]
 
     def __post_init__(self):
-        at_vertex = [h for rot in self.vertices for h in rot]
-        in_edges = [h for (a, b, _) in self.edges for h in (a, b)]
-        if sorted(at_vertex) != sorted(in_edges) or len(set(at_vertex)) != len(at_vertex):
+        # 2e distinct half-edges at the vertices, and the same set in the
+        # 2e ends of the edges, which are then distinct too
+        at_vertex = {h for rot in self.vertices for h in rot}
+        in_edges = {a for a, _, _ in self.edges}
+        in_edges.update(b for _, b, _ in self.edges)
+        if not (sum(map(len, self.vertices)) == len(at_vertex) == 2 * len(self.edges)
+                and at_vertex == in_edges):
             raise ValueError("half-edges must appear once in rotations, once in edges")
 
     @property
@@ -39,10 +43,18 @@ class RibbonGraph:
         return len(self.edges)
 
     def component_count(self) -> int:
-        owner = {h: vi for vi, rot in enumerate(self.vertices) for h in rot}
+        owner = _owners(self)
         return components(
             len(self.vertices), ((owner[a], owner[b]) for a, b, _ in self.edges)
         )[1]
+
+
+def _owners(graph: RibbonGraph) -> dict[int, int]:
+    """The vertex holding each half-edge."""
+    owner: dict[int, int] = {}
+    for vi, rot in enumerate(graph.vertices):
+        owner.update(dict.fromkeys(rot, vi))
+    return owner
 
 
 def twist_all(graph: RibbonGraph) -> RibbonGraph:
@@ -61,34 +73,40 @@ def boundary_count(graph: RibbonGraph) -> int:
     keeps the direction of the walk, a twisted band reverses it, and at
     a vertex the walk steps to the rotation neighbour in the current
     direction.  Every boundary circle is traced once per direction, so
-    the orbit count halves.  Isolated vertices are disks and add one
-    circle each.
+    the orbit count halves; an odd count raises ``ParityError``.
+    Isolated vertices are disks and add one circle each.
     """
     index: dict[int, int] = {}
-    neighbour: list[tuple[int, int]] = []  # (next, previous) in rotation
+    nxt: list[int] = []  # rotation neighbours by dense position
+    prv: list[int] = []
     isolated = 0
     for rot in graph.vertices:
+        base = len(nxt)
         if not rot:
             isolated += 1
-        base = len(neighbour)
-        for i, h in enumerate(rot):
-            index[h] = base + i
-            neighbour.append((base + (i + 1) % len(rot), base + (i - 1) % len(rot)))
-    step = [0] * (2 * len(neighbour))
+            continue
+        index.update(zip(rot, range(base, base + len(rot))))
+        nxt += range(base + 1, base + len(rot))
+        nxt.append(base)
+        prv.append(base + len(rot) - 1)
+        prv += range(base, base + len(rot) - 1)
+    step = [0] * (2 * len(nxt))
     for a, b, twisted in graph.edges:
-        for h, p in ((index[a], index[b]), (index[b], index[a])):
-            for d in (0, 1):
-                d2 = 1 - d if twisted else d
-                step[2 * h + d] = 2 * neighbour[p][d2] + d2
+        i, j = index[a], index[b]
+        t = 1 if twisted else 0  # a twisted band swaps the two directions
+        step[2 * i + t], step[2 * i + 1 - t] = 2 * nxt[j], 2 * prv[j] + 1
+        step[2 * j + t], step[2 * j + 1 - t] = 2 * nxt[i], 2 * prv[i] + 1
     _, orbit_count = orbits(step)
-    assert orbit_count % 2 == 0
+    if orbit_count % 2:
+        raise ParityError(
+            f"{orbit_count} boundary walks do not pair up by direction")
     return orbit_count // 2 + isolated
 
 
 def is_orientable(graph: RibbonGraph) -> bool:
     """A ribbon graph is orientable iff some set of vertex flips makes
     every band flat; a twisted loop can never be flattened."""
-    owner = {h: vi for vi, rot in enumerate(graph.vertices) for h in rot}
+    owner = _owners(graph)
     return two_colouring(
         len(graph.vertices), ((owner[a], owner[b], int(t)) for a, b, t in graph.edges)
     )[1] is None

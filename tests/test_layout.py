@@ -42,7 +42,13 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * in ``census``, ``find_bipartition`` is called only by
   ``simple_connected_graphs``, once per kept class, and no ``replace``
   call passes ``bipartition=``: atoms and the graphs built from them
-  carry the sides stage 1 found.
+  carry the sides stage 1 found;
+* no module has an ``assert`` statement, which ``python -O`` strips:
+  every check raises;
+* only ``errors.integer``, ``errors.integers`` and the bool-to-bit in
+  ``ribbon.is_orientable`` read the name ``int`` as a value (type hints
+  and ``is`` tests aside), so no parser converts text outside
+  ``errors``.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -276,3 +282,72 @@ def test_census_two_colours_only_in_stage1():
     # the scan sees two-colourings and bipartition replaces elsewhere
     assert "adgraph.validate_adg" in sites
     assert _replaces_bipartition(_modules()["adgraph"])
+
+
+def _asserts(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_in_src():
+    assert {module: lines for module, tree in _modules().items()
+            if (lines := _asserts(tree))} == {}
+    # the scan sees an assert inside a function
+    assert _asserts(ast.parse("def f(x):\n    assert x\n")) == [2]
+
+
+def _int_readers(tree: ast.Module, module: str) -> set[str]:
+    """The definitions in ``tree`` that read the name ``int`` as a value:
+    not in an annotation, not as a bare subscript such as those of
+    ``tuple[int, int]`` and not as a bare operand of ``is`` or
+    ``is not``."""
+    typing: set[int] = set()
+    for node in ast.walk(tree):
+        hints = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            hints.append(node.returns)
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            hints.append(node.annotation)
+        if isinstance(node, ast.Subscript):
+            index = node.slice
+            hints += [n for n in (index.elts if isinstance(index, ast.Tuple)
+                                  else [index]) if isinstance(n, ast.Name)]
+        if isinstance(node, ast.Compare) and all(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            hints += [n for n in (node.left, *node.comparators)
+                      if isinstance(n, ast.Name)]
+        typing.update(id(n) for hint in hints if hint is not None
+                      for n in ast.walk(hint))
+    found: set[str] = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            if (isinstance(child, ast.Name) and child.id == "int"
+                    and id(child) not in typing):
+                found.add(inner)
+            visit(child, inner)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_the_integer_readers_convert_text():
+    readers = set()
+    for module, tree in _modules().items():
+        readers |= _int_readers(tree, module)
+    assert readers == {
+        "errors.integer", "errors.integers", "ribbon.is_orientable"}
+    # the scan sees a conversion, also inside a subscript or an ``is``
+    # test, a passed ``int`` and an alias, and skips hints and type tests
+    code = ("def f(t: int) -> list[int]:\n"
+            "    n: int = 0\n"
+            "    return type(t) is int or [int(t)]\n"
+            "def k(t):\n    return int(t) is None\n"
+            "def g(ts):\n    return list(map(int, ts))\n"
+            "def h():\n    to = int\n"
+            "def j(xs, t):\n    return xs[int(t)]\n"
+            "Pair = tuple[int, int]\n")
+    assert _int_readers(ast.parse(code), "m") == {
+        "m.f", "m.g", "m.h", "m.j", "m.k"}
