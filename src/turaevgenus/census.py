@@ -17,8 +17,9 @@ representative, whatever order the graphs were generated in (McKay,
 multisets of connected atoms plus isolated vertices.  The census groups the
 reduced graphs by the canonical form of their doubled-path contraction,
 and ``families.family_of`` names each class from the same search.
-Determinism and completeness within the bounds are contractual; speed
-is desk-scale.
+Determinism and completeness within the bounds are contractual; each
+query computes both stages afresh and keeps nothing between queries, so
+every list returned belongs to its caller.  Speed is desk-scale.
 
 The need bound.  Let a simple graph G have degrees d_v and let
 need(d) = max(d + (d mod 2), min_degree).  A multigraph on G's edges
@@ -196,10 +197,6 @@ def _is_planar_bipartite(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     return planar_embedding(range(n), edges, embed=False) is not None
 
 
-_SIMPLE_CACHE: dict[tuple[int, int, int], list[tuple[AdGraph, list[list[int]]]]] = {}
-_ATOM_CACHE: dict[tuple[int, int, int], list[AdGraph]] = {}
-
-
 def simple_connected_graphs(
     max_v: int, max_e: int, min_degree: int = 2
 ) -> list[tuple[AdGraph, list[list[int]]]]:
@@ -213,10 +210,6 @@ def simple_connected_graphs(
     accepts each class once, from its canonical parent, whose neighbour
     sets it draws from each side, one per orbit (see "Canonical
     deletion" above); stage 2 decides which graphs take multiplicities."""
-    cached = _SIMPLE_CACHE.get((max_v, max_e, min_degree))
-    if cached is not None:
-        return cached
-
     def need(d: int) -> int:
         return max(d + d % 2, min_degree)
 
@@ -251,7 +244,6 @@ def simple_connected_graphs(
         level.sort(key=lambda kept: _census_order(kept[0]))
         levels.append(level)
         out.extend(level)
-    _SIMPLE_CACHE[(max_v, max_e, min_degree)] = out
     return out
 
 
@@ -402,9 +394,6 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
     vertex) up to isomorphism within the bounds, each a canonical
     representative carrying its simple graph's bipartition, so the genus
     recursion takes it as it is; sorted by (n, E, edges)."""
-    cached = _ATOM_CACHE.get((max_v, max_e, min_degree))
-    if cached is not None:
-        return cached
     atoms: list[AdGraph] = [AdGraph(1, (), (0,))]
     for simple, gens in simple_connected_graphs(max_v, max_e, min_degree):
         if simple.edge_count == 0:
@@ -415,7 +404,6 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
                 edges.extend([e] * mult)
             atoms.append(AdGraph(simple.n, tuple(sorted(edges)), simple.bipartition))
     atoms.sort(key=_census_order)
-    _ATOM_CACHE[(max_v, max_e, min_degree)] = atoms
     return atoms
 
 

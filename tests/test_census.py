@@ -106,30 +106,17 @@ def test_carried_bipartition_is_the_two_colouring(graphs):
 
 
 def test_bipartition_found_once_per_atom(monkeypatch):
-    """A cold stage 1 two-colours each kept class with edges once, on
-    its canonical form; the atoms carry their simple graph's sides, so a
-    warm ``enumerate_adgs`` two-colours none of its 139 atoms and 1,100
-    graphs."""
-    calls = []
-    real = census_module.find_bipartition
-
-    def counting(graph):
-        calls.append(graph)
-        return real(graph)
-
-    monkeypatch.setattr(census_module, "find_bipartition", counting)
-    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
-    monkeypatch.setattr(census_module, "_ATOM_CACHE", {})
-    filt = CensusFilter(10, 10)
-    enumerate_adgs(filt)
+    """One ``enumerate_adgs(CensusFilter(10, 10))`` two-colours each of
+    its 138 kept stage-1 classes with edges once, on its canonical form,
+    and none of its 139 atoms or 1,100 graphs: they carry the sides that
+    stage 1 found."""
+    calls = _count_calls(monkeypatch, "find_bipartition")
+    graphs = enumerate_adgs(CensusFilter(10, 10))
+    coloured = sorted((graph.n, graph.edges) for graph, in calls)
     classes = [g for g, _ in simple_connected_graphs(10, 10) if g.edge_count]
-    assert (sorted((g.n, g.edges) for g in calls)
-            == sorted((g.n, g.edges) for g in classes))
-    assert len(calls) == 138
-    calls.clear()
-    graphs = enumerate_adgs(filt)
     atoms = [a for a in connected_atoms(10, 10) if a.edge_count]
-    assert (len(calls), len(atoms), len(graphs)) == (0, 139, 1100)
+    assert coloured == sorted((g.n, g.edges) for g in classes)
+    assert (len(coloured), len(atoms), len(graphs)) == (138, 139, 1100)
 
 
 def test_census_two_vertices():
@@ -145,9 +132,20 @@ def test_census_no_edges():
 
 
 def test_census_deterministic():
-    a = enumerate_adgs(CensusFilter(max_vertices=4, max_edges=6))
-    b = enumerate_adgs(CensusFilter(max_vertices=4, max_edges=6))
+    a = enumerate_adgs(CensusFilter(max_vertices=8, max_edges=12))
+    b = enumerate_adgs(CensusFilter(max_vertices=8, max_edges=12))
     assert [(g.n, g.edges) for g in a] == [(g.n, g.edges) for g in b]
+
+
+def test_returned_lists_belong_to_the_caller():
+    """Emptying or trimming what one stage returns leaves every later
+    query whole: no query hands out a list that another one reads."""
+    before = [(g.n, g.edges) for g in enumerate_adgs(CensusFilter(6, 8))]
+    assert len(before) == 125
+    del simple_connected_graphs(6, 8)[1:]
+    connected_atoms(6, 8).clear()
+    after = [(g.n, g.edges) for g in enumerate_adgs(CensusFilter(6, 8))]
+    assert after == before
 
 
 def test_bounds_guard():
@@ -349,9 +347,9 @@ def test_automorphism_generators_on_multigraphs():
 
 
 def test_stage2_makes_no_canonical_form_call(monkeypatch):
-    """A cold ``connected_atoms(8, 16, 4)`` searches exactly as often as
-    its stage 1 alone does: stage 2 reads the generators stage 1 kept
-    and runs no canonical search."""
+    """``connected_atoms(8, 16, 4)`` searches exactly as often as a
+    separate ``simple_connected_graphs(8, 16, 4)`` does: stage 2 reads
+    the generators stage 1 kept and runs no canonical search."""
     calls = []
     real = families.canonical_search
 
@@ -361,11 +359,8 @@ def test_stage2_makes_no_canonical_form_call(monkeypatch):
 
     monkeypatch.setattr(families, "canonical_search", counting)
     monkeypatch.setattr(census_module, "canonical_search", counting)
-    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
-    monkeypatch.setattr(census_module, "_ATOM_CACHE", {})
     simple_connected_graphs(8, 16, 4)
     stage1 = len(calls)
-    census_module._SIMPLE_CACHE.clear()
     calls.clear()
     atoms = connected_atoms(8, 16, 4)
     assert len(calls) == stage1 > 0
@@ -389,7 +384,6 @@ def test_stage1_canonicalises_one_neighbour_set_per_orbit(monkeypatch, bounds, c
         return real(graph)
 
     monkeypatch.setattr(census_module, "canonical_search", counting)
-    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     simple_connected_graphs(*bounds)
     assert len(counted) == calls
 
@@ -423,7 +417,6 @@ def test_skipped_children_are_kept_classes_or_nonplanar(
 
     monkeypatch.setattr(census_module, "canonical_search", search)
     monkeypatch.setattr(census_module, "_canonical_deletion", rule)
-    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     kept = {(g.n, g.edges) for g, _ in simple_connected_graphs(*bounds)}
     planar = [nx.check_planarity(nx.Graph(g.edges))[0] for g in skipped]
     assert all(canonical_form(g) in kept
@@ -470,7 +463,6 @@ def test_stage1_accepts_each_class_exactly_once(monkeypatch, bounds, accepted,
     monkeypatch.setattr(census_module, "canonical_search", search)
     monkeypatch.setattr(census_module, "_canonical_deletion", rule)
     monkeypatch.setattr(census_module, "_is_planar_bipartite", planar)
-    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     simple_connected_graphs(*bounds)
     assert len(set(forms)) == len(forms) == accepted
     assert tested == forms
@@ -500,7 +492,6 @@ def test_deletion_keys_computed_once_per_child(monkeypatch, bounds, children):
     ranking after it alike."""
     rules = _count_calls(monkeypatch, "_canonical_deletion")
     keys = _count_calls(monkeypatch, "_deletion_keys")
-    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     simple_connected_graphs(*bounds)
     assert [args[0] for args in keys] == [args[0] for args in rules]
     assert len(rules) == children
@@ -514,7 +505,6 @@ def test_new_vertex_never_tested_for_deletability(monkeypatch, bounds, asked):
     """The new vertex of a child is deletable, since its parent is
     connected, so the rule never asks about it."""
     calls = _count_calls(monkeypatch, "_deletable")
-    monkeypatch.setattr(census_module, "_SIMPLE_CACHE", {})
     simple_connected_graphs(*bounds)
     assert all(w != graph.n - 1 for graph, w in calls)
     assert len(calls) == asked
@@ -603,27 +593,29 @@ def test_canonical_deletion_accepts_one_orbit(graph, data):
     assert _accepted_deletions(graph.relabeled(perm)) == {perm[x] for x in accepted}
 
 
-def test_cleared_caches_give_a_cold_census():
-    """``_SIMPLE_CACHE`` and ``_ATOM_CACHE`` are the only module-level
-    state of ``census``, so clearing them makes a query cold, and a cold
-    query gives the same classes as a warm one."""
-    state = {name for name, value in vars(census_module).items()
-             if not name.startswith("__")
-             and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_clear"))}
-    assert state == {"_SIMPLE_CACHE", "_ATOM_CACHE"}
+def test_repeated_queries_agree_and_reuse_nothing(monkeypatch):
+    """Two runs of one query give equal output, and the second makes as
+    many canonical searches as the first: nothing of the first run is
+    reused, so each query is deterministic on its own."""
+    searches = _count_calls(monkeypatch, "canonical_search")
 
-    def run():
+    def stage1():
+        return [(g.n, g.edges, g.bipartition, gens)
+                for g, gens in simple_connected_graphs(10, 10)]
+
+    def grouped():
         filt = CensusFilter(max_vertices=8, max_edges=16, allow_isolated=False)
         return [(c.family, c.parameters, c.contracted.edges,
                  [(g.n, g.edges) for g in c.members])
                 for c in census(3, filt)]
 
-    first = run()
-    assert census_module._SIMPLE_CACHE and census_module._ATOM_CACHE
-    assert run() == first
-    census_module._SIMPLE_CACHE.clear()
-    census_module._ATOM_CACHE.clear()
-    assert run() == first
+    for run in (stage1, grouped):
+        searches.clear()
+        first = run()
+        counted = len(searches)
+        searches.clear()
+        assert run() == first
+        assert len(searches) == counted > 0
 
 
 def test_genus1_census_classes():
@@ -749,6 +741,10 @@ def test_genus_runs_once_per_atom(monkeypatch, filt, calls):
         assert calls == sum(1 for a in atoms if a.edge_count)
 
 
+# computed once for every example of ``disjoint_parts``
+ATOMS_8_12 = connected_atoms(8, 12)
+
+
 @st.composite
 def disjoint_parts(draw):
     """One to three graphs, each a connected atom at (8, 12), the single
@@ -756,7 +752,7 @@ def disjoint_parts(draw):
     parts = []
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
-            parts.append(draw(st.sampled_from(connected_atoms(8, 12))))
+            parts.append(draw(st.sampled_from(ATOMS_8_12)))
         else:
             graph = corpus.random_adgraph(random.Random(draw(st.integers(0, 2**32))))
             parts.append(AdGraph(graph.n, graph.edges))

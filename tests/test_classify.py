@@ -11,7 +11,7 @@ import random
 import classify_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
-from turaevgenus import adgraph, corpus, families
+from turaevgenus import adgraph, census as census_module, corpus, families
 from turaevgenus.adgraph import AdGraph
 from turaevgenus.census import CensusFilter, census, enumerate_adgs
 from turaevgenus.errors import ClassificationFailureError, TuraevError
@@ -222,26 +222,36 @@ def test_a_graph_against_the_theorems_raises():
 
 
 def test_census_grouping_validates_nothing(monkeypatch):
-    """The census names a class from the key it has computed: once the
-    atoms are cached, grouping runs no validation and no planarity
-    search."""
-    filt = CensusFilter(8, 16, allow_isolated=False)
-    first = census(3, filt)
-    calls = {"validate_adg": 0, "_left_right": 0}
+    """The census names a class from the key it has computed: a whole
+    genus-3 census runs no validation, and every planarity search in it
+    is stage 1's test of a kept class."""
+    calls = {"validate_adg": 0, "stage 1": 0, "elsewhere": 0}
+    in_stage1 = []
+    real_planar = census_module._is_planar_bipartite
+    real_search = adgraph._left_right
 
-    def counting(module, name):
-        real = getattr(module, name)
-
+    def validate(real):
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls["validate_adg"] += 1
             return real(*args, **kwargs)
+        return counted
 
-        monkeypatch.setattr(module, name, counted)
+    def planar(*args):
+        in_stage1.append(True)
+        try:
+            return real_planar(*args)
+        finally:
+            in_stage1.pop()
 
-    counting(adgraph, "validate_adg")
-    counting(families, "validate_adg")
-    counting(adgraph, "_left_right")
-    again = census(3, filt)
-    assert calls == {"validate_adg": 0, "_left_right": 0}
-    assert [(c.family, c.parameters) for c in again] == [
-        (c.family, c.parameters) for c in first]
+    def search(*args):
+        calls["stage 1" if in_stage1 else "elsewhere"] += 1
+        return real_search(*args)
+
+    monkeypatch.setattr(adgraph, "validate_adg", validate(adgraph.validate_adg))
+    monkeypatch.setattr(families, "validate_adg", validate(families.validate_adg))
+    monkeypatch.setattr(census_module, "_is_planar_bipartite", planar)
+    monkeypatch.setattr(adgraph, "_left_right", search)
+    classes = census(3, CensusFilter(8, 16, allow_isolated=False))
+    assert len(classes) == 27
+    assert calls["validate_adg"] == calls["elsewhere"] == 0
+    assert calls["stage 1"] > 0

@@ -43,6 +43,14 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   ``simple_connected_graphs``, once per kept class, and no ``replace``
   call passes ``bipartition=``: atoms and the graphs built from them
   carry the sides stage 1 found;
+* no function changes module state: no ``global`` statement, no store
+  or ``del`` on a subscript or attribute of a module-level name, and no
+  ``append``, ``extend``, ``insert``, ``add``, ``update``,
+  ``setdefault``, ``pop``, ``popitem``, ``remove``, ``discard`` or
+  ``clear`` call on a module-level name that no local shadows, so the
+  census keeps nothing between queries; the one memo is the
+  ``functools.cache`` on ``families._forms``, a constant table that
+  ``classify_genus`` reads on every call;
 * no module has an ``assert`` statement, which ``python -O`` strips:
   every check raises;
 * only ``errors.integer``, ``errors.integers`` and the bool-to-bit in
@@ -282,6 +290,131 @@ def test_census_two_colours_only_in_stage1():
     # the scan sees two-colourings and bipartition replaces elsewhere
     assert "adgraph.validate_adg" in sites
     assert _replaces_bipartition(_modules()["adgraph"])
+
+
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
+             "pop", "popitem", "remove", "discard", "clear"}
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_MEMOS = {"cache", "lru_cache", "cached_property"}
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level."""
+    names: set[str] = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in top.names}
+        else:
+            names |= {n.id for n in ast.walk(top)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names
+
+
+def _own(body: list[ast.AST]):
+    """The nodes of one function's body, each nested function itself
+    but nothing inside it."""
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _root(node: ast.AST) -> str | None:
+    """The name at the bottom of a chain of subscripts and attributes."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _state_changes(tree: ast.Module, module: str) -> set[str]:
+    """The top-level functions and methods of ``tree`` (nested functions
+    count as their enclosing one) that change module state: a ``global``
+    statement, a store or ``del`` on a subscript or attribute of a
+    module-level name, or a mutating call on one, unless a local of the
+    function or of an enclosing one shadows it."""
+    shared = _top_level_names(tree)
+    found: set[str] = set()
+
+    def visit(fn: ast.AST, where: str, hidden: frozenset[str]) -> None:
+        own = list(_own(fn.body if isinstance(fn.body, list) else [fn.body]))
+        if any(isinstance(node, ast.Global) for node in own):
+            found.add(where)
+        hidden = hidden | {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        for node in own:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hidden |= {node.id}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                hidden |= {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                hidden |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        visible = shared - hidden
+        for node in own:
+            if (isinstance(node, (ast.Subscript, ast.Attribute))
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and _root(node) in visible):
+                found.add(where)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS and _root(node.func.value) in visible):
+                found.add(where)
+            if isinstance(node, _SCOPES):
+                visit(node, where, hidden)
+
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            visit(top, f"{module}.{top.name}", frozenset())
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(item, f"{module}.{top.name}.{item.name}", frozenset())
+    return found
+
+
+def _memoised(tree: ast.Module, module: str) -> set[str]:
+    """The functions of ``tree`` decorated with ``functools.cache``,
+    ``lru_cache`` or ``cached_property``."""
+    def name(decorator: ast.expr) -> str | None:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        return (decorator.attr if isinstance(decorator, ast.Attribute)
+                else getattr(decorator, "id", None))
+
+    return {f"{module}.{node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _MEMOS & {name(d) for d in node.decorator_list}}
+
+
+def test_no_function_changes_module_state():
+    """Every function in ``src`` leaves module state as it found it, so
+    a census query is a plain function of its bounds.  The one memo is
+    ``families._forms``: it holds a constant table of the minimal forms,
+    which ``classify_genus`` reads on every call."""
+    changes, memos = set(), set()
+    for module, tree in _modules().items():
+        changes |= _state_changes(tree, module)
+        memos |= _memoised(tree, module)
+    assert changes == set()
+    assert memos == {"families._forms"}
+    # the scan flags a cache store, a mutating call, a ``del``, a
+    # ``global`` statement and a store from a nested function
+    flagged = ("_CACHE = {}\ndef f(k):\n    _CACHE[k] = 1\n",
+               "SEEN = []\ndef f(k):\n    SEEN.append(k)\n",
+               "import os\ndef f():\n    del os.environ['X']\n",
+               "n = 0\ndef f():\n    global n\n    n = 1\n",
+               "T = {}\nclass C:\n    def f(self):\n"
+               "        return [lambda k: T.setdefault(k, 1)]\n")
+    for code in flagged:
+        assert len(_state_changes(ast.parse(code), "m")) == 1, code
+    # and not a local that shadows a module-level name, nor a parameter
+    local = ("cache = {}\ndef f(k, seen):\n    cache = {}\n    cache[k] = 1\n"
+             "    cache.setdefault(k, 2)\n    seen.append(k)\n    return cache\n")
+    assert _state_changes(ast.parse(local), "m") == set()
+    # it sees memo decorators, called or bare
+    memo = "import functools\n@functools.lru_cache(None)\ndef f():\n    return 1\n"
+    assert _memoised(ast.parse(memo), "m") == {"m.f"}
 
 
 def _asserts(tree: ast.AST) -> list[int]:
