@@ -413,37 +413,104 @@ def writhe(diagram: PlanarDiagram) -> int:
 
 
 def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
-    """Bracket state sum over all 2^c resolutions, delta = -A^2 - A^-2."""
+    """Bracket state sum over all 2^c resolutions, delta = -A^2 - A^-2.
+
+    The states are walked in Gray-code order, one crossing flipped at a
+    time, with a circle label per half-edge and a size per label; the
+    circles are traced in full only once, for the all-A state.
+
+    Slots 0 and 2 of a crossing lie on its two smoothing arcs in either
+    smoothing, so their labels tell what a flip does.  A flip is a band
+    surgery along the strip between the two arcs.  On different circles
+    it merges them.  On one circle C it splits C in two on the sphere:
+    the strip meets no circle, so it lies in one of the two discs that C
+    bounds (Jordan), and cutting a disc along a band from its boundary to
+    its boundary leaves two discs.  Off the sphere C may stay whole;
+    that raises ``ParityError``.  A merge relabels the smaller circle; a
+    split traces both new circles in step until one closes and relabels
+    that one.  A flip so costs O(size of the smaller circle), where a
+    recount would trace all 4c half-edges.
+    """
     n = diagram.crossing_count
     if n == 0:
         raise EmptyDiagramError("the empty diagram has no Kauffman bracket")
     limit = _state_limit()
     if n > limit:
         raise TooLargeError(f"{n} crossings exceeds state-sum limit {limit}")
+    # a circle has at least two of the 4c half-edges: a state has at most
+    # 2c circles, so 2c labels never run out
     delta = LaurentPoly({2: -1, -2: -1})
     delta_pows = [LaurentPoly({0: 1})]
-    for _ in range(n + 2):
+    for _ in range(2 * n - 1):
         delta_pows.append(delta_pows[-1] * delta)
-    rows = [
-        [[4 * ci + s for s in _SMOOTHINGS[state]] for ci in range(n)]
-        for state in ("A", "B")
-    ]
-    # walk the states in Gray-code order, flipping one crossing at a time,
-    # and tally them by (A-smoothings, circles)
-    smooth = [h for row in rows[0] for h in row]
-    is_b = bytearray(n)
-    a_count = n
-    tally: dict[tuple[int, int], int] = {}
-    for step in range(1 << n):
-        if step:
-            ci = (step & -step).bit_length() - 1
-            is_b[ci] ^= 1
-            a_count += -1 if is_b[ci] else 1
-            smooth[4 * ci:4 * ci + 4] = rows[is_b[ci]][ci]
-        key = (a_count, orbits(diagram.partner, smooth)[1])
-        tally[key] = tally.get(key, 0) + 1
+    partner = diagram.partner
+    smooth = [4 * ci + s for ci in range(n) for s in _SMOOTHINGS["A"]]
+    label, circles = orbits(partner, smooth)
+    size = [0] * (2 * n)
+    for lab in label:
+        size[lab] += 1
+    free = list(range(circles, 2 * n))
+    # the states tallied by (A-smoothings, circles), at a * stride + circles
+    stride = 2 * n + 1
+    tally = [0] * ((n + 1) * stride)
+    key = n * stride + circles
+    tally[key] = 1
+    for step in range(1, 1 << n):
+        ci = (step & -step).bit_length() - 1
+        h0 = 4 * ci
+        h2 = h0 + 2
+        old, other = label[h0], label[h2]
+        if old != other:
+            # merge: relabel the smaller circle, then flip
+            if size[old] > size[other]:
+                old, other = other, old
+            h = start = h0 if label[h0] == old else h2
+            while True:
+                label[h] = other
+                h = smooth[h]
+                label[h] = other
+                h = partner[h]
+                if h == start:
+                    break
+            size[other] += size[old]
+            free.append(old)
+            key -= 1
+        # the flip: slots 0 and 2 trade partners, and so do 1 and 3
+        smooth[h0], smooth[h2] = smooth[h2], smooth[h0]
+        smooth[h0 + 1], smooth[h0 + 3] = smooth[h0 + 3], smooth[h0 + 1]
+        if old == other:
+            # split: trace from both slots in step until one walk closes
+            a, b, length = h0, h2, 0
+            while True:
+                a = partner[smooth[a]]
+                b = partner[smooth[b]]
+                length += 2
+                if a == h0 or b == h2:
+                    break
+            if length == size[old]:
+                raise ParityError(
+                    f"flipping crossing {ci} leaves its circle whole; "
+                    "the diagram is not on a sphere")
+            new = free.pop()
+            h = start = h0 if a == h0 else h2
+            while True:
+                label[h] = new
+                h = smooth[h]
+                label[h] = new
+                h = partner[h]
+                if h == start:
+                    break
+            size[new] = length
+            size[old] -= length
+            key += 1
+        # the B-smoothing pairs slot 0 with slot 3
+        key += -stride if smooth[h0] == h0 + 3 else stride
+        tally[key] += 1
     total: dict[int, int] = {}
-    for (a, circles), count in tally.items():
+    for key, count in enumerate(tally):
+        if not count:
+            continue
+        a, circles = divmod(key, stride)
         exp = 2 * a - n
         for e, c in delta_pows[circles - 1].coeffs.items():
             total[e + exp] = total.get(e + exp, 0) + c * count
@@ -493,8 +560,9 @@ def is_adequate(diagram: PlanarDiagram) -> bool:
     state strictly decreases the circle count.
 
     On the sphere a flip merges two circles when the crossing's two
-    smoothing arcs lie on different circles and splits one otherwise, so
-    each extreme state is labelled once and every crossing compared.
+    smoothing arcs lie on different circles and splits one otherwise
+    (``kauffman_bracket`` says why), so each extreme state is labelled
+    once and every crossing compared.
     """
     n = diagram.crossing_count
     if n == 0:

@@ -1,10 +1,11 @@
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turaevgenus import corpus
+from turaevgenus import corpus, diagram
 from turaevgenus.diagram import (
     LaurentPoly,
     PlanarDiagram,
@@ -31,6 +32,7 @@ from turaevgenus.errors import (
     MalformedLineError,
     NoCrossingsError,
     NonPlanarMapError,
+    ParityError,
     TooLargeError,
 )
 from turaevgenus.perm import orbits
@@ -375,26 +377,113 @@ def test_is_adequate_matches_flip_definition():
     assert True in outcomes and False in outcomes
 
 
+def bracket_cases():
+    """Diagrams of at most 12 crossings on which merges and splits meet
+    short circles and several components: the named diagrams, (2, k)
+    torus diagrams, realized diagrams, split unions, kinked diagrams
+    (a kink's loop is a 2-half-edge circle), connected sums and the
+    mirror of each."""
+    rng = random.Random(11)
+    named = corpus.named_diagrams()
+    trefoil, eight, nine_42 = (
+        named["trefoil"], named["figure-eight"], named["9_42"])
+    kink = parse_pd(KINK)
+    cases = list(named.values())
+    cases += [corpus.torus_2k(k) for k in range(1, 6)]
+    cases += [corpus.random_diagram(rng, max_edges=6) for _ in range(10)]
+    cases += [
+        trefoil.disjoint_union(eight),
+        kink.disjoint_union(kink),
+        kink.disjoint_union(trefoil).disjoint_union(kink),
+        # four split kinks: a state of 4 crossings with 8 circles
+        kink.disjoint_union(kink).disjoint_union(kink).disjoint_union(kink),
+        corpus.torus_2k(2).disjoint_union(nine_42),
+        connected_sum(trefoil, 1, eight, 3),
+        connected_sum(nine_42, 5, trefoil, 2),
+        connected_sum(eight, 2, eight, 7),
+    ]
+    for d in list(cases):
+        if d.crossing_count <= 10:
+            once = insert_twist(d, rng.choice(list(d.arc_ends)))
+            cases.append(insert_twist(once, rng.choice(list(once.arc_ends))))
+    return cases + [d.mirror() for d in cases]
+
+
 def test_bracket_matches_state_by_state_sum():
     """The Gray-code tally equals the plain sum over all 2^c states."""
-    rng = random.Random(11)
-    cases = list(corpus.named_diagrams().values())
-    cases += [corpus.torus_2k(k) for k in range(1, 6)]
-    cases += [corpus.random_diagram(rng, max_edges=6) for _ in range(6)]
     delta = LaurentPoly({2: -1, -2: -1})
+    delta_pows = [LaurentPoly({0: 1})]
+    for _ in range(2 * 12 - 1):
+        delta_pows.append(delta_pows[-1] * delta)
+    cases = bracket_cases()
+    assert max(d.crossing_count for d in cases) == 12
+    assert max(d.split_components for d in cases) == 4
     for d in cases:
         n = d.crossing_count
-        if n > 12:
-            continue
         total = LaurentPoly()
         for mask in range(1 << n):
             labels = ["B" if mask >> ci & 1 else "A" for ci in range(n)]
             circles = resolve_state(d, labels)
-            term = LaurentPoly.monomial(2 * labels.count("A") - n)
-            for _ in range(circles - 1):
-                term = term * delta
-            total = total + term
+            total = total + LaurentPoly.monomial(
+                2 * labels.count("A") - n) * delta_pows[circles - 1]
         assert kauffman_bracket(d) == total, d
+
+
+def test_bracket_labels_the_circles_once(monkeypatch):
+    """One circle count, for the all-A state; each flip updates only the
+    circles it touches (a recount per state would make 4,096 calls)."""
+    d = corpus.torus_2k(6)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return orbits(*args)
+
+    monkeypatch.setattr(diagram, "orbits", counted)
+    kauffman_bracket(d)
+    assert len(calls) == 1
+
+
+def lines_per_state(d):
+    """Lines run by ``kauffman_bracket(d)`` and every call under it, per
+    state: a count of its work that does not depend on the host."""
+    count = [0]
+
+    def trace(frame, event, arg):
+        if event == "line":
+            count[0] += 1
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        kauffman_bracket(d)
+    finally:
+        sys.settrace(before)
+    return count[0] / 2 ** d.crossing_count
+
+
+def test_bracket_flip_costs_the_smaller_circle():
+    """On a chain of kinks each flip merges or splits a short loop and
+    the long circle through the rest.  Relabelling the larger circle,
+    tracing a split from one end only, or recounting every circle would
+    make the work per state grow with the crossings; it does not."""
+    chains = [corpus.torus_2k(1)]
+    while chains[-1].crossing_count < 14:
+        d = chains[-1]
+        chains.append(insert_twist(d, max(d.arc_ends)))
+    assert lines_per_state(chains[13]) <= lines_per_state(chains[9])
+
+
+def test_bracket_rejects_a_flip_that_leaves_a_circle_whole():
+    """Off the sphere a flip on one circle may keep it whole; the state
+    sum raises instead of miscounting."""
+    d = parse_pd(KINK)
+    # the kink's one crossing with its strands paired across (slot h to
+    # slot h + 2), the pairing of a crossing on a torus
+    d.partner[:] = [2, 3, 0, 1]
+    with pytest.raises(ParityError):
+        kauffman_bracket(d)
 
 
 # --- misc ---------------------------------------------------------------------
