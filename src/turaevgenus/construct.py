@@ -1,6 +1,6 @@
 """Realize alternating decomposition graphs as adequate link diagrams.
 
-Each vertex of degree 2m is replaced by a *wheel tangle*: a closed
+Each vertex of degree d = 2m is replaced by a *wheel tangle*: a closed
 circle strand crossed by m radial strands, each entering and leaving the
 tangle once.  Around the circle the crossings alternate over/under, so
 the tangle is alternating, its 2m endpoint signs alternate -, +, ...
@@ -11,58 +11,33 @@ m of them; every crossing therefore joins an internal state circle to a
 through-strand circle in both extreme states, which makes every
 realized diagram adequate.
 
+A vertex takes 3m fresh arcs from ``base``: circle arc ``base + j`` runs
+from crossing x_j to x_{j+1} (mod d), chord ``base + d + i`` carries
+radial strand i from x_{2i} to x_{2i+1}.  With ``end[j]`` the edge arc
+at boundary endpoint j, strand i crosses at
+x_{2i} = (end[2i], base+2i, base+d+i, base+(2i-1) mod d) and
+x_{2i+1} = (base+2i, end[2i+1], base+(2i+1) mod d, base+d+i), so the
+strand at endpoint j meets its first crossing as the under-strand, sign
+'-', exactly when j is even.  ``edge_signs`` alternates the signs
+around each rotation, so rotation position j goes to endpoint
+j + shift (mod d), ``shift`` being 0 when the first edge is '-'.
+
 Splicing the tangles along the edges of the embedded graph produces a
 diagram whose non-alternating arcs are exactly the graph's edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .adgraph import AdGraph, planar_rotations
 from .diagram import PlanarDiagram
-from .errors import (
-    NotEmbeddedError,
-    NotValidatedError,
-    SignMismatchError,
-)
+from .errors import NotEmbeddedError, NotValidatedError, SignMismatchError
 from .perm import two_colouring
 
 #: the isolated-vertex realization; any reduced alternating diagram works,
 #: the trefoil is the smallest with is_adequate applicable
 _TREFOIL = ((0, 3, 1, 4), (2, 5, 3, 0), (4, 1, 5, 2))
-
-
-@dataclass(frozen=True)
-class TangleTemplate:
-    """Alternating tangle with ``arity`` boundary endpoints.
-
-    ``crossings`` hold local slot entries: nonnegative ints are internal
-    arcs, ``("end", j)`` marks the stub that attaches to boundary
-    endpoint j.  ``endpoint_signs[j]`` is '-' when the strand at endpoint
-    j meets its first crossing as the under-strand.
-    """
-
-    arity: int
-    crossings: tuple[tuple, ...]
-    endpoint_signs: tuple[str, ...]
-
-
-def wheel_tangle(m: int) -> TangleTemplate:
-    """Wheel tangle for a degree-2m vertex: 2m crossings, a circle strand
-    alternating over/under, and m radial bite strands."""
-    if m < 1:
-        raise ValueError("wheel tangle needs m >= 1")
-    n = 2 * m
-    # internal arcs: circle arcs gamma_j = j (from x_j to x_{j+1}),
-    # chords delta_i = n + i (from x_{2i} to x_{2i+1})
-    crossings = []
-    for i in range(m):
-        g_prev = (2 * i - 1) % n
-        crossings.append((("end", 2 * i), 2 * i, n + i, g_prev))
-        crossings.append((2 * i, ("end", 2 * i + 1), (2 * i + 1) % n, n + i))
-    signs = tuple("-" if j % 2 == 0 else "+" for j in range(n))
-    return TangleTemplate(n, tuple(crossings), signs)
 
 
 def embed_planar(graph: AdGraph) -> AdGraph:
@@ -109,41 +84,20 @@ def realize_diagram(graph: AdGraph) -> PlanarDiagram:
         raise NotEmbeddedError("realize_diagram expects an embedded graph")
     signs = edge_signs(graph)
 
-    next_arc = len(graph.edges) + 1  # arcs 1..e are the graph edges
+    base = len(graph.edges) + 1  # arcs 1..e are the graph edges
     crossings: list[tuple[int, int, int, int]] = []
-
-    for v in range(graph.n):
-        rot = graph.rotations[v]
+    for rot in graph.rotations:
         d = len(rot)
         if d == 0:
-            base = next_arc
-            crossings.extend(
-                tuple(base + a for a in x) for x in _TREFOIL
-            )
-            next_arc += 6
+            crossings.extend(tuple(base + a for a in x) for x in _TREFOIL)
+            base += 6
             continue
-        template = wheel_tangle(d // 2)
-        # rotate the attachment so tangle endpoint parity matches the
-        # edge signs: endpoints with even index read '-'
         shift = 0 if signs[rot[0]] == "-" else 1
-        attached = {}
-        for j, e in enumerate(rot):
-            endpoint = (j + shift) % d
-            want = template.endpoint_signs[endpoint]
-            if signs[e] != want:
-                raise SignMismatchError(
-                    f"edge {e} sign {signs[e]} does not match endpoint "
-                    f"{endpoint} sign {want} at vertex {v}"
-                )
-            attached[endpoint] = e + 1
-        base = next_arc
-        for x in template.crossings:
-            row = []
-            for entry in x:
-                if isinstance(entry, tuple):
-                    row.append(attached[entry[1]])
-                else:
-                    row.append(base + entry)
-            crossings.append(tuple(row))
-        next_arc += 3 * (d // 2)
+        end = [rot[(j - shift) % d] + 1 for j in range(d)]
+        for i in range(d // 2):
+            crossings.append((end[2 * i], base + 2 * i, base + d + i,
+                              base + (2 * i - 1) % d))
+            crossings.append((base + 2 * i, end[2 * i + 1],
+                              base + (2 * i + 1) % d, base + d + i))
+        base += 3 * (d // 2)
     return PlanarDiagram(crossings)

@@ -16,7 +16,8 @@ import random
 from . import families
 from .adgraph import AdGraph, validate_adg
 from .construct import embed_planar, realize_diagram
-from .diagram import PlanarDiagram, link_component_count, parse_pd
+from .diagram import (PlanarDiagram, connected_sum, is_adequate,
+                      link_component_count, parse_pd)
 from .errors import BadParametersError, TuraevError
 from .perm import two_colouring
 
@@ -169,8 +170,6 @@ def alternating_knot_corpus(
     underlying map with one strand, so the redecorated diagram is again
     a reduced alternating diagram of a known non-split knot.
     """
-    from .diagram import connected_sum, is_adequate
-
     # the summands below need the (2, k) torus diagrams up to k = 9
     table = {f"torus-2-{k}": torus_2k(k)
              for k in range(3, max(max_crossings, 9) + 1, 2)}

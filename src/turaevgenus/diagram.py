@@ -24,7 +24,6 @@ from .errors import (
     DisconnectedError,
     EmptyDiagramError,
     MalformedLineError,
-    NoCrossingsError,
     NonPlanarMapError,
     ParityError,
     TooLargeError,
@@ -154,8 +153,8 @@ class PlanarDiagram:
 
     def disjoint_union(self, other: "PlanarDiagram") -> "PlanarDiagram":
         shift = max(self.arc_ends, default=0)
-        moved = [tuple(a + shift for a in x) for x in other.crossings]
-        return PlanarDiagram(list(self.crossings) + moved)
+        return PlanarDiagram(
+            list(self.crossings) + _relabel(other.crossings, shift))
 
     def __repr__(self) -> str:
         body = " / ".join("X " + " ".join(map(str, x)) for x in self.crossings)
@@ -224,7 +223,8 @@ def _circles(
 def state_circle_counts(diagram: PlanarDiagram) -> tuple[int, int]:
     """(s_A, s_B) for the all-A and all-B states."""
     n = diagram.crossing_count
-    return resolve_state(diagram, ["A"] * n), resolve_state(diagram, ["B"] * n)
+    s_a, s_b = (_circles(diagram, [_SMOOTHINGS[x]] * n)[1] for x in "AB")
+    return s_a, s_b
 
 
 def turaev_genus_diagram(diagram: PlanarDiagram) -> int:
@@ -566,7 +566,7 @@ def is_adequate(diagram: PlanarDiagram) -> bool:
     """
     n = diagram.crossing_count
     if n == 0:
-        raise NoCrossingsError("adequacy needs at least one crossing")
+        raise EmptyDiagramError("adequacy needs at least one crossing")
     for pair in _SMOOTHINGS.values():
         label, _ = _circles(diagram, [pair] * n)
         # slot 0 lies on one smoothing arc, slot ``other`` on the second

@@ -80,12 +80,9 @@ class DisconnectedError(TuraevError):
     """The operation requires a connected diagram."""
 
 
-class NoCrossingsError(TuraevError):
-    """The operation requires at least one crossing."""
-
-
 class EmptyDiagramError(TuraevError):
-    """The diagram has no crossings, so it has no bracket."""
+    """The operation needs at least one crossing: the diagram has none, so
+    it has no Kauffman bracket and no adequacy."""
 
 
 # --- ribbon graph errors ----------------------------------------------------
@@ -175,7 +172,8 @@ class ClassificationFailureError(TuraevError):
 
 
 class SignMismatchError(TuraevError):
-    """Internal consistency failure while assigning edge signs."""
+    """``construct.edge_signs`` found no alternating edge signs: a face of
+    the embedding has odd length."""
 
 
 class BoundsTooLargeError(TuraevError):

@@ -45,16 +45,16 @@ def test_genus_d_counts_state_circles_once(capsys, monkeypatch, trefoil_file):
     """One all-A and one all-B smoothing per run: sA + sB is read off
     the genus, not counted again."""
     calls = []
-    real = diagram.resolve_state
+    real = diagram._circles
 
-    def counting(d, state):
-        calls.append(state[0])
-        return real(d, state)
+    def counting(d, pairs):
+        calls.append(tuple(pairs[0]))
+        return real(d, pairs)
 
-    monkeypatch.setattr(diagram, "resolve_state", counting)
+    monkeypatch.setattr(diagram, "_circles", counting)
     code, out, _ = run(capsys, "genus-d", trefoil_file)
     assert (code, out) == (0, "g_T = 0, c = 3, sA+sB = 5, k = 1\n")
-    assert calls == ["A", "B"]
+    assert calls == [diagram._SMOOTHINGS["A"], diagram._SMOOTHINGS["B"]]
 
 
 def test_genus_g(capsys, c22_file):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turaevgenus import corpus
 from turaevgenus.adgraph import (
@@ -9,12 +10,7 @@ from turaevgenus.adgraph import (
     turaev_genus_graph,
     validate_adg,
 )
-from turaevgenus.construct import (
-    edge_signs,
-    embed_planar,
-    realize_diagram,
-    wheel_tangle,
-)
+from turaevgenus.construct import edge_signs, embed_planar, realize_diagram
 from turaevgenus.decompose import decompose
 from turaevgenus.diagram import classify_arcs, is_adequate, turaev_genus_diagram
 from turaevgenus.errors import (
@@ -36,12 +32,13 @@ from turaevgenus.families import (
 )
 from turaevgenus import adgraph, construct
 from turaevgenus.adgraph import half_edges
-from turaevgenus.construct import TangleTemplate
 from turaevgenus.errors import NotPlanarError
 from turaevgenus.perm import orbits
 
+import realize_oracle as oracle
 
-def tangle_boundary_faces_ok(template: TangleTemplate) -> bool:
+
+def tangle_boundary_faces_ok(template: oracle.TangleTemplate) -> bool:
     """Check that every face of the tangle meets the boundary circle in
     at most one arc: close the boundary with a hub vertex and demand the
     augmented map be a sphere whose hub-incident faces each pass the hub
@@ -78,13 +75,54 @@ def tangle_boundary_faces_ok(template: TangleTemplate) -> bool:
 
 def test_wheel_templates():
     for m in range(1, 7):
-        t = wheel_tangle(m)
+        t = oracle.wheel_tangle(m)
         assert t.arity == 2 * m
         assert len(t.crossings) == 2 * m
         assert t.endpoint_signs == tuple(
             "-" if j % 2 == 0 else "+" for j in range(2 * m)
         )
         assert tangle_boundary_faces_ok(t)
+
+
+def _turned(graph: AdGraph, rng: random.Random) -> AdGraph:
+    """The graph with each rotation table cyclically rotated by a random
+    offset: the same cyclic orders, so the same sphere embedding, but
+    another first edge, hence perhaps another endpoint shift."""
+    rotations = []
+    for rot in graph.rotations:
+        k = rng.randrange(len(rot)) if rot else 0
+        rotations.append(rot[k:] + rot[:k])
+    return AdGraph(graph.n, graph.edges, graph.bipartition, tuple(rotations))
+
+
+def _same_as_oracle(graph: AdGraph) -> None:
+    check_sphere_embedding(graph)
+    assert realize_diagram(graph).crossings == \
+        oracle.realize_diagram(graph).crossings
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_edges=st.integers(2, 40),
+       turn=st.integers(0, 2**32 - 1))
+def test_realize_matches_template_oracle(seed, max_edges, turn):
+    g = corpus.random_adgraph(random.Random(seed), max_edges)
+    _same_as_oracle(_turned(g, random.Random(turn)))
+
+
+def test_realize_matches_template_oracle_on_stars():
+    # the hub of a doubled star with m leaves has degree 2m; every turn of
+    # its rotation gives each first-edge sign in turn
+    seen = set()
+    for m in range(1, 7):
+        g = embed_planar(validate_adg(doubled_tree((0,) * m)))
+        hub = g.rotations[0]
+        signs = edge_signs(g)
+        for k in range(len(hub)):
+            turned = AdGraph(g.n, g.edges, g.bipartition,
+                             (hub[k:] + hub[:k],) + g.rotations[1:])
+            _same_as_oracle(turned)
+            seen.add((len(hub), signs[hub[k]]))
+    assert seen == {(2 * m, s) for m in range(1, 7) for s in "+-"}
 
 
 def test_embed_planar_requires_validation():

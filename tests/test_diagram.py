@@ -30,7 +30,6 @@ from turaevgenus.errors import (
     DisconnectedError,
     EmptyDiagramError,
     MalformedLineError,
-    NoCrossingsError,
     NonPlanarMapError,
     ParityError,
     TooLargeError,
@@ -337,7 +336,7 @@ def test_kink_not_adequate():
 
 
 def test_adequate_needs_crossings():
-    with pytest.raises(NoCrossingsError):
+    with pytest.raises(EmptyDiagramError):
         is_adequate(PlanarDiagram([]))
 
 

@@ -57,6 +57,9 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   ``ribbon.is_orientable`` read the name ``int`` as a value (type hints
   and ``is`` tests aside), so no parser converts text outside
   ``errors``.
+* every ``TuraevError`` subclass that ``errors`` defines is raised by
+  name in some other module: no error class outlives its last
+  ``raise``.
 
 Everything else that needs an embedding asks for
 ``embed_planar(validate_adg(g))``.
@@ -484,3 +487,42 @@ def test_only_the_integer_readers_convert_text():
             "Pair = tuple[int, int]\n")
     assert _int_readers(ast.parse(code), "m") == {
         "m.f", "m.g", "m.h", "m.j", "m.k"}
+
+
+def _unraised_errors(modules: dict[str, ast.Module]) -> list[str]:
+    """The ``TuraevError`` subclasses defined in ``errors``, directly or
+    through another one, that no ``raise`` outside ``errors`` names."""
+    errors = {"TuraevError"}
+    for node in modules["errors"].body:
+        if isinstance(node, ast.ClassDef) and errors & {
+                getattr(base, "id", None) for base in node.bases}:
+            errors.add(node.name)
+    raised = set()
+    for module, tree in modules.items():
+        if module != "errors":
+            raised |= {name for node in ast.walk(tree)
+                       if isinstance(node, ast.Raise) and node.exc is not None
+                       for name in _names(node.exc)}
+    return sorted(errors - {"TuraevError"} - raised)
+
+
+def test_every_error_class_is_raised():
+    modules = _modules()
+    assert _unraised_errors(modules) == []
+    # the scan flags a subclass, also one of a subclass, that only its own
+    # module raises, and counts a raise by name or by call elsewhere
+    modules = {
+        "errors": ast.parse(
+            "class TuraevError(Exception):\n    pass\n"
+            "class UsedError(TuraevError):\n    pass\n"
+            "class BareError(UsedError):\n    pass\n"
+            "class DeadError(UsedError):\n    pass\n"
+            "class Other(Exception):\n    pass\n"
+            "def check():\n    raise DeadError('x')\n"),
+        "user": ast.parse(
+            "from . import errors\n"
+            "def f(x):\n"
+            "    if x:\n        raise errors.UsedError(x)\n"
+            "    raise BareError\n"),
+    }
+    assert _unraised_errors(modules) == ["DeadError"]
