@@ -22,7 +22,7 @@ embedding.  The package needs nothing outside the standard library.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -50,13 +50,17 @@ class AdGraph:
     ``(min, max)`` whatever order it is given in.  ``rotations`` gives, for
     each vertex, the cyclic counterclockwise order of incident edge
     indices; each edge must sit once at each of its two endpoints, which
-    ``half_edges`` checks.
+    ``half_edges`` checks.  ``validate_adg`` and ``planar_rotations``
+    keep ``(perm.components, half_edges or None)`` of the graph in
+    ``_arrays``, read-only, for ``_components`` and ``_slots``; a graph
+    made any other way, ``replace`` included, carries none.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     bipartition: tuple[int, ...] | None = None
     rotations: tuple[tuple[int, ...], ...] | None = None
+    _arrays: tuple | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -85,10 +89,10 @@ class AdGraph:
         return deg
 
     def components(self) -> list[list[int]]:
-        return perm.groups(*perm.components(self.n, self.edges))
+        return perm.groups(*_components(self))
 
     def component_count(self) -> int:
-        return len(self.components())
+        return _components(self)[1]
 
     def multiplicity(self) -> dict[tuple[int, int], int]:
         mult: dict[tuple[int, int], int] = {}
@@ -121,6 +125,18 @@ def nullity(graph: AdGraph) -> int:
 
 # -- validation ------------------------------------------------------------------
 
+def _components(graph: AdGraph) -> tuple[list[int], int]:
+    """``perm.components`` of the graph, kept by validation if it ran."""
+    found = graph._arrays
+    return perm.components(graph.n, graph.edges) if found is None else found[0]
+
+
+def _slots(graph: AdGraph) -> tuple[list[int], list[int], list[int]]:
+    """``half_edges(graph)``, kept by validation if it ran."""
+    found = graph._arrays
+    return half_edges(graph) if found is None or found[1] is None else found[1]
+
+
 def find_bipartition(graph: AdGraph) -> tuple[int, ...]:
     """Side of each vertex, the least vertex of each component on side 0;
     raises ``NotBipartiteError`` with an odd cycle."""
@@ -139,17 +155,20 @@ def validate_adg(graph: AdGraph) -> AdGraph:
     planarity search and the graph comes back carrying the embedding it
     found; a graph of smaller components (each simplifies to a subgraph
     of K4) is not searched and carries none.  Returns the graph
-    annotated with a bipartition.  Loops are already rejected at
-    construction.
+    annotated with a bipartition, and its arrays.  Loops are already
+    rejected at construction.
     """
     for v, d in enumerate(graph.degrees()):
         if d % 2:
             raise OddDegreeError(v, d)
     graph = replace(graph, bipartition=find_bipartition(graph))
-    if graph.rotations is not None:
+    comp = perm.components(graph.n, graph.edges)
+    slots = None if graph.rotations is None else half_edges(graph)
+    object.__setattr__(graph, "_arrays", (comp, slots))
+    if slots is not None:
         check_sphere_embedding(graph)
-    elif any(len(comp) > 4 for comp in graph.components()):
-        graph = replace(graph, rotations=planar_rotations(graph))
+    elif any(len(members) > 4 for members in perm.groups(*comp)):
+        graph = planar_rotations(graph)
     return graph
 
 
@@ -222,8 +241,8 @@ def half_edges(graph: AdGraph) -> tuple[list[int], list[int], list[int]]:
 def check_sphere_embedding(graph: AdGraph) -> None:
     """Euler check V - E + F = 2 on every component; a failing component
     raises ``NotSphericalError``, whatever its own planarity."""
-    _, face_step, vertex = half_edges(graph)
-    comp, k = perm.components(graph.n, graph.edges)
+    _, face_step, vertex = _slots(graph)
+    comp, k = _components(graph)
     chi = [0] * k
     for v, rot in enumerate(graph.rotations):
         # an isolated vertex has a single disk face
@@ -568,8 +587,9 @@ def _left_right(
     return rotations
 
 
-def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:
-    """Compute a sphere rotation system from a planarity certificate.
+def planar_rotations(graph: AdGraph) -> AdGraph:
+    """The graph with a sphere rotation system from a planarity
+    certificate, checked by ``check_sphere_embedding``, and its arrays.
 
     ``planar_embedding`` embeds the simplification of each component with
     two or more vertices, and raises ``NotPlanarError`` for the first
@@ -580,7 +600,7 @@ def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:
     by_pair: dict[tuple[int, int], list[int]] = {}
     for i, e in enumerate(graph.edges):
         by_pair.setdefault(e, []).append(i)
-    comp, k = perm.components(graph.n, by_pair)
+    comp, k = _components(graph)
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for key in by_pair:
         pairs[comp[key[0]]].append(key)
@@ -597,20 +617,18 @@ def planar_rotations(graph: AdGraph) -> tuple[tuple[int, ...], ...]:
                 bundle = by_pair[_pair(v, w)]
                 rot.extend(bundle if v < w else reversed(bundle))
             rotations[v] = tuple(rot)
-    check_sphere_embedding(replace(graph, rotations=tuple(rotations)))
-    return tuple(rotations)
+    embedded = replace(graph, rotations=tuple(rotations))
+    object.__setattr__(embedded, "_arrays", ((comp, k), half_edges(embedded)))
+    check_sphere_embedding(embedded)
+    return embedded
 
 
 def to_ribbon(graph: AdGraph, twisted: bool = False) -> RibbonGraph:
     """Ribbon graph of an embedded AdGraph; half-edge ids are the slots
     of ``half_edges``."""
-    partner, _, _ = half_edges(graph)
-    vertices, base = [], 0
-    for rot in graph.rotations:
-        vertices.append(tuple(range(base, base + len(rot))))
-        base += len(rot)
-    edges = tuple((h, p, twisted) for h, p in enumerate(partner) if h < p)
-    return RibbonGraph(tuple(vertices), edges)
+    partner, _, vertex = _slots(graph)
+    return RibbonGraph.from_slots(map(len, graph.rotations), vertex, partner, twisted,
+                                  _components(graph)[1] if graph._arrays else None)
 
 
 # -- the genus recursion ------------------------------------------------------------
@@ -631,7 +649,7 @@ def turaev_genus_graph(graph: AdGraph, rng: random.Random | None = None) -> int:
     """
     if graph.bipartition is None:
         raise NotValidatedError("call validate_adg first")
-    return _genus_recursion(graph.edges, rng)
+    return _genus_recursion(graph.edges, rng, _components(graph))
 
 
 class _Worklist:
@@ -664,7 +682,8 @@ def _pair(x: int, y: int) -> tuple[int, int]:
 
 
 def _genus_recursion(
-    edge_list: Iterable[tuple[int, int]], rng: random.Random | None = None
+    edge_list: Iterable[tuple[int, int]], rng: random.Random | None = None,
+    components: tuple[list[int], int] | None = None,
 ) -> int:
     """Contract a degree-two vertex while there is one, else delete a
     parallel pair, and count the deletions whose ends stay connected.
@@ -674,10 +693,13 @@ def _genus_recursion(
     when it disconnects the pair's ends.  The loop ends with every
     remaining vertex isolated, so the disconnecting deletions number the
     vertices left at the end minus the components of the input, and one
-    union-find over the input edges answers for the whole run.
+    union-find over the input edges, passed in as ``components`` when the
+    caller has it, answers for the whole run.
     """
     edges = list(edge_list)
-    n = 1 + max((max(e) for e in edges), default=0)
+    labels, count = components or perm.components(
+        1 + max((max(e) for e in edges), default=0), edges)
+    n = len(labels)
     adj: list[dict[int, int]] = [{} for _ in range(n)]  # neighbour -> multiplicity
     deg = [0] * n
     for u, w in edges:
@@ -737,7 +759,7 @@ def _genus_recursion(
                 "input was not a valid alternating decomposition graph"
             )
         remaining -= 2
-    return deletions - (live - perm.components(n, edges)[1])
+    return deletions - (live - count)
 
 
 # -- graph file format -----------------------------------------------------------------

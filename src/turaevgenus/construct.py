@@ -28,8 +28,6 @@ diagram whose non-alternating arcs are exactly the graph's edges.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .adgraph import AdGraph, planar_rotations
 from .diagram import PlanarDiagram
 from .errors import NotEmbeddedError, NotValidatedError, SignMismatchError
@@ -41,14 +39,14 @@ _TREFOIL = ((0, 3, 1, 4), (2, 5, 3, 0), (4, 1, 5, 2))
 
 
 def embed_planar(graph: AdGraph) -> AdGraph:
-    """Attach a sphere rotation system.  A validated graph that already
-    carries rotations is returned unchanged: ``validate_adg`` has checked
-    them, or built them with ``planar_rotations``, which checks its own."""
+    """Attach a sphere rotation system with ``planar_rotations``.  A
+    validated graph that already carries rotations is returned unchanged:
+    ``validate_adg`` has checked them, or built them the same way."""
     if graph.bipartition is None:
         raise NotValidatedError("embed_planar expects a validated graph")
     if graph.rotations is not None:
         return graph
-    return replace(graph, rotations=planar_rotations(graph))
+    return planar_rotations(graph)
 
 
 def edge_signs(graph: AdGraph) -> list[str]:

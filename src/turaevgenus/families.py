@@ -373,7 +373,8 @@ def is_reduced(graph: AdGraph) -> bool:
     and two edges that are not bridges form a cut exactly when their
     labels are equal.  Edges in different components have disjoint label
     supports, so one pass over the whole graph decides every component,
-    in O(V + E) big-integer XORs."""
+    in O(E * nu) bit operations, as a label holds up to nu bits (the
+    nullity): 0.17 s at 24,000 edges of a doubled theta, 51 s at 192,000."""
     if graph.n == 1 and not graph.edges:
         return True
     if 0 in graph.degrees():

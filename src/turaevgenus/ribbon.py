@@ -9,7 +9,9 @@ possibly non-orientable) bands uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from typing import Iterable
 
 from .errors import NonOrientableError, ParityError
 from .perm import components, orbits, two_colouring
@@ -19,20 +21,48 @@ from .perm import components, orbits, two_colouring
 class RibbonGraph:
     """``vertices[i]`` is the counterclockwise cyclic order of half-edge
     ids at vertex ``i``; ``edges`` pairs the half-edges, with a twist
-    flag per band."""
+    flag per band.
+
+    The readers share ``_flat``, ``(owner, other, twist, k)``, arrays over
+    positions, position i being the i-th half-edge in rotation order:
+    the vertex holding it, the position at its band's other end and the
+    band's twist flag; k is the component count when known, else None.
+    """
 
     vertices: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, bool], ...]
+    _flat: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # 2e distinct half-edges at the vertices, and the same set in the
-        # 2e ends of the edges, which are then distinct too
-        at_vertex = {h for rot in self.vertices for h in rot}
-        in_edges = {a for a, _, _ in self.edges}
-        in_edges.update(b for _, b, _ in self.edges)
-        if not (sum(map(len, self.vertices)) == len(at_vertex) == 2 * len(self.edges)
-                and at_vertex == in_edges):
+        # 2e distinct half-edges at the vertices, each the end of one edge
+        position = {h: i for i, h in enumerate(chain.from_iterable(self.vertices))}
+        other, twist = [-1] * len(position), [False] * len(position)
+        ok = sum(map(len, self.vertices)) == len(position) == 2 * len(self.edges)
+        for a, b, t in self.edges if ok else ():
+            i, j = position.get(a), position.get(b)
+            ok = None not in (i, j) and i != j and other[i] < 0 and other[j] < 0
+            if not ok:
+                break
+            other[i], other[j], twist[i], twist[j] = j, i, t, t
+        if not ok:
             raise ValueError("half-edges must appear once in rotations, once in edges")
+        owner = [v for v, rot in enumerate(self.vertices) for _ in rot]
+        object.__setattr__(self, "_flat", (owner, other, twist, None))
+
+    @classmethod
+    def from_slots(cls, degrees: Iterable[int], owner: list[int], other: list[int],
+                   twisted: bool, k: int | None) -> RibbonGraph:
+        """The ribbon graph whose half-edge ids are its positions, every
+        band twisted or none, built unchecked on ``owner`` and ``other``
+        as ``adgraph.half_edges`` gives them."""
+        ends = list(accumulate(degrees, initial=0))
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertices", tuple(
+            tuple(range(a, b)) for a, b in zip(ends, ends[1:])))
+        object.__setattr__(graph, "edges", tuple(
+            (h, p, twisted) for h, p in enumerate(other) if h < p))
+        object.__setattr__(graph, "_flat", (owner, other, [twisted] * ends[-1], k))
+        return graph
 
     @property
     def vertex_count(self) -> int:
@@ -43,18 +73,11 @@ class RibbonGraph:
         return len(self.edges)
 
     def component_count(self) -> int:
-        owner = _owners(self)
-        return components(
-            len(self.vertices), ((owner[a], owner[b]) for a, b, _ in self.edges)
-        )[1]
-
-
-def _owners(graph: RibbonGraph) -> dict[int, int]:
-    """The vertex holding each half-edge."""
-    owner: dict[int, int] = {}
-    for vi, rot in enumerate(graph.vertices):
-        owner.update(dict.fromkeys(rot, vi))
-    return owner
+        owner, other, _, count = self._flat
+        if count is not None:
+            return count
+        return components(len(self.vertices), (
+            (owner[i], owner[j]) for i, j in enumerate(other) if i < j))[1]
 
 
 def twist_all(graph: RibbonGraph) -> RibbonGraph:
@@ -76,26 +99,20 @@ def boundary_count(graph: RibbonGraph) -> int:
     the orbit count halves; an odd count raises ``ParityError``.
     Isolated vertices are disks and add one circle each.
     """
-    index: dict[int, int] = {}
-    nxt: list[int] = []  # rotation neighbours by dense position
-    prv: list[int] = []
+    ends = list(accumulate(map(len, graph.vertices), initial=0))
+    # rotation neighbours by dense position
+    nxt, prv = list(range(1, ends[-1] + 1)), list(range(-1, ends[-1] - 1))
     isolated = 0
-    for rot in graph.vertices:
-        base = len(nxt)
-        if not rot:
+    for a, b in zip(ends, ends[1:]):
+        if a < b:  # the rotation at positions a..b-1 closes up
+            nxt[b - 1], prv[a] = a, b - 1
+        else:
             isolated += 1
-            continue
-        index.update(zip(rot, range(base, base + len(rot))))
-        nxt += range(base + 1, base + len(rot))
-        nxt.append(base)
-        prv.append(base + len(rot) - 1)
-        prv += range(base, base + len(rot) - 1)
+    _, other, twist, _ = graph._flat
     step = [0] * (2 * len(nxt))
-    for a, b, twisted in graph.edges:
-        i, j = index[a], index[b]
-        t = 1 if twisted else 0  # a twisted band swaps the two directions
+    for i, j in enumerate(other):
+        t = 1 if twist[i] else 0  # a twisted band swaps the two directions
         step[2 * i + t], step[2 * i + 1 - t] = 2 * nxt[j], 2 * prv[j] + 1
-        step[2 * j + t], step[2 * j + 1 - t] = 2 * nxt[i], 2 * prv[i] + 1
     _, orbit_count = orbits(step)
     if orbit_count % 2:
         raise ParityError(
@@ -106,10 +123,10 @@ def boundary_count(graph: RibbonGraph) -> int:
 def is_orientable(graph: RibbonGraph) -> bool:
     """A ribbon graph is orientable iff some set of vertex flips makes
     every band flat; a twisted loop can never be flattened."""
-    owner = _owners(graph)
-    return two_colouring(
-        len(graph.vertices), ((owner[a], owner[b], int(t)) for a, b, t in graph.edges)
-    )[1] is None
+    owner, other, twist, _ = graph._flat
+    return two_colouring(len(graph.vertices), (
+        (owner[i], owner[j], int(twist[i])) for i, j in enumerate(other) if i < j
+    ))[1] is None
 
 
 def euler_genus(graph: RibbonGraph) -> int:

@@ -237,10 +237,7 @@ def suite_doubled_path_moves(rng: random.Random, iters: int) -> SuiteResult:
         )
         u, v = pairs[rng.randrange(len(pairs))]
         extended = families.doubled_path_extend(graph, u, v)
-        embedded = AdGraph(
-            extended.n, extended.edges,
-            rotations=adgraph.planar_rotations(extended),
-        )
+        embedded = adgraph.planar_rotations(extended)
         res.check(
             ribbon.euler_genus(adgraph.to_ribbon(embedded, twisted=True)) == base,
             dump,

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import random
 import re
 import time
@@ -5,11 +7,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turaevgenus import corpus, perm
+from turaevgenus import adgraph, corpus, perm, ribbon
 from turaevgenus.adgraph import (
     AdGraph,
     _genus_recursion,
     check_sphere_embedding,
+    half_edges,
     nullity,
     parse_graph_file,
     planar_rotations,
@@ -20,7 +23,8 @@ from turaevgenus.adgraph import (
     write_graph_file,
 )
 from turaevgenus.census import CensusFilter, enumerate_adgs
-from turaevgenus.construct import embed_planar
+from turaevgenus.construct import embed_planar, realize_diagram
+from turaevgenus.decompose import decompose
 from turaevgenus.errors import (
     HasLoopError,
     MalformedLineError,
@@ -38,6 +42,7 @@ from turaevgenus.families import (
     doubled_cycle,
     doubled_theta,
     doubled_tree,
+    isolated_vertices,
     k4_doubled_paths,
     k4_two_sum,
 )
@@ -185,7 +190,7 @@ def test_validate_attaches_planar_rotations(seed):
         assert validated.rotations is None
         return
     check_sphere_embedding(validated)
-    assert validated.rotations == planar_rotations(bare)
+    assert validated.rotations == planar_rotations(bare).rotations
 
 
 def test_first_nonplanar_component_named():
@@ -220,7 +225,7 @@ def test_per_component_search_matches_whole_graph_search():
     for _ in range(1000):
         graph = _shuffled_union(rng, pieces)
         multi += graph.component_count() > 1
-        assert planar_rotations(graph) == whole_graph_rotations(graph)
+        assert planar_rotations(graph).rotations == whole_graph_rotations(graph)
     assert multi > 500
 
 
@@ -329,14 +334,14 @@ def test_graph_file_errors():
 
 def test_planar_rotations_pass_euler():
     for g in (doubled_cycle(2), k4_doubled_paths(2, 2), hub_and_chains_graph()):
-        rotations = planar_rotations(g)
+        rotations = planar_rotations(g).rotations
         assert len(rotations) == g.n
 
 
 def test_twisted_oracle_matches_recursion():
     for g in (doubled_cycle(2), doubled_cycle(4), k4_doubled_paths(2, 2),
               k4_two_sum(2, 2), hub_and_chains_graph()):
-        embedded = AdGraph(g.n, g.edges, rotations=planar_rotations(g))
+        embedded = AdGraph(g.n, g.edges, rotations=planar_rotations(g).rotations)
         validated = validate_adg(AdGraph(g.n, g.edges))
         assert ribbon_genus(twist_all(to_ribbon(embedded))) == \
             turaev_genus_graph(validated)
@@ -433,3 +438,139 @@ def test_stuck_recursion_rejected():
     k44 = [(u, v) for u in range(4) for v in range(4, 8)]
     with pytest.raises(TuraevError, match="no degree-two vertex"):
         _genus_recursion(k44)
+
+
+# -- validation's arrays: computed once, never carried over -------------------------
+
+def _outcome(fn, *args):
+    """``("ok", fn(*args))``, or the type and text of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _ribbon_readers(graph: AdGraph, twisted: bool):
+    r = to_ribbon(graph, twisted)
+    return (r, ribbon.boundary_count(r), r.component_count(), ribbon.is_orientable(r),
+            ribbon.euler_genus(r))
+
+
+def _answers(graph: AdGraph) -> list:
+    """``half_edges``, both ribbon graphs and their readers, the ribbon
+    genus and the recursion on ``graph``, or the errors they raise."""
+    return [
+        _outcome(half_edges, graph),
+        _outcome(_ribbon_readers, graph, False),
+        _outcome(_ribbon_readers, graph, True),
+        _outcome(lambda g: ribbon_genus(to_ribbon(g, True)), graph),
+        _outcome(turaev_genus_graph, graph),
+    ]
+
+
+def _hand_built(graph: AdGraph) -> AdGraph:
+    return AdGraph(graph.n, graph.edges, graph.bipartition, graph.rotations)
+
+
+def test_derived_graphs_answer_like_fresh_copies():
+    """The arrays ``validate_adg`` attaches describe the graph it
+    returns and no graph made from it.  The second graph has the same
+    vertex count, other edges, another embedding and two components,
+    so answers read from the first graph's arrays would differ."""
+    first = validate_adg(doubled_cycle(6))
+    second = embed_planar(validate_adg(
+        doubled_cycle(2).disjoint_union(doubled_cycle(4))))
+    assert first.n == second.n and first.rotations is not None
+    assert (first.component_count(), second.component_count()) == (1, 2)
+    mirrored = tuple(tuple(reversed(rot)) for rot in first.rotations)
+    derived = [
+        dataclasses.replace(first, rotations=mirrored),
+        dataclasses.replace(first, edges=second.edges),
+        dataclasses.replace(first, edges=second.edges, rotations=second.rotations),
+        first.relabeled([5, 3, 1, 0, 2, 4]),
+        first.disjoint_union(second),
+        second.disjoint_union(first),
+    ]
+    revalidated = lambda g: _answers(embed_planar(validate_adg(g)))
+    for graph in derived:
+        fresh = _hand_built(graph)
+        assert _answers(graph) == _answers(fresh), graph
+        assert _outcome(revalidated, graph) == _outcome(revalidated, fresh), graph
+    # the derived graphs that can answer do, and not as the originals do
+    assert _answers(derived[0])[1] != _answers(first)[1]
+    assert _answers(derived[2]) == _answers(second)
+    assert _answers(derived[2]) != _answers(first)
+
+
+@pytest.mark.parametrize("graph", [
+    doubled_cycle(6),
+    doubled_cycle(2).disjoint_union(doubled_cycle(4)),
+    hub_and_chains_graph(),
+    doubled_theta(1, 3, 3).disjoint_union(isolated_vertices(2)),
+])
+def test_validated_graph_equals_its_hand_built_copy(graph):
+    for validated in (validate_adg(graph), embed_planar(validate_adg(graph))):
+        copy = _hand_built(validated)
+        assert validated == copy and copy == validated
+        assert hash(validated) == hash(copy)
+        assert repr(validated) == repr(copy)
+        assert {validated, copy} == {copy}
+
+
+def _parents(rng: random.Random, vertices: int) -> list[int]:
+    return [rng.randrange(i) for i in range(1, vertices)]
+
+
+#: the shapes of the large-inputs benchmark, at a tenth of its sizes
+LARGE_SHAPES = [
+    doubled_cycle(80),
+    doubled_theta(16, 16, 18),
+    k4_doubled_paths(24, 24),
+    doubled_tree(_parents(random.Random(3), 50)),
+    doubled_cycle(6).disjoint_union(doubled_theta(2, 2, 2))
+    .disjoint_union(doubled_tree(_parents(random.Random(4), 6)))
+    .disjoint_union(isolated_vertices(1)),
+]
+
+
+@pytest.fixture
+def array_passes(monkeypatch):
+    """The vertex count of every ``perm.components`` call, and the number
+    of ``half_edges`` calls, wherever the package makes them."""
+    calls = {"components": [], "half_edges": 0}
+    real_components, real_half_edges = perm.components, adgraph.half_edges
+
+    def components(n, pairs):
+        calls["components"].append(n)
+        return real_components(n, pairs)
+
+    def counted_half_edges(graph):
+        calls["half_edges"] += 1
+        return real_half_edges(graph)
+
+    for module in (perm, ribbon, importlib.import_module("turaevgenus.decompose")):
+        monkeypatch.setattr(module, "components", components)
+    monkeypatch.setattr(adgraph, "half_edges", counted_half_edges)
+    return calls
+
+
+@pytest.mark.parametrize("shape", range(len(LARGE_SHAPES)))
+def test_one_pass_per_graph_from_validation_to_ribbon_genus(array_passes, shape):
+    graph = LARGE_SHAPES[shape]
+    validated = validate_adg(graph)
+    embedded = embed_planar(validated)
+    recursion = turaev_genus_graph(validated)
+    assert ribbon_genus(to_ribbon(embedded, twisted=True)) == recursion
+    assert array_passes == {"components": [graph.n], "half_edges": 1}
+
+
+def test_one_pass_per_decomposition_graph(array_passes):
+    d = realize_diagram(embed_planar(validate_adg(LARGE_SHAPES[-1])))
+    array_passes["components"].clear()
+    array_passes["half_edges"] = 0
+    dec = decompose(d)
+    recursion = turaev_genus_graph(dec.graph)
+    assert ribbon_genus(to_ribbon(dec.graph, twisted=True)) == recursion
+    # the graph's components, then the alternating regions' union-find
+    assert array_passes == {
+        "components": [dec.graph.n, d.crossing_count], "half_edges": 1}

@@ -10,6 +10,14 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * ``planar_rotations`` is called only in ``adgraph``, in
   ``construct.embed_planar`` and in ``verify.suite_doubled_path_moves``,
   which embeds non-bipartite extensions that ``validate_adg`` rejects;
+* in ``adgraph``, ``construct`` and ``ribbon``, ``half_edges`` and
+  ``perm.components`` are called only by ``validate_adg`` and
+  ``planar_rotations``, which attach what they compute to the graph they
+  return, by the readers ``_slots`` and ``_components`` for a graph that
+  carries none, by the input check in ``parse_graph_file``, by the
+  recursion called without the graph's labels and by
+  ``RibbonGraph.component_count`` on a ribbon graph built from outside
+  input;
 * ``classify_genus`` is called only by ``cli.cmd_classify``: the census
   names its classes by ``families.family_of`` on the key it has;
 * no ``families`` function calls ``isomorphic``: parameters are read off
@@ -81,9 +89,10 @@ def _modules() -> dict[str, ast.Module]:
             for p in sorted(SRC.glob("*.py"))}
 
 
-def _calls(tree: ast.Module, name: str) -> list[str]:
+def _calls(tree: ast.Module, name: str, receivers: set[str] | None = None) -> list[str]:
     """The top-level definition around each call of ``name`` (a bare
-    name or an attribute), or ``<module>`` outside any."""
+    name or an attribute, of one of the names ``receivers`` when given),
+    or ``<module>`` outside any."""
     found: list[str] = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -95,7 +104,9 @@ def _calls(tree: ast.Module, name: str) -> list[str]:
             if isinstance(child, ast.Call):
                 func = child.func
                 called = (func.id if isinstance(func, ast.Name)
-                          else func.attr if isinstance(func, ast.Attribute)
+                          else func.attr if isinstance(func, ast.Attribute) and (
+                              receivers is None
+                              or getattr(func.value, "id", None) in receivers)
                           else None)
                 if called == name:
                     found.append(inner)
@@ -105,9 +116,9 @@ def _calls(tree: ast.Module, name: str) -> list[str]:
     return found
 
 
-def _call_sites(name: str) -> set[str]:
+def _call_sites(name: str, receivers: set[str] | None = None) -> set[str]:
     return {f"{module}.{where}" for module, tree in _modules().items()
-            for where in _calls(tree, name)}
+            for where in _calls(tree, name, receivers)}
 
 
 def test_no_module_imports_networkx():
@@ -145,6 +156,27 @@ def test_planar_rotations_call_sites():
     assert outside <= {"construct.embed_planar", "verify.suite_doubled_path_moves"}
     # the scan sees calls in other modules, not only in adgraph
     assert {"adgraph.validate_adg", "construct.embed_planar"} <= sites
+
+
+def test_one_pass_of_each_array_per_graph():
+    """In ``adgraph``, ``construct`` and ``ribbon``, validation and the
+    embedding search compute the arrays they attach, the two readers
+    fall back to computing them, and nothing else does."""
+    passes = {name: {site for site in _call_sites(name, {"perm", "adgraph"})
+                     if site.split(".")[0] in {"adgraph", "construct", "ribbon"}}
+              for name in ("half_edges", "components")}
+    assert passes == {
+        "half_edges": {"adgraph.validate_adg", "adgraph.planar_rotations",
+                       "adgraph._slots", "adgraph.parse_graph_file"},
+        "components": {"adgraph.validate_adg", "adgraph._components",
+                       "adgraph._genus_recursion", "ribbon.RibbonGraph"},
+    }
+    # the scan skips method calls such as ``dec.graph.components()`` and
+    # sees bare names and calls through a module, in any module
+    assert "verify.suite_decompose" in _call_sites("components")
+    assert "verify.suite_decompose" not in _call_sites(
+        "components", {"perm", "adgraph"})
+    assert "decompose.decompose" in _call_sites("components", {"perm"})
 
 
 def test_classify_genus_only_in_cmd_classify():

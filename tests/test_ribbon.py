@@ -2,9 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from turaevgenus.adgraph import AdGraph, to_ribbon
-from turaevgenus.errors import NonOrientableError
+from turaevgenus import corpus, families
+from turaevgenus.adgraph import (
+    AdGraph,
+    find_bipartition,
+    planar_rotations,
+    to_ribbon,
+    validate_adg,
+)
+from turaevgenus.construct import embed_planar
+from turaevgenus.errors import NonOrientableError, NotBipartiteError
 from turaevgenus.ribbon import (
     RibbonGraph,
     boundary_count,
@@ -13,6 +22,8 @@ from turaevgenus.ribbon import (
     ribbon_genus,
     twist_all,
 )
+
+import halfedge_oracle as oracle
 
 C22 = AdGraph(2, ((0, 1),) * 4, rotations=((0, 1, 2, 3), (3, 2, 1, 0)))
 
@@ -109,3 +120,77 @@ def test_orientability_matches_vertex_flips():
         assert is_orientable(RibbonGraph(vertices, edges)) == flat
         seen[flat] += 1
     assert min(seen.values()) > 50, seen
+
+
+# -- the flat readers against the dict-based references ----------------------------
+
+def _genus_outcome(r: RibbonGraph):
+    try:
+        return "genus", ribbon_genus(r)
+    except NonOrientableError as exc:
+        return "non-orientable", exc.euler_genus
+
+
+def _assert_readers_match_oracle(r: RibbonGraph) -> str:
+    """The four readers and ``ribbon_genus`` against ``halfedge_oracle``;
+    returns what ``ribbon_genus`` found."""
+    v, e = r.vertices, r.edges
+    k, f = oracle.component_count(v, e), oracle.boundary_count(v, e)
+    orientable = oracle.is_orientable(v, e)
+    eg = 2 * k - len(v) + len(e) - f
+    readers = (boundary_count(r), is_orientable(r), r.component_count(), euler_genus(r))
+    assert readers == (f, orientable, k, eg)
+    outcome = _genus_outcome(r)
+    assert outcome == (("genus", eg // 2) if orientable else ("non-orientable", eg))
+    return outcome[0]
+
+
+def _mixed(r: RibbonGraph, rng: random.Random) -> RibbonGraph:
+    return RibbonGraph(
+        r.vertices, tuple((a, b, rng.random() < 0.5) for a, b, _ in r.edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_flat_readers_match_oracle(seed):
+    """Ribbon graphs of validated graphs with isolated vertices and
+    several components, both twists and mixed twist bits, with the
+    component count carried from validation or counted by the ribbon."""
+    rng = random.Random(seed)
+    graph = corpus.random_adgraph(rng, rng.choice((2, 6, 12)))
+    for _ in range(rng.randint(0, 2)):
+        graph = graph.disjoint_union(rng.choice((
+            families.isolated_vertices(rng.randint(1, 2)), families.doubled_cycle(4),
+            corpus.random_adgraph(rng, 6))))
+    validated = embed_planar(validate_adg(AdGraph(graph.n, graph.edges)))
+    hand_built = AdGraph(validated.n, validated.edges, rotations=validated.rotations)
+    for embedded in (validated, hand_built):
+        for twisted in (False, True):
+            _assert_readers_match_oracle(to_ribbon(embedded, twisted))
+        _assert_readers_match_oracle(_mixed(to_ribbon(embedded), rng))
+
+
+def test_flat_readers_match_oracle_on_doubled_path_intermediates():
+    """The non-bipartite graphs that ``verify.suite_doubled_path_moves``
+    embeds: their all-twisted ribbon graphs are non-orientable, and
+    ``NonOrientableError`` carries the oracle's Euler genus."""
+    rng = random.Random(11)
+    seen = 0
+    for _ in range(200):
+        graph = corpus.random_adgraph(rng, max_edges=10)
+        pairs = sorted(k for k, m in graph.multiplicity().items() if m >= 2)
+        if not pairs:
+            continue
+        extended = families.doubled_path_extend(graph, *rng.choice(pairs))
+        try:
+            find_bipartition(extended)
+            continue
+        except NotBipartiteError:
+            pass
+        embedded = planar_rotations(extended)
+        assert _assert_readers_match_oracle(to_ribbon(embedded, twisted=True)) == \
+            "non-orientable"
+        _assert_readers_match_oracle(to_ribbon(embedded, twisted=False))
+        _assert_readers_match_oracle(_mixed(to_ribbon(embedded), rng))
+        seen += 1
+    assert seen > 30, seen
