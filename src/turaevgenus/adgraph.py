@@ -22,7 +22,8 @@ embedding.  The package needs nothing outside the standard library.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -50,17 +51,16 @@ class AdGraph:
     ``(min, max)`` whatever order it is given in.  ``rotations`` gives, for
     each vertex, the cyclic counterclockwise order of incident edge
     indices; each edge must sit once at each of its two endpoints, which
-    ``half_edges`` checks.  ``validate_adg`` and ``planar_rotations``
-    keep ``(perm.components, half_edges or None)`` of the graph in
-    ``_arrays``, read-only, for ``_components`` and ``_slots``; a graph
-    made any other way, ``replace`` included, carries none.
+    ``half_edges`` checks.  ``_comp`` and ``_slots`` compute the
+    component labels and the half-edge arrays at most once per graph
+    object, read-only; ``replace`` starts a new object with neither, and
+    equality, hash and repr ignore them.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     bipartition: tuple[int, ...] | None = None
     rotations: tuple[tuple[int, ...], ...] | None = None
-    _arrays: tuple | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -77,6 +77,14 @@ class AdGraph:
 
     # -- structure ---------------------------------------------------------
 
+    @cached_property
+    def _comp(self) -> tuple[list[int], int]:
+        return perm.components(self.n, self.edges)
+
+    @cached_property
+    def _slots(self) -> tuple[list[int], list[int], list[int]]:
+        return half_edges(self)
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -89,10 +97,10 @@ class AdGraph:
         return deg
 
     def components(self) -> list[list[int]]:
-        return perm.groups(*_components(self))
+        return perm.groups(*self._comp)
 
     def component_count(self) -> int:
-        return _components(self)[1]
+        return self._comp[1]
 
     def multiplicity(self) -> dict[tuple[int, int], int]:
         mult: dict[tuple[int, int], int] = {}
@@ -125,18 +133,6 @@ def nullity(graph: AdGraph) -> int:
 
 # -- validation ------------------------------------------------------------------
 
-def _components(graph: AdGraph) -> tuple[list[int], int]:
-    """``perm.components`` of the graph, kept by validation if it ran."""
-    found = graph._arrays
-    return perm.components(graph.n, graph.edges) if found is None else found[0]
-
-
-def _slots(graph: AdGraph) -> tuple[list[int], list[int], list[int]]:
-    """``half_edges(graph)``, kept by validation if it ran."""
-    found = graph._arrays
-    return half_edges(graph) if found is None or found[1] is None else found[1]
-
-
 def find_bipartition(graph: AdGraph) -> tuple[int, ...]:
     """Side of each vertex, the least vertex of each component on side 0;
     raises ``NotBipartiteError`` with an odd cycle."""
@@ -155,21 +151,20 @@ def validate_adg(graph: AdGraph) -> AdGraph:
     planarity search and the graph comes back carrying the embedding it
     found; a graph of smaller components (each simplifies to a subgraph
     of K4) is not searched and carries none.  Returns the graph
-    annotated with a bipartition, and its arrays.  Loops are already
-    rejected at construction.
+    annotated with a bipartition, seeded with the input's arrays.  Loops
+    are already rejected at construction.
     """
     for v, d in enumerate(graph.degrees()):
         if d % 2:
             raise OddDegreeError(v, d)
-    graph = replace(graph, bipartition=find_bipartition(graph))
-    comp = perm.components(graph.n, graph.edges)
-    slots = None if graph.rotations is None else half_edges(graph)
-    object.__setattr__(graph, "_arrays", (comp, slots))
-    if slots is not None:
-        check_sphere_embedding(graph)
-    elif any(len(members) > 4 for members in perm.groups(*comp)):
-        graph = planar_rotations(graph)
-    return graph
+    validated = replace(graph, bipartition=find_bipartition(graph))
+    vars(validated).update(_comp=graph._comp)
+    if graph.rotations is not None:
+        vars(validated).update(_slots=graph._slots)
+        check_sphere_embedding(validated)
+    elif any(len(members) > 4 for members in perm.groups(*graph._comp)):
+        validated = planar_rotations(validated)
+    return validated
 
 
 # -- embeddings -----------------------------------------------------------------
@@ -241,8 +236,8 @@ def half_edges(graph: AdGraph) -> tuple[list[int], list[int], list[int]]:
 def check_sphere_embedding(graph: AdGraph) -> None:
     """Euler check V - E + F = 2 on every component; a failing component
     raises ``NotSphericalError``, whatever its own planarity."""
-    _, face_step, vertex = _slots(graph)
-    comp, k = _components(graph)
+    _, face_step, vertex = graph._slots
+    comp, k = graph._comp
     chi = [0] * k
     for v, rot in enumerate(graph.rotations):
         # an isolated vertex has a single disk face
@@ -589,7 +584,8 @@ def _left_right(
 
 def planar_rotations(graph: AdGraph) -> AdGraph:
     """The graph with a sphere rotation system from a planarity
-    certificate, checked by ``check_sphere_embedding``, and its arrays.
+    certificate, checked by ``check_sphere_embedding``, seeded with the
+    input's component labels.
 
     ``planar_embedding`` embeds the simplification of each component with
     two or more vertices, and raises ``NotPlanarError`` for the first
@@ -600,7 +596,7 @@ def planar_rotations(graph: AdGraph) -> AdGraph:
     by_pair: dict[tuple[int, int], list[int]] = {}
     for i, e in enumerate(graph.edges):
         by_pair.setdefault(e, []).append(i)
-    comp, k = _components(graph)
+    comp, k = graph._comp
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for key in by_pair:
         pairs[comp[key[0]]].append(key)
@@ -618,7 +614,7 @@ def planar_rotations(graph: AdGraph) -> AdGraph:
                 rot.extend(bundle if v < w else reversed(bundle))
             rotations[v] = tuple(rot)
     embedded = replace(graph, rotations=tuple(rotations))
-    object.__setattr__(embedded, "_arrays", ((comp, k), half_edges(embedded)))
+    vars(embedded).update(_comp=graph._comp)
     check_sphere_embedding(embedded)
     return embedded
 
@@ -626,9 +622,9 @@ def planar_rotations(graph: AdGraph) -> AdGraph:
 def to_ribbon(graph: AdGraph, twisted: bool = False) -> RibbonGraph:
     """Ribbon graph of an embedded AdGraph; half-edge ids are the slots
     of ``half_edges``."""
-    partner, _, vertex = _slots(graph)
+    partner, _, vertex = graph._slots
     return RibbonGraph.from_slots(map(len, graph.rotations), vertex, partner, twisted,
-                                  _components(graph)[1] if graph._arrays else None)
+                                  graph._comp[1])
 
 
 # -- the genus recursion ------------------------------------------------------------
@@ -649,7 +645,7 @@ def turaev_genus_graph(graph: AdGraph, rng: random.Random | None = None) -> int:
     """
     if graph.bipartition is None:
         raise NotValidatedError("call validate_adg first")
-    return _genus_recursion(graph.edges, rng, _components(graph))
+    return _genus_recursion(graph.edges, graph._comp, rng)
 
 
 class _Worklist:
@@ -682,8 +678,8 @@ def _pair(x: int, y: int) -> tuple[int, int]:
 
 
 def _genus_recursion(
-    edge_list: Iterable[tuple[int, int]], rng: random.Random | None = None,
-    components: tuple[list[int], int] | None = None,
+    edge_list: Iterable[tuple[int, int]], components: tuple[list[int], int],
+    rng: random.Random | None = None,
 ) -> int:
     """Contract a degree-two vertex while there is one, else delete a
     parallel pair, and count the deletions whose ends stay connected.
@@ -693,13 +689,11 @@ def _genus_recursion(
     when it disconnects the pair's ends.  The loop ends with every
     remaining vertex isolated, so the disconnecting deletions number the
     vertices left at the end minus the components of the input, and one
-    union-find over the input edges, passed in as ``components`` when the
-    caller has it, answers for the whole run.
+    union-find over the input edges, passed in as ``components``, answers
+    for the whole run.
     """
     edges = list(edge_list)
-    labels, count = components or perm.components(
-        1 + max((max(e) for e in edges), default=0), edges)
-    n = len(labels)
+    n, count = len(components[0]), components[1]
     adj: list[dict[int, int]] = [{} for _ in range(n)]  # neighbour -> multiplicity
     deg = [0] * n
     for u, w in edges:
@@ -822,7 +816,7 @@ def parse_graph_file(text: str) -> AdGraph:
     graph = AdGraph(
         n, tuple(edges), rotations=tuple(rot_lines.get(v, ()) for v in range(n))
     )
-    half_edges(graph)  # each edge once at each endpoint
+    graph._slots  # each edge once at each endpoint, kept for validation
     return graph
 
 

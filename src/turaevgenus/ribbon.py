@@ -26,7 +26,8 @@ class RibbonGraph:
     The readers share ``_flat``, ``(owner, other, twist, k)``, arrays over
     positions, position i being the i-th half-edge in rotation order:
     the vertex holding it, the position at its band's other end and the
-    band's twist flag; k is the component count when known, else None.
+    band's twist flag; k is the component count.  The constructor builds
+    them while it checks outside input.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -47,22 +48,27 @@ class RibbonGraph:
         if not ok:
             raise ValueError("half-edges must appear once in rotations, once in edges")
         owner = [v for v, rot in enumerate(self.vertices) for _ in rot]
-        object.__setattr__(self, "_flat", (owner, other, twist, None))
+        k = components(len(self.vertices), (
+            (owner[i], owner[j]) for i, j in enumerate(other) if i < j))[1]
+        object.__setattr__(self, "_flat", (owner, other, twist, k))
+
+    @classmethod
+    def _unchecked(cls, vertices: tuple, edges: tuple, flat: tuple) -> RibbonGraph:
+        graph = object.__new__(cls)
+        vars(graph).update(vertices=vertices, edges=edges, _flat=flat)
+        return graph
 
     @classmethod
     def from_slots(cls, degrees: Iterable[int], owner: list[int], other: list[int],
-                   twisted: bool, k: int | None) -> RibbonGraph:
+                   twisted: bool, k: int) -> RibbonGraph:
         """The ribbon graph whose half-edge ids are its positions, every
         band twisted or none, built unchecked on ``owner`` and ``other``
         as ``adgraph.half_edges`` gives them."""
         ends = list(accumulate(degrees, initial=0))
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "vertices", tuple(
-            tuple(range(a, b)) for a, b in zip(ends, ends[1:])))
-        object.__setattr__(graph, "edges", tuple(
-            (h, p, twisted) for h, p in enumerate(other) if h < p))
-        object.__setattr__(graph, "_flat", (owner, other, [twisted] * ends[-1], k))
-        return graph
+        return cls._unchecked(
+            tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])),
+            tuple((h, p, twisted) for h, p in enumerate(other) if h < p),
+            (owner, other, [twisted] * ends[-1], k))
 
     @property
     def vertex_count(self) -> int:
@@ -73,18 +79,16 @@ class RibbonGraph:
         return len(self.edges)
 
     def component_count(self) -> int:
-        owner, other, _, count = self._flat
-        if count is not None:
-            return count
-        return components(len(self.vertices), (
-            (owner[i], owner[j]) for i, j in enumerate(other) if i < j))[1]
+        return self._flat[3]
 
 
 def twist_all(graph: RibbonGraph) -> RibbonGraph:
-    """Set every twist bit; idempotent."""
-    return RibbonGraph(
-        graph.vertices, tuple((a, b, True) for (a, b, _) in graph.edges)
-    )
+    """Set every twist bit; idempotent.  The copy shares ``graph``'s
+    checked arrays and component count."""
+    owner, other, _, k = graph._flat
+    return RibbonGraph._unchecked(
+        graph.vertices, tuple((a, b, True) for (a, b, _) in graph.edges),
+        (owner, other, [True] * len(other), k))
 
 
 def boundary_count(graph: RibbonGraph) -> int:

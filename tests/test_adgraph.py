@@ -399,8 +399,9 @@ def choosers():
 
 def assert_matches_oracle(graph: AdGraph) -> None:
     expected = quadratic_genus_recursion(graph.edges)
+    labels = perm.components(graph.n, graph.edges)
     for rng in choosers():
-        assert _genus_recursion(graph.edges, rng) == expected, graph
+        assert _genus_recursion(graph.edges, labels, rng) == expected, graph
     assert quadratic_genus_recursion(graph.edges, random.Random(3)) == expected
 
 
@@ -430,14 +431,15 @@ def test_recursion_scales():
 def test_contraction_creating_a_loop_rejected():
     # the path 0-1-2 plus the edge 0-2: every contraction closes a loop
     with pytest.raises(TuraevError, match="created a loop"):
-        _genus_recursion([(0, 1), (1, 2), (0, 2)])
+        _genus_recursion([(0, 1), (1, 2), (0, 2)],
+                         perm.components(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_stuck_recursion_rejected():
     # the simple K_{4,4}: every degree is four and no edge is doubled
     k44 = [(u, v) for u in range(4) for v in range(4, 8)]
     with pytest.raises(TuraevError, match="no degree-two vertex"):
-        _genus_recursion(k44)
+        _genus_recursion(k44, perm.components(8, k44))
 
 
 # -- validation's arrays: computed once, never carried over -------------------------
@@ -574,3 +576,22 @@ def test_one_pass_per_decomposition_graph(array_passes):
     # the graph's components, then the alternating regions' union-find
     assert array_passes == {
         "components": [dec.graph.n, d.crossing_count], "half_edges": 1}
+
+
+def test_parse_then_validate_builds_the_arrays_once(array_passes):
+    text = write_graph_file(embed_planar(validate_adg(doubled_cycle(6))))
+    array_passes["components"].clear()
+    array_passes["half_edges"] = 0
+    parsed = parse_graph_file(text)
+    assert parsed.rotations is not None
+    validated = validate_adg(parsed)
+    assert validated.rotations == parsed.rotations
+    assert array_passes == {"components": [parsed.n], "half_edges": 1}
+
+
+def test_validating_one_graph_twice_runs_one_union_find(array_passes):
+    parsed = parse_graph_file(write_graph_file(doubled_cycle(6)))
+    first, second = validate_adg(parsed), validate_adg(parsed)
+    assert first == second and first is not second
+    assert turaev_genus_graph(second) == 1
+    assert array_passes["components"] == [parsed.n]

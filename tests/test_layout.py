@@ -10,14 +10,10 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * ``planar_rotations`` is called only in ``adgraph``, in
   ``construct.embed_planar`` and in ``verify.suite_doubled_path_moves``,
   which embeds non-bipartite extensions that ``validate_adg`` rejects;
-* in ``adgraph``, ``construct`` and ``ribbon``, ``half_edges`` and
-  ``perm.components`` are called only by ``validate_adg`` and
-  ``planar_rotations``, which attach what they compute to the graph they
-  return, by the readers ``_slots`` and ``_components`` for a graph that
-  carries none, by the input check in ``parse_graph_file``, by the
-  recursion called without the graph's labels and by
-  ``RibbonGraph.component_count`` on a ribbon graph built from outside
-  input;
+* in ``adgraph``, ``construct`` and ``ribbon``, ``half_edges`` is
+  called only by the cached property ``AdGraph._slots`` and
+  ``perm.components`` only by ``AdGraph._comp`` and by the checked
+  ``RibbonGraph`` constructor for outside input: one builder per array;
 * ``classify_genus`` is called only by ``cli.cmd_classify``: the census
   names its classes by ``families.family_of`` on the key it has;
 * no ``families`` function calls ``isomorphic``: parameters are read off
@@ -56,9 +52,10 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   ``append``, ``extend``, ``insert``, ``add``, ``update``,
   ``setdefault``, ``pop``, ``popitem``, ``remove``, ``discard`` or
   ``clear`` call on a module-level name that no local shadows, so the
-  census keeps nothing between queries; the one memo is the
-  ``functools.cache`` on ``families._forms``, a constant table that
-  ``classify_genus`` reads on every call;
+  census keeps nothing between queries; the one module-level memo is
+  the ``functools.cache`` on ``families._forms``, a constant table that
+  ``classify_genus`` reads on every call, and the only per-instance
+  memos are ``functools.cached_property``s of ``AdGraph``;
 * no module has an ``assert`` statement, which ``python -O`` strips:
   every check raises;
 * only ``errors.integer``, ``errors.integers`` and the bool-to-bit in
@@ -89,18 +86,24 @@ def _modules() -> dict[str, ast.Module]:
             for p in sorted(SRC.glob("*.py"))}
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _calls(tree: ast.Module, name: str, receivers: set[str] | None = None) -> list[str]:
-    """The top-level definition around each call of ``name`` (a bare
-    name or an attribute, of one of the names ``receivers`` when given),
-    or ``<module>`` outside any."""
+    """The top-level definition, or ``Class.method`` for a top-level
+    class, around each call of ``name`` (a bare name or an attribute, of
+    one of the names ``receivers`` when given), or ``<module>`` outside
+    any."""
     found: list[str] = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
             inner = where
-            if where == "<module>" and isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = child.name
+            if isinstance(child, _DEFS):
+                if where == "<module>":
+                    inner = child.name
+                elif node in tree.body and isinstance(node, ast.ClassDef):
+                    inner = f"{where}.{child.name}"
             if isinstance(child, ast.Call):
                 func = child.func
                 called = (func.id if isinstance(func, ast.Name)
@@ -159,17 +162,15 @@ def test_planar_rotations_call_sites():
 
 
 def test_one_pass_of_each_array_per_graph():
-    """In ``adgraph``, ``construct`` and ``ribbon``, validation and the
-    embedding search compute the arrays they attach, the two readers
-    fall back to computing them, and nothing else does."""
+    """In ``adgraph``, ``construct`` and ``ribbon``, a graph's arrays
+    are built only by its two cached properties, and a ribbon graph's
+    component count from outside input by the checked constructor."""
     passes = {name: {site for site in _call_sites(name, {"perm", "adgraph"})
                      if site.split(".")[0] in {"adgraph", "construct", "ribbon"}}
               for name in ("half_edges", "components")}
     assert passes == {
-        "half_edges": {"adgraph.validate_adg", "adgraph.planar_rotations",
-                       "adgraph._slots", "adgraph.parse_graph_file"},
-        "components": {"adgraph.validate_adg", "adgraph._components",
-                       "adgraph._genus_recursion", "ribbon.RibbonGraph"},
+        "half_edges": {"adgraph.AdGraph._slots"},
+        "components": {"adgraph.AdGraph._comp", "ribbon.RibbonGraph.__post_init__"},
     }
     # the scan skips method calls such as ``dec.graph.components()`` and
     # sees bare names and calls through a module, in any module
@@ -177,6 +178,10 @@ def test_one_pass_of_each_array_per_graph():
     assert "verify.suite_decompose" not in _call_sites(
         "components", {"perm", "adgraph"})
     assert "decompose.decompose" in _call_sites("components", {"perm"})
+    # it names a method of a top-level class, not a function nested in one
+    nested = ast.parse("class C:\n    def m(self):\n        def f():\n"
+                       "            return g()\n        return f\n")
+    assert _calls(nested, "g") == ["C.m"]
 
 
 def test_classify_genus_only_in_cmd_classify():
@@ -408,31 +413,40 @@ def _state_changes(tree: ast.Module, module: str) -> set[str]:
     return found
 
 
-def _memoised(tree: ast.Module, module: str) -> set[str]:
-    """The functions of ``tree`` decorated with ``functools.cache``,
-    ``lru_cache`` or ``cached_property``."""
+def _memoised(tree: ast.Module, module: str) -> set[tuple[str, str]]:
+    """``(where, decorator)`` for each function of ``tree`` decorated
+    with ``functools.cache``, ``lru_cache`` or ``cached_property``, where
+    being ``module.name`` or, in a top-level class, ``module.Class.name``."""
     def name(decorator: ast.expr) -> str | None:
         if isinstance(decorator, ast.Call):
             decorator = decorator.func
         return (decorator.attr if isinstance(decorator, ast.Attribute)
                 else getattr(decorator, "id", None))
 
-    return {f"{module}.{node.name}" for node in ast.walk(tree)
+    owner = {id(item): f"{top.name}." for top in tree.body
+             if isinstance(top, ast.ClassDef) for item in top.body}
+    return {(f"{module}.{owner.get(id(node), '')}{node.name}", memo)
+            for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and _MEMOS & {name(d) for d in node.decorator_list}}
+            for memo in _MEMOS & {name(d) for d in node.decorator_list}}
 
 
 def test_no_function_changes_module_state():
     """Every function in ``src`` leaves module state as it found it, so
-    a census query is a plain function of its bounds.  The one memo is
-    ``families._forms``: it holds a constant table of the minimal forms,
-    which ``classify_genus`` reads on every call."""
+    a census query is a plain function of its bounds.  The one
+    module-level memo is ``families._forms``: it holds a constant table
+    of the minimal forms, which ``classify_genus`` reads on every call.
+    The per-instance memos are ``AdGraph``'s cached properties, which
+    live and die with their graph."""
     changes, memos = set(), set()
     for module, tree in _modules().items():
         changes |= _state_changes(tree, module)
         memos |= _memoised(tree, module)
     assert changes == set()
-    assert memos == {"families._forms"}
+    assert {where for where, memo in memos if memo != "cached_property"} == {
+        "families._forms"}
+    assert {where.rsplit(".", 1)[0] for where, memo in memos
+            if memo == "cached_property"} == {"adgraph.AdGraph"}
     # the scan flags a cache store, a mutating call, a ``del``, a
     # ``global`` statement and a store from a nested function
     flagged = ("_CACHE = {}\ndef f(k):\n    _CACHE[k] = 1\n",
@@ -449,7 +463,12 @@ def test_no_function_changes_module_state():
     assert _state_changes(ast.parse(local), "m") == set()
     # it sees memo decorators, called or bare
     memo = "import functools\n@functools.lru_cache(None)\ndef f():\n    return 1\n"
-    assert _memoised(ast.parse(memo), "m") == {"m.f"}
+    assert _memoised(ast.parse(memo), "m") == {("m.f", "lru_cache")}
+    # and names a cached property, or a cache on a method, by its class
+    memo = ("class C:\n    @cached_property\n    def p(self):\n        return 1\n"
+            "    @cache\n    def q(self):\n        return 2\n")
+    assert _memoised(ast.parse(memo), "m") == {
+        ("m.C.p", "cached_property"), ("m.C.q", "cache")}
 
 
 def _asserts(tree: ast.AST) -> list[int]:

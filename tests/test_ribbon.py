@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turaevgenus import corpus, families
+from turaevgenus import corpus, families, verify
 from turaevgenus.adgraph import (
     AdGraph,
     find_bipartition,
@@ -194,3 +194,24 @@ def test_flat_readers_match_oracle_on_doubled_path_intermediates():
         _assert_readers_match_oracle(_mixed(to_ribbon(embedded), rng))
         seen += 1
     assert seen > 30, seen
+
+
+def test_twist_all_runs_no_second_check(monkeypatch):
+    """The twisted copy shares its source's checked arrays: over the two
+    verify suites that build ribbon graphs, only the mirrored ribbons,
+    which are outside input, run the constructor's check."""
+    checks = []
+    real = RibbonGraph.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        real(self)
+
+    monkeypatch.setattr(RibbonGraph, "__post_init__", counted)
+    for suite in (verify.suite_ribbon, verify.suite_doubled_path_moves):
+        assert suite(random.Random(f"0:{suite.__name__}"), 5).ok
+    assert len(checks) == 5
+    flat = to_ribbon(C22)
+    assert twist_all(flat) == RibbonGraph(flat.vertices, tuple(
+        (a, b, True) for a, b, _ in flat.edges))
+    assert len(checks) == 6
