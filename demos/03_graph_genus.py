@@ -15,14 +15,13 @@ from turaevgenus.adgraph import (
     nullity,
     simplify,
     turaev_genus_graph,
-    validate_adg,
 )
 from turaevgenus.families import doubled_cycle, k4_doubled_paths
 
-# doubled even cycles all have genus one, independent of length
+# doubled even cycles all have genus one, independent of length;
+# ``turaev_genus_graph`` validates a plain graph before it recurses
 for k in (2, 4, 6, 12):
-    g = validate_adg(doubled_cycle(k))
-    print(f"doubled cycle of length {k}: genus {turaev_genus_graph(g)}")
+    print(f"doubled cycle of length {k}: genus {turaev_genus_graph(doubled_cycle(k))}")
 
 # a fourteen-vertex graph built from two hubs and four doubled chains;
 # the recursion peels four parallel pairs (one per chain), contracts the
@@ -33,7 +32,7 @@ singles = [
     (0, 8), (8, 11), (11, 1), (1, 13), (13, 10), (10, 0),
 ]
 doubles = [e for o, m, i in chains for e in ((o, m), (o, m), (m, i), (m, i))]
-big = validate_adg(AdGraph(14, tuple(singles + doubles)))
+big = AdGraph(14, tuple(singles + doubles))
 print(f"\nhub-and-chains graph: v = {big.n}, e = {big.edge_count}")
 print("genus:", turaev_genus_graph(big))
 print("same value under randomized choices:",
@@ -41,6 +40,6 @@ print("same value under randomized choices:",
 print("nullity of its simplification:", nullity(simplify(big)),
       "<= 3 * genus =", 3 * turaev_genus_graph(big))
 
-k4 = validate_adg(k4_doubled_paths(2, 2))
+k4 = k4_doubled_paths(2, 2)
 print(f"\nK4 with two subdivided doubled paths: genus "
       f"{turaev_genus_graph(k4)}")

@@ -8,8 +8,8 @@ realized diagram recovers the graph, and the diagram's Turaev genus
 equals the graph's.
 """
 
-from turaevgenus.adgraph import turaev_genus_graph, validate_adg
-from turaevgenus.construct import embed_planar, realize_diagram
+from turaevgenus.adgraph import turaev_genus_graph
+from turaevgenus.construct import realize_diagram
 from turaevgenus.decompose import decompose
 from turaevgenus.diagram import is_adequate, turaev_genus_diagram, write_pd
 from turaevgenus.families import (
@@ -32,18 +32,18 @@ graphs = {
     "doubled_tree((0, 0, 1, 1))": doubled_tree((0, 0, 1, 1)),
 }
 
+# realize_diagram validates and embeds each plain family graph itself
 for name, graph in graphs.items():
-    validated = embed_planar(validate_adg(graph))
-    diagram = realize_diagram(validated)
+    diagram = realize_diagram(graph)
     back = decompose(diagram).graph
     round_trip = isomorphic(back, graph)[0]
     print(f"{name}: v = {graph.n}, e = {graph.edge_count}"
           f" -> diagram with {diagram.crossing_count} crossings")
-    print(f"  genus (graph) = {turaev_genus_graph(validated)},"
+    print(f"  genus (graph) = {turaev_genus_graph(graph)},"
           f" genus (diagram) = {turaev_genus_diagram(diagram)},"
           f" adequate = {is_adequate(diagram)},"
           f" round trip = {round_trip}")
 
 print()
 print("PD code of the realized doubled two-cycle:")
-print(write_pd(realize_diagram(embed_planar(validate_adg(doubled_cycle(2))))))
+print(write_pd(realize_diagram(doubled_cycle(2))))

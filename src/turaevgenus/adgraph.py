@@ -33,7 +33,6 @@ from .errors import (
     NotEmbeddedError,
     NotPlanarError,
     NotSphericalError,
-    NotValidatedError,
     OddDegreeError,
     TuraevError,
     integers,
@@ -51,10 +50,11 @@ class AdGraph:
     ``(min, max)`` whatever order it is given in.  ``rotations`` gives, for
     each vertex, the cyclic counterclockwise order of incident edge
     indices; each edge must sit once at each of its two endpoints, which
-    ``half_edges`` checks.  ``_comp`` and ``_slots`` compute the
-    component labels and the half-edge arrays at most once per graph
-    object, read-only; ``replace`` starts a new object with neither, and
-    equality, hash and repr ignore them.
+    ``half_edges`` checks.  ``_comp``, ``_slots`` and ``_valid`` compute
+    the component labels, the half-edge arrays and ``validate_adg``'s
+    answer at most once per graph object (a failure is not kept);
+    ``replace`` starts a new object with none, and equality, hash and
+    repr ignore them.
     """
 
     n: int
@@ -84,6 +84,20 @@ class AdGraph:
     @cached_property
     def _slots(self) -> tuple[list[int], list[int], list[int]]:
         return half_edges(self)
+
+    @cached_property
+    def _valid(self) -> "AdGraph":
+        for v, d in enumerate(self.degrees()):
+            if d % 2:
+                raise OddDegreeError(v, d)
+        validated = replace(self, bipartition=find_bipartition(self))
+        vars(validated).update(_comp=self._comp)
+        if self.rotations is not None:
+            vars(validated).update(_slots=self._slots)
+            check_sphere_embedding(validated)
+        elif any(len(members) > 4 for members in perm.groups(*self._comp)):
+            validated = planar_rotations(validated)
+        return validated
 
     @property
     def edge_count(self) -> int:
@@ -143,7 +157,9 @@ def find_bipartition(graph: AdGraph) -> tuple[int, ...]:
 
 
 def validate_adg(graph: AdGraph) -> AdGraph:
-    """Check even degrees, bipartiteness, and per-component planarity.
+    """Check even degrees, bipartiteness, and per-component planarity,
+    whatever bipartition the graph carries, once per graph object: the
+    answer is the cached ``graph._valid``, the same object on every call.
 
     A graph carrying a rotation system is proved planar by its own
     embedding (``check_sphere_embedding``).  Otherwise, when some
@@ -154,17 +170,13 @@ def validate_adg(graph: AdGraph) -> AdGraph:
     annotated with a bipartition, seeded with the input's arrays.  Loops
     are already rejected at construction.
     """
-    for v, d in enumerate(graph.degrees()):
-        if d % 2:
-            raise OddDegreeError(v, d)
-    validated = replace(graph, bipartition=find_bipartition(graph))
-    vars(validated).update(_comp=graph._comp)
-    if graph.rotations is not None:
-        vars(validated).update(_slots=graph._slots)
-        check_sphere_embedding(validated)
-    elif any(len(members) > 4 for members in perm.groups(*graph._comp)):
-        validated = planar_rotations(validated)
-    return validated
+    return graph._valid
+
+
+def _validated(graph: AdGraph) -> AdGraph:
+    """``graph`` when it carries a bipartition (validated, census and
+    decomposition graphs do), else ``validate_adg(graph)``."""
+    return graph._valid if graph.bipartition is None else graph
 
 
 # -- embeddings -----------------------------------------------------------------
@@ -631,7 +643,8 @@ def to_ribbon(graph: AdGraph, twisted: bool = False) -> RibbonGraph:
 
 
 def turaev_genus_graph(graph: AdGraph, rng: random.Random | None = None) -> int:
-    """Turaev genus of a validated alternating decomposition graph.
+    """Turaev genus of an alternating decomposition graph, validated on
+    demand by ``_validated``.
 
     Each step takes a member of a worklist, either the degree-two
     vertices or the parallel pairs as ``(u, w)`` with ``u < w``: its
@@ -643,8 +656,7 @@ def turaev_genus_graph(graph: AdGraph, rng: random.Random | None = None) -> int:
     smaller adjacency map into the larger, and connectivity is settled
     once for the whole run (see ``_genus_recursion``).
     """
-    if graph.bipartition is None:
-        raise NotValidatedError("call validate_adg first")
+    graph = _validated(graph)
     return _genus_recursion(graph.edges, graph._comp, rng)
 
 

@@ -84,8 +84,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_genus_g(args) -> int:
     graph = adgraph.parse_graph_file(_read(args.file))
-    validated = adgraph.validate_adg(graph)
-    print(f"g_T = {adgraph.turaev_genus_graph(validated)}")
+    print(f"g_T = {adgraph.turaev_genus_graph(graph)}")
     return 0
 
 
@@ -111,8 +110,7 @@ def cmd_classify(args) -> int:
 
 def cmd_realize(args) -> int:
     graph = adgraph.parse_graph_file(_read(args.file))
-    validated = construct.embed_planar(adgraph.validate_adg(graph))
-    diagram = construct.realize_diagram(validated)
+    diagram = construct.realize_diagram(graph)
     text = write_pd(diagram)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -28,9 +28,9 @@ diagram whose non-alternating arcs are exactly the graph's edges.
 
 from __future__ import annotations
 
-from .adgraph import AdGraph, planar_rotations
+from .adgraph import AdGraph, _validated, planar_rotations
 from .diagram import PlanarDiagram
-from .errors import NotEmbeddedError, NotValidatedError, SignMismatchError
+from .errors import NotEmbeddedError, SignMismatchError
 from .perm import two_colouring
 
 #: the isolated-vertex realization; any reduced alternating diagram works,
@@ -39,14 +39,11 @@ _TREFOIL = ((0, 3, 1, 4), (2, 5, 3, 0), (4, 1, 5, 2))
 
 
 def embed_planar(graph: AdGraph) -> AdGraph:
-    """Attach a sphere rotation system with ``planar_rotations``.  A
-    validated graph that already carries rotations is returned unchanged:
-    ``validate_adg`` has checked them, or built them the same way."""
-    if graph.bipartition is None:
-        raise NotValidatedError("embed_planar expects a validated graph")
-    if graph.rotations is not None:
-        return graph
-    return planar_rotations(graph)
+    """Attach a sphere rotation system with ``planar_rotations`` to the
+    graph, validated on demand.  A validated graph that carries rotations
+    is returned unchanged: ``validate_adg`` checked or built them."""
+    graph = _validated(graph)
+    return graph if graph.rotations is not None else planar_rotations(graph)
 
 
 def edge_signs(graph: AdGraph) -> list[str]:
@@ -72,14 +69,11 @@ def edge_signs(graph: AdGraph) -> list[str]:
 def realize_diagram(graph: AdGraph) -> PlanarDiagram:
     """A link diagram whose alternating decomposition graph is ``graph``.
 
-    Requires a validated, embedded graph.  Isolated vertices are realized
-    as disjoint trefoils.  The result is adequate and its Turaev genus
-    equals the graph's.
+    The graph is validated and embedded on demand by ``embed_planar``.
+    Isolated vertices are realized as disjoint trefoils.  The result is
+    adequate and its Turaev genus equals the graph's.
     """
-    if graph.bipartition is None:
-        raise NotValidatedError("realize_diagram expects a validated graph")
-    if graph.rotations is None:
-        raise NotEmbeddedError("realize_diagram expects an embedded graph")
+    graph = embed_planar(graph)
     signs = edge_signs(graph)
 
     base = len(graph.edges) + 1  # arcs 1..e are the graph edges

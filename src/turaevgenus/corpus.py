@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from . import families
-from .adgraph import AdGraph, validate_adg
+from .adgraph import AdGraph
 from .construct import embed_planar, realize_diagram
 from .diagram import (PlanarDiagram, connected_sum, is_adequate,
                       link_component_count, parse_pd)
@@ -151,7 +151,7 @@ def random_adgraph(rng: random.Random, max_edges: int = 12) -> AdGraph:
                         graph.n + rng.randrange(other.n),
                     )
         if graph.edge_count <= max_edges:
-            return embed_planar(validate_adg(graph))
+            return embed_planar(graph)
 
 
 def random_diagram(rng: random.Random, max_edges: int = 12) -> PlanarDiagram:

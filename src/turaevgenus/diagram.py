@@ -539,14 +539,15 @@ def bracket_span(diagram: PlanarDiagram, poly: LaurentPoly | None = None) -> int
     """Span of the Jones polynomial in the variable t.
 
     Requires a connected diagram; the span in A is always a multiple
-    of 4.  ``poly`` is the diagram's ``jones_polynomial`` when the caller
-    already has it.
+    of 4.  It is read off the ``kauffman_bracket``, which the writhe
+    factor only shifts; ``poly`` is the diagram's bracket or its
+    ``jones_polynomial``, when the caller already has either.
     """
     require_connected(diagram)
     if diagram.crossing_count == 0:
         return 0
     if poly is None:
-        poly = jones_polynomial(diagram)
+        poly = kauffman_bracket(diagram)
     span_a = poly.span
     if span_a % 4:
         raise ParityError(f"bracket span {span_a} not divisible by 4")

@@ -146,10 +146,6 @@ class NotSphericalError(NotPlanarError):
                 f"{self.component} in the sphere")
 
 
-class NotValidatedError(TuraevError):
-    """The operation requires a validated graph (bipartition attached)."""
-
-
 class NotEmbeddedError(TuraevError):
     """The operation requires a graph with a rotation system."""
 

@@ -6,8 +6,8 @@ K4-based genus-two families, and the genus-zero shapes (doubled trees,
 four-cycles with legs, and the two-sum of K4-minus-an-edge pieces).
 Family graphs are plain values, with no rotations and no bipartition,
 and are not necessarily bipartite: bipartiteness depends on the
-parameters.  A caller that needs the embedding asks for
-``embed_planar(validate_adg(g))``, which also checks bipartiteness.
+parameters.  ``turaev_genus_graph``, ``embed_planar`` and
+``realize_diagram`` validate them first, which checks bipartiteness.
 
 The form table.  ``FAMILIES`` gives each family that ``classify_genus``
 names, doubled trees apart, its builder, the parameters of its minimal

@@ -17,7 +17,6 @@ from turaevgenus.construct import edge_signs
 from turaevgenus.diagram import PlanarDiagram
 from turaevgenus.errors import (
     NotEmbeddedError,
-    NotValidatedError,
     SignMismatchError,
 )
 
@@ -65,8 +64,6 @@ def realize_diagram(graph: AdGraph) -> PlanarDiagram:
     as disjoint trefoils.  The result is adequate and its Turaev genus
     equals the graph's.
     """
-    if graph.bipartition is None:
-        raise NotValidatedError("realize_diagram expects a validated graph")
     if graph.rotations is None:
         raise NotEmbeddedError("realize_diagram expects an embedded graph")
     signs = edge_signs(graph)

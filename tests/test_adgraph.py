@@ -32,7 +32,6 @@ from turaevgenus.errors import (
     NotEmbeddedError,
     NotPlanarError,
     NotSphericalError,
-    NotValidatedError,
     OddDegreeError,
     TuraevError,
 )
@@ -263,8 +262,10 @@ def test_genus_isolated_vertices():
 
 
 def test_genus_needs_validation():
-    with pytest.raises(NotValidatedError):
-        turaev_genus_graph(doubled_cycle(2))
+    # a plain graph is validated on demand, not refused
+    assert turaev_genus_graph(doubled_cycle(2)) == 1
+    with pytest.raises(NotBipartiteError):
+        turaev_genus_graph(AdGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2))))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -592,6 +593,105 @@ def test_parse_then_validate_builds_the_arrays_once(array_passes):
 def test_validating_one_graph_twice_runs_one_union_find(array_passes):
     parsed = parse_graph_file(write_graph_file(doubled_cycle(6)))
     first, second = validate_adg(parsed), validate_adg(parsed)
-    assert first == second and first is not second
+    assert first is second
     assert turaev_genus_graph(second) == 1
     assert array_passes["components"] == [parsed.n]
+
+
+# -- validation on demand ----------------------------------------------------------
+
+def _random_plain_graphs(count: int) -> list[AdGraph]:
+    rng = random.Random(33)
+    return [AdGraph(g.n, g.edges)
+            for g in (corpus.random_adgraph(rng, max_edges=12) for _ in range(count))]
+
+
+#: valid graphs as plain values, with no bipartition and no rotations:
+#: random ones stripped of both, and family graphs
+PLAIN_GRAPHS = _random_plain_graphs(12) + [
+    doubled_cycle(6),
+    doubled_theta(1, 3, 3),
+    k4_doubled_paths(2, 2),
+    k4_two_sum(2, 2),
+    c4_legs(1, 0, 2, 1),
+    doubled_tree((0, 0, 1, 2)),
+    doubled_cycle(2).disjoint_union(isolated_vertices(2)),
+]
+
+
+@pytest.mark.parametrize("graph", PLAIN_GRAPHS)
+def test_plain_graphs_answer_like_the_explicit_chain(graph):
+    def plain() -> AdGraph:  # a fresh object, with nothing cached
+        return AdGraph(graph.n, graph.edges)
+
+    embedded = embed_planar(validate_adg(plain()))
+    assert turaev_genus_graph(plain()) == turaev_genus_graph(validate_adg(plain()))
+    assert embed_planar(plain()) == embedded
+    assert realize_diagram(plain()).crossings == realize_diagram(embedded).crossings
+
+
+#: odd degree; a doubled triangle, even but not bipartite; doubled K3,3,
+#: bipartite with even degrees but not planar
+INVALID_GRAPHS = [
+    (AdGraph(3, ((0, 1), (1, 2), (1, 2))), OddDegreeError),
+    (AdGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2))), NotBipartiteError),
+    (AdGraph(6, tuple((u, v) for u in range(3) for v in range(3, 6)) * 2),
+     NotPlanarError),
+]
+
+
+@pytest.mark.parametrize("graph, error", INVALID_GRAPHS)
+@pytest.mark.parametrize("call", [
+    turaev_genus_graph, embed_planar, realize_diagram, classify_genus])
+def test_invalid_graphs_raise_on_every_call(graph, error, call):
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(error):
+            call(graph)
+    assert "_valid" not in vars(graph)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The number of ``find_bipartition`` and ``_left_right`` calls the
+    package makes."""
+    calls = {"find_bipartition": 0, "_left_right": 0}
+    for name in calls:
+        real = getattr(adgraph, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(adgraph, name, counted)
+    return calls
+
+
+def test_validation_runs_once_per_graph_object(searches):
+    text = write_graph_file(doubled_cycle(6))
+    parsed = parse_graph_file(text)
+    first, second = validate_adg(parsed), validate_adg(parsed)
+    assert first is second and first.rotations is not None
+    assert searches == {"find_bipartition": 1, "_left_right": 1}
+    # a replaced graph is a new object, validated afresh
+    turned = dataclasses.replace(parsed, edges=parsed.edges[::-1])
+    assert validate_adg(turned).edges == parsed.edges[::-1]
+    assert searches == {"find_bipartition": 2, "_left_right": 2}
+    # equality, hash and repr ignore the cache
+    fresh = parse_graph_file(text)
+    assert "_valid" in vars(parsed) and "_valid" not in vars(fresh)
+    assert parsed == fresh and hash(parsed) == hash(fresh)
+    assert repr(parsed) == repr(fresh)
+
+
+def test_classify_after_validate_searches_once(searches):
+    parsed = parse_graph_file(write_graph_file(doubled_cycle(6)))
+    validate_adg(parsed)
+    assert classify_genus(parsed).family == "doubled-even-cycle"
+    assert searches == {"find_bipartition": 1, "_left_right": 1}
+
+
+def test_validate_checks_a_graph_that_carries_a_bipartition():
+    doubled_triangle = INVALID_GRAPHS[1][0]
+    claimed = AdGraph(3, doubled_triangle.edges, bipartition=(0, 1, 1))
+    with pytest.raises(NotBipartiteError):
+        validate_adg(claimed)

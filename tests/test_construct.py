@@ -13,11 +13,7 @@ from turaevgenus.adgraph import (
 from turaevgenus.construct import edge_signs, embed_planar, realize_diagram
 from turaevgenus.decompose import decompose
 from turaevgenus.diagram import classify_arcs, is_adequate, turaev_genus_diagram
-from turaevgenus.errors import (
-    NotEmbeddedError,
-    NotValidatedError,
-    SignMismatchError,
-)
+from turaevgenus.errors import SignMismatchError
 from turaevgenus.families import (
     c4_legs,
     doubled_cycle,
@@ -126,8 +122,10 @@ def test_realize_matches_template_oracle_on_stars():
 
 
 def test_embed_planar_requires_validation():
-    with pytest.raises(NotValidatedError):
-        embed_planar(AdGraph(2, ((0, 1), (0, 1))))
+    # a plain graph is validated on demand, not refused
+    plain = AdGraph(2, ((0, 1), (0, 1)))
+    assert embed_planar(plain) == embed_planar(validate_adg(plain))
+    assert embed_planar(plain).bipartition == (0, 1)
 
 
 def test_embed_planar_idempotent():
@@ -153,9 +151,10 @@ def test_embed_planar_keeps_validated_rotations(monkeypatch):
 
 
 def test_realize_requires_embedding():
+    # a validated graph without rotations is embedded on demand, not refused
     v = validate_adg(AdGraph(2, ((0, 1),) * 4))
-    with pytest.raises(NotEmbeddedError):
-        realize_diagram(v)
+    assert v.rotations is None
+    assert realize_diagram(v).crossings == realize_diagram(embed_planar(v)).crossings
 
 
 def test_edge_signs_alternate():

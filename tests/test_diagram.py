@@ -281,6 +281,24 @@ def test_figure_eight_span(named):
     assert bracket_span(named["figure-eight"]) == 4
 
 
+def test_span_read_off_the_bracket(monkeypatch):
+    """The writhe factor shifts every exponent alike, so the bracket and
+    the Jones polynomial have one span, and ``bracket_span`` needs no
+    writhe pass."""
+    named = corpus.named_diagrams()
+    diagrams = [d for _, d in corpus.alternating_knot_corpus(14)] + [named["9_42"]]
+    spans = []
+    for d in diagrams + [d.mirror() for d in diagrams]:
+        jones = jones_polynomial(d)
+        assert kauffman_bracket(d).span == jones.span
+        spans.append(bracket_span(d, poly=jones))
+    monkeypatch.setattr(diagram, "writhe", None)  # a writhe pass would raise
+    assert [bracket_span(d) for d in diagrams + [d.mirror() for d in diagrams]] == spans
+    # reduced alternating knots have span c, 9_42 (9 crossings) has 6;
+    # a mirror has the span of its original
+    assert spans == 2 * ([d.crossing_count for d in diagrams[:-1]] + [6])
+
+
 def test_bracket_raw_trefoil():
     poly = kauffman_bracket(parse_pd(TREFOIL))
     assert poly.span == 12

@@ -10,6 +10,11 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * ``planar_rotations`` is called only in ``adgraph``, in
   ``construct.embed_planar`` and in ``verify.suite_doubled_path_moves``,
   which embeds non-bipartite extensions that ``validate_adg`` rejects;
+* validation is decided in one place: only ``adgraph._validated``
+  compares a ``bipartition`` with ``None``, in ``adgraph`` only the
+  cached property ``AdGraph._valid`` calls ``find_bipartition`` and
+  ``planar_rotations``, so a graph object is validated at most once,
+  and no module names a ``NotValidatedError``;
 * in ``adgraph``, ``construct`` and ``ribbon``, ``half_edges`` is
   called only by the cached property ``AdGraph._slots`` and
   ``perm.components`` only by ``AdGraph._comp`` and by the checked
@@ -66,8 +71,8 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   name in some other module: no error class outlives its last
   ``raise``.
 
-Everything else that needs an embedding asks for
-``embed_planar(validate_adg(g))``.
+Everything else that needs an embedding asks for ``embed_planar(g)``,
+which validates a graph that carries no bipartition.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "turaevgenus"
 
@@ -89,11 +95,10 @@ def _modules() -> dict[str, ast.Module]:
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _calls(tree: ast.Module, name: str, receivers: set[str] | None = None) -> list[str]:
+def _sites(tree: ast.Module, match: Callable[[ast.AST], bool]) -> list[str]:
     """The top-level definition, or ``Class.method`` for a top-level
-    class, around each call of ``name`` (a bare name or an attribute, of
-    one of the names ``receivers`` when given), or ``<module>`` outside
-    any."""
+    class, around each node that ``match`` accepts, or ``<module>``
+    outside any."""
     found: list[str] = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -104,19 +109,28 @@ def _calls(tree: ast.Module, name: str, receivers: set[str] | None = None) -> li
                     inner = child.name
                 elif node in tree.body and isinstance(node, ast.ClassDef):
                     inner = f"{where}.{child.name}"
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = (func.id if isinstance(func, ast.Name)
-                          else func.attr if isinstance(func, ast.Attribute) and (
-                              receivers is None
-                              or getattr(func.value, "id", None) in receivers)
-                          else None)
-                if called == name:
-                    found.append(inner)
+            if match(child):
+                found.append(inner)
             visit(child, inner)
 
     visit(tree, "<module>")
     return found
+
+
+def _calls(tree: ast.Module, name: str, receivers: set[str] | None = None) -> list[str]:
+    """``_sites`` of each call of ``name``: a bare name or an attribute,
+    of one of the names ``receivers`` when given."""
+    def match(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return name == (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) and (
+                            receivers is None
+                            or getattr(func.value, "id", None) in receivers)
+                        else None)
+
+    return _sites(tree, match)
 
 
 def _call_sites(name: str, receivers: set[str] | None = None) -> set[str]:
@@ -158,7 +172,7 @@ def test_planar_rotations_call_sites():
     outside = {s for s in sites if not s.startswith("adgraph.")}
     assert outside <= {"construct.embed_planar", "verify.suite_doubled_path_moves"}
     # the scan sees calls in other modules, not only in adgraph
-    assert {"adgraph.validate_adg", "construct.embed_planar"} <= sites
+    assert {"adgraph.AdGraph._valid", "construct.embed_planar"} <= sites
 
 
 def test_one_pass_of_each_array_per_graph():
@@ -328,8 +342,58 @@ def test_census_two_colours_only_in_stage1():
         "census.simple_connected_graphs"}
     assert _replaces_bipartition(_modules()["census"]) == []
     # the scan sees two-colourings and bipartition replaces elsewhere
-    assert "adgraph.validate_adg" in sites
+    assert "adgraph.AdGraph._valid" in sites
     assert _replaces_bipartition(_modules()["adgraph"])
+
+
+def _tests_bipartition(node: ast.AST) -> bool:
+    """Whether ``node`` compares an attribute ``bipartition`` with
+    ``None``, by ``is``, ``is not``, ``==`` or ``!=``, on either side."""
+    if not isinstance(node, ast.Compare) or len(node.ops) != 1:
+        return False
+    sides = [node.left, node.comparators[0]]
+    return (isinstance(node.ops[0], (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+            and any(getattr(s, "attr", None) == "bipartition" for s in sides)
+            and any(isinstance(s, ast.Constant) and s.value is None for s in sides))
+
+
+def _mentions(modules: dict[str, ast.Module], name: str) -> list[str]:
+    """The modules that define ``name`` at their top level or read it."""
+    return sorted(module for module, tree in modules.items()
+                  if name in _names(tree)
+                  or any(name in _defines(top) for top in tree.body))
+
+
+def test_validation_is_decided_in_one_place():
+    """Only ``adgraph._validated`` takes a bipartition as the mark of a
+    validated graph; validation two-colours and searches only in the
+    cached property ``AdGraph._valid``, so at most once per graph
+    object; and no ``NotValidatedError`` refuses a plain graph."""
+    modules = _modules()
+    assert {f"{module}.{where}" for module, tree in modules.items()
+            for where in _sites(tree, _tests_bipartition)} == {"adgraph._validated"}
+    for name in ("find_bipartition", "planar_rotations"):
+        assert {s for s in _call_sites(name) if s.startswith("adgraph.")} == {
+            "adgraph.AdGraph._valid"}, name
+    assert _mentions(modules, "NotValidatedError") == []
+    # the scan sees each form of the test, in a function or a method, and
+    # a two-colouring in a cached property; not a test of another field
+    synthetic = ast.parse(
+        "class G:\n    @cached_property\n    def _valid(self):\n"
+        "        return find_bipartition(self)\n"
+        "    def trusted(self):\n        return self.bipartition is not None\n"
+        "def helper(g):\n    return g._valid if g.bipartition is None else g\n"
+        "def reversed_test(g):\n    return None == g.bipartition\n"
+        "def other(g):\n    return g.rotations is None\n")
+    assert _sites(synthetic, _tests_bipartition) == [
+        "G.trusted", "helper", "reversed_test"]
+    assert _calls(synthetic, "find_bipartition") == ["G._valid"]
+    # and an error class where it is defined and where it is raised
+    assert _mentions({
+        "errors": ast.parse("class NotValidatedError(TuraevError):\n    pass\n"),
+        "user": ast.parse("def f():\n    raise errors.NotValidatedError('x')\n"),
+        "other": ast.parse("def g():\n    raise NotEmbeddedError('x')\n"),
+    }, "NotValidatedError") == ["errors", "user"]
 
 
 _MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
