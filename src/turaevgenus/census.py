@@ -57,11 +57,14 @@ automorphism keeps keys, so when a deletable vertex has a higher key
 than v, v lies outside that orbit, and stage 1 rejects it before the
 search.  Otherwise w* has v's key, since v is deletable (P is
 connected), so only the vertices that share that key are ranked by
-label, and v itself is never tested.  Every class is reached: for C
-on the level's vertex count with B(C) <= max_e, C - w* is connected,
-bipartite and planar with need bound at most C's, so its canonical
-form P* is kept, and an isomorphism onto P* maps N(w*) to a
-set S on one side of P*.  The first-tried member S' of S's orbit under
+label, and v itself is never tested.  A key starts with the degree, so
+a vertex of degree below |S|, v's degree, ranks below v: the rule keys
+only the vertices of degree at least |S|, each from the child's degree
+and adjacency lists, and those keys equal the whole child's.  Every
+class is reached: for C on the level's vertex count with B(C) <= max_e,
+C - w* is connected, bipartite and planar with need bound at most C's,
+so its canonical form P* is kept, and an isomorphism onto P* maps
+N(w*) to a set S on one side of P*.  The first-tried member S' of S's orbit under
 Aut(P*) gives a child P* + S' isomorphic to C with the new vertex as
 w*, which passes the budget, the need bound and the rule.  Each class
 is accepted once: an isomorphism between accepted children P1 + S1 and
@@ -71,8 +74,11 @@ isomorphism from P1 onto P2 that maps S1 onto S2.  A level keeps one
 parent per class, so P1 = P2, S1 and S2 share an orbit of Aut(P1), and
 one set per orbit is tried: S1 = S2.  No table of the forms met is
 needed.  A planar graph's canonical parent is planar, so planarity is
-tested once per accepted class, and each accepted class is two-coloured
-once, on its canonical form, where it is kept.
+tested once per accepted class.  No class is two-coloured: the child
+P + S takes P's sides with v opposite S, the canonical labelling
+carries them onto the kept form, and swapping them when vertex 0 lands
+on side 1 gives ``find_bipartition``'s answer, since a connected
+bipartite graph has one two-colouring up to the swap.
 
 The odd sets are the cycle space.  In a multigraph with every degree
 even, each vertex meets an even number of odd-multiplicity edges, so
@@ -117,7 +123,7 @@ Order.  Stage-1 levels and the atoms are sorted by (n, E, edges).
 Atoms combine in pre-order with nondecreasing indices, so a graph is
 the union of its atoms in that order plus its isolated vertices: like
 each atom, it is a function of its class.  An atom carries its simple
-graph's two-colouring, made in stage 1, since multiplicities move no
+graph's two-colouring, read in stage 1, since multiplicities move no
 vertex across; it is connected, so vertex 0 is on side 0.  The atoms'
 sides in that order, then side 0 for each isolated vertex, are the
 union's two-colouring with the least vertex of each component on side
@@ -136,12 +142,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .adgraph import (
-    AdGraph,
-    find_bipartition,
-    planar_embedding,
-    turaev_genus_graph,
-)
+from .adgraph import AdGraph, planar_embedding, turaev_genus_graph
 from .errors import BadParametersError, BoundsTooLargeError
 from .families import (
     canonical_search,
@@ -149,7 +150,7 @@ from .families import (
     family_of,
     is_reduced,
 )
-from .perm import components, fundamental_cycles, orbit, pair_actions
+from .perm import fundamental_cycles, orbit, pair_actions
 
 MAX_FEASIBLE_EDGES = 16
 MAX_FEASIBLE_VERTICES = 16
@@ -209,7 +210,9 @@ def simple_connected_graphs(
     least ``min_degree`` and at most ``max_e`` edges in all.  Each level
     accepts each class once, from its canonical parent, whose neighbour
     sets it draws from each side, one per orbit (see "Canonical
-    deletion" above); stage 2 decides which graphs take multiplicities."""
+    deletion" above); stage 2 decides which graphs take multiplicities.
+    A child is its parent's degree and adjacency lists plus its
+    neighbour set until the rule searches it."""
     def need(d: int) -> int:
         return max(d + d % 2, min_degree)
 
@@ -219,8 +222,13 @@ def simple_connected_graphs(
         level = []
         for parent, parent_gens in levels[-1]:
             budget = max_e - parent.edge_count
-            parent_need = sum(map(need, parent.degrees()))
-            gain = [need(d + 1) - need(d) for d in parent.degrees()]
+            deg = parent.degrees()
+            adj: list[list[int]] = [[] for _ in deg]
+            for a, b in parent.edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            parent_need = sum(map(need, deg))
+            gain = [need(d + 1) - need(d) for d in deg]
             relabel = [lambda nbrs, g=g: tuple(sorted(map(g.__getitem__, nbrs)))
                        for g in parent_gens]
             reached: set[tuple[int, ...]] = set()
@@ -234,12 +242,15 @@ def simple_connected_graphs(
                 if child_need > 2 * max_e or nbrs in reached:
                     continue
                 orbit(nbrs, relabel, reached)
-                child = AdGraph(v, parent.edges + tuple((u, v - 1) for u in nbrs))
-                found = _canonical_deletion(child)
-                if found is not None and _is_planar_bipartite(v, child.edges):
+                found = _canonical_deletion(parent.edges, deg, adj, nbrs)
+                if found is not None and _is_planar_bipartite(v, found[0][1]):
                     key, label, gens = found
-                    form = AdGraph(v, key[1])
-                    level.append((AdGraph(v, form.edges, find_bipartition(form)),
+                    # the child's sides through the labelling, vertex 0 on side 0
+                    turn = [0] * v
+                    for u, s in enumerate(side):
+                        turn[label[u]] = s
+                    turn[label[v - 1]] = 1 - side[nbrs[0]]
+                    level.append((AdGraph(v, key[1], tuple(s ^ turn[0] for s in turn)),
                                   [_conjugate(g, label) for g in gens]))
         level.sort(key=lambda kept: _census_order(kept[0]))
         levels.append(level)
@@ -251,39 +262,59 @@ def _census_order(graph: AdGraph) -> tuple:
     return graph.n, graph.edge_count, graph.edges
 
 
-def _deletable(graph: AdGraph, w: int) -> bool:
-    """Whether ``graph`` without vertex ``w`` is connected."""
-    return components(graph.n, (e for e in graph.edges if w not in e))[1] == 2
+def _deletable(adj: list[list[int]], w: int) -> bool:
+    """Whether the graph of adjacency lists ``adj``, on two or more
+    vertices, stays connected without vertex ``w``: one breadth-first
+    search that never enters ``w``."""
+    start = 1 if w == 0 else 0
+    seen = [False] * len(adj)
+    seen[w] = seen[start] = True
+    todo = [start]
+    for u in todo:
+        for x in adj[u]:
+            if not seen[x]:
+                seen[x] = True
+                todo.append(x)
+    return len(todo) == len(adj) - 1
 
 
-def _deletion_keys(graph: AdGraph) -> list[tuple[int, list[int]]]:
-    """Each vertex's rank as a deletion: its degree, then its neighbours'
-    degrees in increasing order; every isomorphism keeps both."""
-    deg = graph.degrees()
-    around: list[list[int]] = [[] for _ in deg]
-    for u, v in graph.edges:
-        around[u].append(deg[v])
-        around[v].append(deg[u])
-    for ds in around:
-        ds.sort()
-    return list(zip(deg, around))
+def _deletion_keys(
+    deg: list[int], adj: list[list[int]], least: int
+) -> list[tuple[int, tuple[int, list[int]]]]:
+    """Each vertex of degree at least ``least`` with its rank as a
+    deletion: its degree, then its neighbours' degrees in increasing
+    order; every isomorphism keeps both."""
+    return [(w, (d, sorted([deg[x] for x in adj[w]])))
+            for w, d in enumerate(deg) if d >= least]
 
 
-def _canonical_deletion(graph: AdGraph) -> tuple | None:
-    """The canonical search of ``graph`` when its last vertex, the new
-    one, lies in the orbit of w*, else ``None`` (see "Canonical
-    deletion").  The new vertex is deletable, so it is rejected before
-    the search when a deletable vertex has a higher key, and otherwise
-    w* is among the vertices that share its key."""
-    keys = _deletion_keys(graph)
-    new = graph.n - 1
-    if any(key > keys[new] and _deletable(graph, w) for w, key in enumerate(keys)):
+def _canonical_deletion(
+    edges: tuple[tuple[int, int], ...], deg: list[int], adj: list[list[int]],
+    nbrs: tuple[int, ...],
+) -> tuple | None:
+    """The canonical search of the child that joins a new vertex to
+    ``nbrs`` in the parent with ``edges``, degrees ``deg`` and adjacency
+    lists ``adj``, when the new vertex lies in the orbit of w*, else
+    ``None`` (see "Canonical deletion").  The new vertex is deletable,
+    so the child is rejected before the search when a deletable vertex
+    has a higher key, and otherwise w* is among the vertices that share
+    its key; no other vertex is keyed, and only a searched child is
+    built as a graph."""
+    new = len(adj)
+    deg = deg + [len(nbrs)]
+    adj = adj + [list(nbrs)]
+    for u in nbrs:
+        deg[u] += 1
+        adj[u] = adj[u] + [new]
+    keys = _deletion_keys(deg, adj, len(nbrs))
+    mine = keys[-1][1]
+    if any(key > mine and _deletable(adj, w) for w, key in keys):
         return None
-    found = canonical_search(graph)
+    found = canonical_search(AdGraph(new + 1, edges + tuple((u, new) for u in nbrs)))
     _, label, gens = found
-    tied = sorted((w for w, key in enumerate(keys) if key == keys[new]),
+    tied = sorted((w for w, key in keys if key == mine),
                   key=label.__getitem__, reverse=True)
-    w = next(w for w in tied if w == new or _deletable(graph, w))
+    w = next(w for w in tied if w == new or _deletable(adj, w))
     if w == new or new in orbit(w, [g.__getitem__ for g in gens]):
         return found
     return None
@@ -315,13 +346,15 @@ def _even_multiplicity_assignments(
     if m == 0:
         return [()] if simple.n == 1 and min_degree == 0 else []
     labels, trees = fundamental_cycles(simple.n, edges)
-    last_at: dict[int, int] = {}
-    for i, (u, v) in enumerate(edges):
-        last_at[u] = i
-        last_at[v] = i
+    tail = [u for u, _ in edges]
+    head = [v for _, v in edges]
+    deg = simple.degrees()
+    last_at = [0] * simple.n
+    for i in range(m):
+        last_at[tail[i]] = last_at[head[i]] = i
 
     results: list[tuple[int, ...]] = []
-    current = [0] * m
+    current = [0] * m  # past edge i, the parity multiplicity, 1 or 2
     still = [0] * simple.n  # pairs each vertex still lacks for its floor
 
     def rec(i: int, pairs: int, short: int):
@@ -329,11 +362,13 @@ def _even_multiplicity_assignments(
         ``short`` sums the positive entries of ``still``."""
         if pairs == 0 or i == m:
             if short == 0:
-                results.append(tuple(current[:i]) + parity[i:])
+                results.append(tuple(current))
             return
-        u, v = edges[i]
+        u = tail[i]
+        v = head[i]
         su, sv = still[u], still[v]
         low = max(su if last_at[u] == i else 0, sv if last_at[v] == i else 0, 0)
+        parity = current[i]
         for k in range(low, pairs + 1):
             after = short - min(k, max(su, 0)) - min(k, max(sv, 0))
             # a later pair covers at most two vertices, and this bound
@@ -342,8 +377,9 @@ def _even_multiplicity_assignments(
                 break
             still[u] = su - k
             still[v] = sv - k
-            current[i] = parity[i] + 2 * k
+            current[i] = parity + 2 * k
             rec(i + 1, pairs - k, after)
+        current[i] = parity
         still[u] = su
         still[v] = sv
 
@@ -359,11 +395,16 @@ def _even_multiplicity_assignments(
         spare = max_e - 2 * m + odd.bit_count()
         if spare < 0:
             continue
-        parity = tuple(1 if odd >> e & 1 else 2 for e in range(m))
-        base = [0] * simple.n
-        for (u, v), mult in zip(edges, parity):
-            base[u] += mult
-            base[v] += mult
+        # every edge twice, less one at each end of an odd edge
+        current[:] = [2] * m
+        base = [2 * d for d in deg]
+        rest = odd
+        while rest:
+            e = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            current[e] = 1
+            base[tail[e]] -= 1
+            base[head[e]] -= 1
         still[:] = [(min_degree - d + 1) // 2 for d in base]
         rec(0, spare // 2, sum(x for x in still if x > 0))
     results.sort()
@@ -402,7 +443,7 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
             edges = []
             for e, mult in zip(simple.edges, assign):
                 edges.extend([e] * mult)
-            atoms.append(AdGraph(simple.n, tuple(sorted(edges)), simple.bipartition))
+            atoms.append(AdGraph(simple.n, tuple(edges), simple.bipartition))
     atoms.sort(key=_census_order)
     return atoms
 

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turaevgenus import census as census_module, corpus, families
+from turaevgenus import census as census_module, corpus, families, perm
 from turaevgenus.adgraph import (
     AdGraph,
     find_bipartition,
@@ -26,8 +26,11 @@ from turaevgenus.families import canonical_form, canonical_search, is_reduced
 
 from census_oracle import (
     _even_multiplicity_assignments as first_per_form_assignments,
+    _graph_deletion_keys,
     enumerate_adgs as filtering_enumerate_adgs,
+    graph_per_child_simple_connected_graphs,
     need_bound,
+    tuple_per_step_even_multiplicity_assignments,
     unpruned_atoms,
     unpruned_simple_graphs,
 )
@@ -106,17 +109,26 @@ def test_carried_bipartition_is_the_two_colouring(graphs):
 
 
 def test_bipartition_found_once_per_atom(monkeypatch):
-    """One ``enumerate_adgs(CensusFilter(10, 10))`` two-colours each of
-    its 138 kept stage-1 classes with edges once, on its canonical form,
-    and none of its 139 atoms or 1,100 graphs: they carry the sides that
-    stage 1 found."""
-    calls = _count_calls(monkeypatch, "find_bipartition")
+    """One ``enumerate_adgs(CensusFilter(10, 10))`` two-colours none of
+    its 138 kept stage-1 classes with edges (it two-coloured each once
+    when stage 1 did not read the sides off the child), and none of its
+    139 atoms or 1,100 graphs: each class's sides are read once, through
+    its canonical labelling, and the atoms and graphs carry them."""
+    calls = []
+    real = perm.two_colouring
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(perm, "two_colouring", counting)
     graphs = enumerate_adgs(CensusFilter(10, 10))
-    coloured = sorted((graph.n, graph.edges) for graph, in calls)
+    coloured = len(calls)
+    monkeypatch.undo()
     classes = [g for g, _ in simple_connected_graphs(10, 10) if g.edge_count]
     atoms = [a for a in connected_atoms(10, 10) if a.edge_count]
-    assert coloured == sorted((g.n, g.edges) for g in classes)
-    assert (len(coloured), len(atoms), len(graphs)) == (138, 139, 1100)
+    assert all(g.bipartition == find_bipartition(g) for g in classes)
+    assert (coloured, len(classes), len(atoms), len(graphs)) == (0, 138, 139, 1100)
 
 
 def test_census_two_vertices():
@@ -202,6 +214,52 @@ def test_prune_drops_exactly_the_graphs_over_budget(bounds, kept, total):
     got = simple_connected_graphs(max_v, max_e, min_degree)
     assert [(g.n, g.edges) for g, _ in got] == within
     assert (len(got), len(oracle)) == (kept, total)
+
+
+ORACLE_BOUNDS = [(10, 10, 2), (8, 16, 4), (10, 20, 4)]
+
+
+@pytest.fixture(scope="module", params=ORACLE_BOUNDS, ids=lambda b: "-".join(map(str, b)))
+def stage1_pair(request):
+    """Stage 1 and the copy of its per-child graph version at one bound."""
+    bounds = request.param
+    return (bounds, simple_connected_graphs(*bounds),
+            graph_per_child_simple_connected_graphs(*bounds))
+
+
+def test_stage1_matches_the_per_child_graph_version(stage1_pair):
+    """Stage 1 on the parent's arrays keeps the graphs, bipartitions,
+    generators and order that building every child as a graph kept."""
+    _, got, want = stage1_pair
+    assert len(got) > 100
+    assert [(g.n, g.edges, g.bipartition, gens) for g, gens in got] == [
+        (g.n, g.edges, g.bipartition, gens) for g, gens in want]
+
+
+def test_stage2_matches_the_per_step_tuple_version(stage1_pair):
+    """Stage 2 without per-step tuples keeps the assignments, in the
+    same order, that the version building a parity tuple per cycle-space
+    element kept, on every stage-1 graph."""
+    (_, max_e, min_degree), got, _ = stage1_pair
+    found = [census_module._even_multiplicity_assignments(g, gens, max_e, min_degree)
+             for g, gens in got]
+    assert found == [
+        tuple_per_step_even_multiplicity_assignments(g, gens, max_e, min_degree)
+        for g, gens in got]
+    assert sum(map(len, found)) > 100
+
+
+@pytest.mark.parametrize("bounds,built", [((10, 10, 2), 287), ((8, 16, 4), 416)],
+                         ids=["10-10-2", "8-16-4"])
+def test_stage1_builds_a_graph_per_search_and_per_class(monkeypatch, bounds, built):
+    """Stage 1 builds one ``AdGraph`` per searched child (148 and 222),
+    one per kept class and the single vertex, and no other: the per-child
+    graph version built 646 and 1,053, one for every child that reached
+    the rule and two per kept class."""
+    graphs = _count_calls(monkeypatch, "AdGraph")
+    searches = _count_calls(monkeypatch, "canonical_search")
+    kept = simple_connected_graphs(*bounds)
+    assert len(graphs) == len(searches) + len(kept) == built
 
 
 # --- canonical representatives ------------------------------------------------
@@ -408,11 +466,11 @@ def test_skipped_children_are_kept_classes_or_nonplanar(
         searched.append(graph)
         return real_search(graph)
 
-    def rule(graph):
+    def rule(*args):
         before = len(searched)
-        found = real_rule(graph)
+        found = real_rule(*args)
         if len(searched) == before:
-            skipped.append(graph)
+            skipped.append(_child(*args))
         return found
 
     monkeypatch.setattr(census_module, "canonical_search", search)
@@ -447,13 +505,13 @@ def test_stage1_accepts_each_class_exactly_once(monkeypatch, bounds, accepted,
         searched.append(graph)
         return real_search(graph)
 
-    def rule(graph):
+    def rule(*args):
         before = len(searched)
-        found = real_rule(graph)
+        found = real_rule(*args)
         if len(searched) > before:
             verdicts.append(found is not None)
         if found is not None:
-            forms.append(canonical_form(graph))
+            forms.append(canonical_form(_child(*args)))
         return found
 
     def planar(n, edges):
@@ -467,6 +525,12 @@ def test_stage1_accepts_each_class_exactly_once(monkeypatch, bounds, accepted,
     assert len(set(forms)) == len(forms) == accepted
     assert tested == forms
     assert verdicts.count(False) == rejected
+
+
+def _child(edges, deg, adj, nbrs) -> AdGraph:
+    """The child that ``census._canonical_deletion`` decides from these
+    arguments: the parent with a new vertex joined to ``nbrs``."""
+    return AdGraph(len(adj) + 1, edges + tuple((u, len(adj)) for u in nbrs))
 
 
 def _count_calls(monkeypatch, name: str) -> list[tuple]:
@@ -488,13 +552,20 @@ def _count_calls(monkeypatch, name: str) -> list[tuple]:
 ], ids=["10-10-2", "8-16-4"])
 def test_deletion_keys_computed_once_per_child(monkeypatch, bounds, children):
     """Each child that reaches the canonical deletion rule has its
-    vertex keys computed once, for the test before the search and the
-    ranking after it alike."""
+    vertex keys computed once, from its own degrees, for the test before
+    the search and the ranking after it alike, and only at vertices of
+    degree at least the new vertex's, where they equal the keys computed
+    from the whole child graph."""
     rules = _count_calls(monkeypatch, "_canonical_deletion")
     keys = _count_calls(monkeypatch, "_deletion_keys")
     simple_connected_graphs(*bounds)
-    assert [args[0] for args in keys] == [args[0] for args in rules]
-    assert len(rules) == children
+    assert len(keys) == len(rules) == children
+    for (edges, deg, adj, nbrs), (child_deg, child_adj, least) in zip(rules, keys):
+        child = _child(edges, deg, adj, nbrs)
+        assert child_deg == child.degrees() and least == len(nbrs)
+        whole = _graph_deletion_keys(child)
+        assert census_module._deletion_keys(child_deg, child_adj, least) == [
+            (w, key) for w, key in enumerate(whole) if key[0] >= least]
 
 
 @pytest.mark.parametrize("bounds,asked", [
@@ -503,10 +574,11 @@ def test_deletion_keys_computed_once_per_child(monkeypatch, bounds, children):
 ], ids=["10-10-2", "8-16-4"])
 def test_new_vertex_never_tested_for_deletability(monkeypatch, bounds, asked):
     """The new vertex of a child is deletable, since its parent is
-    connected, so the rule never asks about it."""
+    connected, so the rule never asks about it; each question is one
+    breadth-first search, as many as the union-finds it replaced."""
     calls = _count_calls(monkeypatch, "_deletable")
     simple_connected_graphs(*bounds)
-    assert all(w != graph.n - 1 for graph, w in calls)
+    assert all(w != len(adj) - 1 for adj, w in calls)
     assert len(calls) == asked
 
 
@@ -554,11 +626,30 @@ def test_deleting_a_vertex_never_raises_the_need_bound(graph):
             assert need_bound(sub, min_degree) <= need_bound(graph, min_degree)
 
 
+def _adjacency(n: int, edges) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _decide(graph: AdGraph) -> tuple | None:
+    """``census._canonical_deletion`` on ``graph`` as a child: the graph
+    without its last vertex, as arrays, and that vertex's neighbours."""
+    new = graph.n - 1
+    parent = AdGraph(new, tuple(e for e in graph.edges if new not in e))
+    nbrs = tuple(sorted(u for u, v in graph.edges if v == new))
+    return census_module._canonical_deletion(
+        parent.edges, parent.degrees(), _adjacency(new, parent.edges), nbrs)
+
+
 def _accepted_deletions(graph: AdGraph) -> set[int]:
     """The deletable vertices of top degree among the deletable ones
     whose move to the last place the canonical deletion rule accepts."""
     deg = graph.degrees()
-    deletable = [w for w in range(graph.n) if census_module._deletable(graph, w)]
+    adj = _adjacency(graph.n, graph.edges)
+    deletable = [w for w in range(graph.n) if census_module._deletable(adj, w)]
     top = max(deg[w] for w in deletable)
     accepted = set()
     for w in deletable:
@@ -566,9 +657,22 @@ def _accepted_deletions(graph: AdGraph) -> set[int]:
             continue
         order = [v for v in range(graph.n) if v != w] + [w]
         moved = graph.relabeled([order.index(v) for v in range(graph.n)])
-        if census_module._canonical_deletion(moved) is not None:
+        if _decide(moved) is not None:
             accepted.add(w)
     return accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_bipartite_graphs())
+def test_deletable_matches_components(graph):
+    """The rule's breadth-first search calls a vertex deletable exactly
+    when a union-find over the other vertices' edges leaves two
+    components: the vertex alone and the rest."""
+    adj = _adjacency(graph.n, graph.edges)
+    for w in range(graph.n):
+        rest = [e for e in graph.edges if w not in e]
+        assert census_module._deletable(adj, w) == (
+            perm.components(graph.n, rest)[1] == 2)
 
 
 def _marked(graph: AdGraph, w: int) -> AdGraph:

@@ -45,13 +45,14 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
 * ``census.simple_connected_graphs`` builds no dict: stage 1 accepts
   each class once by its canonical deletion and keeps no per-level
   table of the forms it has met;
-* ``_deletion_keys`` and ``_deletable`` are called only by
-  ``census._canonical_deletion``, the one call that decides a stage-1
-  child;
-* in ``census``, ``find_bipartition`` is called only by
-  ``simple_connected_graphs``, once per kept class, and no ``replace``
-  call passes ``bipartition=``: atoms and the graphs built from them
-  carry the sides stage 1 found;
+* ``_deletion_keys`` (the keys at the vertices that can outrank the
+  new one) and ``_deletable`` (one breadth-first search) are called
+  only by ``census._canonical_deletion``, the one call that decides a
+  stage-1 child from its parent's arrays;
+* ``census`` calls no ``find_bipartition`` and no ``replace`` call
+  there passes ``bipartition=``: stage 1 reads each kept form's sides
+  off its child's sides through the canonical labelling, and atoms and
+  the graphs built from them carry those sides;
 * no function changes module state: no ``global`` statement, no store
   or ``del`` on a subscript or attribute of a module-level name, and no
   ``append``, ``extend``, ``insert``, ``add``, ``update``,
@@ -338,8 +339,7 @@ def _replaces_bipartition(tree: ast.AST) -> list[ast.Call]:
 
 def test_census_two_colours_only_in_stage1():
     sites = _call_sites("find_bipartition")
-    assert {s for s in sites if s.startswith("census.")} == {
-        "census.simple_connected_graphs"}
+    assert {s for s in sites if s.startswith("census.")} == set()
     assert _replaces_bipartition(_modules()["census"]) == []
     # the scan sees two-colourings and bipartition replaces elsewhere
     assert "adgraph.AdGraph._valid" in sites
