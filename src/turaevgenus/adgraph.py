@@ -22,7 +22,7 @@ embedding.  The package needs nothing outside the standard library.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -43,23 +43,23 @@ from .ribbon import RibbonGraph
 
 @dataclass(frozen=True)
 class AdGraph:
-    """Loopless multigraph, optionally annotated with a bipartition and a
-    per-component sphere embedding.
+    """Loopless multigraph, optionally carrying a per-component sphere
+    embedding.
 
     ``edges`` keeps one entry per parallel copy, each stored as
-    ``(min, max)`` whatever order it is given in.  ``rotations`` gives, for
-    each vertex, the cyclic counterclockwise order of incident edge
-    indices; each edge must sit once at each of its two endpoints, which
-    ``half_edges`` checks.  ``_comp``, ``_slots`` and ``_valid`` compute
-    the component labels, the half-edge arrays and ``validate_adg``'s
-    answer at most once per graph object (a failure is not kept);
-    ``replace`` starts a new object with none, and equality, hash and
-    repr ignore them.
+    ``(min, max)`` whatever order it is given in.  ``rotations``, given
+    by keyword only, gives, for each vertex, the cyclic counterclockwise
+    order of incident edge indices; each edge must sit once at each of
+    its two endpoints, which ``half_edges`` checks.  ``_comp``,
+    ``_slots`` and ``_valid`` compute the component labels, the
+    half-edge arrays and ``validate_adg``'s answer at most once per
+    graph object (a failure is not kept); ``replace`` starts a new
+    object with none, and equality, hash and repr ignore them.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    bipartition: tuple[int, ...] | None = None
+    _: KW_ONLY
     rotations: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
@@ -86,18 +86,19 @@ class AdGraph:
         return half_edges(self)
 
     @cached_property
-    def _valid(self) -> "AdGraph":
+    def _valid(self) -> "AdGraph | None":
+        # ``None`` when this graph is its own answer, not ``self``: a
+        # graph that referred to itself would wait for the cycle collector
         for v, d in enumerate(self.degrees()):
             if d % 2:
                 raise OddDegreeError(v, d)
-        validated = replace(self, bipartition=find_bipartition(self))
-        vars(validated).update(_comp=self._comp)
+        find_bipartition(self)
         if self.rotations is not None:
-            vars(validated).update(_slots=self._slots)
-            check_sphere_embedding(validated)
-        elif any(len(members) > 4 for members in perm.groups(*self._comp)):
-            validated = planar_rotations(validated)
-        return validated
+            check_sphere_embedding(self)
+            return None
+        embedded = planar_rotations(self)
+        vars(embedded).update(_valid=None)
+        return embedded
 
     @property
     def edge_count(self) -> int:
@@ -157,26 +158,19 @@ def find_bipartition(graph: AdGraph) -> tuple[int, ...]:
 
 
 def validate_adg(graph: AdGraph) -> AdGraph:
-    """Check even degrees, bipartiteness, and per-component planarity,
-    whatever bipartition the graph carries, once per graph object: the
-    answer is the cached ``graph._valid``, the same object on every call.
+    """Check even degrees, bipartiteness and per-component planarity,
+    once per graph object, and return the graph embedded: the same
+    object on every call, which is its own answer.
 
     A graph carrying a rotation system is proved planar by its own
-    embedding (``check_sphere_embedding``).  Otherwise, when some
-    component has five or more vertices, ``planar_rotations`` runs the
-    planarity search and the graph comes back carrying the embedding it
-    found; a graph of smaller components (each simplifies to a subgraph
-    of K4) is not searched and carries none.  Returns the graph
-    annotated with a bipartition, seeded with the input's arrays.  Loops
-    are already rejected at construction.
+    embedding (``check_sphere_embedding``) and comes back as it is.
+    Otherwise ``planar_rotations`` runs the planarity search, and the
+    graph comes back carrying the embedding it found, seeded with the
+    input's component labels.  This is the only way a graph is
+    validated; loops are already rejected at construction.
     """
-    return graph._valid
-
-
-def _validated(graph: AdGraph) -> AdGraph:
-    """``graph`` when it carries a bipartition (validated, census and
-    decomposition graphs do), else ``validate_adg(graph)``."""
-    return graph._valid if graph.bipartition is None else graph
+    valid = graph._valid
+    return graph if valid is None else valid
 
 
 # -- embeddings -----------------------------------------------------------------
@@ -644,7 +638,7 @@ def to_ribbon(graph: AdGraph, twisted: bool = False) -> RibbonGraph:
 
 def turaev_genus_graph(graph: AdGraph, rng: random.Random | None = None) -> int:
     """Turaev genus of an alternating decomposition graph, validated on
-    demand by ``_validated``.
+    demand by ``validate_adg``.
 
     Each step takes a member of a worklist, either the degree-two
     vertices or the parallel pairs as ``(u, w)`` with ``u < w``: its
@@ -656,7 +650,7 @@ def turaev_genus_graph(graph: AdGraph, rng: random.Random | None = None) -> int:
     smaller adjacency map into the larger, and connectivity is settled
     once for the whole run (see ``_genus_recursion``).
     """
-    graph = _validated(graph)
+    graph = validate_adg(graph)
     return _genus_recursion(graph.edges, graph._comp, rng)
 
 

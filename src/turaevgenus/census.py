@@ -75,10 +75,12 @@ parent per class, so P1 = P2, S1 and S2 share an orbit of Aut(P1), and
 one set per orbit is tried: S1 = S2.  No table of the forms met is
 needed.  A planar graph's canonical parent is planar, so planarity is
 tested once per accepted class.  No class is two-coloured: the child
-P + S takes P's sides with v opposite S, the canonical labelling
-carries them onto the kept form, and swapping them when vertex 0 lands
-on side 1 gives ``find_bipartition``'s answer, since a connected
-bipartite graph has one two-colouring up to the swap.
+P + S takes P's sides with v opposite S, and the canonical labelling
+carries them onto the kept form, which keeps them in its level entry
+for its own children.  They are swapped when vertex 0 lands on side 1,
+as ``find_bipartition`` would colour them: the order in which a
+parent's neighbour sets are drawn, and so the generators kept, depend
+on it.
 
 The odd sets are the cycle space.  In a multigraph with every degree
 even, each vertex meets an even number of odd-multiplicity edges, so
@@ -122,19 +124,18 @@ a reduced query adds an isolated vertex only to the empty combination.
 Order.  Stage-1 levels and the atoms are sorted by (n, E, edges).
 Atoms combine in pre-order with nondecreasing indices, so a graph is
 the union of its atoms in that order plus its isolated vertices: like
-each atom, it is a function of its class.  An atom carries its simple
-graph's two-colouring, read in stage 1, since multiplicities move no
-vertex across; it is connected, so vertex 0 is on side 0.  The atoms'
-sides in that order, then side 0 for each isolated vertex, are the
-union's two-colouring with the least vertex of each component on side
-0, which is what ``find_bipartition`` gives, so no graph is coloured
-again and each graph is built once.  A dropped atom, or a subtree
-already over the genus (genera are nonnegative), holds only graphs that
-a whole-graph filter would reject, and dropping keeps the atoms'
-relative order; so the survivors come out in the unfiltered order, and
-the stable sort by (n, E) orders them as it orders the unfiltered list.
-Atoms are sorted by vertex count, so the vertex budget ends a loop; edge
-counts are not monotone across vertex counts, so the edge budget skips.
+each atom, it is a function of its class, and each graph is built
+once.  The graphs are plain values: every atom is loopless, bipartite
+and planar, with even degrees, by the two stages above, so the census
+validates nothing and takes each atom's genus from the recursion on its
+edges; a caller that asks for a graph's genus or embedding validates it
+then.  A dropped atom, or a subtree already over the genus (genera are
+nonnegative), holds only graphs that a whole-graph filter would reject,
+and dropping keeps the atoms' relative order; so the survivors come out
+in the unfiltered order, and the stable sort by (n, E) orders them as
+it orders the unfiltered list.  Atoms are sorted by vertex count, so
+the vertex budget ends a loop; edge counts are not monotone across
+vertex counts, so the edge budget skips.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .adgraph import AdGraph, planar_embedding, turaev_genus_graph
+from .adgraph import AdGraph, _genus_recursion, planar_embedding
 from .errors import BadParametersError, BoundsTooLargeError
 from .families import (
     canonical_search,
@@ -203,24 +204,23 @@ def simple_connected_graphs(
 ) -> list[tuple[AdGraph, list[list[int]]]]:
     """The single vertex and, one per isomorphism class, the connected
     simple bipartite planar graphs with at most ``max_v`` vertices whose
-    need bound fits ``max_e``, each as its canonical form carrying its
-    bipartition, with generators of its automorphism group, sorted by
-    (n, E, edges): every graph that
-    can take even multiplicities, each at least 1, with every degree at
-    least ``min_degree`` and at most ``max_e`` edges in all.  Each level
-    accepts each class once, from its canonical parent, whose neighbour
-    sets it draws from each side, one per orbit (see "Canonical
-    deletion" above); stage 2 decides which graphs take multiplicities.
-    A child is its parent's degree and adjacency lists plus its
-    neighbour set until the rule searches it."""
+    need bound fits ``max_e``, each as its canonical form with
+    generators of its automorphism group, sorted by (n, E, edges): every
+    graph that can take even multiplicities, each at least 1, with every
+    degree at least ``min_degree`` and at most ``max_e`` edges in all.
+    Each level accepts each class once, from its canonical parent, whose
+    neighbour sets it draws from each side, one per orbit (see
+    "Canonical deletion" above); a level entry keeps its graph's sides
+    beside it.  Stage 2 decides which graphs take multiplicities.  A
+    child is its parent's degree and adjacency lists plus its neighbour
+    set until the rule searches it."""
     def need(d: int) -> int:
         return max(d + d % 2, min_degree)
 
-    levels = [[(AdGraph(1, (), (0,)), [])]]
-    out = list(levels[0])
+    levels = [[(AdGraph(1, ()), [], (0,))]]
     for v in range(2, max_v + 1):
         level = []
-        for parent, parent_gens in levels[-1]:
+        for parent, parent_gens, side in levels[-1]:
             budget = max_e - parent.edge_count
             deg = parent.degrees()
             adj: list[list[int]] = [[] for _ in deg]
@@ -232,7 +232,6 @@ def simple_connected_graphs(
             relabel = [lambda nbrs, g=g: tuple(sorted(map(g.__getitem__, nbrs)))
                        for g in parent_gens]
             reached: set[tuple[int, ...]] = set()
-            side = parent.bipartition
             sides = [[u for u in range(v - 1) if side[u] == s] for s in (0, 1)]
             for nbrs in itertools.chain.from_iterable(
                 itertools.combinations(part, size)
@@ -250,12 +249,11 @@ def simple_connected_graphs(
                     for u, s in enumerate(side):
                         turn[label[u]] = s
                     turn[label[v - 1]] = 1 - side[nbrs[0]]
-                    level.append((AdGraph(v, key[1], tuple(s ^ turn[0] for s in turn)),
-                                  [_conjugate(g, label) for g in gens]))
+                    level.append((AdGraph(v, key[1]), [_conjugate(g, label) for g in gens],
+                                  tuple(s ^ turn[0] for s in turn)))
         level.sort(key=lambda kept: _census_order(kept[0]))
         levels.append(level)
-        out.extend(level)
-    return out
+    return [(graph, gens) for level in levels for graph, gens, _ in level]
 
 
 def _census_order(graph: AdGraph) -> tuple:
@@ -432,10 +430,9 @@ def _least_of_orbits(
 
 def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph]:
     """Connected alternating decomposition graphs (and the single
-    vertex) up to isomorphism within the bounds, each a canonical
-    representative carrying its simple graph's bipartition, so the genus
-    recursion takes it as it is; sorted by (n, E, edges)."""
-    atoms: list[AdGraph] = [AdGraph(1, (), (0,))]
+    vertex) up to isomorphism within the bounds, each its class's
+    canonical representative; sorted by (n, E, edges)."""
+    atoms: list[AdGraph] = [AdGraph(1, ())]
     for simple, gens in simple_connected_graphs(max_v, max_e, min_degree):
         if simple.edge_count == 0:
             continue
@@ -443,7 +440,7 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
             edges = []
             for e, mult in zip(simple.edges, assign):
                 edges.extend([e] * mult)
-            atoms.append(AdGraph(simple.n, tuple(edges), simple.bipartition))
+            atoms.append(AdGraph(simple.n, tuple(edges)))
     atoms.sort(key=_census_order)
     return atoms
 
@@ -454,28 +451,29 @@ def connected_atoms(max_v: int, max_e: int, min_degree: int = 2) -> list[AdGraph
 
 def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
     """All alternating decomposition graphs within the bounds, one per
-    isomorphism class, each the union of canonical atoms carrying the
-    atoms' bipartitions in order, stably sorted by (n, E) (see "Order"
-    above).  Nothing is two-coloured or validated again here."""
+    isomorphism class, each the union of canonical atoms in order plus
+    isolated vertices, stably sorted by (n, E) (see "Order" above).
+    The atoms are valid by construction, so each atom's genus is the
+    recursion's answer on its edges, and nothing is validated here."""
     min_degree = 4 if filt.require_reduced else 2
     target = filt.genus_equals
     atoms: list[tuple[AdGraph, int]] = []
     for atom in connected_atoms(filt.max_vertices, filt.max_edges, min_degree):
         if atom.edge_count == 0 or (filt.require_reduced and not is_reduced(atom)):
             continue
-        genus = 0 if target is None else turaev_genus_graph(atom)
+        genus = 0 if target is None else _genus_recursion(atom.edges, atom._comp)
         if target is None or genus <= target:
             atoms.append((atom, genus))
     out: list[AdGraph] = []
 
-    def rec(start: int, n: int, edges: tuple, sides: tuple, genus: int):
+    def rec(start: int, n: int, edges: tuple, genus: int):
         if target is None or genus == target:
             low = 0 if n else 1
             top = filt.max_vertices - n if filt.allow_isolated else 0
             if filt.require_reduced:
                 top = min(top, low)
             for extra in range(low, top + 1):
-                out.append(AdGraph(n + extra, edges, sides + (0,) * extra))
+                out.append(AdGraph(n + extra, edges))
         for i in range(start, len(atoms)):
             atom, atom_genus = atoms[i]
             if n + atom.n > filt.max_vertices:
@@ -485,9 +483,9 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
                 continue
             rec(i, n + atom.n,
                 edges + tuple((u + n, v + n) for u, v in atom.edges),
-                sides + atom.bipartition, genus + atom_genus)
+                genus + atom_genus)
 
-    rec(0, 0, (), (), 0)
+    rec(0, 0, (), 0)
     out.sort(key=lambda g: (g.n, g.edge_count))
     return out
 

@@ -28,7 +28,7 @@ diagram whose non-alternating arcs are exactly the graph's edges.
 
 from __future__ import annotations
 
-from .adgraph import AdGraph, _validated, planar_rotations
+from .adgraph import AdGraph, validate_adg
 from .diagram import PlanarDiagram
 from .errors import NotEmbeddedError, SignMismatchError
 from .perm import two_colouring
@@ -39,11 +39,9 @@ _TREFOIL = ((0, 3, 1, 4), (2, 5, 3, 0), (4, 1, 5, 2))
 
 
 def embed_planar(graph: AdGraph) -> AdGraph:
-    """Attach a sphere rotation system with ``planar_rotations`` to the
-    graph, validated on demand.  A validated graph that carries rotations
-    is returned unchanged: ``validate_adg`` checked or built them."""
-    graph = _validated(graph)
-    return graph if graph.rotations is not None else planar_rotations(graph)
+    """The graph validated and embedded: ``validate_adg``, which checks
+    a carried rotation system or finds one."""
+    return validate_adg(graph)
 
 
 def edge_signs(graph: AdGraph) -> list[str]:

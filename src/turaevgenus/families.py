@@ -4,10 +4,10 @@ The constructors build the named families of alternating decomposition
 graphs: doubled paths and cycles, doubled theta graphs, the two
 K4-based genus-two families, and the genus-zero shapes (doubled trees,
 four-cycles with legs, and the two-sum of K4-minus-an-edge pieces).
-Family graphs are plain values, with no rotations and no bipartition,
-and are not necessarily bipartite: bipartiteness depends on the
-parameters.  ``turaev_genus_graph``, ``embed_planar`` and
-``realize_diagram`` validate them first, which checks bipartiteness.
+Family graphs are plain values, with no rotations, and are not
+necessarily bipartite: bipartiteness depends on the parameters.
+``turaev_genus_graph``, ``embed_planar`` and ``realize_diagram``
+validate them first, which checks bipartiteness and embeds them.
 
 The form table.  ``FAMILIES`` gives each family that ``classify_genus``
 names, doubled trees apart, its builder, the parameters of its minimal
@@ -392,7 +392,7 @@ def isomorphic(g1: AdGraph, g2: AdGraph) -> tuple[bool, list[int] | None]:
     canonical forms.  The witness sends vertex v of ``g1`` to the vertex
     of ``g2`` with v's canonical label, so ``g1.relabeled(witness)`` has
     the edge multiset of ``g2``.  Only ``n`` and ``edges`` are read:
-    rotations and bipartitions are ignored."""
+    rotations are ignored."""
     form1, label1, _ = canonical_search(g1)
     form2, label2, _ = canonical_search(g2)
     if form1 != form2:

@@ -29,8 +29,6 @@ reducedness and genus.
 """
 
 import itertools
-from dataclasses import replace
-
 import networkx as nx
 
 from turaevgenus.adgraph import AdGraph, find_bipartition, turaev_genus_graph
@@ -204,13 +202,10 @@ def enumerate_adgs(filt: CensusFilter) -> list[AdGraph]:
     for graph in out:
         if filt.require_reduced and not is_reduced(graph):
             continue
-        # stage 1 proved each atom's simple graph planar and bipartite,
-        # and stage 2 made every degree even: only the bipartition is new
-        validated = replace(graph, bipartition=find_bipartition(graph))
         if filt.genus_equals is not None:
-            if turaev_genus_graph(validated) != filt.genus_equals:
+            if turaev_genus_graph(graph) != filt.genus_equals:
                 continue
-        filtered.append(validated)
+        filtered.append(graph)
     filtered.sort(key=lambda g: (g.n, g.edge_count))
     return filtered
 
@@ -220,9 +215,9 @@ def graph_per_child_simple_connected_graphs(
 ) -> list[tuple[AdGraph, list[list[int]]]]:
     """The single vertex and, one per isomorphism class, the connected
     simple bipartite planar graphs with at most ``max_v`` vertices whose
-    need bound fits ``max_e``, each as its canonical form carrying its
-    bipartition, with generators of its automorphism group, sorted by
-    (n, E, edges): every graph that
+    need bound fits ``max_e``, each as its canonical form, with
+    generators of its automorphism group, sorted by (n, E, edges): every
+    graph that
     can take even multiplicities, each at least 1, with every degree at
     least ``min_degree`` and at most ``max_e`` edges in all.  Each level
     accepts each class once, from its canonical parent, whose neighbour
@@ -231,7 +226,7 @@ def graph_per_child_simple_connected_graphs(
     def need(d: int) -> int:
         return max(d + d % 2, min_degree)
 
-    levels = [[(AdGraph(1, (), (0,)), [])]]
+    levels = [[(AdGraph(1, ()), [])]]
     out = list(levels[0])
     for v in range(2, max_v + 1):
         level = []
@@ -242,7 +237,7 @@ def graph_per_child_simple_connected_graphs(
             relabel = [lambda nbrs, g=g: tuple(sorted(map(g.__getitem__, nbrs)))
                        for g in parent_gens]
             reached: set[tuple[int, ...]] = set()
-            side = parent.bipartition
+            side = find_bipartition(parent)
             sides = [[u for u in range(v - 1) if side[u] == s] for s in (0, 1)]
             for nbrs in itertools.chain.from_iterable(
                 itertools.combinations(part, size)
@@ -257,8 +252,7 @@ def graph_per_child_simple_connected_graphs(
                 if found is not None and _is_planar_bipartite(v, child.edges):
                     key, label, gens = found
                     form = AdGraph(v, key[1])
-                    level.append((AdGraph(v, form.edges, find_bipartition(form)),
-                                  [_conjugate(g, label) for g in gens]))
+                    level.append((form, [_conjugate(g, label) for g in gens]))
         level.sort(key=lambda kept: _census_order(kept[0]))
         levels.append(level)
         out.extend(level)

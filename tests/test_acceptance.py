@@ -308,8 +308,8 @@ def test_criterion_8_robustness():
                 ok = False
         # alternate sphere embeddings: as computed, and mirrored
         mirrored = AdGraph(
-            graph.n, graph.edges, graph.bipartition,
-            tuple(tuple(reversed(rot)) for rot in graph.rotations),
+            graph.n, graph.edges,
+            rotations=tuple(tuple(reversed(rot)) for rot in graph.rotations),
         )
         g1 = ribbon_genus(twist_all(to_ribbon(graph)))
         g2 = ribbon_genus(twist_all(to_ribbon(mirrored)))

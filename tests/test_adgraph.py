@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import importlib
 import random
 import re
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from turaevgenus.adgraph import (
     AdGraph,
     _genus_recursion,
     check_sphere_embedding,
+    find_bipartition,
     half_edges,
     nullity,
     parse_graph_file,
@@ -72,8 +75,8 @@ def test_loops_rejected():
 
 def test_validate_c22():
     v = validate_adg(doubled_cycle(2))
-    assert v.bipartition is not None
-    assert sorted(v.bipartition) == [0, 1]
+    assert v.rotations == ((0, 1, 2, 3), (3, 2, 1, 0))
+    assert find_bipartition(v) == (0, 1)
 
 
 def test_validate_odd_cycle():
@@ -131,18 +134,20 @@ def test_rotation_system_proves_planarity(planarity_calls):
     assert len(planarity_calls) == 1
 
 
-def test_small_components_skip_the_search(planarity_calls):
-    # 20,000 isolated vertices, and components of at most four vertices
-    # in general, are planar without a test
+def test_isolated_vertices_skip_the_search(planarity_calls):
+    # 20,000 isolated vertices are embedded without a search; any
+    # component with an edge is searched, four vertices or not
     c44 = doubled_cycle(4)
     isolated = parse_graph_file("v 20000\n")
+    assert validate_adg(isolated).rotations == ((),) * 20000
     assert turaev_genus_graph(validate_adg(isolated)) == 0
     assert classify_genus(isolated).genus == 0
-    validate_adg(AdGraph(c44.n, c44.edges))
     assert planarity_calls == []
+    validate_adg(AdGraph(c44.n, c44.edges))
+    assert len(planarity_calls) == 1
     with pytest.raises(NotPlanarError):
         validate_adg(doubled_k33(with_rotations=False))
-    assert len(planarity_calls) == 1
+    assert len(planarity_calls) == 2
 
 
 def test_planar_graph_with_torus_rotations():
@@ -185,9 +190,6 @@ def test_validate_attaches_planar_rotations(seed):
     graph = corpus.random_adgraph(random.Random(seed), max_edges=16)
     bare = AdGraph(graph.n, graph.edges)
     validated = validate_adg(bare)
-    if all(len(comp) <= 4 for comp in bare.components()):
-        assert validated.rotations is None
-        return
     check_sphere_embedding(validated)
     assert validated.rotations == planar_rotations(bare).rotations
 
@@ -472,7 +474,7 @@ def _answers(graph: AdGraph) -> list:
 
 
 def _hand_built(graph: AdGraph) -> AdGraph:
-    return AdGraph(graph.n, graph.edges, graph.bipartition, graph.rotations)
+    return AdGraph(graph.n, graph.edges, rotations=graph.rotations)
 
 
 def test_derived_graphs_answer_like_fresh_copies():
@@ -606,8 +608,8 @@ def _random_plain_graphs(count: int) -> list[AdGraph]:
             for g in (corpus.random_adgraph(rng, max_edges=12) for _ in range(count))]
 
 
-#: valid graphs as plain values, with no bipartition and no rotations:
-#: random ones stripped of both, and family graphs
+#: valid graphs as plain values, with no rotations: random ones
+#: stripped of them, and family graphs
 PLAIN_GRAPHS = _random_plain_graphs(12) + [
     doubled_cycle(6),
     doubled_theta(1, 3, 3),
@@ -631,12 +633,15 @@ def test_plain_graphs_answer_like_the_explicit_chain(graph):
 
 
 #: odd degree; a doubled triangle, even but not bipartite; doubled K3,3,
-#: bipartite with even degrees but not planar
+#: bipartite with even degrees but not planar; four parallel edges, on
+#: the torus by their rotation system
 INVALID_GRAPHS = [
     (AdGraph(3, ((0, 1), (1, 2), (1, 2))), OddDegreeError),
     (AdGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2))), NotBipartiteError),
     (AdGraph(6, tuple((u, v) for u in range(3) for v in range(3, 6)) * 2),
      NotPlanarError),
+    (AdGraph(2, ((0, 1),) * 4, rotations=((0, 1, 2, 3), (0, 2, 1, 3))),
+     NotSphericalError),
 ]
 
 
@@ -690,8 +695,42 @@ def test_classify_after_validate_searches_once(searches):
     assert searches == {"find_bipartition": 1, "_left_right": 1}
 
 
-def test_validate_checks_a_graph_that_carries_a_bipartition():
+def test_validity_is_no_field_of_a_graph():
+    """A graph is validated only by ``validate_adg``: no field vouches
+    for it, and a third positional argument is refused rather than read
+    as a rotation system."""
+    assert {f.name for f in dataclasses.fields(AdGraph)} == {"n", "edges", "rotations"}
     doubled_triangle = INVALID_GRAPHS[1][0]
-    claimed = AdGraph(3, doubled_triangle.edges, bipartition=(0, 1, 1))
-    with pytest.raises(NotBipartiteError):
-        validate_adg(claimed)
+    with pytest.raises(TypeError):
+        AdGraph(3, doubled_triangle.edges, (0, 1, 1))
+
+
+@pytest.mark.parametrize("graph", [
+    doubled_cycle(2),
+    doubled_cycle(2).disjoint_union(isolated_vertices(2)),
+    doubled_cycle(6),
+])
+def test_a_validated_graph_is_its_own_answer(searches, graph):
+    """``validate_adg`` returns one embedded object, small components
+    or not, that validates to itself; genus and realization on it
+    search nothing again."""
+    validated = validate_adg(graph)
+    assert validate_adg(graph) is validated and validated.rotations is not None
+    assert validate_adg(validated) is validated
+    assert searches == {"find_bipartition": 1, "_left_right": 1}
+    turaev_genus_graph(validated)
+    realize_diagram(validated)
+    assert searches == {"find_bipartition": 1, "_left_right": 1}
+
+
+def test_a_validated_graph_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        graph = doubled_cycle(6)
+        validated = validate_adg(graph)
+        assert validate_adg(validated) is validated
+        refs = weakref.ref(graph), weakref.ref(validated)
+        del graph, validated
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -82,14 +82,12 @@ def test_census_matches_naive_generator():
                  genus_equals=2, allow_isolated=False),
 ], ids=["all-8-12", "reduced-genus2-16"])
 def test_enumerated_graphs_pass_validation(filt):
-    """``enumerate_adgs`` attaches the bipartition without re-testing
-    planarity; every graph it returns must still pass ``validate_adg``,
-    with the same bipartition."""
+    """``enumerate_adgs`` validates nothing; every graph it returns must
+    still pass ``validate_adg``."""
     graphs = enumerate_adgs(filt)
     assert len(graphs) > 10
     for graph in graphs:
-        bare = AdGraph(graph.n, graph.edges)
-        assert validate_adg(bare).bipartition == graph.bipartition
+        assert validate_adg(graph).rotations is not None
 
 
 @pytest.mark.parametrize("graphs", [
@@ -98,21 +96,21 @@ def test_enumerated_graphs_pass_validation(filt):
     lambda: [g for cls in census(3, CensusFilter(8, 16, allow_isolated=False))
              for g in cls.members],
 ], ids=["all-10-10", "genus2-16", "reduced-genus3-census-16"])
-def test_carried_bipartition_is_the_two_colouring(graphs):
-    """``enumerate_adgs`` concatenates its atoms' bipartitions, and side
-    0 for each isolated vertex; that is the two-colouring that
-    ``find_bipartition`` gives the whole graph."""
+def test_census_graphs_are_plain_values(graphs):
+    """The census returns plain graphs, with no rotations and nothing
+    validated, that are bipartite all the same."""
     found = graphs()
     assert len(found) > 20
     for graph in found:
-        assert graph.bipartition == find_bipartition(graph)
+        assert graph.rotations is None and "_valid" not in vars(graph)
+        find_bipartition(graph)
 
 
 def test_bipartition_found_once_per_atom(monkeypatch):
     """One ``enumerate_adgs(CensusFilter(10, 10))`` two-colours none of
     its 138 kept stage-1 classes with edges, 139 atoms or 1,100 graphs:
     each class's sides are read once, off its child's sides through its
-    canonical labelling, and the atoms and graphs carry them."""
+    canonical labelling, and kept beside it for its own children."""
     calls = []
     real = perm.two_colouring
 
@@ -126,7 +124,6 @@ def test_bipartition_found_once_per_atom(monkeypatch):
     monkeypatch.undo()
     classes = [g for g, _ in simple_connected_graphs(10, 10) if g.edge_count]
     atoms = [a for a in connected_atoms(10, 10) if a.edge_count]
-    assert all(g.bipartition == find_bipartition(g) for g in classes)
     assert (coloured, len(classes), len(atoms), len(graphs)) == (0, 138, 139, 1100)
 
 
@@ -227,12 +224,16 @@ def stage1_pair(request):
 
 
 def test_stage1_matches_the_per_child_graph_version(stage1_pair):
-    """Stage 1 on the parent's arrays keeps the graphs, bipartitions,
-    generators and order that building every child as a graph kept."""
+    """Stage 1 on the parent's arrays keeps the graphs, generators and
+    order that building every child as a graph kept.  The per-child
+    version two-colours each parent with ``find_bipartition``; the sides
+    fix the order in which a parent's neighbour sets are drawn, and so
+    the generators, so equal generators check the sides that stage 1
+    carries through the labelling against ``find_bipartition``'s."""
     _, got, want = stage1_pair
     assert len(got) > 100
-    assert [(g.n, g.edges, g.bipartition, gens) for g, gens in got] == [
-        (g.n, g.edges, g.bipartition, gens) for g, gens in want]
+    assert [(g.n, g.edges, gens) for g, gens in got] == [
+        (g.n, g.edges, gens) for g, gens in want]
 
 
 def test_stage2_matches_the_per_step_tuple_version(stage1_pair):
@@ -582,14 +583,15 @@ def test_new_vertex_never_tested_for_deletability(monkeypatch, bounds, asked):
 
 
 @pytest.mark.parametrize("bounds", [(10, 10), (8, 16, 4)])
-def test_atoms_carry_their_two_colouring(bounds):
-    """Every atom, the single vertex included, carries the bipartition
-    that ``find_bipartition`` gives it, so the genus recursion takes it
-    as it is."""
+def test_atoms_are_valid(bounds):
+    """Every atom, the single vertex included, passes ``validate_adg``,
+    so the census may run the genus recursion on its edges as they
+    are."""
     atoms = connected_atoms(*bounds)
     assert len(atoms) > 100
     for atom in atoms:
-        assert atom.bipartition == find_bipartition(atom)
+        assert atom.rotations is None
+        validate_adg(atom)
 
 
 @st.composite
@@ -703,8 +705,7 @@ def test_repeated_queries_agree_and_reuse_nothing(monkeypatch):
     searches = _count_calls(monkeypatch, "canonical_search")
 
     def stage1():
-        return [(g.n, g.edges, g.bipartition, gens)
-                for g, gens in simple_connected_graphs(10, 10)]
+        return [(g.n, g.edges, gens) for g, gens in simple_connected_graphs(10, 10)]
 
     def grouped():
         filt = CensusFilter(max_vertices=8, max_edges=16, allow_isolated=False)
@@ -811,12 +812,11 @@ def _query_id(query: tuple) -> str:
 @pytest.mark.parametrize("query", ORACLE_QUERIES, ids=_query_id)
 def test_enumerate_matches_the_filtering_oracle(query):
     """Assembling from classified atoms gives the graphs that building
-    every graph and then filtering it gave, in the same order and with
-    the same bipartitions."""
+    every graph and then filtering it gave, in the same order."""
     filt, keep = query
 
     def rows(graphs):
-        return [(g.n, g.edges, g.bipartition) for g in graphs
+        return [(g.n, g.edges) for g in graphs
                 if keep is None or keep(g)]
 
     assert rows(enumerate_adgs(filt)) == rows(filtering_enumerate_adgs(filt))
@@ -829,14 +829,7 @@ def test_enumerate_matches_the_filtering_oracle(query):
 def test_genus_runs_once_per_atom(monkeypatch, filt, calls):
     """The genus recursion runs on each atom that has edges, once, and
     not at all when the query names no genus."""
-    seen = []
-    real = census_module.turaev_genus_graph
-
-    def counting(graph):
-        seen.append(graph)
-        return real(graph)
-
-    monkeypatch.setattr(census_module, "turaev_genus_graph", counting)
+    seen = _count_calls(monkeypatch, "_genus_recursion")
     enumerate_adgs(filt)
     assert len(seen) == calls
     if calls:

@@ -88,7 +88,7 @@ def _turned(graph: AdGraph, rng: random.Random) -> AdGraph:
     for rot in graph.rotations:
         k = rng.randrange(len(rot)) if rot else 0
         rotations.append(rot[k:] + rot[:k])
-    return AdGraph(graph.n, graph.edges, graph.bipartition, tuple(rotations))
+    return AdGraph(graph.n, graph.edges, rotations=tuple(rotations))
 
 
 def _same_as_oracle(graph: AdGraph) -> None:
@@ -114,8 +114,8 @@ def test_realize_matches_template_oracle_on_stars():
         hub = g.rotations[0]
         signs = edge_signs(g)
         for k in range(len(hub)):
-            turned = AdGraph(g.n, g.edges, g.bipartition,
-                             (hub[k:] + hub[:k],) + g.rotations[1:])
+            turned = AdGraph(g.n, g.edges,
+                             rotations=(hub[k:] + hub[:k],) + g.rotations[1:])
             _same_as_oracle(turned)
             seen.add((len(hub), signs[hub[k]]))
     assert seen == {(2 * m, s) for m in range(1, 7) for s in "+-"}
@@ -124,8 +124,8 @@ def test_realize_matches_template_oracle_on_stars():
 def test_embed_planar_requires_validation():
     # a plain graph is validated on demand, not refused
     plain = AdGraph(2, ((0, 1), (0, 1)))
-    assert embed_planar(plain) == embed_planar(validate_adg(plain))
-    assert embed_planar(plain).bipartition == (0, 1)
+    assert embed_planar(plain) is validate_adg(plain)
+    assert embed_planar(plain).rotations == ((0, 1), (1, 0))
 
 
 def test_embed_planar_idempotent():
@@ -151,10 +151,10 @@ def test_embed_planar_keeps_validated_rotations(monkeypatch):
 
 
 def test_realize_requires_embedding():
-    # a validated graph without rotations is embedded on demand, not refused
+    # every validated graph carries its embedding, small ones too
     v = validate_adg(AdGraph(2, ((0, 1),) * 4))
-    assert v.rotations is None
-    assert realize_diagram(v).crossings == realize_diagram(embed_planar(v)).crossings
+    assert v.rotations is not None and embed_planar(v) is v
+    assert realize_diagram(v).crossings == realize_diagram(AdGraph(v.n, v.edges)).crossings
 
 
 def test_edge_signs_alternate():
@@ -248,8 +248,8 @@ def test_alternate_embeddings_agree():
     for g in (doubled_cycle(4), k4_doubled_paths(2, 2)):
         embedded = embed_planar(validate_adg(AdGraph(g.n, g.edges)))
         mirrored = AdGraph(
-            embedded.n, embedded.edges, embedded.bipartition,
-            tuple(tuple(reversed(rot)) for rot in embedded.rotations),
+            embedded.n, embedded.edges,
+            rotations=tuple(tuple(reversed(rot)) for rot in embedded.rotations),
         )
         check_sphere_embedding(mirrored)
         assert ribbon_genus(twist_all(to_ribbon(embedded))) == \

@@ -98,7 +98,7 @@ def test_constructors_build_plain_graphs():
         one_sum_components(C22.disjoint_union(doubled_path(2)), 0, C22.n + 1),
     ]
     for g in plain:
-        assert g.rotations is None and g.bipartition is None, g
+        assert g.rotations is None, g
     # vertex numbering and edge order stay fixed: the rotations that
     # planar_rotations finds, and so the realized diagrams, depend on both
     pinned = [

@@ -7,12 +7,12 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   it: networkx is an oracle for the tests only;
 * ``planar_embedding`` is called only by ``adgraph.planar_rotations``
   and ``census._is_planar_bipartite``;
-* ``planar_rotations`` is called only in ``adgraph``, in
-  ``construct.embed_planar`` and in ``verify.suite_doubled_path_moves``,
-  which embeds non-bipartite extensions that ``validate_adg`` rejects;
-* validation is decided in one place: only ``adgraph._validated``
-  compares a ``bipartition`` with ``None``, in ``adgraph`` only the
-  cached property ``AdGraph._valid`` calls ``find_bipartition`` and
+* ``planar_rotations`` is called only by the cached property
+  ``AdGraph._valid`` and by ``verify.suite_doubled_path_moves``, which
+  embeds non-bipartite extensions that ``validate_adg`` rejects;
+* validation is decided in one place: no module reads an attribute
+  named ``bipartition``, so no field of a graph vouches for it, in
+  ``adgraph`` only ``AdGraph._valid`` calls ``find_bipartition`` and
   ``planar_rotations``, so a graph object is validated at most once,
   and no module names a ``NotValidatedError``;
 * in ``adgraph``, ``construct`` and ``ribbon``, ``half_edges`` is
@@ -49,10 +49,10 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   new one) and ``_deletable`` (one breadth-first search) are called
   only by ``census._canonical_deletion``, the one call that decides a
   stage-1 child from its parent's arrays;
-* ``census`` calls no ``find_bipartition`` and no ``replace`` call
-  there passes ``bipartition=``: stage 1 reads each kept form's sides
-  off its child's sides through the canonical labelling, and atoms and
-  the graphs built from them carry those sides;
+* ``census`` calls none of ``find_bipartition``, ``validate_adg`` and
+  ``turaev_genus_graph``: stage 1 reads each kept form's sides off its
+  child's sides through the canonical labelling, the atoms are valid by
+  construction, and each atom's genus is the recursion on its edges;
 * no function changes module state: no ``global`` statement, no store
   or ``del`` on a subscript or attribute of a module-level name, and no
   ``append``, ``extend``, ``insert``, ``add``, ``update``,
@@ -72,8 +72,8 @@ Parses ``src/turaevgenus/*.py`` with ``ast``.  The rules:
   name in some other module: no error class outlives its last
   ``raise``.
 
-Everything else that needs an embedding asks for ``embed_planar(g)``,
-which validates a graph that carries no bipartition.
+Everything else that needs an embedding asks for ``validate_adg(g)``,
+or ``embed_planar(g)``, which is the same answer.
 """
 
 from __future__ import annotations
@@ -169,11 +169,8 @@ def test_planar_embedding_call_sites():
 
 
 def test_planar_rotations_call_sites():
-    sites = _call_sites("planar_rotations")
-    outside = {s for s in sites if not s.startswith("adgraph.")}
-    assert outside <= {"construct.embed_planar", "verify.suite_doubled_path_moves"}
-    # the scan sees calls in other modules, not only in adgraph
-    assert {"adgraph.AdGraph._valid", "construct.embed_planar"} <= sites
+    assert _call_sites("planar_rotations") == {
+        "adgraph.AdGraph._valid", "verify.suite_doubled_path_moves"}
 
 
 def test_one_pass_of_each_array_per_graph():
@@ -330,31 +327,21 @@ def test_canonical_deletion_is_decided_in_one_call():
         assert _call_sites(helper) == {"census._canonical_deletion"}, helper
 
 
-def _replaces_bipartition(tree: ast.AST) -> list[ast.Call]:
-    """The ``replace`` calls in ``tree`` that pass ``bipartition=``."""
-    return [n for n in ast.walk(tree)
-            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "replace"
-            and any(k.arg == "bipartition" for k in n.keywords)]
-
-
 def test_census_two_colours_only_in_stage1():
-    sites = _call_sites("find_bipartition")
-    assert {s for s in sites if s.startswith("census.")} == set()
-    assert _replaces_bipartition(_modules()["census"]) == []
-    # the scan sees two-colourings and bipartition replaces elsewhere
-    assert "adgraph.AdGraph._valid" in sites
-    assert _replaces_bipartition(_modules()["adgraph"])
+    """Stage 1 reads each kept form's sides through its labelling and
+    keeps them beside it, the atoms are valid by construction, and an
+    atom's genus is the recursion on its edges: ``census`` two-colours
+    nothing and validates nothing."""
+    census = _modules()["census"]
+    for name in ("find_bipartition", "validate_adg", "turaev_genus_graph"):
+        assert _calls(census, name) == [], name
+    # the scan sees such calls elsewhere, and the recursion in census
+    assert "families.classify_genus" in _call_sites("validate_adg")
+    assert "census.enumerate_adgs" in _call_sites("_genus_recursion")
 
 
-def _tests_bipartition(node: ast.AST) -> bool:
-    """Whether ``node`` compares an attribute ``bipartition`` with
-    ``None``, by ``is``, ``is not``, ``==`` or ``!=``, on either side."""
-    if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-        return False
-    sides = [node.left, node.comparators[0]]
-    return (isinstance(node.ops[0], (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
-            and any(getattr(s, "attr", None) == "bipartition" for s in sides)
-            and any(isinstance(s, ast.Constant) and s.value is None for s in sides))
+def _reads_bipartition(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "bipartition"
 
 
 def _mentions(modules: dict[str, ast.Module], name: str) -> list[str]:
@@ -365,28 +352,26 @@ def _mentions(modules: dict[str, ast.Module], name: str) -> list[str]:
 
 
 def test_validation_is_decided_in_one_place():
-    """Only ``adgraph._validated`` takes a bipartition as the mark of a
-    validated graph; validation two-colours and searches only in the
-    cached property ``AdGraph._valid``, so at most once per graph
+    """No module reads a ``bipartition`` attribute, so only validation
+    marks a graph as valid; validation two-colours and searches only in
+    the cached property ``AdGraph._valid``, so at most once per graph
     object; and no ``NotValidatedError`` refuses a plain graph."""
     modules = _modules()
     assert {f"{module}.{where}" for module, tree in modules.items()
-            for where in _sites(tree, _tests_bipartition)} == {"adgraph._validated"}
+            for where in _sites(tree, _reads_bipartition)} == set()
     for name in ("find_bipartition", "planar_rotations"):
         assert {s for s in _call_sites(name) if s.startswith("adgraph.")} == {
             "adgraph.AdGraph._valid"}, name
     assert _mentions(modules, "NotValidatedError") == []
-    # the scan sees each form of the test, in a function or a method, and
-    # a two-colouring in a cached property; not a test of another field
+    # the scan sees a read in a function or a method, and a two-colouring
+    # in a cached property; not a read of another field
     synthetic = ast.parse(
         "class G:\n    @cached_property\n    def _valid(self):\n"
         "        return find_bipartition(self)\n"
         "    def trusted(self):\n        return self.bipartition is not None\n"
         "def helper(g):\n    return g._valid if g.bipartition is None else g\n"
-        "def reversed_test(g):\n    return None == g.bipartition\n"
         "def other(g):\n    return g.rotations is None\n")
-    assert _sites(synthetic, _tests_bipartition) == [
-        "G.trusted", "helper", "reversed_test"]
+    assert _sites(synthetic, _reads_bipartition) == ["G.trusted", "helper"]
     assert _calls(synthetic, "find_bipartition") == ["G._valid"]
     # and an error class where it is defined and where it is raised
     assert _mentions({
